@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 
@@ -37,7 +38,6 @@ from .ingest import (
     parse_rr_csv,
     parse_sessions_csv,
     resolve_channel_path,
-    rr_series,
     write_accel_csv,
     write_rr_csv,
 )
@@ -93,7 +93,7 @@ def cmd_moments(args) -> None:
     else:
         if args.center:
             raise ValueError("--center applies to the accel channel only")
-        series = rr_series(parse_rr_csv(args.input))
+        series = parse_rr_csv(args.input)
     windows = sliding_windows(series, args.window, args.stride)
     write_windows_csv(args.out, windows)
     write_manifest(
@@ -108,12 +108,11 @@ def cmd_moments(args) -> None:
 def cmd_plane(args) -> None:
     seed = _resolve_seed(args)
     rr = parse_rr_csv(args.input)
-    series = rr_series(rr)
-    windows = sliding_windows(series, args.window, args.stride)
+    windows = sliding_windows(rr, args.window, args.stride)
     cloud = None
     if args.bootstrap > 0:
         last = windows[-1]
-        values = series.value[last.start_index : last.start_index + last.length]
+        values = rr.values[last.start_index : last.start_index + last.length]
         cloud = bootstrap(values, args.bootstrap, seed, source_window=last)
     doc = export_plane(windows, rho=args.rho, tau=args.tau, bootstrap_cloud=cloud)
     _write_json(args.out, doc)
@@ -212,17 +211,13 @@ def cmd_cluster(args) -> None:
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(x) for x in text.split(",") if x.strip())
+        return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
         raise ValueError(f"bad --hidden {text!r}; expected comma-separated integers") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"--hidden sizes must be positive, got {text!r}")
-    return sizes
 
 
 def cmd_train(args) -> None:
     seed = _resolve_seed(args)
-    rows = read_features_csv(args.features)
     config = DnnConfig(
         hidden=_parse_hidden(args.hidden),
         epochs=args.epochs,
@@ -230,6 +225,7 @@ def cmd_train(args) -> None:
         batch=args.batch,
         seed=seed,
     )
+    rows = read_features_csv(args.features)
     model, report = run_training(rows, args.model, args.preset, config, split_seed=seed)
     os.makedirs(args.out_dir, exist_ok=True)
     stem = f"{args.model}_{args.preset}"
@@ -345,6 +341,28 @@ def cmd_report(args) -> None:
     write_manifest(manifest_path_for(args.out), "report", {}, paths, [args.out])
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for radii and widths: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type for sizes where 0 means none: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _add_seed(p) -> None:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $LOADLENS_SEED or 0)")
 
@@ -367,9 +385,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="rr.csv")
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
-    p.add_argument("--bootstrap", type=int, default=0, metavar="B", help="cloud size for the final window")
-    p.add_argument("--rho", type=float, default=0.3)
-    p.add_argument("--tau", type=float, default=0.15)
+    p.add_argument("--bootstrap", type=_count, default=0, metavar="B", help="cloud size for the final window")
+    p.add_argument("--rho", type=_positive_float, default=0.3, help="vicinity radius of the landmarks")
+    p.add_argument("--tau", type=_positive_float, default=0.15, help="half-width of the line and band zones")
     _add_seed(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_plane)

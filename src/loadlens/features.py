@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .errors import DegenerateSample, EmptyFile, MalformedRow, MissingChannel, TooFewRows, UnknownLabel
-from .ingest import DEFAULT_ACTIVITIES, MagnitudeSeries, RrSample, SessionMeta
+from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta
 from .momentplane import metric1, metric2, to_plane
 from .stats import moments
 
@@ -84,16 +84,19 @@ def feature_matrix(rows: list[SessionFeatures], names) -> np.ndarray:
 
 def extract_features(
     meta: SessionMeta,
-    accel: MagnitudeSeries,
-    rr: list[RrSample],
+    accel: Channel,
+    rr: Channel,
 ) -> SessionFeatures:
-    """Build the session feature vector from its channels.
+    """Build the session feature vector from its channels: the accel
+    magnitude series and the rr series.
 
     Pace-derived features are NaN when distance is zero. Degenerate channels
     (constant accel, constant rr) leave their higher-moment features NaN
     rather than failing the whole session.
     """
-    if not rr:
+    if accel.values.ndim != 1:
+        raise ValueError("extract_features needs the accel magnitude, not the raw axes")
+    if not len(rr):
         raise MissingChannel("rr", "no heartbeat samples")
     if len(accel) < 4:
         raise MissingChannel("accel", f"needs >= 4 samples, got {len(accel)}")
@@ -107,11 +110,11 @@ def extract_features(
         pace = math.nan
         metric_d = math.nan
 
-    hr = 60000.0 / np.array([s.rr_ms for s in rr], dtype=float)
+    hr = 60000.0 / rr.values
     ahr = float(hr.mean())
     mhr = float(hr.max())
 
-    acc_values = np.asarray(accel.value, dtype=float)
+    acc_values = accel.values
     try:
         acc_m = moments(acc_values)
         acc_mean, acc_std = acc_m.mean, acc_m.std
@@ -124,7 +127,7 @@ def extract_features(
 
     if len(rr) >= 4:
         try:
-            rr_m = moments([s.rr_ms for s in rr])
+            rr_m = moments(rr.values)
             p = to_plane(rr_m)
             m1, m2 = metric1(p), metric2(p)
         except DegenerateSample:

@@ -10,14 +10,32 @@ Timestamps are integer milliseconds since session start and must be strictly
 increasing within a file. RR intervals stay real-valued: the millisecond
 heartbeat carries 3-4 significant digits, an order more precision than the
 rounded integer heart rate derived from it.
+
+In memory one recording is a :class:`Channel`, a pair of numpy arrays:
+
+* ``t_ms``   -- int64, shape (n,): milliseconds, >= 0 and strictly increasing;
+* ``values`` -- float64, all finite; shape (n, 3) for the raw accelerometer
+  axes ``ax, ay, az``, shape (n,) for a univariate series (``rr_ms``, or the
+  accel magnitude).
+
+The constructor checks these invariants once, so no consumer re-checks them.
+Both arrays are read-only views.
+
+The channel writers emit the header row and one line per sample, each ending
+in ``\\r\\n`` (the csv module's terminator), with floats written by ``repr`` so
+that a write -> parse round trip is bit-exact.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     EmptyFile,
@@ -43,23 +61,70 @@ SESSIONS_HEADER = (
     "rr_file",
 )
 
-
-@dataclass(frozen=True)
-class AccelSample:
-    """One tri-axial accelerometer reading (m/s^2)."""
-
-    t_ms: int
-    ax: float
-    ay: float
-    az: float
+#: Body layouts for ``np.loadtxt``; the integer field keeps ``t_ms`` strict
+#: ("1.0" and "1e3" do not parse).
+_ACCEL_DTYPE = np.dtype([("t", "<i8"), ("v", "<f8", (3,))])
+_RR_DTYPE = np.dtype([("t", "<i8"), ("v", "<f8")])
 
 
-@dataclass(frozen=True)
-class RrSample:
-    """One heartbeat interval in milliseconds."""
+def _first_fault(t_ms: np.ndarray, values: np.ndarray, positive: bool = False):
+    """First row that breaks the channel invariants, or None.
 
-    t_ms: int
-    rr_ms: float
+    Returns ``(index, field)``: field is ``"negative"`` for t_ms < 0,
+    ``"order"`` for a t_ms not above its predecessor, else the value column
+    holding a non-finite value (with ``positive``, also one <= 0). Within a
+    row the time checks come first, then the columns left to right.
+    """
+    n = len(t_ms)
+    order = np.zeros(n, dtype=bool)
+    np.less_equal(t_ms[1:], t_ms[:-1], out=order[1:])
+    cols = values if values.ndim == 2 else values[:, None]
+    bad = ~np.isfinite(cols)
+    if positive:
+        bad |= cols <= 0
+    rows = np.flatnonzero((t_ms < 0) | order | bad.any(axis=1))
+    if not rows.size:
+        return None
+    i = int(rows[0])
+    if t_ms[i] < 0:
+        return i, "negative"
+    if order[i]:
+        return i, "order"
+    return i, int(np.argmax(bad[i]))
+
+
+@dataclass(frozen=True, eq=False)
+class Channel:
+    """One recording: times ``t_ms`` (int64, (n,)) and ``values`` (float64,
+    (n,) or (n, 3)); see the module docstring for the invariants."""
+
+    t_ms: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.t_ms)
+        if t.size == 0:
+            t = t.astype(np.int64)
+        if t.dtype.kind not in "iu":
+            raise TypeError(f"t_ms must hold integers, got dtype {t.dtype}")
+        t = np.ascontiguousarray(t, dtype=np.int64).view()
+        v = np.ascontiguousarray(self.values, dtype=np.float64).view()
+        if t.ndim != 1:
+            raise ValueError(f"t_ms must have shape (n,), got {t.shape}")
+        if v.shape not in ((len(t),), (len(t), 3)):
+            raise ValueError(f"values must have shape ({len(t)},) or ({len(t)}, 3), got {v.shape}")
+        fault = _first_fault(t, v)
+        if fault is not None:
+            i, field = fault
+            what = {"negative": "negative t_ms", "order": "t_ms not strictly increasing"}.get(field, "non-finite value")
+            raise ValueError(f"{what} at row {i + 1}")
+        t.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(self, "t_ms", t)
+        object.__setattr__(self, "values", v)
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
 
 
 @dataclass(frozen=True)
@@ -80,21 +145,6 @@ class SessionMeta:
             raise ValueError(f"duration_min must be > 0, got {self.duration_min}")
 
 
-@dataclass(frozen=True)
-class MagnitudeSeries:
-    """Common carrier for a univariate time series (accel magnitude or rr_ms)."""
-
-    t_ms: tuple[int, ...]
-    value: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.t_ms) != len(self.value):
-            raise ValueError("t_ms and value must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.value)
-
-
 def _parse_float(text: str, row: int, field: str) -> float:
     try:
         v = float(text)
@@ -112,21 +162,37 @@ def _parse_t(text: str, row: int) -> int:
         raise MalformedRow(row, f"bad t_ms {text!r}") from None
     if t < 0:
         raise MalformedRow(row, f"negative t_ms {t}")
+    if t >= 2**63:
+        raise MalformedRow(row, f"t_ms out of range {t}")
     return t
+
+
+def _parse_rr(text: str, row: int) -> float:
+    try:
+        rr = float(text)
+    except ValueError:
+        raise MalformedRow(row, f"bad rr_ms {text!r}") from None
+    if not math.isfinite(rr) or rr <= 0:
+        raise InvalidRr(row, rr)
+    return rr
+
+
+def _read_header(fh, path, expected_header) -> None:
+    """Consume and check the header row, leaving ``fh`` at the first data line."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise EmptyFile(f"{path}: empty file") from None
+    if tuple(h.strip() for h in header) != expected_header:
+        raise MalformedRow(0, f"expected header {','.join(expected_header)}")
 
 
 def _read_rows(path, expected_header):
     """Yield (data_row_index, fields) after validating the header."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != expected_header:
-            raise MalformedRow(0, f"expected header {','.join(expected_header)}")
+        _read_header(fh, path, expected_header)
         row = 0
-        for fields in reader:
+        for fields in csv.reader(fh):
             if not fields:
                 continue
             row += 1
@@ -135,61 +201,118 @@ def _read_rows(path, expected_header):
             yield row, fields
 
 
-def parse_accel_csv(path) -> list[AccelSample]:
-    """Parse an accelerometer CSV, verifying monotonic timestamps.
+def _parse_rows(path, header, rr: bool):
+    """Field-by-field parse: raises the error of the first faulty row, or
+    returns (t_ms list, values list).
+
+    Runs only when the columnar read cannot decide the file, so it also
+    accepts whatever ``int()``/``float()`` accept and ``np.loadtxt`` does
+    not (such as ``1_000``).
+    """
+    ts, vs = [], []
+    prev_t = -1
+    for row, fields in _read_rows(path, header):
+        t = _parse_t(fields[0], row)
+        if t <= prev_t:
+            raise NonMonotonicTime(row)
+        prev_t = t
+        ts.append(t)
+        if rr:
+            vs.append(_parse_rr(fields[1], row))
+        else:
+            vs.append([_parse_float(text, row, name) for text, name in zip(fields[1:], header[1:])])
+    return ts, vs
+
+
+#: ASCII separators that ``np.loadtxt`` skips as whitespace and ``float()``
+#: rejects. Outside ASCII the two disagree more widely (``np.loadtxt`` reads
+#: some non-digits as digits).
+_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _loadtxt_reads_like_python(path) -> bool:
+    """True when ``np.loadtxt`` would read every field of the file as
+    ``int()``/``float()`` do: ASCII only after an optional BOM, and none of
+    ``_LOADTXT_ONLY_SPACE``."""
+    with open(path, "rb") as fh:
+        chunk = fh.read(1 << 20).removeprefix(codecs.BOM_UTF8)
+        while chunk:
+            if not chunk.isascii() or any(c in chunk for c in _LOADTXT_ONLY_SPACE):
+                return False
+            chunk = fh.read(1 << 20)
+    return True
+
+
+def _read_body(path, header, dtype):
+    """Columnar read of a channel CSV after checking its header.
+
+    Returns the structured body array, or None when ``np.loadtxt`` fails
+    or might read the file differently from ``int()``/``float()``.
+    """
+    if not _loadtxt_reads_like_python(path):
+        return None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        _read_header(fh, path, header)
+        try:
+            with warnings.catch_warnings():
+                # An empty body warns; the caller reports it as EmptyFile.
+                warnings.simplefilter("ignore", UserWarning)
+                return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', dtype=dtype, ndmin=1)
+        except ValueError:
+            return None
+
+
+def _parse_channel(path, header, dtype, rr: bool) -> Channel:
+    body = _read_body(path, header, dtype)
+    if body is None:
+        t, values = _parse_rows(path, header, rr)
+    else:
+        t, values = body["t"], body["v"]
+        fault = _first_fault(t, values, positive=rr)
+        if fault is not None:
+            i, field = fault
+            if field == "negative":
+                raise MalformedRow(i + 1, f"negative t_ms {int(t[i])}")
+            if field == "order":
+                raise NonMonotonicTime(i + 1)
+            value = float(values[i, field] if values.ndim == 2 else values[i])
+            if rr:
+                raise InvalidRr(i + 1, value)
+            raise MalformedRow(i + 1, f"non-finite {header[1 + field]} {value!r}")
+    if not len(t):
+        raise EmptyFile(f"{path}: no data rows")
+    return Channel(t, values)
+
+
+def parse_accel_csv(path) -> Channel:
+    """Parse an accelerometer CSV into a channel with (n, 3) values.
 
     Raises MalformedRow, NonMonotonicTime or EmptyFile; row numbers count
-    data rows from 1, header excluded.
+    non-blank data rows from 1, header excluded. With several faults the
+    lowest row wins, then the field order.
     """
-    samples: list[AccelSample] = []
-    prev_t = -1
-    for row, fields in _read_rows(path, ACCEL_HEADER):
-        t = _parse_t(fields[0], row)
-        if t <= prev_t:
-            raise NonMonotonicTime(row)
-        prev_t = t
-        samples.append(
-            AccelSample(
-                t,
-                _parse_float(fields[1], row, "ax"),
-                _parse_float(fields[2], row, "ay"),
-                _parse_float(fields[3], row, "az"),
-            )
-        )
-    if not samples:
-        raise EmptyFile(f"{path}: no data rows")
-    return samples
+    return _parse_channel(path, ACCEL_HEADER, _ACCEL_DTYPE, rr=False)
 
 
-def parse_rr_csv(path) -> list[RrSample]:
-    """Parse a heartbeat-interval CSV. rr_ms must be finite and > 0."""
-    samples: list[RrSample] = []
-    prev_t = -1
-    for row, fields in _read_rows(path, RR_HEADER):
-        t = _parse_t(fields[0], row)
-        if t <= prev_t:
-            raise NonMonotonicTime(row)
-        prev_t = t
-        try:
-            rr = float(fields[1])
-        except ValueError:
-            raise MalformedRow(row, f"bad rr_ms {fields[1]!r}") from None
-        if not math.isfinite(rr) or rr <= 0:
-            raise InvalidRr(row, rr)
-        samples.append(RrSample(t, rr))
-    if not samples:
-        raise EmptyFile(f"{path}: no data rows")
-    return samples
+def parse_rr_csv(path) -> Channel:
+    """Parse a heartbeat-interval CSV into a channel with (n,) values.
+    rr_ms must be finite and > 0 (InvalidRr otherwise)."""
+    return _parse_channel(path, RR_HEADER, _RR_DTYPE, rr=True)
 
 
 def parse_sessions_csv(path, labels=DEFAULT_ACTIVITIES) -> list[SessionMeta]:
     """Parse the session registry CSV.
 
     Activity labels are checked against ``labels``; pass a custom tuple to
-    extend the registry.
+    extend the registry. A repeated ``session_id`` is a MalformedRow.
     """
     metas: list[SessionMeta] = []
+    seen: set[str] = set()
     for row, fields in _read_rows(path, SESSIONS_HEADER):
+        session_id = fields[0].strip()
+        if session_id in seen:
+            raise MalformedRow(row, f"duplicate session_id {session_id!r}")
+        seen.add(session_id)
         activity = fields[1].strip()
         if activity not in labels:
             raise UnknownLabel(activity)
@@ -200,27 +323,27 @@ def parse_sessions_csv(path, labels=DEFAULT_ACTIVITIES) -> list[SessionMeta]:
         if duration <= 0:
             raise MalformedRow(row, f"non-positive duration_min {duration}")
         metas.append(
-            SessionMeta(fields[0].strip(), activity, distance, duration, fields[4].strip(), fields[5].strip())
+            SessionMeta(session_id, activity, distance, duration, fields[4].strip(), fields[5].strip())
         )
     if not metas:
         raise EmptyFile(f"{path}: no data rows")
     return metas
 
 
-def write_accel_csv(path, samples: list[AccelSample]) -> None:
+def _write_lines(path, header, lines) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(ACCEL_HEADER)
-        for s in samples:
-            w.writerow([s.t_ms, repr(s.ax), repr(s.ay), repr(s.az)])
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(lines))
 
 
-def write_rr_csv(path, samples: list[RrSample]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(RR_HEADER)
-        for s in samples:
-            w.writerow([s.t_ms, repr(s.rr_ms)])
+def write_accel_csv(path, samples: Channel) -> None:
+    rows = zip(samples.t_ms.tolist(), *(col.tolist() for col in samples.values.T))
+    _write_lines(path, ACCEL_HEADER, [f"{t},{x!r},{y!r},{z!r}\r\n" for t, x, y, z in rows])
+
+
+def write_rr_csv(path, samples: Channel) -> None:
+    rows = zip(samples.t_ms.tolist(), samples.values.tolist())
+    _write_lines(path, RR_HEADER, [f"{t},{rr!r}\r\n" for t, rr in rows])
 
 
 def write_sessions_csv(path, metas: list[SessionMeta]) -> None:
@@ -233,27 +356,22 @@ def write_sessions_csv(path, metas: list[SessionMeta]) -> None:
             )
 
 
-def accel_magnitude(samples: list[AccelSample], center: bool = False) -> MagnitudeSeries:
-    """Reduce tri-axial samples to the Euclidean magnitude sqrt(ax^2+ay^2+az^2).
+def accel_magnitude(samples: Channel, center: bool = False) -> Channel:
+    """Reduce a tri-axial channel to the Euclidean magnitude sqrt(ax^2+ay^2+az^2).
 
     The magnitude is orientation-invariant, so no axis calibration is needed.
     With ``center=True`` the series mean is subtracted from every value
     (crude gravity removal); default is the raw magnitude.
     """
-    if not samples:
+    if not len(samples):
         raise EmptyInput("accel_magnitude needs at least one sample")
-    values = [math.sqrt(s.ax * s.ax + s.ay * s.ay + s.az * s.az) for s in samples]
+    if samples.values.ndim != 2:
+        raise ValueError("accel_magnitude needs a tri-axial channel")
+    ax, ay, az = samples.values.T
+    values = np.sqrt(ax * ax + ay * ay + az * az)
     if center:
-        mean = math.fsum(values) / len(values)
-        values = [v - mean for v in values]
-    return MagnitudeSeries(tuple(s.t_ms for s in samples), tuple(values))
-
-
-def rr_series(samples: list[RrSample]) -> MagnitudeSeries:
-    """Wrap RR samples in the common series carrier."""
-    if not samples:
-        raise EmptyInput("rr_series needs at least one sample")
-    return MagnitudeSeries(tuple(s.t_ms for s in samples), tuple(s.rr_ms for s in samples))
+        values = values - math.fsum(values.tolist()) / len(values)
+    return Channel(samples.t_ms, values)
 
 
 def rr_to_hr(rr_ms: float) -> float:

@@ -54,6 +54,8 @@ def kmeans(
     the intensity feature and k matches the intensity scale, clusters get
     active/moderate/passive labels by descending centroid value on it.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     X = np.asarray(points, dtype=float)
     if X.ndim == 1:
         X = X[:, None]

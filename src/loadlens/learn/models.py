@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +136,15 @@ class DnnConfig:
     lr: float = 0.01
     batch: int = 16
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.hidden or any(size < 1 for size in self.hidden):
+            raise ValueError(f"hidden sizes must be >= 1, got {self.hidden}")
+        for name in ("epochs", "batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 def init_layers(sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSample, SeriesTooShort, TooFewSamples
-from .ingest import MagnitudeSeries
+from .ingest import Channel
 
 #: Relative variance floor below which skewness/kurtosis are undefined.
 DEGENERACY_EPS = 1e-12
@@ -132,12 +132,12 @@ def _lenient_moments(arr: np.ndarray) -> tuple[Moments, bool]:
 
 
 def sliding_windows(
-    series: MagnitudeSeries,
+    series: Channel,
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
 ) -> list[SampleWindow]:
     """Windows at offsets 0, stride, 2*stride, ...; the last partial window
-    is discarded.
+    is discarded. ``series`` must be univariate.
 
     Degenerate windows are flagged rather than dropped so window indices
     stay aligned with time.
@@ -146,10 +146,13 @@ def sliding_windows(
         raise ValueError(f"window must be >= 4, got {window}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if series.values.ndim != 1:
+        raise ValueError("sliding_windows needs a univariate channel")
     n = len(series)
     if n < window:
         raise SeriesTooShort(f"series length {n} < window {window}")
-    values = np.asarray(series.value, dtype=float)
+    values = series.values
+    t_ms = series.t_ms
     out: list[SampleWindow] = []
     for start in range(0, n - window + 1, stride):
         m, degenerate = _lenient_moments(values[start : start + window])
@@ -157,8 +160,8 @@ def sliding_windows(
             SampleWindow(
                 start_index=start,
                 length=window,
-                t_start_ms=series.t_ms[start],
-                t_end_ms=series.t_ms[start + window - 1],
+                t_start_ms=int(t_ms[start]),
+                t_end_ms=int(t_ms[start + window - 1]),
                 moments=m,
                 degenerate=degenerate,
             )

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import InvalidProtocol, UnknownClass
 from .ingest import (
-    AccelSample,
-    RrSample,
+    Channel,
     SessionMeta,
     write_accel_csv,
     write_rr_csv,
@@ -43,6 +42,9 @@ LOAD_ONSET_TAU_S = 45.0
 #: well before the skew amplitude saturates.
 _LN_MEAN = math.exp(0.5)
 _LN_STD = math.sqrt((math.e - 1.0) * math.e)
+
+#: Draws per noise refill.
+_NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -124,64 +126,62 @@ def exercise_marks(protocol: Protocol) -> tuple[tuple[int, str], ...]:
     return tuple(marks)
 
 
-class _NoiseStream:
-    """Paired normal/skewed draws consumed one beat at a time.
+def _noise_pairs(rng):
+    """Endless paired normal/skewed draws, consumed one beat at a time.
 
     Refills in fixed-size blocks from a single generator, so the draw
     sequence depends only on the seed, never on segment bookkeeping.
     """
-
-    BLOCK = 1024
-
-    def __init__(self, rng):
-        self._rng = rng
-        self._z = np.empty(0)
-        self._b = np.empty(0)
-        self._i = 0
-
-    def next(self) -> tuple[float, float]:
-        if self._i >= len(self._z):
-            self._z = self._rng.standard_normal(self.BLOCK)
-            self._b = (np.exp(self._rng.standard_normal(self.BLOCK)) - _LN_MEAN) / _LN_STD
-            self._i = 0
-        z, b = self._z[self._i], self._b[self._i]
-        self._i += 1
-        return float(z), float(b)
+    while True:
+        z = rng.standard_normal(_NOISE_BLOCK)
+        b = (np.exp(rng.standard_normal(_NOISE_BLOCK)) - _LN_MEAN) / _LN_STD
+        yield from zip(z.tolist(), b.tolist())
 
 
-def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> list[RrSample]:
+def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> Channel:
     """Generate heartbeat intervals for a protocol; timestamps accumulate
     the generated rr values."""
     if not isinstance(protocol, Protocol):
         raise InvalidProtocol(f"expected Protocol, got {type(protocol).__name__}")
     rng = np.random.default_rng(config.seed)
-    noise = _NoiseStream(rng)
-    samples: list[RrSample] = []
+    noise = _noise_pairs(rng)
+    ts: list[int] = []
+    rrs: list[float] = []
+    # Per-beat hot loop with per-segment constants hoisted into locals. Each
+    # float expression must keep its operation order: the written rr files
+    # are pinned byte for byte.
+    exp = math.exp
+    base = config.baseline_rr_ms
+    noise_ms = config.noise_rest_ms
     t_cum = 0.0
-    mean = config.baseline_rr_ms
+    mean = base
     for seg in protocol.segments:
+        phase = seg.phase
         seg_start = t_cum
         seg_end = seg_start + seg.duration_s * 1000.0
+        seg_len = seg_end - seg_start
         entry_mean = mean
-        target = config.baseline_rr_ms - seg.intensity * config.load_drop_ms
+        target = base - seg.intensity * config.load_drop_ms
+        load_skew = -config.skew_scale_load * seg.intensity
+        recovery_skew = config.skew_scale_load * seg.intensity
         while t_cum < seg_end:
             dt_s = (t_cum - seg_start) / 1000.0
-            if seg.phase == REST:
-                mean = config.baseline_rr_ms
+            if phase == REST:
+                mean = base
                 s_amt = 0.0
-            elif seg.phase == LOAD:
-                f = (t_cum - seg_start) / (seg_end - seg_start)
-                mean = target + (entry_mean - target) * math.exp(-dt_s / LOAD_ONSET_TAU_S)
-                s_amt = -config.skew_scale_load * seg.intensity * f
+            elif phase == LOAD:
+                mean = target + (entry_mean - target) * exp(-dt_s / LOAD_ONSET_TAU_S)
+                s_amt = load_skew * ((t_cum - seg_start) / seg_len)
             else:  # recovery
-                decay = math.exp(-dt_s / config.recovery_tau_s)
-                mean = config.baseline_rr_ms + (entry_mean - config.baseline_rr_ms) * decay
-                s_amt = config.skew_scale_load * seg.intensity * decay
-            z, b = noise.next()
-            rr = max(mean + config.noise_rest_ms * z + s_amt * b, 1.0)
-            samples.append(RrSample(round(t_cum), rr))
+                decay = exp(-dt_s / config.recovery_tau_s)
+                mean = base + (entry_mean - base) * decay
+                s_amt = recovery_skew * decay
+            z, b = next(noise)
+            rr = max(mean + noise_ms * z + s_amt * b, 1.0)
+            ts.append(round(t_cum))
+            rrs.append(rr)
             t_cum += rr
-    return samples
+    return Channel(np.array(ts, dtype=np.int64), np.array(rrs))
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ ACCEL_CLASSES: dict[str, _AccelClass] = {
 }
 
 
-def gen_accel(activity_class: str, duration_s: float, config: GenConfig = GenConfig()) -> list[AccelSample]:
+def gen_accel(activity_class: str, duration_s: float, config: GenConfig = GenConfig()) -> Channel:
     """50 Hz tri-axial trace: white noise around gravity on z, plus a
     periodic gait proxy for the active class."""
     try:
@@ -214,10 +214,8 @@ def gen_accel(activity_class: str, duration_s: float, config: GenConfig = GenCon
     az = GRAVITY + noise[:, 2]
     if spec.gait_amp:
         az = az + spec.gait_amp * np.sin(2.0 * math.pi * spec.gait_hz * t_s)
-    return [
-        AccelSample(i * (1000 // ACCEL_HZ), float(noise[i, 0]), float(noise[i, 1]), float(az[i]))
-        for i in range(n)
-    ]
+    noise[:, 2] = az
+    return Channel(np.arange(n, dtype=np.int64) * (1000 // ACCEL_HZ), noise)
 
 
 @dataclass(frozen=True)

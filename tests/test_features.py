@@ -16,17 +16,17 @@ from loadlens.features import (
     read_correlation_csv,
     write_features_csv,
 )
-from loadlens.ingest import MagnitudeSeries, RrSample, SessionMeta, accel_magnitude
+from loadlens.ingest import Channel, SessionMeta, accel_magnitude
 from loadlens.synth import GenConfig, gen_accel, gen_rr, session_protocol
 from tests.conftest import make_rows
 
 
 def series(values):
-    return MagnitudeSeries(tuple(range(0, 10 * len(values), 10)), tuple(float(v) for v in values))
+    return Channel(np.arange(len(values)) * 10, np.asarray(values, dtype=float))
 
 
 def rr_list(values):
-    return [RrSample(int(100 * i), float(v)) for i, v in enumerate(values)]
+    return Channel(np.arange(len(values)) * 100, np.asarray(values, dtype=float))
 
 
 class TestExtractFeatures:
@@ -56,9 +56,12 @@ class TestExtractFeatures:
     def test_missing_channels(self, rng):
         meta = SessionMeta("s1", "walking", 5.0, 30.0)
         with pytest.raises(MissingChannel):
-            extract_features(meta, series(rng.normal(0, 1, 50)), [])
+            extract_features(meta, series(rng.normal(0, 1, 50)), rr_list([]))
         with pytest.raises(MissingChannel):
             extract_features(meta, series([1.0, 2.0, 3.0]), rr_list([800.0] * 10))
+        raw_axes = Channel(np.arange(50) * 10, rng.normal(0, 1, (50, 3)))
+        with pytest.raises(ValueError):
+            extract_features(meta, raw_axes, rr_list([800.0] * 10))
 
     def test_against_independent_recomputation(self):
         # oracle: standalone numpy recomputation of every feature
@@ -67,13 +70,11 @@ class TestExtractFeatures:
         rr_samples = gen_rr(session_protocol(44.0, 0.6), GenConfig(seed=78))
         fv = extract_features(meta, accel_magnitude(accel_samples), rr_samples)
 
-        hr = 60000.0 / np.array([s.rr_ms for s in rr_samples])
+        hr = 60000.0 / np.array(rr_samples.values.tolist())
         assert fv.ahr_bpm == pytest.approx(hr.mean(), rel=1e-9)
         assert fv.mhr_bpm == pytest.approx(hr.max(), rel=1e-9)
 
-        mag = np.sqrt(
-            np.array([s.ax**2 + s.ay**2 + s.az**2 for s in accel_samples])
-        )
+        mag = np.sqrt(np.array([ax**2 + ay**2 + az**2 for ax, ay, az in accel_samples.values.tolist()]))
         d = mag - mag.mean()
         m2 = (d**2).mean()
         assert fv.acc_mean == pytest.approx(mag.mean(), rel=1e-9)
@@ -81,7 +82,7 @@ class TestExtractFeatures:
         assert fv.acc_skewness == pytest.approx((d**3).mean() / m2**1.5, rel=1e-9)
         assert fv.acc_kurtosis == pytest.approx((d**4).mean() / m2**2, rel=1e-9)
 
-        rr = np.array([s.rr_ms for s in rr_samples])
+        rr = np.array(rr_samples.values.tolist())
         dr = rr - rr.mean()
         r2 = (dr**2).mean()
         s_coord = ((dr**3).mean() / r2**1.5) ** 2

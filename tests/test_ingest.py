@@ -1,9 +1,11 @@
 import math
+import os
+import tempfile
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loadlens.errors import (
@@ -16,15 +18,13 @@ from loadlens.errors import (
     UnknownLabel,
 )
 from loadlens.ingest import (
-    AccelSample,
-    RrSample,
+    Channel,
     SessionMeta,
     accel_magnitude,
     hr_display,
     parse_accel_csv,
     parse_rr_csv,
     parse_sessions_csv,
-    rr_series,
     rr_to_hr,
     write_accel_csv,
     write_rr_csv,
@@ -37,13 +37,29 @@ def _write(path, text):
     return str(path)
 
 
+def _accel(rows):
+    """Tri-axial channel from (t_ms, ax, ay, az) tuples."""
+    return Channel(np.array([r[0] for r in rows], dtype=np.int64), np.array([r[1:] for r in rows], dtype=float))
+
+
+def assert_same_channel(a, b):
+    """Equal times and bitwise-equal values (so -0.0 differs from 0.0)."""
+    assert a.t_ms.dtype == b.t_ms.dtype == np.int64
+    assert a.values.dtype == b.values.dtype == np.float64
+    assert np.array_equal(a.t_ms, b.t_ms)
+    assert a.values.shape == b.values.shape
+    assert a.values.tobytes() == b.values.tobytes()
+
+
 class TestParseAccel:
     def test_gravity_rest_rows(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,ax,ay,az\n0,0,0,9.81\n10,0,0,9.81\n")
         samples = parse_accel_csv(p)
         assert len(samples) == 2
+        assert samples.values.shape == (2, 3)
         mags = accel_magnitude(samples)
-        assert mags.value == (9.81, 9.81)
+        assert mags.values.tolist() == [9.81, 9.81]
+        assert mags.t_ms.tolist() == [0, 10]
 
     def test_duplicate_timestamp_row_number(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,ax,ay,az\n0,0,0,1\n10,0,0,1\n10,0,0,1\n")
@@ -53,16 +69,10 @@ class TestParseAccel:
 
     def test_roundtrip_bit_identical(self, tmp_path, rng):
         # oracle: write-then-parse must reproduce the generated samples exactly
-        samples = [
-            AccelSample(int(t), float(x), float(y), float(z))
-            for t, (x, y, z) in zip(
-                np.cumsum(rng.integers(1, 50, size=1000)),
-                rng.normal(0, 3, size=(1000, 3)),
-            )
-        ]
+        samples = Channel(np.cumsum(rng.integers(1, 50, size=1000)), rng.normal(0, 3, size=(1000, 3)))
         p = tmp_path / "round.csv"
         write_accel_csv(p, samples)
-        assert parse_accel_csv(p) == samples
+        assert_same_channel(parse_accel_csv(p), samples)
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyFile):
@@ -88,8 +98,9 @@ class TestParseRr:
     def test_single_row(self, tmp_path):
         p = _write(tmp_path / "rr.csv", "t_ms,rr_ms\n0,800.0\n")
         samples = parse_rr_csv(p)
-        assert samples == [RrSample(0, 800.0)]
-        assert rr_to_hr(samples[0].rr_ms) == 75.0
+        assert samples.t_ms.tolist() == [0]
+        assert samples.values.tolist() == [800.0]
+        assert rr_to_hr(float(samples.values[0])) == 75.0
 
     def test_negative_rr(self, tmp_path):
         with pytest.raises(InvalidRr) as ei:
@@ -104,12 +115,12 @@ class TestParseRr:
         # oracle: the generator wrote exactly 500 rows
         rr = 800.0 + rng.normal(0, 20, size=500)
         t = np.cumsum(rr).round().astype(int)
-        samples = [RrSample(int(ti), float(ri)) for ti, ri in zip(t, rr)]
+        samples = Channel(t, rr)
         p = tmp_path / "rest.csv"
         write_rr_csv(p, samples)
         parsed = parse_rr_csv(p)
         assert len(parsed) == 500
-        assert parsed == samples
+        assert_same_channel(parsed, samples)
 
 
 class TestSessions:
@@ -146,30 +157,39 @@ class TestSessions:
         with pytest.raises(ValueError):
             SessionMeta("x", "walking", 1.0, 0.0)
 
+    def test_duplicate_session_id(self, tmp_path):
+        p = _write(
+            tmp_path / "s.csv",
+            "session_id,activity,distance_km,duration_min,accel_file,rr_file\n"
+            "w1,walking,1.0,10.0,a.csv,r.csv\n"
+            "r1,running,5.0,30.0,b.csv,q.csv\n"
+            " w1 ,skiing,9.0,40.0,c.csv,s.csv\n",
+        )
+        with pytest.raises(MalformedRow) as ei:
+            parse_sessions_csv(p)
+        assert ei.value.row == 3
+        assert "duplicate session_id 'w1'" in str(ei.value)
+
 
 class TestMagnitude:
     def test_three_four_five(self):
-        mags = accel_magnitude([AccelSample(0, 3.0, 4.0, 0.0)])
-        assert mags.value == (5.0,)
+        mags = accel_magnitude(_accel([(0, 3.0, 4.0, 0.0)]))
+        assert mags.values.tolist() == [5.0]
 
     def test_center_constant_is_zero(self):
-        samples = [AccelSample(t, 0.0, 0.0, 9.81) for t in range(0, 50, 10)]
+        samples = _accel([(t, 0.0, 0.0, 9.81) for t in range(0, 50, 10)])
         mags = accel_magnitude(samples, center=True)
-        assert all(v == 0.0 for v in mags.value)
+        assert all(v == 0.0 for v in mags.values)
 
     def test_centered_mean_is_zero(self, rng):
-        samples = [
-            AccelSample(i * 10, *map(float, rng.normal(0, 2, 3))) for i in range(100)
-        ]
+        samples = Channel(np.arange(100) * 10, rng.normal(0, 2, (100, 3)))
         centered = accel_magnitude(samples, center=True)
         # oracle: direct mean of the output
-        assert abs(math.fsum(centered.value) / 100) < 1e-12
+        assert abs(math.fsum(centered.values.tolist()) / 100) < 1e-12
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            accel_magnitude([])
-        with pytest.raises(EmptyInput):
-            rr_series([])
+            accel_magnitude(Channel(np.zeros(0, dtype=np.int64), np.zeros((0, 3))))
 
     @given(
         st.lists(
@@ -184,13 +204,201 @@ class TestMagnitude:
         st.permutations([0, 1, 2]),
     )
     def test_axis_permutation_invariance(self, triples, perm):
-        base = [AccelSample(i, *t) for i, t in enumerate(triples)]
-        permuted = [
-            AccelSample(i, t[perm[0]], t[perm[1]], t[perm[2]])
-            for i, t in enumerate(triples)
-        ]
-        for a, b in zip(accel_magnitude(base).value, accel_magnitude(permuted).value):
+        base = _accel([(i, *t) for i, t in enumerate(triples)])
+        permuted = _accel([(i, t[perm[0]], t[perm[1]], t[perm[2]]) for i, t in enumerate(triples)])
+        for a, b in zip(accel_magnitude(base).values, accel_magnitude(permuted).values):
             assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestChannel:
+    def test_invariants_hold_on_valid_input(self):
+        ch = Channel([0, 5, 9], [1.0, -0.0, 2.5])
+        assert len(ch) == 3
+        assert ch.t_ms.dtype == np.int64 and ch.values.dtype == np.float64
+        with pytest.raises(ValueError):
+            ch.values[0] = 3.0  # read-only
+
+    def test_caller_array_stays_writable(self):
+        t = np.arange(4, dtype=np.int64)
+        Channel(t, np.ones(4))
+        t[0] = 0  # only the channel's own view is read-only
+
+    @given(st.integers(1, 30), st.data())
+    def test_rejects_nan_and_infinite_values(self, n, data):
+        values = np.ones((n, 3)) if data.draw(st.booleans()) else np.ones(n)
+        i = data.draw(st.integers(0, n - 1))
+        values.flat[i * (values.size // n)] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(ValueError, match=f"non-finite value at row {i + 1}"):
+            Channel(np.arange(n) * 10, values)
+
+    @given(st.lists(st.integers(0, 10**6), min_size=2, max_size=30, unique=True), st.data())
+    def test_rejects_non_monotonic_times(self, times, data):
+        times = sorted(times)
+        i = data.draw(st.integers(1, len(times) - 1))
+        times[i] = times[i - 1] - data.draw(st.integers(0, 3))
+        assume(times[i] >= 0)
+        with pytest.raises(ValueError, match=f"t_ms not strictly increasing at row {i + 1}"):
+            Channel(times, np.zeros(len(times)))
+
+    def test_rejects_bad_shapes_and_types(self):
+        with pytest.raises(ValueError, match="negative t_ms at row 1"):
+            Channel([-1, 3], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            Channel([0, 1], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            Channel([0, 1], np.ones((2, 2)))
+        with pytest.raises(TypeError):
+            Channel([0.0, 1.0], [1.0, 2.0])
+
+
+def _times():
+    """Strictly increasing t_ms lists, some straddling 2**53 (where a float
+    would no longer hold every integer)."""
+    near = st.integers(2**53 - 64, 2**53 + 64)
+    return st.lists(st.one_of(st.integers(0, 10**6), near), min_size=1, max_size=25, unique=True).map(sorted)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_edge_values = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+
+
+def _round_trip(write, parse, channel):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ch.csv")
+        write(path, channel)
+        return parse(path)
+
+
+def _parse_text(parse, text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ch.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return parse(path)
+
+
+#: name -> (header, parser, row text of (t, value list))
+_FORMATS = {
+    "accel": ("t_ms,ax,ay,az", parse_accel_csv, lambda t, v: ",".join([str(t)] + [repr(x) for x in v])),
+    "rr": ("t_ms,rr_ms", parse_rr_csv, lambda t, v: f"{t},{v[0]!r}"),
+}
+
+#: fault -> {format: expected error class}; each fault breaks one row.
+_FAULTS = {
+    "bad_text": {"accel": MalformedRow, "rr": MalformedRow},
+    "non_integer_t": {"accel": MalformedRow, "rr": MalformedRow},
+    "negative_t": {"accel": MalformedRow, "rr": MalformedRow},
+    "non_monotonic_t": {"accel": NonMonotonicTime, "rr": NonMonotonicTime},
+    "non_finite": {"accel": MalformedRow, "rr": InvalidRr},
+    "rr_not_positive": {"rr": InvalidRr},
+    "field_count": {"accel": MalformedRow, "rr": MalformedRow},
+}
+
+
+def _inject(fault, fields, prev_t, data):
+    """Break one row (a list of field texts) in the named way."""
+    fields = list(fields)
+    col = data.draw(st.integers(1, len(fields) - 1))
+    if fault == "bad_text":
+        fields[col] = data.draw(st.sampled_from(["abc", "", "1.2.3", "0x10"]))
+    elif fault == "non_integer_t":
+        fields[0] = data.draw(st.sampled_from(["1.0", "1e3", "7.5", "nan"]))
+    elif fault == "negative_t":
+        fields[0] = str(-data.draw(st.integers(1, 10**6)))
+    elif fault == "non_monotonic_t":
+        fields[0] = str(prev_t - data.draw(st.integers(0, min(prev_t, 5))))
+    elif fault == "non_finite":
+        fields[col] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "NaN"]))
+    elif fault == "rr_not_positive":
+        fields[1] = data.draw(st.sampled_from(["0", "-0.0", "-1.5", "-5e-324"]))
+    else:
+        fields = fields[:-1] if data.draw(st.booleans()) else fields + ["1"]
+    return fields
+
+
+class TestChannelCsvProperties:
+    @given(_times(), st.data())
+    def test_accel_round_trip_is_bitwise(self, times, data):
+        row = st.tuples(*[st.one_of(_finite, _edge_values)] * 3)
+        values = data.draw(st.lists(row, min_size=len(times), max_size=len(times)))
+        ch = Channel(times, values)
+        assert_same_channel(_round_trip(write_accel_csv, parse_accel_csv, ch), ch)
+
+    @given(_times(), st.data())
+    def test_rr_round_trip_is_bitwise(self, times, data):
+        values = data.draw(st.lists(st.one_of(_positive, st.just(5e-324)), min_size=len(times), max_size=len(times)))
+        ch = Channel(times, values)
+        assert_same_channel(_round_trip(write_rr_csv, parse_rr_csv, ch), ch)
+
+    def test_writer_bytes(self, tmp_path):
+        p = tmp_path / "a.csv"
+        write_accel_csv(p, _accel([(0, -0.0, 5e-324, 9.81), (2**53 + 1, 1e16, 0.1, -2.5)]))
+        assert p.read_bytes() == (
+            b"t_ms,ax,ay,az\r\n0,-0.0,5e-324,9.81\r\n9007199254740993,1e+16,0.1,-2.5\r\n"
+        )
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(sorted(_FORMATS)), st.sampled_from(sorted(_FAULTS)), st.integers(2, 12), st.data())
+    def test_single_fault_class_and_row(self, fmt, fault, n, data):
+        assume(fmt in _FAULTS[fault])
+        header, parse, row_text = _FORMATS[fmt]
+        rows = [row_text(10 * i, [1.5] * (3 if fmt == "accel" else 1)).split(",") for i in range(n)]
+        r = data.draw(st.integers(1 if fault == "non_monotonic_t" else 0, n - 1))
+        rows[r] = _inject(fault, rows[r], 10 * (r - 1), data)
+        with pytest.raises(_FAULTS[fault][fmt]) as ei:
+            _parse_text(parse, header + "\n" + "".join(",".join(f) + "\n" for f in rows))
+        assert ei.value.row == r + 1
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(sorted(_FORMATS)), st.data())
+    def test_two_faults_lower_row_wins(self, fmt, data):
+        header, parse, row_text = _FORMATS[fmt]
+        n = data.draw(st.integers(3, 12))
+        rows = [row_text(10 * i, [2.0] * (3 if fmt == "accel" else 1)).split(",") for i in range(n)]
+        faults = [f for f in sorted(_FAULTS) if fmt in _FAULTS[f]]
+        r1, r2 = sorted(data.draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True)))
+        f1, f2 = data.draw(st.sampled_from(faults)), data.draw(st.sampled_from(faults))
+        rows[r2] = _inject(f2, rows[r2], 10 * (r2 - 1), data)
+        rows[r1] = _inject(f1, rows[r1], 10 * (r1 - 1), data)
+        with pytest.raises(_FAULTS[f1][fmt]) as ei:
+            _parse_text(parse, header + "\n" + "".join(",".join(f) + "\n" for f in rows))
+        assert ei.value.row == r1 + 1
+
+    @given(st.sampled_from(sorted(_FORMATS)), _times(), st.data())
+    def test_quoted_fields_and_blank_lines(self, fmt, times, data):
+        header, parse, row_text = _FORMATS[fmt]
+        width = 3 if fmt == "accel" else 1
+        row = st.lists(_positive, min_size=width, max_size=width)
+        values = data.draw(st.lists(row, min_size=len(times), max_size=len(times)))
+        plain, decorated = [header], [header]
+        for t, v in zip(times, values):
+            fields = row_text(t, v).split(",")
+            plain.append(",".join(fields))
+            quoted = [f'"{f}"' if data.draw(st.booleans()) else f for f in fields]
+            decorated.append("\n" * data.draw(st.integers(0, 2)) + ",".join(quoted))
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        a = _parse_text(parse, end.join(plain) + end)
+        b = _parse_text(parse, end.join(decorated) + end + end)
+        assert_same_channel(a, b)
+
+    def test_python_number_syntax_still_parses(self, tmp_path):
+        # int()/float() accept underscores; np.loadtxt does not, so these rows
+        # go through the field-by-field parser with the same result.
+        ch = parse_rr_csv(_write(tmp_path / "u.csv", "t_ms,rr_ms\n1_000,8_00.5\n"))
+        assert ch.t_ms.tolist() == [1000] and ch.values.tolist() == [800.5]
+
+    @pytest.mark.parametrize("text", ["0,\x1c3\n", "0,\u01fe3\n", "\u01fe3,800\n"])
+    def test_characters_loadtxt_would_misread(self, tmp_path, text):
+        # np.loadtxt skips \x1c as whitespace and reads some non-ASCII letters
+        # as digits; float()/int() reject both.
+        with pytest.raises(MalformedRow) as ei:
+            parse_rr_csv(_write(tmp_path / "x.csv", "t_ms,rr_ms\n" + text))
+        assert ei.value.row == 1
+
+    def test_bom_header(self, tmp_path):
+        ch = parse_rr_csv(_write(tmp_path / "b.csv", "\ufefft_ms,rr_ms\r\n0,800.0\r\n"))
+        assert ch.values.tolist() == [800.0]
 
 
 class TestHeartRate:

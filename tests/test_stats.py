@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loadlens.errors import DegenerateSample, SeriesTooShort, TooFewSamples
-from loadlens.ingest import MagnitudeSeries
+from loadlens.ingest import Channel
 from loadlens.stats import (
     BootstrapCloud,
     bootstrap,
@@ -33,7 +33,7 @@ def naive_moments(values):
 
 
 def series_of(values):
-    return MagnitudeSeries(tuple(range(0, 10 * len(values), 10)), tuple(values))
+    return Channel(np.arange(len(values)) * 10, np.asarray(values, dtype=float))
 
 
 class TestMoments:
@@ -130,6 +130,8 @@ class TestSlidingWindows:
             sliding_windows(series_of(range(10)), window=3, stride=1)
         with pytest.raises(ValueError):
             sliding_windows(series_of(range(10)), window=4, stride=0)
+        with pytest.raises(ValueError):
+            sliding_windows(Channel(np.arange(10), np.ones((10, 3))), window=4, stride=1)
 
     def test_degenerate_window_flagged_not_dropped(self, rng):
         values = list(rng.normal(0, 1, 8)) + [5.0] * 8 + list(rng.normal(0, 1, 8))
