@@ -64,13 +64,17 @@ from .synth import ACCEL_CLASSES, PROTOCOL_PRESETS, GenConfig, gen_accel, gen_rr
 DEFAULT_CLUSTER_COLUMNS = "acc_mean,acc_std,acc_skewness,acc_kurtosis"
 
 
+class _UsageError(Exception):
+    """A command line argparse rejected; ``main`` returns 3 for it."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse reports usage problems as configuration errors (exit 3)."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(3)
+        raise _UsageError(message)
 
 
 def _default_seed() -> int:
@@ -113,7 +117,7 @@ def cmd_plane(args) -> None:
     if args.bootstrap > 0:
         last = windows[-1]
         values = rr.values[last.start_index : last.start_index + last.length]
-        cloud = bootstrap(values, args.bootstrap, seed, source_window=last)
+        cloud = bootstrap(values, args.bootstrap, seed)
     doc = export_plane(windows, rho=args.rho, tau=args.tau, bootstrap_cloud=cloud)
     _write_json(args.out, doc)
     write_manifest(
@@ -461,7 +465,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError:
+        return 3
     try:
         args.fn(args)
     except (ParseError, UnknownLabel, FileNotFoundError, IsADirectoryError, OSError) as e:

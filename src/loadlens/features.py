@@ -20,7 +20,15 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .errors import DegenerateSample, EmptyFile, MalformedRow, MissingChannel, TooFewRows, UnknownLabel
+from .errors import (
+    DegenerateSample,
+    EmptyFile,
+    MalformedRow,
+    MissingChannel,
+    ParseError,
+    TooFewRows,
+    UnknownLabel,
+)
 from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta
 from .momentplane import metric1, metric2, to_plane
 from .stats import moments
@@ -262,11 +270,26 @@ def write_correlation_csv(path, corr: CorrelationMatrix) -> None:
 
 
 def read_correlation_csv(path) -> CorrelationMatrix:
+    """Read a matrix written by ``write_correlation_csv``; empty cells become NaN."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyFile(f"{path}: empty file") from None
         names = tuple(header[1:])
         rows = []
-        for fields in reader:
-            rows.append([math.nan if t == "" else float(t) for t in fields[1:]])
+        for idx, fields in enumerate(reader, start=1):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise MalformedRow(idx, f"expected {len(header)} fields, got {len(fields)}")
+            try:
+                rows.append([math.nan if t == "" else float(t) for t in fields[1:]])
+            except ValueError:
+                raise MalformedRow(idx, "bad correlation value") from None
+    if not rows:
+        raise EmptyFile(f"{path}: no data rows")
+    if len(rows) != len(names):
+        raise ParseError(f"{path}: {len(rows)} data rows for {len(names)} features")
     return CorrelationMatrix(feature_names=names, r=np.array(rows, dtype=float))

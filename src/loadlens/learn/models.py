@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateDesign, NonFiniteLoss, TooFewRows
+from ..errors import DegenerateDesign, NonFiniteLoss, ParseError, TooFewRows
 from ..features import SessionFeatures
 from ..ingest import DEFAULT_ACTIVITIES
 from .data import build_xy, get_preset
@@ -304,26 +304,79 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
+def _key(doc, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"model: missing key {where}{key}")
+    return doc[key]
+
+
+def _floats(value, name: str, ndim: int) -> np.ndarray:
+    """A finite float array of ``ndim`` dimensions, or ParseError."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"model: {name} is not a numeric array") from None
+    if arr.ndim != ndim or not np.isfinite(arr).all():
+        raise ParseError(f"model: {name} must be a finite {ndim}-d array")
+    return arr
+
+
+def _check_len(arr: np.ndarray, n: int, name: str) -> None:
+    if len(arr) != n:
+        raise ParseError(f"model: {name} has {len(arr)} entries for {n} features")
+
+
 def load_model(path):
+    """Read a model written by ``save_model``.
+
+    A document that is not JSON, lacks a key, names an unknown kind, or
+    holds arrays whose sizes disagree with the feature list or with each
+    other raises ParseError.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"model: not JSON ({e})") from None
+    kind = _key(doc, "kind", "")
+    features = _key(doc, "features", "")
+    if not (isinstance(features, list) and features and all(isinstance(f, str) for f in features)):
+        raise ParseError("model: features must be a non-empty list of names")
+    nf = len(features)
+    std_doc = _key(doc, "standardizer", "")
     std = Standardizer(
-        means=np.array(doc["standardizer"]["means"], dtype=float),
-        stds=np.array(doc["standardizer"]["stds"], dtype=float),
+        means=_floats(_key(std_doc, "means", "standardizer."), "standardizer.means", 1),
+        stds=_floats(_key(std_doc, "stds", "standardizer."), "standardizer.stds", 1),
     )
-    features = tuple(doc["features"])
-    if doc["kind"] == "lrm":
+    _check_len(std.means, nf, "standardizer.means")
+    _check_len(std.stds, nf, "standardizer.stds")
+    if kind == "lrm":
+        lrm = _key(doc, "lrm", "")
+        weights = _floats(_key(lrm, "w", "lrm."), "lrm.w", 1)
+        _check_len(weights, nf, "lrm.w")
         return LinearModel(
-            features=features,
+            features=tuple(features),
             standardizer=std,
-            weights=np.array(doc["lrm"]["w"], dtype=float),
-            intercept=float(doc["lrm"]["b"]),
-            ridge_fallback=bool(doc["lrm"].get("ridge_fallback", False)),
+            weights=weights,
+            intercept=float(_floats(_key(lrm, "b", "lrm."), "lrm.b", 0)),
+            ridge_fallback=bool(lrm.get("ridge_fallback", False)),
         )
-    if doc["kind"] == "dnn":
-        layers = [
-            (np.array(l["W"], dtype=float), np.array(l["b"], dtype=float))
-            for l in doc["dnn"]["layers"]
-        ]
-        return NetworkModel(features=features, standardizer=std, layers=layers)
-    raise ValueError(f"unknown model kind {doc['kind']!r}")
+    if kind == "dnn":
+        layer_docs = _key(_key(doc, "dnn", ""), "layers", "dnn.")
+        if not (isinstance(layer_docs, list) and layer_docs):
+            raise ParseError("model: dnn.layers must be a non-empty list")
+        layers = []
+        fan_in = nf
+        for i, layer in enumerate(layer_docs):
+            W = _floats(_key(layer, "W", f"dnn.layers[{i}]."), f"dnn.layers[{i}].W", 2)
+            b = _floats(_key(layer, "b", f"dnn.layers[{i}]."), f"dnn.layers[{i}].b", 1)
+            if W.shape[0] != fan_in or len(b) != W.shape[1]:
+                raise ParseError(
+                    f"model: dnn.layers[{i}] has W {W.shape} and b ({len(b)},) after {fan_in} inputs"
+                )
+            layers.append((W, b))
+            fan_in = W.shape[1]
+        if fan_in != 1:
+            raise ParseError(f"model: the last dnn layer has {fan_in} outputs, expected 1")
+        return NetworkModel(features=tuple(features), standardizer=std, layers=layers)
+    raise ParseError(f"model: unknown kind {kind!r}")

@@ -153,19 +153,78 @@ def metric2(p: PlanePoint) -> float:
     return math.hypot(p.s - UNIFORM_LANDMARK[0], p.k - UNIFORM_LANDMARK[1])
 
 
-def _polyline_distance(p: PlanePoint, curve: np.ndarray) -> float:
-    """Exact distance from p to the piecewise-linear curve through the grid points."""
-    q = np.array([p.s, p.k])
-    a = curve[:-1]
-    b = curve[1:]
-    ab = b - a
-    denom = (ab * ab).sum(axis=1)
+#: Points per block of the polyline distance: 256 points by 199 segments
+#: keep each float64 temporary near 0.4 MB.
+POINT_BLOCK = 256
+
+#: Zones in rule order; the first matching rule wins and OTHER takes the rest.
+_RULES = (
+    Zone.INFEASIBLE,
+    Zone.NORMAL_VICINITY,
+    Zone.UNIFORM_VICINITY,
+    Zone.GAMMA_LINE,
+    Zone.WEIBULL_BAND,
+    Zone.BETA_ZONE,
+    Zone.OTHER,
+)
+
+
+def _polyline_distances(s: np.ndarray, k: np.ndarray, curve: np.ndarray) -> np.ndarray:
+    """Exact distance from each point (s[i], k[i]) to the piecewise-linear
+    curve through the grid points."""
+    ax, ay = curve[:-1, 0], curve[:-1, 1]
+    abx, aby = curve[1:, 0] - ax, curve[1:, 1] - ay
+    denom = abx * abx + aby * aby
     # Degenerate segments collapse to their start point.
-    t = np.where(denom > 0, ((q - a) * ab).sum(axis=1) / np.where(denom > 0, denom, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    d = np.hypot(proj[:, 0] - q[0], proj[:, 1] - q[1])
-    return float(d.min())
+    proper = denom > 0
+    safe = np.where(proper, denom, 1.0)
+    out = np.empty(len(s))
+    for i in range(0, len(s), POINT_BLOCK):
+        qs = s[i : i + POINT_BLOCK, None]
+        qk = k[i : i + POINT_BLOCK, None]
+        t = np.where(proper, ((qs - ax) * abx + (qk - ay) * aby) / safe, 0.0)
+        t = np.clip(t, 0.0, 1.0)
+        d = np.hypot(ax + t * abx - qs, ay + t * aby - qk)
+        out[i : i + POINT_BLOCK] = d.min(axis=1)
+    return out
+
+
+def classify_zones(
+    points: list[PlanePoint],
+    rho: float = DEFAULT_RHO,
+    tau: float = DEFAULT_TAU,
+    landmarks: Landmarks | None = None,
+) -> list[Zone]:
+    """Total, deterministic zone classification of a sequence of plane
+    points; for each point the first matching rule wins.
+
+    Rule order: infeasible, normal vicinity, uniform vicinity, gamma line,
+    Weibull band, beta zone, other. The gamma-line test precedes the Weibull
+    band because the two families intersect at the exponential (shape 1),
+    and that shared landmark is read as gamma. Each rule is evaluated for
+    all points at once; only the points that no earlier rule claims are
+    measured against the Weibull curve.
+    """
+    if landmarks is None:
+        landmarks = default_landmarks()
+    s = np.array([p.s for p in points], dtype=float)
+    k = np.array([p.k for p in points], dtype=float)
+    limit = LIMIT_INTERCEPT + LIMIT_SLOPE * s
+    gamma = GAMMA_INTERCEPT + GAMMA_SLOPE * s
+    hits = [
+        k < limit - tau,
+        np.array([metric1(p) for p in points], dtype=float) <= rho,
+        np.array([metric2(p) for p in points], dtype=float) <= rho,
+        np.abs(k - gamma) <= tau,
+    ]
+    weibull = np.zeros(len(s), dtype=bool)
+    curve = np.asarray(landmarks.weibull_curve, dtype=float)
+    todo = np.flatnonzero(~np.logical_or.reduce(hits))
+    if curve.size and todo.size:
+        weibull[todo] = _polyline_distances(s[todo], k[todo], curve) <= tau
+    hits += [weibull, (limit <= k) & (k <= gamma)]
+    first = np.select(hits, range(len(hits)), default=len(hits))
+    return [_RULES[i] for i in first.tolist()]
 
 
 def classify_zone(
@@ -174,29 +233,9 @@ def classify_zone(
     tau: float = DEFAULT_TAU,
     landmarks: Landmarks | None = None,
 ) -> Zone:
-    """Total, deterministic zone classification; the first matching rule wins.
-
-    Rule order: infeasible, normal vicinity, uniform vicinity, gamma line,
-    Weibull band, beta zone, other. The gamma-line test precedes the Weibull
-    band because the two families intersect at the exponential (shape 1),
-    and that shared landmark is read as gamma.
-    """
-    if landmarks is None:
-        landmarks = default_landmarks()
-    if p.k < LIMIT_INTERCEPT + LIMIT_SLOPE * p.s - tau:
-        return Zone.INFEASIBLE
-    if metric1(p) <= rho:
-        return Zone.NORMAL_VICINITY
-    if metric2(p) <= rho:
-        return Zone.UNIFORM_VICINITY
-    if abs(p.k - (GAMMA_INTERCEPT + GAMMA_SLOPE * p.s)) <= tau:
-        return Zone.GAMMA_LINE
-    curve = np.asarray(landmarks.weibull_curve, dtype=float)
-    if curve.size and _polyline_distance(p, curve) <= tau:
-        return Zone.WEIBULL_BAND
-    if LIMIT_INTERCEPT + LIMIT_SLOPE * p.s <= p.k <= GAMMA_INTERCEPT + GAMMA_SLOPE * p.s:
-        return Zone.BETA_ZONE
-    return Zone.OTHER
+    """Zone of one point: ``classify_zones`` of a one-point sequence."""
+    (zone,) = classify_zones([p], rho, tau, landmarks)
+    return zone
 
 
 def metric_series(windows: list[SampleWindow]) -> list[tuple[int, float, float]]:
@@ -269,6 +308,8 @@ def export_plane(
     marker so consumers keep the full time axis.
     """
     landmarks = default_landmarks()
+    plane = [to_plane(w.moments, w.t_mid_ms) for w in windows if not w.degenerate]
+    classified = iter(zip(plane, classify_zones(plane, rho, tau, landmarks)))
     points = []
     for w in windows:
         if w.degenerate:
@@ -276,13 +317,13 @@ def export_plane(
                 {"t_mid_ms": w.t_mid_ms, "s": None, "k": None, "zone": None, "metric1": None, "metric2": None}
             )
             continue
-        p = to_plane(w.moments, w.t_mid_ms)
+        p, zone = next(classified)
         points.append(
             {
                 "t_mid_ms": p.t_mid_ms,
                 "s": p.s,
                 "k": p.k,
-                "zone": classify_zone(p, rho, tau, landmarks).value,
+                "zone": zone.value,
                 "metric1": metric1(p),
                 "metric2": metric2(p),
             }

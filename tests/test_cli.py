@@ -36,6 +36,23 @@ GOLDEN_SHA256 = {
 
 MANIFESTS = ("data/run.manifest.json", "features.csv.manifest.json", "accel_windows.csv.manifest.json")
 
+#: sha256 of the plane export and the RR window table of a synthetic
+#: staircase protocol, as written by the per-window implementation that
+#: preceded the block kernel and the array zone classifier.
+PLANE_GOLDEN_SHA256 = {
+    "rr.csv": "7e911e241b5ed1e6846db641e3e3ee8d42b6cb0fb527a24d2a76929792481523",
+    "plane.json": "2ad7e8f7c8beb3d42837e902df5e68560a3e670310bb5aefb6c6b08c03246660",
+    "windows.csv": "c4ab68e99aa643413281683c5398fc553cfd97c412264e91c39cbad1a1823c05",
+}
+
+#: The same for a hand-made RR file whose constant stretch yields 31
+#: degenerate windows (null plane points, empty CSV cells).
+FLAT_GOLDEN_SHA256 = {
+    "rr.csv": "a52b016d33f0fcabd0c00e6059c31f987dd9488e7d028a0bba8ace7475b06612",
+    "plane.json": "4b272042b8019aa064b39d3ddcb146e9e219a8db8770ee92fd99b2210df7eeb6",
+    "windows.csv": "3fc8efd37e37f5ea93180d842a424a2ab93ba27e52cc03c19ce0b2d7020d0118",
+}
+
 
 def run_pipeline(root) -> None:
     """synth sessions -> features -> accel moments, all under ``root``."""
@@ -79,6 +96,31 @@ class TestGoldenPipeline:
             assert portable_manifest(first / rel, first) == portable_manifest(second / rel, second), rel
 
 
+def run_plane(root, window: str, bootstrap: str) -> None:
+    """plane with stride 1 and a bootstrap cloud, and the RR window table."""
+    rr = os.path.join(root, "rr.csv")
+    argv = ["--input", rr, "--window", window, "--stride", "1"]
+    assert main(["plane", *argv, "--bootstrap", bootstrap, "--seed", "3", "--out", os.path.join(root, "plane.json")]) == 0
+    assert main(["moments", *argv, "--channel", "rr", "--out", os.path.join(root, "windows.csv")]) == 0
+
+
+class TestGoldenPlane:
+    def test_staircase_protocol(self, tmp_path):
+        assert main(["synth", "rr", "--preset", "staircase", "--seed", "3", "--out", str(tmp_path / "rr.csv")]) == 0
+        run_plane(str(tmp_path), "300", "200")
+        for rel, digest in PLANE_GOLDEN_SHA256.items():
+            assert sha256(tmp_path / rel) == digest, rel
+
+    def test_degenerate_windows(self, tmp_path):
+        rr = [750.0 if 80 <= i < 130 else 700.0 + (i * 37 % 101) * 1.5 for i in range(200)]
+        t = np.cumsum(np.array(rr, dtype=int)).tolist()
+        body = "".join(f"{ti},{v!r}\n" for ti, v in zip(t, rr))
+        (tmp_path / "rr.csv").write_text("t_ms,rr_ms\n" + body, encoding="utf-8")
+        run_plane(str(tmp_path), "20", "50")
+        for rel, digest in FLAT_GOLDEN_SHA256.items():
+            assert sha256(tmp_path / rel) == digest, rel
+
+
 @pytest.fixture
 def features_csv(tmp_path):
     """A valid features.csv of 30 rows, enough for every command."""
@@ -120,11 +162,22 @@ class TestExitCodes:
     )
     def test_plane_rejects(self, rr_csv, tmp_path, flag, value, capsys):
         out = tmp_path / "plane.json"
-        with pytest.raises(SystemExit) as ei:
-            main(["plane", "--input", rr_csv, flag, value, "--out", str(out)])
-        assert ei.value.code == 3
+        assert main(["plane", "--input", rr_csv, flag, value, "--out", str(out)]) == 3
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_usage_errors_return_three(self, capsys):
+        assert main([]) == 3
+        assert main(["plane", "--input", "rr.csv"]) == 3
+        assert main(["no-such-command"]) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_still_exits_zero(self, capsys):
+        for argv in (["--help"], ["plane", "--help"]):
+            with pytest.raises(SystemExit) as ei:
+                main(argv)
+            assert ei.value.code == 0
+        assert "--bootstrap" in capsys.readouterr().out
 
     def test_plane_accepts_positive_radii(self, rr_csv, tmp_path):
         out = tmp_path / "plane.json"
@@ -142,6 +195,18 @@ class TestExitCodes:
         out = tmp_path / "features.csv"
         assert main(["features", "--sessions", str(sessions), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_predict_with_broken_model_is_input_error(self, features_csv, tmp_path):
+        models = tmp_path / "models"
+        argv = ["train", "--features", features_csv, "--model", "lrm", "--preset", "hr", "--out-dir", str(models)]
+        assert main(argv) == 0
+        path = models / "lrm_hr.model.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for broken in ({k: v for k, v in doc.items() if k != "standardizer"}, {**doc, "lrm": {**doc["lrm"], "w": [1.0]}}):
+            path.write_text(json.dumps(broken), encoding="utf-8")
+            out = tmp_path / "pred.csv"
+            assert main(["predict", "--model", str(path), "--features", features_csv, "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_non_monotonic_channel_is_input_error(self, tmp_path):
         path = tmp_path / "rr.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loadlens.errors import MissingChannel, TooFewRows
+from loadlens.errors import EmptyFile, MalformedRow, MissingChannel, ParseError, TooFewRows
 from loadlens.features import (
     ALL_FEATURES,
     correlation_matrix,
@@ -210,6 +210,30 @@ class TestFeatureCsv:
         back = read_correlation_csv(p)
         assert back.feature_names == corr.feature_names
         assert np.allclose(back.r, corr.r, equal_nan=True)
+
+    def test_correlation_csv_rejects_bad_input(self, tmp_path):
+        p = tmp_path / "corr.csv"
+        p.write_text("", encoding="utf-8")
+        with pytest.raises(EmptyFile):
+            read_correlation_csv(p)
+        p.write_text("feature,ahr,mhr\r\n", encoding="utf-8")
+        with pytest.raises(EmptyFile):
+            read_correlation_csv(p)
+        p.write_text("feature,ahr,mhr\r\nahr,1.0,0.5\r\nmhr,0.5\r\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as ei:
+            read_correlation_csv(p)
+        assert ei.value.row == 2
+        p.write_text("feature,ahr,mhr\r\nahr,1.0,0.5,0.1\r\nmhr,0.5,1.0\r\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as ei:
+            read_correlation_csv(p)
+        assert ei.value.row == 1
+        p.write_text("feature,ahr,mhr\r\nahr,1.0,x\r\nmhr,0.5,1.0\r\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as ei:
+            read_correlation_csv(p)
+        assert ei.value.row == 1
+        p.write_text("feature,ahr,mhr\r\nahr,1.0,0.5\r\n", encoding="utf-8")
+        with pytest.raises(ParseError):
+            read_correlation_csv(p)
 
     def test_feature_matrix_lookup(self, rng):
         rows = make_rows([[1.0, 2.0]], [0], ["ahr", "mhr"])

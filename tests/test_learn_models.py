@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from loadlens.errors import (
     DegenerateDesign,
     NonFiniteLoss,
+    ParseError,
     TooFewRows,
     UnknownLabel,
 )
@@ -297,3 +299,108 @@ class TestSerialization:
         back = load_model(p)
         assert back.kind == "dnn"
         assert (back.predict(X) == model.predict(X)).all()
+
+
+def saved_doc(tmp_path, kind):
+    """A model document as save_model writes it, for three features."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(0, 1, (30, 3))
+    y = rng.normal(0, 1, 30)
+    if kind == "lrm":
+        model = fit_lrm_xy(X, y, ["a", "b", "c"])
+    else:
+        model, _, _ = fit_dnn_xy(X, y, None, None, ["a", "b", "c"], DnnConfig(hidden=(4, 2), epochs=1))
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def load_doc(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_model(path)
+
+
+class TestLoadModelSchema:
+    def test_valid_documents_load(self, tmp_path):
+        assert load_doc(tmp_path, saved_doc(tmp_path, "lrm")).kind == "lrm"
+        assert load_doc(tmp_path, saved_doc(tmp_path, "dnn")).layer_sizes == (3, 4, 2, 1)
+
+    @pytest.mark.parametrize("kind", ["lrm", "dnn"])
+    @pytest.mark.parametrize("key", ["kind", "features", "standardizer", "lrm/dnn"])
+    def test_missing_key(self, tmp_path, kind, key):
+        doc = saved_doc(tmp_path, kind)
+        del doc[kind if key == "lrm/dnn" else key]
+        with pytest.raises(ParseError, match="missing key"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("path", [("standardizer", "stds"), ("lrm", "w"), ("lrm", "b")])
+    def test_missing_nested_key(self, tmp_path, path):
+        doc = saved_doc(tmp_path, "lrm")
+        del doc[path[0]][path[1]]
+        with pytest.raises(ParseError, match="missing key"):
+            load_doc(tmp_path, doc)
+
+    def test_missing_layer_key(self, tmp_path):
+        doc = saved_doc(tmp_path, "dnn")
+        del doc["dnn"]["layers"][1]["b"]
+        with pytest.raises(ParseError, match="missing key"):
+            load_doc(tmp_path, doc)
+
+    def test_unknown_kind(self, tmp_path):
+        doc = saved_doc(tmp_path, "lrm")
+        doc["kind"] = "svm"
+        with pytest.raises(ParseError, match="unknown kind"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("field", ["means", "stds"])
+    def test_standardizer_length(self, tmp_path, field):
+        doc = saved_doc(tmp_path, "dnn")
+        doc["standardizer"][field] = doc["standardizer"][field][:2]
+        with pytest.raises(ParseError, match="standardizer"):
+            load_doc(tmp_path, doc)
+
+    def test_first_layer_rows(self, tmp_path):
+        doc = saved_doc(tmp_path, "dnn")
+        doc["dnn"]["layers"][0]["W"] = doc["dnn"]["layers"][0]["W"][:2]
+        with pytest.raises(ParseError, match=r"layers\[0\]"):
+            load_doc(tmp_path, doc)
+
+    def test_consecutive_layer_shapes(self, tmp_path):
+        doc = saved_doc(tmp_path, "dnn")
+        doc["dnn"]["layers"][1]["W"] = doc["dnn"]["layers"][1]["W"][:3]
+        with pytest.raises(ParseError, match=r"layers\[1\]"):
+            load_doc(tmp_path, doc)
+
+    def test_bias_length(self, tmp_path):
+        doc = saved_doc(tmp_path, "dnn")
+        doc["dnn"]["layers"][0]["b"] = doc["dnn"]["layers"][0]["b"] + [0.0]
+        with pytest.raises(ParseError, match=r"layers\[0\]"):
+            load_doc(tmp_path, doc)
+
+    def test_scalar_output(self, tmp_path):
+        doc = saved_doc(tmp_path, "dnn")
+        last = doc["dnn"]["layers"][-1]
+        last["W"] = [row * 2 for row in last["W"]]
+        last["b"] = last["b"] * 2
+        with pytest.raises(ParseError, match="outputs"):
+            load_doc(tmp_path, doc)
+
+    def test_lrm_weights_length(self, tmp_path):
+        doc = saved_doc(tmp_path, "lrm")
+        doc["lrm"]["w"] = doc["lrm"]["w"] + [1.0]
+        with pytest.raises(ParseError, match="lrm.w"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("value", [[1.0, "x", 2.0], [[1.0], [2.0, 3.0]], [1.0, float("nan"), 2.0]])
+    def test_bad_arrays(self, tmp_path, value):
+        doc = saved_doc(tmp_path, "lrm")
+        doc["standardizer"]["means"] = value
+        with pytest.raises(ParseError, match="standardizer.means"):
+            load_doc(tmp_path, doc)
+
+    def test_not_json(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_model(path)

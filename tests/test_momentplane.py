@@ -1,11 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loadlens import momentplane
 from loadlens.errors import (
     AllWindowsDegenerate,
     DegenerateMoments,
@@ -17,6 +19,7 @@ from loadlens.momentplane import (
     Trajectory,
     Zone,
     classify_zone,
+    classify_zones,
     curvature_profile,
     default_landmarks,
     export_plane,
@@ -32,7 +35,7 @@ from loadlens.stats import Moments, SampleWindow, bootstrap, moments
 
 def window_at(t, mean=0.0, std=1.0, skew=0.0, kurt=3.0, degenerate=False):
     m = Moments(300, mean, std, math.nan if degenerate else skew, math.nan if degenerate else kurt)
-    return SampleWindow(0, 300, t - 150, t + 150, m, degenerate=degenerate)
+    return SampleWindow(0, 300, t - 150, t + 150, m)
 
 
 class TestToPlane:
@@ -178,6 +181,109 @@ class TestClassifyZone:
         z = classify_zone(p)
         assert isinstance(z, Zone)
         assert classify_zone(p) is z
+
+
+def reference_polyline_distance(p, curve):
+    """Distance to the Weibull polyline, one point at a time (the reference
+    for the array classifier)."""
+    q = np.array([p.s, p.k])
+    a = curve[:-1]
+    ab = curve[1:] - a
+    denom = (ab * ab).sum(axis=1)
+    t = np.where(denom > 0, ((q - a) * ab).sum(axis=1) / np.where(denom > 0, denom, 1.0), 0.0)
+    proj = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+    return float(np.hypot(proj[:, 0] - q[0], proj[:, 1] - q[1]).min())
+
+
+def reference_zone(p, rho, tau):
+    """The per-point rules, in order, as one scalar function."""
+    curve = np.asarray(default_landmarks().weibull_curve, dtype=float)
+    if p.k < 1.0 + 1.0 * p.s - tau:
+        return Zone.INFEASIBLE
+    if metric1(p) <= rho:
+        return Zone.NORMAL_VICINITY
+    if metric2(p) <= rho:
+        return Zone.UNIFORM_VICINITY
+    if abs(p.k - (3.0 + 1.5 * p.s)) <= tau:
+        return Zone.GAMMA_LINE
+    if reference_polyline_distance(p, curve) <= tau:
+        return Zone.WEIBULL_BAND
+    if 1.0 + 1.0 * p.s <= p.k <= 3.0 + 1.5 * p.s:
+        return Zone.BETA_ZONE
+    return Zone.OTHER
+
+
+@st.composite
+def points_on_and_off_boundaries(draw):
+    """Points, each possibly moved exactly onto a rule's boundary, and a
+    (rho, tau) pair that may equal one point's distance to a boundary."""
+    n = draw(st.integers(1, 12))
+    pts = []
+    for _ in range(n):
+        s = draw(st.floats(0, 30, allow_nan=False))
+        k = draw(
+            st.one_of(
+                st.floats(-5, 60, allow_nan=False),
+                st.sampled_from([1.0 + s, 3.0 + 1.5 * s, 1.0 + s - 0.15, 3.0 + 1.5 * s + 0.15]),
+            )
+        )
+        pts.append(PlanePoint(s, k))
+    rho = draw(st.floats(0.01, 3.0, allow_nan=False))
+    tau = draw(st.floats(0.01, 2.0, allow_nan=False))
+    p = draw(st.sampled_from(pts))
+    curve = np.asarray(default_landmarks().weibull_curve, dtype=float)
+    edge = draw(st.sampled_from(["none", "normal", "uniform", "gamma", "weibull", "limit"]))
+    if edge == "normal":
+        rho = metric1(p) or rho
+    elif edge == "uniform":
+        rho = metric2(p) or rho
+    elif edge == "gamma":
+        tau = abs(p.k - (3.0 + 1.5 * p.s)) or tau
+    elif edge == "weibull":
+        tau = reference_polyline_distance(p, curve) or tau
+    elif edge == "limit":
+        tau = (1.0 + p.s - p.k) if 1.0 + p.s > p.k else tau
+    return pts, rho, tau
+
+
+class TestClassifyZones:
+    @given(points_on_and_off_boundaries(), st.sampled_from([1, 3, momentplane.POINT_BLOCK]))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_per_point_rules(self, case, block):
+        pts, rho, tau = case
+        with mock.patch.object(momentplane, "POINT_BLOCK", block):
+            got = classify_zones(pts, rho, tau)
+        assert got == [reference_zone(p, rho, tau) for p in pts]
+        assert [classify_zone(p, rho, tau) for p in pts] == got
+
+    def test_boundaries_are_inclusive(self):
+        assert classify_zone(PlanePoint(0.0, 3.5), rho=0.5) is Zone.NORMAL_VICINITY
+        assert classify_zone(PlanePoint(0.0, 3.5), rho=0.4999999999999999) is not Zone.NORMAL_VICINITY
+        assert classify_zone(PlanePoint(0.5, 1.8), rho=0.5) is Zone.UNIFORM_VICINITY
+        assert classify_zone(PlanePoint(1.0, 4.75), tau=0.25) is Zone.GAMMA_LINE
+        assert classify_zone(PlanePoint(1.0, 1.75), tau=0.25) is not Zone.INFEASIBLE
+        assert classify_zone(PlanePoint(1.0, 1.7499999999999998), tau=0.25) is Zone.INFEASIBLE
+
+    def test_every_zone_in_one_call(self):
+        pts = [
+            PlanePoint(1.0, 1.0),
+            PlanePoint(0.0, 3.0),
+            PlanePoint(0.0, 1.8),
+            PlanePoint(4.0, 9.0),
+            PlanePoint(*weibull_landmark(2.0)),
+            PlanePoint(0.0, 15.0 / 7.0),
+            PlanePoint(0.5, 6.0),
+        ]
+        assert classify_zones(pts) == [
+            Zone.INFEASIBLE,
+            Zone.NORMAL_VICINITY,
+            Zone.UNIFORM_VICINITY,
+            Zone.GAMMA_LINE,
+            Zone.WEIBULL_BAND,
+            Zone.BETA_ZONE,
+            Zone.OTHER,
+        ]
+        assert classify_zones([]) == []
 
 
 class TestMetricSeries:

@@ -1,15 +1,20 @@
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from loadlens import stats
 from loadlens.errors import DegenerateSample, SeriesTooShort, TooFewSamples
 from loadlens.ingest import Channel
 from loadlens.stats import (
+    DEGENERACY_EPS,
     BootstrapCloud,
+    Moments,
+    SampleWindow,
     bootstrap,
     moments,
     sliding_windows,
@@ -30,6 +35,58 @@ def naive_moments(values):
         m4 += d2 * d2
     m2, m3, m4 = m2 / n, m3 / n, m4 / n
     return mean, math.sqrt(m2), m3 / m2**1.5, m4 / (m2 * m2)
+
+
+def reference_moments(arr) -> Moments:
+    """One 1-D sample at a time, as before the block kernel: the bitwise
+    reference for every kernel caller."""
+    n = arr.size
+    mean = float(arr.mean())
+    d = arr - mean
+    d2 = d * d
+    m2 = float(d2.mean())
+    m3 = float((d2 * d).mean())
+    m4 = float((d2 * d2).mean())
+    if m2 < DEGENERACY_EPS * (1.0 + mean * mean):
+        return Moments(n, mean, math.sqrt(m2), math.nan, math.nan)
+    return Moments(n, mean, math.sqrt(m2), m3 / m2**1.5, m4 / (m2 * m2))
+
+
+def reference_windows(values, t_ms, window, stride):
+    return [
+        SampleWindow(
+            start,
+            window,
+            int(t_ms[start]),
+            int(t_ms[start + window - 1]),
+            reference_moments(values[start : start + window]),
+        )
+        for start in range(0, len(values) - window + 1, stride)
+    ]
+
+
+def reference_bootstrap(arr, B, seed):
+    """Returns the cloud's points and the number of redrawn resamples."""
+    points, redraws = [], 0
+    for i in range(B):
+        rng = np.random.default_rng([seed, i])
+        while True:
+            m = reference_moments(arr[rng.integers(0, arr.size, size=arr.size)])
+            if not m.degenerate:
+                break
+            redraws += 1
+        points.append(m)
+    return points, redraws
+
+
+def bits(m: Moments) -> tuple:
+    """Every field of m, floats by their exact bits (NaN equals NaN)."""
+    return (m.n,) + tuple(float.hex(v) for v in (m.mean, m.std, m.skewness, m.kurtosis))
+
+
+def block_values():
+    """Kernel block sizes from one row per block up to the default."""
+    return st.sampled_from([1, 7, 64, 1000, stats.BLOCK_VALUES])
 
 
 def series_of(values):
@@ -149,6 +206,94 @@ class TestSlidingWindows:
             assert w.t_end_ms == 10 * (w.start_index + w.length - 1)
             ref = moments(values[w.start_index : w.start_index + 10])
             assert w.moments == ref
+
+
+class TestKernelBits:
+    """The block kernel gives the bits of one 1-D reduction per sample."""
+
+    @given(
+        st.integers(4, 20_000),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["normal", "lognormal", "integers"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_one_dimensional(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            x = rng.normal(rng.uniform(-1e3, 1e3), rng.uniform(1e-3, 1e2), (3, n))
+        elif kind == "lognormal":
+            x = rng.lognormal(0.0, 2.0, (3, n))
+        else:
+            x = rng.integers(0, 3, (3, n)).astype(float)
+        rows = stats._block_moments(x)
+        assert [bits(m) for m in rows] == [bits(reference_moments(x[i].copy())) for i in range(3)]
+        if not rows[0].degenerate:
+            assert bits(moments(x[0])) == bits(rows[0])
+
+    def test_long_rows_past_the_buffer_size(self):
+        x = np.random.default_rng(1).lognormal(0.0, 1.5, 70_001)
+        assert bits(moments(x)) == bits(reference_moments(x))
+
+
+@st.composite
+def channels_with_flat_runs(draw):
+    """Values with an optional constant run (degenerate windows) on a
+    strictly increasing clock."""
+    n = draw(st.integers(4, 400))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.normal(800.0, draw(st.sampled_from([1e-3, 1.0, 50.0])), n)
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        values[start : start + draw(st.integers(1, n))] = draw(st.sampled_from([0.0, 750.0, -3.5]))
+    t_ms = np.cumsum(rng.integers(1, 2000, n))
+    return t_ms, values
+
+
+class TestWindowBits:
+    @given(channels_with_flat_runs(), st.integers(4, 120), st.integers(1, 40), block_values())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_equal_to_per_window_reference(self, channel, window, stride, block):
+        t_ms, values = channel
+        assume(window <= len(values))
+        with mock.patch.object(stats, "BLOCK_VALUES", block):
+            got = sliding_windows(Channel(t_ms, values), window, stride)
+        want = reference_windows(values, t_ms, window, stride)
+        assert [(w.start_index, w.length, w.t_start_ms, w.t_end_ms, w.degenerate) for w in got] == [
+            (w.start_index, w.length, w.t_start_ms, w.t_end_ms, w.degenerate) for w in want
+        ]
+        assert [bits(w.moments) for w in got] == [bits(w.moments) for w in want]
+        assert all(type(w.t_start_ms) is int and type(w.t_end_ms) is int for w in got)
+
+
+class TestBootstrapBits:
+    @given(
+        st.integers(4, 400),
+        st.integers(1, 300),
+        st.integers(0, 2**31),
+        st.booleans(),
+        block_values(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equal_to_per_resample_reference(self, n, B, seed, mostly_constant, block):
+        rng = np.random.default_rng(seed)
+        if mostly_constant:
+            x = np.full(n, 3.0)
+            x[rng.integers(0, n)] = 4.0
+        else:
+            x = rng.normal(0.0, 1.0, n)
+        with mock.patch.object(stats, "BLOCK_VALUES", block):
+            cloud = bootstrap(x, B, seed)
+        want, _ = reference_bootstrap(x, B, seed)
+        assert [bits(m) for m in cloud.points] == [bits(m) for m in want]
+
+    def test_redraws_come_from_the_resample_stream(self):
+        x = np.array([3.0, 3.0, 3.0, 4.0])
+        want, redraws = reference_bootstrap(x, 200, 5)
+        assert redraws > 20
+        for block in (1, 4, stats.BLOCK_VALUES):
+            with mock.patch.object(stats, "BLOCK_VALUES", block):
+                assert [bits(m) for m in bootstrap(x, 200, 5).points] == [bits(m) for m in want]
 
 
 class TestBootstrap:
