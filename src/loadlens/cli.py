@@ -12,6 +12,7 @@ command takes one and ``--seed`` is not given.
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
 import json
 import math
@@ -266,11 +267,11 @@ def cmd_predict(args) -> None:
     rows = read_features_csv(args.features)
     X, y, kept = build_xy(rows, model.features)
     yhat = model.predict(X)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("session_id,activity,y_true,y_pred,predicted_activity\n")
-        for r, yt, yp in zip(kept, y, yhat):
-            cls = decode_prediction(float(yp))
-            fh.write(f"{r.session_id},{r.activity},{yt!r},{yp!r},{DEFAULT_ACTIVITIES[cls]}\n")
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(("session_id", "activity", "y_true", "y_pred", "predicted_activity"))
+        for r, yt, yp in zip(kept, y.tolist(), yhat.tolist()):
+            w.writerow((r.session_id, r.activity, yt, yp, DEFAULT_ACTIVITIES[decode_prediction(yp)]))
     write_manifest(
         manifest_path_for(args.out),
         "predict",
@@ -321,6 +322,10 @@ def cmd_synth_accel(args) -> None:
     )
 
 
+#: Report fields ``report`` copies from each ``*.report.json``, in order.
+REPORT_KEYS = ("model", "preset", "accuracy", "accuracy_val", "mae_val", "mrd_val", "mae_pred", "mrd_pred")
+
+
 def cmd_report(args) -> None:
     paths = sorted(glob.glob(os.path.join(args.in_dir, "*.report.json")))
     if not paths:
@@ -328,19 +333,14 @@ def cmd_report(args) -> None:
     entries = []
     for p in paths:
         with open(p, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        entries.append(
-            {
-                "model": doc["model"],
-                "preset": doc["preset"],
-                "accuracy": doc["accuracy"],
-                "accuracy_val": doc["accuracy_val"],
-                "mae_val": doc["mae_val"],
-                "mrd_val": doc["mrd_val"],
-                "mae_pred": doc["mae_pred"],
-                "mrd_pred": doc["mrd_pred"],
-            }
-        )
+            try:
+                doc = json.load(fh)
+            except ValueError as e:
+                raise ParseError(f"{p}: not a JSON report ({e})") from None
+        missing = [k for k in REPORT_KEYS if not isinstance(doc, dict) or k not in doc]
+        if missing:
+            raise ParseError(f"{p}: report lacks {', '.join(missing)}")
+        entries.append({k: doc[k] for k in REPORT_KEYS})
     _write_json(args.out, {"entries": entries, "n": len(entries)})
     write_manifest(manifest_path_for(args.out), "report", {}, paths, [args.out])
 
@@ -471,7 +471,7 @@ def main(argv=None) -> int:
         return 3
     try:
         args.fn(args)
-    except (ParseError, UnknownLabel, FileNotFoundError, IsADirectoryError, OSError) as e:
+    except (ParseError, UnknownLabel, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except NonFiniteLoss as e:

@@ -58,20 +58,12 @@ class EmptyInput(LoadlensError):
     """An operation received an empty sample list."""
 
 
-class NonPositiveRr(LoadlensError):
-    """RR interval must be > 0 to convert to heart rate."""
-
-
 class TooFewSamples(LoadlensError):
     """Fewer samples than the four-moment minimum (n >= 4)."""
 
     def __init__(self, n: int):
         self.n = n
         super().__init__(f"need at least 4 samples, got {n}")
-
-
-class DegenerateSample(LoadlensError):
-    """Sample variance is numerically zero; skewness/kurtosis undefined."""
 
 
 class SeriesTooShort(LoadlensError):
@@ -84,14 +76,6 @@ class DegenerateMoments(LoadlensError):
 
 class NonPositiveShape(LoadlensError):
     """Weibull shape parameter must be > 0."""
-
-
-class TooFewPoints(LoadlensError):
-    """Trajectory needs at least 3 points for curvature."""
-
-
-class AllWindowsDegenerate(LoadlensError):
-    """Every window in the series is degenerate; no metrics to report."""
 
 
 class MissingChannel(LoadlensError):

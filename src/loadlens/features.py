@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .errors import (
-    DegenerateSample,
     EmptyFile,
     MalformedRow,
     MissingChannel,
@@ -86,8 +85,10 @@ def feature_value(row: SessionFeatures, name: str) -> float:
 
 
 def feature_matrix(rows: list[SessionFeatures], names) -> np.ndarray:
-    """(n_rows, n_features) matrix of the named features, NaN for missing."""
-    return np.array([[feature_value(r, n) for n in names] for r in rows], dtype=float)
+    """(n_rows, n_features) matrix of the named features, NaN for missing;
+    shape (0, n_features) for no rows."""
+    values = [[feature_value(r, n) for n in names] for r in rows]
+    return np.array(values, dtype=float).reshape(len(rows), len(names))
 
 
 def extract_features(
@@ -98,9 +99,10 @@ def extract_features(
     """Build the session feature vector from its channels: the accel
     magnitude series and the rr series.
 
-    Pace-derived features are NaN when distance is zero. Degenerate channels
-    (constant accel, constant rr) leave their higher-moment features NaN
-    rather than failing the whole session.
+    Pace-derived features are NaN when distance is zero. A degenerate
+    channel (numerically constant accel or rr) does not fail the session:
+    ``moments`` flags it, its skewness and kurtosis (for rr, ``metric1`` and
+    ``metric2``) stay NaN, and ``acc_mean``/``acc_std`` are always set.
     """
     if accel.values.ndim != 1:
         raise ValueError("extract_features needs the accel magnitude, not the raw axes")
@@ -122,26 +124,14 @@ def extract_features(
     ahr = float(hr.mean())
     mhr = float(hr.max())
 
-    acc_values = accel.values
-    try:
-        acc_m = moments(acc_values)
-        acc_mean, acc_std = acc_m.mean, acc_m.std
-        acc_skew, acc_kurt = acc_m.skewness, acc_m.kurtosis
-    except DegenerateSample:
-        acc_mean = float(acc_values.mean())
-        acc_std = float(acc_values.std())
-        acc_skew = math.nan
-        acc_kurt = math.nan
+    acc_m = moments(accel.values)
 
+    m1 = m2 = math.nan
     if len(rr) >= 4:
-        try:
-            rr_m = moments(rr.values)
+        rr_m = moments(rr.values)
+        if not rr_m.degenerate:
             p = to_plane(rr_m)
             m1, m2 = metric1(p), metric2(p)
-        except DegenerateSample:
-            m1 = m2 = math.nan
-    else:
-        m1 = m2 = math.nan
 
     return SessionFeatures(
         session_id=meta.session_id,
@@ -153,10 +143,10 @@ def extract_features(
         metricD=metric_d,
         ahr_bpm=ahr,
         mhr_bpm=mhr,
-        acc_mean=acc_mean,
-        acc_std=acc_std,
-        acc_skewness=acc_skew,
-        acc_kurtosis=acc_kurt,
+        acc_mean=acc_m.mean,
+        acc_std=acc_m.std,
+        acc_skewness=acc_m.skewness,
+        acc_kurtosis=acc_m.kurtosis,
         metric1=m1,
         metric2=m2,
     )
@@ -227,7 +217,7 @@ def write_features_csv(path, rows: list[SessionFeatures]) -> None:
             )
 
 
-def read_features_csv(path, labels=DEFAULT_ACTIVITIES) -> list[SessionFeatures]:
+def read_features_csv(path) -> list[SessionFeatures]:
     """Read features.csv back; empty cells become NaN."""
     rows: list[SessionFeatures] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -243,7 +233,7 @@ def read_features_csv(path, labels=DEFAULT_ACTIVITIES) -> list[SessionFeatures]:
                 continue
             if len(fields) != len(FEATURES_CSV_HEADER):
                 raise MalformedRow(idx, f"expected {len(FEATURES_CSV_HEADER)} fields")
-            if fields[1] not in labels:
+            if fields[1] not in DEFAULT_ACTIVITIES:
                 raise UnknownLabel(fields[1])
             values = []
             for name, text in zip(FEATURES_CSV_HEADER[2:], fields[2:]):

@@ -1,5 +1,11 @@
 """Supervised activity prediction (linear baseline + small network) and
-intensity clustering."""
+intensity clustering.
+
+The models work on arrays: ``build_xy`` turns feature rows into a design
+matrix and targets, ``fit_lrm_xy``/``fit_dnn_xy`` fit, ``evaluate_xy`` and
+``permutation_importance`` score. ``run_training`` is the one row-level
+entry point: it splits the rows and drives those array functions.
+"""
 
 from .cluster import ClusterResult, kmeans
 from .data import (
@@ -14,7 +20,6 @@ from .data import (
 from .evaluate import (
     EvalMetrics,
     EvalReport,
-    evaluate,
     evaluate_xy,
     permutation_importance,
     run_training,
@@ -24,9 +29,7 @@ from .models import (
     LinearModel,
     NetworkModel,
     Standardizer,
-    fit_dnn,
     fit_dnn_xy,
-    fit_lrm,
     fit_lrm_xy,
     load_model,
     save_model,
@@ -44,7 +47,6 @@ __all__ = [
     "split",
     "EvalMetrics",
     "EvalReport",
-    "evaluate",
     "evaluate_xy",
     "permutation_importance",
     "run_training",
@@ -52,9 +54,7 @@ __all__ = [
     "LinearModel",
     "NetworkModel",
     "Standardizer",
-    "fit_dnn",
     "fit_dnn_xy",
-    "fit_lrm",
     "fit_lrm_xy",
     "load_model",
     "save_model",

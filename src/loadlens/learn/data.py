@@ -50,37 +50,35 @@ PRESETS: dict[str, FeaturePreset] = {
 }
 
 
-def get_preset(preset) -> FeaturePreset:
-    """Resolve a preset by name (or pass a FeaturePreset through)."""
-    if isinstance(preset, FeaturePreset):
-        return preset
+def get_preset(name: str) -> FeaturePreset:
+    """Resolve a preset by name."""
     try:
-        return PRESETS[preset]
+        return PRESETS[name]
     except KeyError:
-        raise ValueError(f"unknown preset {preset!r}; known: {', '.join(PRESETS)}") from None
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}") from None
 
 
-def encode_target(activity: str, labels=DEFAULT_ACTIVITIES) -> float:
+def encode_target(activity: str) -> float:
     """Ordinal target code: registry position as a float (walking -> 0.0, ...)."""
     try:
-        return float(labels.index(activity))
+        return float(DEFAULT_ACTIVITIES.index(activity))
     except ValueError:
         raise UnknownLabel(activity) from None
 
 
-def decode_prediction(y: float, n_classes: int = len(DEFAULT_ACTIVITIES)) -> int:
+def decode_prediction(y: float) -> int:
     """Regression output -> class index: round half to even, clamp to range."""
-    return min(max(round(y), 0), n_classes - 1)
+    return min(max(round(y), 0), len(DEFAULT_ACTIVITIES) - 1)
 
 
-def build_xy(rows: list[SessionFeatures], columns, labels=DEFAULT_ACTIVITIES):
+def build_xy(rows: list[SessionFeatures], columns):
     """Design matrix + encoded targets; rows with a missing selected feature
     are dropped.
 
     Returns (X, y, kept_rows).
     """
     X = feature_matrix(rows, columns)
-    y = np.array([encode_target(r.activity, labels) for r in rows])
+    y = np.array([encode_target(r.activity) for r in rows])
     keep = np.isfinite(X).all(axis=1)
     kept = [r for r, k in zip(rows, keep) if k]
     return X[keep], y[keep], kept

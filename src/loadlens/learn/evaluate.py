@@ -17,7 +17,7 @@ from ..errors import EmptyEvalSet
 from ..features import SessionFeatures
 from ..ingest import DEFAULT_ACTIVITIES
 from .data import build_xy, decode_prediction, get_preset, split
-from .models import DnnConfig, fit_dnn, fit_lrm
+from .models import DnnConfig, fit_dnn_xy, fit_lrm_xy
 
 
 @dataclass(frozen=True)
@@ -30,36 +30,28 @@ class EvalMetrics:
     accuracy: float
 
 
-def evaluate_xy(model, X, y, n_classes: int = len(DEFAULT_ACTIVITIES)) -> EvalMetrics:
+#: Shuffles per feature column in ``permutation_importance``.
+IMPORTANCE_REPEATS = 10
+
+
+def evaluate_xy(model, X, y) -> EvalMetrics:
+    """Error metrics and confusion matrix of a fitted model on one split."""
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
-        raise EmptyEvalSet("no rows to evaluate")
+        raise EmptyEvalSet("no rows to evaluate (rows with a missing feature are dropped)")
     yhat = model.predict(X)
     resid = yhat - y
     mae = float(np.abs(resid).mean())
     mrd = float((resid * resid).mean())
+    n_classes = len(DEFAULT_ACTIVITIES)
     confusion = np.zeros((n_classes, n_classes), dtype=int)
     for t, p in zip(y, yhat):
-        confusion[int(t), decode_prediction(float(p), n_classes)] += 1
+        confusion[int(t), decode_prediction(float(p))] += 1
     accuracy = float(np.trace(confusion) / confusion.sum())
     return EvalMetrics(mae=mae, mrd=mrd, confusion=confusion, accuracy=accuracy)
 
 
-def evaluate(model, rows: list[SessionFeatures], labels=DEFAULT_ACTIVITIES) -> EvalMetrics:
-    """Evaluate a fitted model on feature rows (missing-feature rows dropped)."""
-    X, y, kept = build_xy(rows, model.features, labels)
-    if not kept:
-        raise EmptyEvalSet("no usable rows (all have missing features)")
-    return evaluate_xy(model, X, y, n_classes=len(labels))
-
-
-def permutation_importance(
-    model,
-    rows: list[SessionFeatures],
-    seed: int = 0,
-    repeats: int = 10,
-    labels=DEFAULT_ACTIVITIES,
-) -> list[tuple[str, float]]:
+def permutation_importance(model, X, y, seed: int = 0) -> list[tuple[str, float]]:
     """Mean MRD increase when one feature column is shuffled, normalized to
     sum 1.
 
@@ -67,19 +59,19 @@ def permutation_importance(
     importances fall back to uniform (with a warning), since nothing can be
     ranked.
     """
-    X, y, kept = build_xy(rows, model.features, labels)
-    if len(kept) < 10:
-        raise EmptyEvalSet(f"permutation importance needs >= 10 rows, got {len(kept)}")
+    X = np.asarray(X, dtype=float)
+    if len(X) < 10:
+        raise EmptyEvalSet(f"permutation importance needs >= 10 rows, got {len(X)}")
     rng = np.random.default_rng(seed)
-    baseline = evaluate_xy(model, X, y, n_classes=len(labels)).mrd
+    baseline = evaluate_xy(model, X, y).mrd
     p = X.shape[1]
     raw = np.zeros(p)
     for j in range(p):
         deltas = []
-        for _ in range(repeats):
+        for _ in range(IMPORTANCE_REPEATS):
             Xp = X.copy()
             Xp[:, j] = Xp[rng.permutation(len(Xp)), j]
-            deltas.append(evaluate_xy(model, Xp, y, n_classes=len(labels)).mrd - baseline)
+            deltas.append(evaluate_xy(model, Xp, y).mrd - baseline)
         raw[j] = max(0.0, float(np.mean(deltas)))
     total = raw.sum()
     if total == 0.0:
@@ -126,37 +118,36 @@ class EvalReport:
 def run_training(
     rows: list[SessionFeatures],
     model_kind: str,
-    preset,
+    preset: str,
     config: DnnConfig = DnnConfig(),
     split_seed: int = 0,
-    fractions=(0.7, 0.15, 0.15),
-    labels=DEFAULT_ACTIVITIES,
 ):
     """Split, fit, and evaluate one model; returns (model, EvalReport).
 
-    The confusion matrix and accuracy are reported on the prediction split;
-    importances on the validation split (empty when it is too small to
-    permute meaningfully).
+    Each split's design matrix is built once; rows with a missing selected
+    feature are dropped. The confusion matrix and accuracy are reported on
+    the prediction split; importances on the validation split (empty when
+    it is too small to permute meaningfully).
     """
-    preset = get_preset(preset)
-    train, val, pred = split(rows, fractions=fractions, seed=split_seed)
+    columns = get_preset(preset).columns
+    train, val, pred = (build_xy(part, columns)[:2] for part in split(rows, seed=split_seed))
     if model_kind == "lrm":
-        model = fit_lrm(train, preset, labels)
+        model = fit_lrm_xy(*train, columns)
         train_losses: list[float] = []
         val_losses: list[float] = []
     elif model_kind == "dnn":
-        model, train_losses, val_losses = fit_dnn(train, val, preset, config, labels)
+        model, train_losses, val_losses = fit_dnn_xy(*train, *val, columns, config)
     else:
         raise ValueError(f"unknown model kind {model_kind!r}; use 'lrm' or 'dnn'")
-    ev_val = evaluate(model, val, labels)
-    ev_pred = evaluate(model, pred, labels)
+    ev_val = evaluate_xy(model, *val)
+    ev_pred = evaluate_xy(model, *pred)
     try:
-        importances = permutation_importance(model, val, seed=config.seed, labels=labels)
+        importances = permutation_importance(model, *val, seed=config.seed)
     except EmptyEvalSet:
         importances = []
     report = EvalReport(
         model_kind=model_kind,
-        preset=preset.name,
+        preset=preset,
         train_loss=train_losses,
         val_loss=val_losses,
         mae_val=ev_val.mae,

@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateDesign, NonFiniteLoss, ParseError, TooFewRows
-from ..features import SessionFeatures
-from ..ingest import DEFAULT_ACTIVITIES
-from .data import build_xy, get_preset
 
 log = logging.getLogger(__name__)
 
@@ -79,14 +76,6 @@ class LinearModel:
         Z = self.standardizer.transform(_as_matrix(X))
         return Z @ self.weights + self.intercept
 
-    def coefficients_original(self) -> tuple[np.ndarray, float]:
-        """Weights and intercept expressed in raw feature units."""
-        zero = self.standardizer.stds < STD_FLOOR
-        scale = np.where(zero, 1.0, self.standardizer.stds)
-        w = np.where(zero, 0.0, self.weights / scale)
-        b = self.intercept - float((w * self.standardizer.means).sum())
-        return w, b
-
 
 def fit_lrm_xy(X, y, feature_names) -> LinearModel:
     """OLS with intercept on standardized features.
@@ -120,13 +109,6 @@ def fit_lrm_xy(X, y, feature_names) -> LinearModel:
         intercept=float(coef[0]),
         ridge_fallback=ridge,
     )
-
-
-def fit_lrm(train_rows: list[SessionFeatures], preset, labels=DEFAULT_ACTIVITIES) -> LinearModel:
-    """Row-level API: fit the linear baseline on a feature preset."""
-    preset = get_preset(preset)
-    X, y, _ = build_xy(train_rows, preset.columns, labels)
-    return fit_lrm_xy(X, y, preset.columns)
 
 
 @dataclass(frozen=True)
@@ -263,20 +245,6 @@ def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig 
 
     model = NetworkModel(features=tuple(feature_names), standardizer=std, layers=layers)
     return model, train_losses, val_losses
-
-
-def fit_dnn(
-    train_rows: list[SessionFeatures],
-    val_rows: list[SessionFeatures],
-    preset,
-    config: DnnConfig = DnnConfig(),
-    labels=DEFAULT_ACTIVITIES,
-):
-    """Row-level API mirroring fit_lrm; returns (model, train_losses, val_losses)."""
-    preset = get_preset(preset)
-    Xt, yt, _ = build_xy(train_rows, preset.columns, labels)
-    Xv, yv, _ = build_xy(val_rows, preset.columns, labels) if val_rows else (None, None, [])
-    return fit_dnn_xy(Xt, yt, Xv, yv, preset.columns, config)
 
 
 def save_model(model, path) -> None:

@@ -57,7 +57,3 @@ def manifest_path_for(out_path) -> str:
 def manifest_path_for_dir(out_dir) -> str:
     return os.path.join(out_dir, RUN_MANIFEST_NAME)
 
-
-def load_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

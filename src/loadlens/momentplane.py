@@ -6,6 +6,11 @@ Cullen-Frey construction): the normal sits at (0, 3), the uniform at
 k = 3 + 1.5 s and the Weibull family a curved band. Every empirical sample
 obeys the Pearson feasibility bound k >= s + 1.
 
+The geometry has one source: the landmarks and lines are the module
+constants below, and the Weibull curve, the only part that must be
+computed, comes from ``weibull_curve()``. Zone classification and the plot
+export both read these.
+
 Two scalar indicators summarize where a window sits:
 
 * ``metric1`` -- Euclidean distance from the normal landmark (0, 3);
@@ -22,12 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    AllWindowsDegenerate,
-    DegenerateMoments,
-    NonPositiveShape,
-    TooFewPoints,
-)
+from .errors import DegenerateMoments, NonPositiveShape
 from .stats import Moments, SampleWindow
 
 NORMAL_LANDMARK = (0.0, 3.0)
@@ -74,22 +74,6 @@ class PlanePoint:
             raise ValueError(f"s (skewness squared) must be >= 0, got {self.s}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-ordered plane points with phase marks ('S' start / 'E' end of exercise)."""
-
-    points: tuple[PlanePoint, ...]
-    phase_marks: tuple[tuple[int, str], ...] = ()
-
-    def __post_init__(self):
-        ts = [p.t_mid_ms for p in self.points]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("trajectory points must be time-ordered")
-        marks = dict((label, t) for t, label in self.phase_marks)
-        if "S" in marks and "E" in marks and not marks["S"] < marks["E"]:
-            raise ValueError("phase mark S must precede E")
-
-
 def weibull_landmark(c: float) -> tuple[float, float]:
     """Plane coordinates (s, k) of the Weibull distribution with shape c.
 
@@ -107,33 +91,13 @@ def weibull_landmark(c: float) -> tuple[float, float]:
     return g1 * g1, g2
 
 
-@dataclass(frozen=True)
-class Landmarks:
-    """Immutable reference geometry of the moments plane."""
-
-    normal: tuple[float, float] = NORMAL_LANDMARK
-    uniform: tuple[float, float] = UNIFORM_LANDMARK
-    gamma_line: tuple[float, float] = (GAMMA_INTERCEPT, GAMMA_SLOPE)
-    limit_line: tuple[float, float] = (LIMIT_INTERCEPT, LIMIT_SLOPE)
-    weibull_curve: tuple[tuple[float, float], ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "normal": list(self.normal),
-            "uniform": list(self.uniform),
-            "gamma_line": {"intercept": self.gamma_line[0], "slope": self.gamma_line[1]},
-            "limit_line": {"intercept": self.limit_line[0], "slope": self.limit_line[1]},
-            "weibull_curve": [list(p) for p in self.weibull_curve],
-        }
-
-
 @lru_cache(maxsize=1)
-def default_landmarks() -> Landmarks:
-    """Landmarks with the Weibull curve sampled on a 200-point log grid of shapes."""
+def weibull_curve() -> tuple[tuple[float, float], ...]:
+    """The Weibull family's plane curve: ``weibull_landmark`` on a
+    200-point log grid of shapes, computed once per process."""
     lo, hi = WEIBULL_SHAPE_RANGE
     shapes = np.exp(np.linspace(math.log(lo), math.log(hi), WEIBULL_GRID_SIZE))
-    curve = tuple(weibull_landmark(float(c)) for c in shapes)
-    return Landmarks(weibull_curve=curve)
+    return tuple(weibull_landmark(float(c)) for c in shapes)
 
 
 def to_plane(m: Moments, t_mid_ms: int = 0) -> PlanePoint:
@@ -193,7 +157,6 @@ def classify_zones(
     points: list[PlanePoint],
     rho: float = DEFAULT_RHO,
     tau: float = DEFAULT_TAU,
-    landmarks: Landmarks | None = None,
 ) -> list[Zone]:
     """Total, deterministic zone classification of a sequence of plane
     points; for each point the first matching rule wins.
@@ -205,8 +168,6 @@ def classify_zones(
     all points at once; only the points that no earlier rule claims are
     measured against the Weibull curve.
     """
-    if landmarks is None:
-        landmarks = default_landmarks()
     s = np.array([p.s for p in points], dtype=float)
     k = np.array([p.k for p in points], dtype=float)
     limit = LIMIT_INTERCEPT + LIMIT_SLOPE * s
@@ -218,81 +179,19 @@ def classify_zones(
         np.abs(k - gamma) <= tau,
     ]
     weibull = np.zeros(len(s), dtype=bool)
-    curve = np.asarray(landmarks.weibull_curve, dtype=float)
     todo = np.flatnonzero(~np.logical_or.reduce(hits))
-    if curve.size and todo.size:
+    if todo.size:
+        curve = np.asarray(weibull_curve(), dtype=float)
         weibull[todo] = _polyline_distances(s[todo], k[todo], curve) <= tau
     hits += [weibull, (limit <= k) & (k <= gamma)]
     first = np.select(hits, range(len(hits)), default=len(hits))
     return [_RULES[i] for i in first.tolist()]
 
 
-def classify_zone(
-    p: PlanePoint,
-    rho: float = DEFAULT_RHO,
-    tau: float = DEFAULT_TAU,
-    landmarks: Landmarks | None = None,
-) -> Zone:
+def classify_zone(p: PlanePoint, rho: float = DEFAULT_RHO, tau: float = DEFAULT_TAU) -> Zone:
     """Zone of one point: ``classify_zones`` of a one-point sequence."""
-    (zone,) = classify_zones([p], rho, tau, landmarks)
+    (zone,) = classify_zones([p], rho, tau)
     return zone
-
-
-def metric_series(windows: list[SampleWindow]) -> list[tuple[int, float, float]]:
-    """Per-window (t_mid_ms, metric1, metric2) in time order.
-
-    Degenerate windows emit NaN metrics so the series stays aligned with time.
-    """
-    if all(w.degenerate for w in windows):
-        raise AllWindowsDegenerate(f"no non-degenerate window among {len(windows)}")
-    out = []
-    for w in windows:
-        if w.degenerate:
-            out.append((w.t_mid_ms, math.nan, math.nan))
-        else:
-            p = to_plane(w.moments, w.t_mid_ms)
-            out.append((w.t_mid_ms, metric1(p), metric2(p)))
-    return out
-
-
-def trajectory_from_windows(
-    windows: list[SampleWindow],
-    phase_marks: tuple[tuple[int, str], ...] = (),
-) -> Trajectory:
-    """Plane trajectory of the non-degenerate windows, in time order."""
-    points = tuple(
-        to_plane(w.moments, w.t_mid_ms) for w in windows if not w.degenerate
-    )
-    return Trajectory(points=points, phase_marks=tuple(phase_marks))
-
-
-def _triple_curvature(p0: PlanePoint, p1: PlanePoint, p2: PlanePoint) -> float:
-    ax, ay = p1.s - p0.s, p1.k - p0.k
-    bx, by = p2.s - p1.s, p2.k - p1.k
-    cx, cy = p2.s - p0.s, p2.k - p0.k
-    la = math.hypot(ax, ay)
-    lb = math.hypot(bx, by)
-    lc = math.hypot(cx, cy)
-    if la == 0.0 or lb == 0.0 or lc == 0.0:
-        return 0.0
-    cross = ax * cy - ay * cx
-    return 2.0 * abs(cross) / (la * lb * lc)
-
-
-def curvature_profile(traj: Trajectory) -> list[tuple[int, float]]:
-    """Discrete curvature at each interior trajectory point.
-
-    Uses the circumradius of consecutive point triples:
-    kappa = 4 * area(p_{i-1}, p_i, p_{i+1}) / (|a| |b| |c|).
-    Collinear (or repeated) triples give 0; endpoints are omitted.
-    """
-    pts = traj.points
-    if len(pts) < 3:
-        raise TooFewPoints(f"curvature needs >= 3 points, got {len(pts)}")
-    return [
-        (pts[i].t_mid_ms, _triple_curvature(pts[i - 1], pts[i], pts[i + 1]))
-        for i in range(1, len(pts) - 1)
-    ]
 
 
 def export_plane(
@@ -300,16 +199,14 @@ def export_plane(
     rho: float = DEFAULT_RHO,
     tau: float = DEFAULT_TAU,
     bootstrap_cloud=None,
-    phase_marks: tuple[tuple[int, str], ...] = (),
 ) -> dict:
     """Plot-ready plane export: landmarks, per-window points, optional cloud.
 
     Degenerate windows appear with null coordinates as the missing-value
     marker so consumers keep the full time axis.
     """
-    landmarks = default_landmarks()
     plane = [to_plane(w.moments, w.t_mid_ms) for w in windows if not w.degenerate]
-    classified = iter(zip(plane, classify_zones(plane, rho, tau, landmarks)))
+    classified = iter(zip(plane, classify_zones(plane, rho, tau)))
     points = []
     for w in windows:
         if w.degenerate:
@@ -342,10 +239,18 @@ def export_plane(
                 }
             )
     return {
-        "landmarks": landmarks.as_dict(),
+        "landmarks": {
+            "normal": list(NORMAL_LANDMARK),
+            "uniform": list(UNIFORM_LANDMARK),
+            "gamma_line": {"intercept": GAMMA_INTERCEPT, "slope": GAMMA_SLOPE},
+            "limit_line": {"intercept": LIMIT_INTERCEPT, "slope": LIMIT_SLOPE},
+            "weibull_curve": [list(p) for p in weibull_curve()],
+        },
         "rho": rho,
         "tau": tau,
         "points": points,
         "bootstrap_cloud": cloud,
-        "phase_marks": [[t, label] for t, label in phase_marks],
+        # No command produces exercise marks; the key stays, always empty,
+        # because plane.json bytes are pinned.
+        "phase_marks": [],
     }

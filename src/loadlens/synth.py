@@ -69,10 +69,6 @@ class Protocol:
             if not 0.0 <= seg.intensity <= 1.0:
                 raise InvalidProtocol(f"intensity must be in [0, 1], got {seg.intensity}")
 
-    @property
-    def total_duration_s(self) -> float:
-        return sum(seg.duration_s for seg in self.segments)
-
 
 #: Built-in protocols; every load is followed by a recovery.
 PROTOCOL_PRESETS: dict[str, Protocol] = {
@@ -104,26 +100,6 @@ class GenConfig:
                 raise ValueError(f"{name} must be > 0")
         if not self.load_drop_ms < self.baseline_rr_ms:
             raise ValueError("load_drop_ms must be < baseline_rr_ms")
-
-
-def phase_spans(protocol: Protocol) -> list[tuple[str, float, float]]:
-    """(phase, t_start_s, t_end_s) per segment."""
-    spans = []
-    t = 0.0
-    for seg in protocol.segments:
-        spans.append((seg.phase, t, t + seg.duration_s))
-        t += seg.duration_s
-    return spans
-
-
-def exercise_marks(protocol: Protocol) -> tuple[tuple[int, str], ...]:
-    """Phase marks: S at the first load start, E at the last load end (ms)."""
-    marks = []
-    loads = [(t0, t1) for phase, t0, t1 in phase_spans(protocol) if phase == LOAD]
-    if loads:
-        marks.append((int(loads[0][0] * 1000), "S"))
-        marks.append((int(loads[-1][1] * 1000), "E"))
-    return tuple(marks)
 
 
 def _noise_pairs(rng):

@@ -1,6 +1,8 @@
 """Command-line tests: byte-identical outputs across runs and the exit code
 of each rejected argument."""
 
+import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -121,6 +123,76 @@ class TestGoldenPlane:
             assert sha256(tmp_path / rel) == digest, rel
 
 
+#: sha256 of every output of the learn commands on fabricated features, as
+#: written by the row-level learn API before ``run_training`` built each
+#: split's arrays once. ``predict.csv`` is pinned as written since its rows
+#: go through ``csv.writer`` with plain floats.
+LEARN_GOLDEN_SHA256 = {
+    "features.csv": "62e20dcd0366907f25cf222fdb81e6ba79a3df4897f2fc1e624aa386ab69c11d",
+    "models/lrm_all.model.json": "145e8932cac8cd2e320f45f1e6ce9cad11a671afd889c615d0938e8814195bc3",
+    "models/lrm_all.report.json": "cba864f1a74f9c980ecbfa2a314833f3285ec37d98ad096f1b396150e5d3963e",
+    "models/lrm_all.losses.csv": "8f9b0d82b82b8da872ca302b25b509399103ef644276b99498436128336070dc",
+    "models/dnn_all.model.json": "574235a2c83e1d7349107de28a53e00e89e1ed75c862cd2526c45bdad9db3a04",
+    "models/dnn_all.report.json": "da644caa088583037b5ce28d2d46e3b026e2dcd14d61db6a9d3b968d31e42ea0",
+    "models/dnn_all.losses.csv": "61dc2d5f7993d62d8569e676d70570ad36759febbfd24a969e58e9a5d1f4b905",
+    "report.json": "b46b0922f6d81921fab624acd74ae7a84bfb42fd8a4aa65c2c416381e6ec8466",
+    "cluster.json": "a6c742b1096442f9f747a7ad0459b20d618cb2e0ee62fa35a89e64c554c84592",
+    "correlation.csv": "49d25737fd001bc4e0c9797365d5c23ada28aa7c62296a2339083ed3836d0c07",
+    "predict.csv": "95582a658d24e5cf21f4e2af806c4ab319d086675e8ab744895920ea48b4956b",
+}
+
+LEARN_MANIFESTS = (
+    "models/lrm_all.manifest.json",
+    "models/dnn_all.manifest.json",
+    "report.json.manifest.json",
+    "cluster.json.manifest.json",
+    "correlation.csv.manifest.json",
+    "predict.csv.manifest.json",
+)
+
+
+def run_learn(root) -> None:
+    """train lrm and dnn -> report, cluster, correlate, predict on 90
+    fabricated feature rows, all under ``root``."""
+    os.makedirs(root)
+    rng = np.random.default_rng(21)
+    columns = ("distance", "duration", "velocity", "pace", "metricD", "ahr", "mhr")
+    columns += ("acc_mean", "acc_std", "acc_skewness", "acc_kurtosis", "metric1", "metric2")
+    codes = [i % 3 for i in range(90)]
+    X = rng.normal(10, 2, (90, len(columns))) + np.array(codes)[:, None]
+    features = os.path.join(root, "features.csv")
+    write_features_csv(features, make_rows(X, codes, columns))
+    models = os.path.join(root, "models")
+    for argv in (["--model", "lrm"], ["--model", "dnn", "--epochs", "20"]):
+        assert main(["train", "--features", features, *argv, "--seed", "4", "--out-dir", models]) == 0
+    model = os.path.join(models, "dnn_all.model.json")
+    for argv, out in (
+        (["report", "--in-dir", models], "report.json"),
+        (["cluster", "--features", features, "--seed", "4"], "cluster.json"),
+        (["correlate", "--features", features], "correlation.csv"),
+        (["predict", "--model", model, "--features", features], "predict.csv"),
+    ):
+        assert main([*argv, "--out", os.path.join(root, out)]) == 0
+
+
+class TestGoldenLearn:
+    def test_outputs_match_pinned_digests_and_rerun(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        run_learn(str(first))
+        run_learn(str(second))
+        written = {
+            os.path.relpath(os.path.join(d, f), first).replace(os.sep, "/")
+            for d, _, files in os.walk(first)
+            for f in files
+        }
+        assert written == set(LEARN_GOLDEN_SHA256) | set(LEARN_MANIFESTS)
+        for rel, digest in LEARN_GOLDEN_SHA256.items():
+            assert sha256(first / rel) == digest, rel
+            assert sha256(second / rel) == digest, rel
+        for rel in LEARN_MANIFESTS:
+            assert portable_manifest(first / rel, first) == portable_manifest(second / rel, second), rel
+
+
 @pytest.fixture
 def features_csv(tmp_path):
     """A valid features.csv of 30 rows, enough for every command."""
@@ -214,3 +286,64 @@ class TestExitCodes:
         out = tmp_path / "w.csv"
         assert main(["moments", "--input", str(path), "--channel", "rr", "--window", "4", "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_empty_validation_split_is_empty_eval_set(self, tmp_path, capsys):
+        # 4 rows per class: the stratified 70/15/15 cut leaves validation empty
+        rng = np.random.default_rng(3)
+        features = tmp_path / "features.csv"
+        write_features_csv(features, make_rows(rng.normal(70, 5, (12, 2)), [i % 3 for i in range(12)], ["ahr", "mhr"]))
+        out = tmp_path / "models"
+        argv = ["train", "--features", str(features), "--model", "lrm", "--preset", "hr", "--out-dir", str(out)]
+        assert main(argv) == 3
+        assert "EmptyEvalSet" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPredict:
+    def test_rows_are_csv_with_plain_floats(self, tmp_path):
+        rng = np.random.default_rng(8)
+        rows = make_rows(rng.normal(70, 5, (30, 2)), [i % 3 for i in range(30)], ["ahr", "mhr"])
+        rows[0] = dataclasses.replace(rows[0], session_id='run "a", day 2')
+        features = tmp_path / "features.csv"
+        write_features_csv(features, rows)
+        models = tmp_path / "models"
+        argv = ["train", "--features", str(features), "--model", "lrm", "--preset", "hr", "--out-dir", str(models)]
+        assert main(argv) == 0
+        out = tmp_path / "predict.csv"
+        argv = ["predict", "--model", str(models / "lrm_hr.model.json"), "--features", str(features), "--out", str(out)]
+        assert main(argv) == 0
+        text = out.read_text(encoding="utf-8")
+        assert "np." not in text and "\r" not in text
+        table = list(csv.reader(text.splitlines()))
+        assert table[0] == ["session_id", "activity", "y_true", "y_pred", "predicted_activity"]
+        assert [r[0] for r in table[1:]] == [r.session_id for r in rows]
+        assert all(len(r) == 5 for r in table)
+        assert [float(r[2]) for r in table[1:]] == [float(i % 3) for i in range(30)]
+        for r in table[1:]:
+            assert r[4] == ("walking", "running", "skiing")[min(max(round(float(r[3])), 0), 2)]
+
+
+class TestReport:
+    def test_missing_key_is_input_error(self, features_csv, tmp_path, capsys):
+        models = tmp_path / "models"
+        argv = ["train", "--features", features_csv, "--model", "lrm", "--preset", "hr", "--out-dir", str(models)]
+        assert main(argv) == 0
+        path = models / "lrm_hr.report.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["mae_pred"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["report", "--in-dir", str(models), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "lrm_hr.report.json" in err and "mae_pred" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b"\xff\xfe"])
+    def test_not_a_report_is_input_error(self, tmp_path, capsys, content):
+        (tmp_path / "x.report.json").write_bytes(content)
+        out = tmp_path / "report.json"
+        assert main(["report", "--in-dir", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "x.report.json" in err
+        assert not out.exists()
+

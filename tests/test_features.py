@@ -241,3 +241,7 @@ class TestFeatureCsv:
         assert X.tolist() == [[2.0, 1.0]]
         with pytest.raises(KeyError):
             feature_matrix(rows, ["nope"])
+
+    def test_feature_matrix_of_no_rows(self):
+        assert feature_matrix([], ["mhr", "ahr"]).shape == (0, 2)
+        assert feature_matrix([], ()).shape == (0, 0)

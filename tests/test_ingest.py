@@ -2,6 +2,7 @@ import math
 import os
 import tempfile
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,18 +15,17 @@ from loadlens.errors import (
     InvalidRr,
     MalformedRow,
     NonMonotonicTime,
-    NonPositiveRr,
     UnknownLabel,
 )
+from loadlens import ingest
+from loadlens.features import extract_features
 from loadlens.ingest import (
     Channel,
     SessionMeta,
     accel_magnitude,
-    hr_display,
     parse_accel_csv,
     parse_rr_csv,
     parse_sessions_csv,
-    rr_to_hr,
     write_accel_csv,
     write_rr_csv,
     write_sessions_csv,
@@ -100,7 +100,6 @@ class TestParseRr:
         samples = parse_rr_csv(p)
         assert samples.t_ms.tolist() == [0]
         assert samples.values.tolist() == [800.0]
-        assert rr_to_hr(float(samples.values[0])) == 75.0
 
     def test_negative_rr(self, tmp_path):
         with pytest.raises(InvalidRr) as ei:
@@ -401,31 +400,72 @@ class TestChannelCsvProperties:
         assert ch.values.tolist() == [800.0]
 
 
+class TestChunkedWriter:
+    """The channel writers convert and write WRITE_CHUNK_ROWS rows at a
+    time; the bytes equal one line per sample."""
+
+    @staticmethod
+    def reference(header, rows) -> bytes:
+        return (",".join(header) + "\r\n" + "".join(",".join(map(repr, r)) + "\r\n" for r in rows)).encode()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 30, 31, ingest.WRITE_CHUNK_ROWS])
+    def test_tables_spanning_several_chunks(self, tmp_path, chunk):
+        rng = np.random.default_rng(chunk)
+        t = np.cumsum(rng.integers(1, 50, 30))
+        accel = Channel(t, rng.normal(0, 3, (30, 3)))
+        rr = Channel(t, rng.uniform(300, 1200, 30))
+        with mock.patch.object(ingest, "WRITE_CHUNK_ROWS", chunk):
+            write_accel_csv(tmp_path / "a.csv", accel)
+            write_rr_csv(tmp_path / "r.csv", rr)
+        rows = zip(t.tolist(), *accel.values.T.tolist())
+        assert (tmp_path / "a.csv").read_bytes() == self.reference(("t_ms", "ax", "ay", "az"), rows)
+        rows = zip(t.tolist(), rr.values.tolist())
+        assert (tmp_path / "r.csv").read_bytes() == self.reference(("t_ms", "rr_ms"), rows)
+
+    def test_default_chunk_boundaries(self, tmp_path):
+        n = 2 * ingest.WRITE_CHUNK_ROWS + 3
+        rr = Channel(np.arange(n) * 800, np.random.default_rng(0).uniform(300, 1200, n))
+        write_rr_csv(tmp_path / "r.csv", rr)
+        rows = zip(rr.t_ms.tolist(), rr.values.tolist())
+        assert (tmp_path / "r.csv").read_bytes() == self.reference(("t_ms", "rr_ms"), rows)
+        assert_same_channel(parse_rr_csv(tmp_path / "r.csv"), rr)
+
+
 class TestHeartRate:
+    """Heart rate from parsed RR intervals, as ``features.extract_features``
+    computes it: 60000 / rr_ms, unrounded."""
+
+    @staticmethod
+    def features(rr_ms):
+        rr = Channel(np.arange(len(rr_ms)) * 1000, np.asarray(rr_ms, dtype=float))
+        accel = Channel(np.arange(4), np.array([1.0, 2.0, 3.0, 5.0]))
+        return extract_features(SessionMeta("s1", "walking", 1.0, 10.0), accel, rr)
+
     def test_exact_divisions(self):
-        assert rr_to_hr(800.0) == 75.0
-        assert rr_to_hr(1000.0) == 60.0
-        assert hr_display(800.0) == 75
+        f = self.features([800.0, 1000.0])
+        assert (f.ahr_bpm, f.mhr_bpm) == (67.5, 75.0)
 
     def test_typical_value_against_long_division(self):
         # oracle: decimal long division, frozen to double precision
         expected = float(Decimal(60000) / Decimal("812.3"))
-        assert rr_to_hr(812.3) == pytest.approx(expected, abs=1e-12)
-        assert 73.86 < rr_to_hr(812.3) < 73.87
-        assert hr_display(812.3) == 74
+        f = self.features([812.3])
+        assert f.ahr_bpm == pytest.approx(expected, abs=1e-12)
+        assert 73.86 < f.ahr_bpm < 73.87
 
     def test_round_half_to_even(self):
-        # 60000/rr == 74.5 has no exact double rr, so drive round() directly
-        assert round(74.5) == 74
-        assert round(75.5) == 76
+        # a watch display would round 74.5 bpm half to even (74); the
+        # features keep the unrounded rate
+        f = self.features([60000.0 / 74.5])
+        assert f.mhr_bpm == pytest.approx(74.5, abs=1e-12)
 
-    def test_non_positive(self):
-        with pytest.raises(NonPositiveRr):
-            rr_to_hr(0.0)
-        with pytest.raises(NonPositiveRr):
-            rr_to_hr(-800.0)
+    def test_non_positive(self, tmp_path):
+        # no heart rate is computed from rr <= 0: parsing rejects the row
+        for rr in ("0", "0.0", "-800.0"):
+            with pytest.raises(InvalidRr) as ei:
+                parse_rr_csv(_write(tmp_path / "rr.csv", f"t_ms,rr_ms\n0,800.0\n900,{rr}\n"))
+            assert ei.value.row == 2
 
     @given(st.floats(20.0, 250.0, allow_nan=False))
     @settings(max_examples=200)
     def test_round_trip(self, h):
-        assert rr_to_hr(60000.0 / h) == pytest.approx(h, abs=1e-9)
+        assert self.features([60000.0 / h]).mhr_bpm == pytest.approx(h, abs=1e-9)

@@ -3,8 +3,9 @@ import pytest
 
 from loadlens.errors import EmptyEvalSet
 from loadlens.learn import (
+    PRESETS,
     DnnConfig,
-    evaluate,
+    build_xy,
     evaluate_xy,
     fit_lrm_xy,
     permutation_importance,
@@ -78,8 +79,9 @@ class TestEvaluate:
 
     def test_row_level(self, rng):
         rows = make_rows(rng.normal(70, 5, (12, 2)), [i % 3 for i in range(12)], ["ahr", "mhr"])
-        ev = evaluate(ConstantModel(1.0), rows)
+        ev = evaluate_xy(ConstantModel(1.0), *build_xy(rows, PRESETS["hr"].columns)[:2])
         assert ev.confusion.sum() == 12
+        assert ev.confusion.sum(axis=1).tolist() == [4, 4, 4]
 
 
 class TestPermutationImportance:
@@ -89,35 +91,23 @@ class TestPermutationImportance:
         y = 3.0 * x + 1.0
         X = np.column_stack([x, noise])
         model = fit_lrm_xy(X, y, ["signal", "noise"])
-        rows = make_rows(X, np.zeros(80, dtype=int), ["ahr", "mhr"])
-
-        # evaluate through arrays; build importance via the row API on a
-        # fabricated model whose features point at the fabricated columns
-        class Wrap:
-            features = ("ahr", "mhr")
-            standardizer = model.standardizer
-
-            def predict(self, Z):
-                return model.predict(Z)
-
-        imps = dict(permutation_importance(Wrap(), rows, seed=0))
-        assert imps["mhr"] < 0.05
-        assert imps["ahr"] > 0.95
+        imps = dict(permutation_importance(model, X, np.zeros(80), seed=0))
+        assert imps["noise"] < 0.05
+        assert imps["signal"] > 0.95
 
     def test_single_feature_normalizes_to_one(self, rng):
         x = rng.normal(0, 1, 40)
         y = 2.0 * x
         model = fit_lrm_xy(x[:, None], y, ["ahr"])
-        rows = make_rows(x[:, None], np.zeros(40, dtype=int), ["ahr"])
-        imps = permutation_importance(model, rows, seed=1)
+        imps = permutation_importance(model, x[:, None], np.zeros(40), seed=1)
         assert imps == [("ahr", 1.0)]
 
     def test_sums_to_one(self, rng):
         X = rng.normal(0, 1, (60, 4))
         y = X @ [1.0, 0.5, -2.0, 0.0] + rng.normal(0, 0.2, 60)
         model = fit_lrm_xy(X, y, ["ahr", "mhr", "acc_std", "metric1"])
-        rows = make_rows(X, np.zeros(60, dtype=int), ["ahr", "mhr", "acc_std", "metric1"])
-        imps = permutation_importance(model, rows, seed=5)
+        zeros = np.zeros(60)
+        imps = permutation_importance(model, X, zeros, seed=5)
         assert sum(v for _, v in imps) == pytest.approx(1.0, abs=1e-9)
         assert all(v >= 0 for _, v in imps)
 
@@ -125,25 +115,24 @@ class TestPermutationImportance:
         X = rng.normal(0, 1, (30, 2))
         y = np.zeros(30)
         model = fit_lrm_xy(X, y, ["ahr", "mhr"])  # fits ~zero weights
-        rows = make_rows(X, np.zeros(30, dtype=int), ["ahr", "mhr"])
         with pytest.warns(UserWarning):
-            imps = permutation_importance(model, rows, seed=2)
+            imps = permutation_importance(model, X, y, seed=2)
         assert [v for _, v in imps] == [0.5, 0.5]
 
     def test_too_few_rows(self, rng):
         X = rng.normal(0, 1, (8, 2))
         model = fit_lrm_xy(X, np.zeros(8), ["ahr", "mhr"])
-        rows = make_rows(X, np.zeros(8, dtype=int), ["ahr", "mhr"])
+        zeros = np.zeros(8)
         with pytest.raises(EmptyEvalSet):
-            permutation_importance(model, rows)
+            permutation_importance(model, X, zeros)
 
     def test_deterministic(self, rng):
         X = rng.normal(0, 1, (40, 3))
         y = X @ [1.0, -1.0, 0.5]
         model = fit_lrm_xy(X, y, ["ahr", "mhr", "acc_std"])
-        rows = make_rows(X, np.zeros(40, dtype=int), ["ahr", "mhr", "acc_std"])
-        a = permutation_importance(model, rows, seed=3)
-        b = permutation_importance(model, rows, seed=3)
+        zeros = np.zeros(40)
+        a = permutation_importance(model, X, zeros, seed=3)
+        b = permutation_importance(model, X, zeros, seed=3)
         assert a == b
 
 
@@ -170,6 +159,11 @@ class TestRunTraining:
         assert rep.accuracy > 0.8
         doc = rep.to_dict()
         assert doc["model"] == "dnn" and len(doc["confusion"]) == 3
+
+    def test_empty_validation_split(self, rng):
+        # 4 rows per class: the stratified 70/15/15 cut leaves validation empty
+        with pytest.raises(EmptyEvalSet):
+            run_training(self._rows(rng, n=12), "lrm", "hr")
 
     def test_unknown_kind(self, rng):
         with pytest.raises(ValueError):

@@ -15,10 +15,10 @@ from loadlens.learn import (
     PRESETS,
     DnnConfig,
     Standardizer,
+    build_xy,
     decode_prediction,
     encode_target,
     fit_dnn_xy,
-    fit_lrm,
     fit_lrm_xy,
     get_preset,
     load_model,
@@ -145,9 +145,9 @@ class TestFitLrm:
         x = rng.normal(0, 1, 30)
         y = 2.0 * x + 1.0
         model = fit_lrm_xy(x[:, None], y, ["x"])
-        w, b = model.coefficients_original()
-        assert w[0] == pytest.approx(2.0, rel=1e-9)
-        assert b == pytest.approx(1.0, rel=1e-9, abs=1e-9)
+        at0, at1 = model.predict([[0.0], [1.0]]).tolist()
+        assert at1 - at0 == pytest.approx(2.0, rel=1e-9)
+        assert at0 == pytest.approx(1.0, rel=1e-9, abs=1e-9)
 
     def test_duplicated_column_ridge_fallback(self, rng):
         x = rng.normal(0, 1, 40)
@@ -182,7 +182,9 @@ class TestFitLrm:
         X = rng.normal(70, 10, (40, 2))
         codes = [i % 3 for i in range(40)]
         rows = make_rows(X, codes, ["ahr", "mhr"])
-        model = fit_lrm(rows, "hr")
+        Xr, y, kept = build_xy(rows, PRESETS["hr"].columns)
+        assert kept == rows and y.tolist() == [float(c) for c in codes]
+        model = fit_lrm_xy(Xr, y, PRESETS["hr"].columns)
         assert model.features == ("ahr", "mhr")
         assert len(model.weights) == 2
 

@@ -8,26 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadlens import momentplane
-from loadlens.errors import (
-    AllWindowsDegenerate,
-    DegenerateMoments,
-    NonPositiveShape,
-    TooFewPoints,
-)
+from loadlens.errors import DegenerateMoments, NonPositiveShape
 from loadlens.momentplane import (
     PlanePoint,
-    Trajectory,
     Zone,
     classify_zone,
     classify_zones,
-    curvature_profile,
-    default_landmarks,
     export_plane,
     metric1,
     metric2,
-    metric_series,
     to_plane,
-    trajectory_from_windows,
+    weibull_curve,
     weibull_landmark,
 )
 from loadlens.stats import Moments, SampleWindow, bootstrap, moments
@@ -136,9 +127,9 @@ class TestWeibullLandmark:
             weibull_landmark(-2.0)
 
     def test_curve_grid_monotone_and_feasible(self):
-        lm = default_landmarks()
-        assert len(lm.weibull_curve) == 200
-        for s, k in lm.weibull_curve:
+        curve = weibull_curve()
+        assert len(curve) == 200
+        for s, k in curve:
             assert k >= s + 1.0 - 1e-9
 
 
@@ -197,7 +188,7 @@ def reference_polyline_distance(p, curve):
 
 def reference_zone(p, rho, tau):
     """The per-point rules, in order, as one scalar function."""
-    curve = np.asarray(default_landmarks().weibull_curve, dtype=float)
+    curve = np.asarray(weibull_curve(), dtype=float)
     if p.k < 1.0 + 1.0 * p.s - tau:
         return Zone.INFEASIBLE
     if metric1(p) <= rho:
@@ -231,7 +222,7 @@ def points_on_and_off_boundaries(draw):
     rho = draw(st.floats(0.01, 3.0, allow_nan=False))
     tau = draw(st.floats(0.01, 2.0, allow_nan=False))
     p = draw(st.sampled_from(pts))
-    curve = np.asarray(default_landmarks().weibull_curve, dtype=float)
+    curve = np.asarray(weibull_curve(), dtype=float)
     edge = draw(st.sampled_from(["none", "normal", "uniform", "gamma", "weibull", "limit"]))
     if edge == "normal":
         rho = metric1(p) or rho
@@ -287,110 +278,40 @@ class TestClassifyZones:
 
 
 class TestMetricSeries:
+    """The per-window metric series of ``export_plane``: one point per window
+    in time order, null metrics marking degenerate windows."""
+
     def test_single_normal_window(self):
-        out = metric_series([window_at(1000)])
-        assert out == [(1000, 0.0, 1.2)]
+        (p,) = export_plane([window_at(1000)])["points"]
+        assert (p["t_mid_ms"], p["metric1"], p["metric2"]) == (1000, 0.0, 1.2)
 
     def test_degenerate_markers_keep_alignment(self):
         wins = [window_at(1000), window_at(2000, degenerate=True), window_at(3000, kurt=4.0)]
-        out = metric_series(wins)
-        assert [t for t, _, _ in out] == [1000, 2000, 3000]
-        assert math.isnan(out[1][1]) and math.isnan(out[1][2])
-        assert out[2][1] == 1.0
+        out = export_plane(wins)["points"]
+        assert [p["t_mid_ms"] for p in out] == [1000, 2000, 3000]
+        assert out[1]["metric1"] is None and out[1]["metric2"] is None
+        assert out[2]["metric1"] == 1.0
 
     def test_all_degenerate(self):
-        with pytest.raises(AllWindowsDegenerate):
-            metric_series([window_at(1000, degenerate=True)])
-
-
-class TestCurvature:
-    def test_collinear_is_zero(self):
-        traj = Trajectory(tuple(PlanePoint(float(i), 3.0 + 2.0 * i, i) for i in range(3)))
-        assert curvature_profile(traj) == [(1, 0.0)]
-
-    def test_circle_radius_two(self):
-        pts = []
-        for i, theta in enumerate(np.linspace(0, 1.5 * math.pi, 40)):
-            pts.append(PlanePoint(5.0 + 2.0 * math.cos(theta), 10.0 + 2.0 * math.sin(theta), i))
-        kappas = [k for _, k in curvature_profile(Trajectory(tuple(pts)))]
-        assert all(abs(k - 0.5) < 1e-6 for k in kappas)
-
-    def test_noisy_unit_circle(self):
-        rng = np.random.default_rng(9)
-        pts = []
-        for i, theta in enumerate(np.linspace(0, 2 * math.pi, 100, endpoint=False)):
-            pts.append(
-                PlanePoint(
-                    3.0 + math.cos(theta) + rng.normal(0, 1e-4),
-                    5.0 + math.sin(theta) + rng.normal(0, 1e-4),
-                    i,
-                )
-            )
-        kappas = [k for _, k in curvature_profile(Trajectory(tuple(pts)))]
-        assert abs(np.mean(kappas) - 1.0) < 0.01
-
-    def test_rigid_motion_invariance(self):
-        rng = np.random.default_rng(3)
-        base = np.column_stack([rng.uniform(1, 4, 12), rng.uniform(5, 9, 12)])
-        ref = [
-            k
-            for _, k in curvature_profile(
-                Trajectory(tuple(PlanePoint(x, y, i) for i, (x, y) in enumerate(base)))
-            )
-        ]
-        for theta in (0.3, 1.2, 2.5):
-            c, s = math.cos(theta), math.sin(theta)
-            rot = base @ np.array([[c, s], [-s, c]])
-            rot = rot - rot[:, 0].min() + 1.0  # keep s coordinates positive
-            moved = [
-                k
-                for _, k in curvature_profile(
-                    Trajectory(tuple(PlanePoint(x, y + 20.0, i) for i, (x, y) in enumerate(rot)))
-                )
-            ]
-            for a, b in zip(ref, moved):
-                assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
-
-    def test_repeated_point_gives_zero(self):
-        traj = Trajectory(
-            (PlanePoint(1.0, 3.0, 0), PlanePoint(1.0, 3.0, 1), PlanePoint(2.0, 4.0, 2))
-        )
-        assert curvature_profile(traj) == [(1, 0.0)]
-
-    def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
-            curvature_profile(Trajectory((PlanePoint(0, 3, 0), PlanePoint(1, 4, 1))))
-
-
-class TestTrajectory:
-    def test_time_order_enforced(self):
-        with pytest.raises(ValueError):
-            Trajectory((PlanePoint(0, 3, 10), PlanePoint(0, 3, 5)))
-
-    def test_marks_order_enforced(self):
-        with pytest.raises(ValueError):
-            Trajectory((PlanePoint(0, 3, 0),), phase_marks=((100, "E"), (200, "S")))
-        Trajectory((PlanePoint(0, 3, 0),), phase_marks=((100, "S"), (200, "E")))
-
-    def test_from_windows_skips_degenerate(self):
-        wins = [window_at(1000), window_at(2000, degenerate=True), window_at(3000)]
-        traj = trajectory_from_windows(wins)
-        assert [p.t_mid_ms for p in traj.points] == [1000, 3000]
+        out = export_plane([window_at(1000, degenerate=True)])["points"]
+        assert out == [{"t_mid_ms": 1000, "s": None, "k": None, "zone": None, "metric1": None, "metric2": None}]
 
 
 class TestExportPlane:
     def test_structure_and_json(self, rng):
         wins = [window_at(1000), window_at(2000, degenerate=True)]
         cloud = bootstrap(rng.normal(0, 1, 64), B=5, seed=1)
-        doc = export_plane(wins, bootstrap_cloud=cloud, phase_marks=((500, "S"), (1500, "E")))
+        doc = export_plane(wins, bootstrap_cloud=cloud)
         text = json.dumps(doc)
         back = json.loads(text)
         assert set(back) == {"landmarks", "rho", "tau", "points", "bootstrap_cloud", "phase_marks"}
         assert back["landmarks"]["normal"] == [0.0, 3.0]
         assert back["landmarks"]["uniform"] == [0.0, 1.8]
-        assert len(back["landmarks"]["weibull_curve"]) == 200
+        assert back["landmarks"]["gamma_line"] == {"intercept": 3.0, "slope": 1.5}
+        assert back["landmarks"]["limit_line"] == {"intercept": 1.0, "slope": 1.0}
+        assert back["landmarks"]["weibull_curve"] == [list(p) for p in weibull_curve()]
         assert back["points"][0]["zone"] == "normal_vicinity"
         assert back["points"][0]["metric2"] == 1.2
         assert back["points"][1]["s"] is None and back["points"][1]["zone"] is None
         assert len(back["bootstrap_cloud"]) == 5
-        assert back["phase_marks"] == [[500, "S"], [1500, "E"]]
+        assert back["phase_marks"] == []

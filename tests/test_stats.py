@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 from unittest import mock
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from loadlens import stats
-from loadlens.errors import DegenerateSample, SeriesTooShort, TooFewSamples
+from loadlens import ingest, stats
+from loadlens.errors import SeriesTooShort, TooFewSamples
 from loadlens.ingest import Channel
 from loadlens.stats import (
     DEGENERACY_EPS,
@@ -104,8 +105,26 @@ class TestMoments:
         assert m.kurtosis == pytest.approx(1.7, abs=1e-15)
 
     def test_constant_sample_degenerate(self):
-        with pytest.raises(DegenerateSample):
-            moments([4.2, 4.2, 4.2, 4.2])
+        m = moments([4.2, 4.2, 4.2, 4.2])
+        assert m.degenerate
+        assert math.isnan(m.skewness) and math.isnan(m.kurtosis)
+        assert m.n == 4 and m.mean == pytest.approx(4.2, rel=1e-15) and m.std < 1e-15
+
+    @given(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.integers(4, 3000),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e-12, 1e-9]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_degenerate_mean_and_std_are_numpys(self, level, n, seed, jitter):
+        # features.extract_features reads mean and std of a degenerate accel
+        # channel from moments(); they must be the bits numpy gives.
+        x = level + jitter * np.random.default_rng(seed).standard_normal(n)
+        m = moments(x)
+        assert m.degenerate
+        assert float.hex(m.mean) == float.hex(float(x.mean()))
+        assert float.hex(m.std) == float.hex(float(x.std()))
 
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
@@ -227,8 +246,7 @@ class TestKernelBits:
             x = rng.integers(0, 3, (3, n)).astype(float)
         rows = stats._block_moments(x)
         assert [bits(m) for m in rows] == [bits(reference_moments(x[i].copy())) for i in range(3)]
-        if not rows[0].degenerate:
-            assert bits(moments(x[0])) == bits(rows[0])
+        assert bits(moments(x[0])) == bits(rows[0])
 
     def test_long_rows_past_the_buffer_size(self):
         x = np.random.default_rng(1).lognormal(0.0, 1.5, 70_001)
@@ -350,3 +368,19 @@ class TestWindowCsv:
         assert rows[1][-1] == "false" and rows[2][-1] == "true"
         assert rows[2][6] == "" and rows[2][7] == ""
         assert float(rows[1][4]) == wins[0].moments.mean
+
+    @pytest.mark.parametrize("chunk", [1, 4, 5, ingest.WRITE_CHUNK_ROWS])
+    def test_table_spanning_several_chunks(self, tmp_path, rng, chunk):
+        values = np.concatenate([rng.normal(0, 1, 40), np.full(20, 2.0), rng.lognormal(0, 1, 40)])
+        wins = sliding_windows(series_of(values), window=8, stride=3)
+        with mock.patch.object(ingest, "WRITE_CHUNK_ROWS", chunk):
+            write_windows_csv(tmp_path / "w.csv", wins)
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        w.writerow(stats.WINDOW_CSV_HEADER)
+        for win in wins:
+            m = win.moments
+            shape = ["", "", "true"] if m.degenerate else [repr(m.skewness), repr(m.kurtosis), "false"]
+            w.writerow([win.start_index, win.t_start_ms, win.t_end_ms, m.n, repr(m.mean), repr(m.std)] + shape)
+        assert sum(win.degenerate for win in wins) > 0
+        assert (tmp_path / "w.csv").read_bytes() == ref.getvalue().encode()
