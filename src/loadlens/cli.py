@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import LoadlensError, NonFiniteLoss, ParseError, UnknownLabel
+from .errors import LoadlensError, MomentOverflow, NonFiniteLoss, ParseError, UnknownLabel
 from .features import (
     ALL_FEATURES,
     correlation_matrix,
@@ -116,11 +116,9 @@ def cmd_plane(args) -> None:
     windows = sliding_windows(rr, args.window, args.stride)
     cloud = None
     if args.bootstrap > 0:
-        last = windows[-1]
-        values = rr.values[last.start_index : last.start_index + last.length]
-        cloud = bootstrap(values, args.bootstrap, seed)
-    doc = export_plane(windows, rho=args.rho, tau=args.tau, bootstrap_cloud=cloud)
-    _write_json(args.out, doc)
+        last = int(windows.start[-1])
+        cloud = bootstrap(rr.values[last : last + windows.n], args.bootstrap, seed)
+    export_plane(args.out, windows, args.rho, args.tau, cloud)
     write_manifest(
         manifest_path_for(args.out),
         "plane",
@@ -266,6 +264,8 @@ def cmd_predict(args) -> None:
     model = load_model(args.model)
     rows = read_features_csv(args.features)
     X, y, kept = build_xy(rows, model.features)
+    if not kept:
+        raise ParseError(f"{args.features}: no row has every model feature ({', '.join(model.features)})")
     yhat = model.predict(X)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -353,6 +353,18 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+#: Longest ``synth accel --duration`` in seconds: one day, 4.32 M rows at 50 Hz
+#: (285 MB of CSV). Longer requests fail here, not in a huge allocation.
+MAX_ACCEL_DURATION_S = 86_400.0
+
+
+def _duration(text: str) -> float:
+    value = _positive_float(text)
+    if value > MAX_ACCEL_DURATION_S:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_ACCEL_DURATION_S:g} s, got {text}")
     return value
 
 
@@ -450,7 +462,8 @@ def build_parser() -> _Parser:
 
     q = ssub.add_parser("accel", help="accelerometer trace to accel.csv")
     q.add_argument("--class", dest="activity_class", choices=sorted(ACCEL_CLASSES), required=True)
-    q.add_argument("--duration", type=float, default=60.0, help="seconds")
+    limit = f"at most {MAX_ACCEL_DURATION_S:g} (one day, 4.32 M rows at 50 Hz)"
+    q.add_argument("--duration", type=_duration, default=60.0, help=f"seconds, > 0 and {limit}")
     _add_seed(q)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=cmd_synth_accel)
@@ -474,7 +487,7 @@ def main(argv=None) -> int:
     except (ParseError, UnknownLabel, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except NonFiniteLoss as e:
+    except (NonFiniteLoss, MomentOverflow) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
     except (LoadlensError, ValueError) as e:

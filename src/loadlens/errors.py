@@ -70,8 +70,8 @@ class SeriesTooShort(LoadlensError):
     """Series shorter than one window."""
 
 
-class DegenerateMoments(LoadlensError):
-    """Moments carry no defined skewness/kurtosis (degenerate window)."""
+class MomentOverflow(LoadlensError):
+    """A central moment overflows float64; no finite statistic exists."""
 
 
 class NonPositiveShape(LoadlensError):

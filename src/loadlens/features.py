@@ -29,7 +29,7 @@ from .errors import (
     UnknownLabel,
 )
 from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta
-from .momentplane import metric1, metric2, to_plane
+from .momentplane import metric1, metric2
 from .stats import moments
 
 
@@ -108,6 +108,8 @@ def extract_features(
         raise ValueError("extract_features needs the accel magnitude, not the raw axes")
     if not len(rr):
         raise MissingChannel("rr", "no heartbeat samples")
+    if not (rr.values > 0).all():
+        raise MissingChannel("rr", "rr_ms must be > 0")
     if len(accel) < 4:
         raise MissingChannel("accel", f"needs >= 4 samples, got {len(accel)}")
 
@@ -130,8 +132,8 @@ def extract_features(
     if len(rr) >= 4:
         rr_m = moments(rr.values)
         if not rr_m.degenerate:
-            p = to_plane(rr_m)
-            m1, m2 = metric1(p), metric2(p)
+            s = rr_m.skewness * rr_m.skewness
+            m1, m2 = metric1(s, rr_m.kurtosis), metric2(s, rr_m.kurtosis)
 
     return SessionFeatures(
         session_id=meta.session_id,

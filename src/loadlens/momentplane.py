@@ -11,6 +11,10 @@ constants below, and the Weibull curve, the only part that must be
 computed, comes from ``weibull_curve()``. Zone classification and the plot
 export both read these.
 
+A window maps to the point (s, k) = (skewness^2, kurtosis); degenerate
+windows have none. ``classify_zones`` takes the coordinates as arrays, and
+``export_plane`` writes a ``stats.WindowTable`` straight to ``plane.json``.
+
 Two scalar indicators summarize where a window sits:
 
 * ``metric1`` -- Euclidean distance from the normal landmark (0, 3);
@@ -20,19 +24,19 @@ Two scalar indicators summarize where a window sits:
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateMoments, NonPositiveShape
-from .stats import Moments, SampleWindow
+from . import ingest
+from .errors import NonPositiveShape
+from .stats import MomentColumns, WindowTable
 
 NORMAL_LANDMARK = (0.0, 3.0)
 UNIFORM_LANDMARK = (0.0, 1.8)
-EXPONENTIAL_LANDMARK = (4.0, 9.0)
 
 #: Gamma family: k = GAMMA_INTERCEPT + GAMMA_SLOPE * s.
 GAMMA_SLOPE = 1.5
@@ -50,28 +54,16 @@ WEIBULL_GRID_SIZE = 200
 
 
 class Zone(str, Enum):
-    """Moments-plane region labels; classification is total and deterministic."""
+    """Moments-plane region labels, in rule order: for each point the first
+    matching rule wins, and OTHER takes the rest (``classify_zones``)."""
 
+    INFEASIBLE = "infeasible"
     NORMAL_VICINITY = "normal_vicinity"
     UNIFORM_VICINITY = "uniform_vicinity"
-    BETA_ZONE = "beta_zone"
-    WEIBULL_BAND = "weibull_band"
     GAMMA_LINE = "gamma_line"
-    INFEASIBLE = "infeasible"
+    WEIBULL_BAND = "weibull_band"
+    BETA_ZONE = "beta_zone"
     OTHER = "other"
-
-
-@dataclass(frozen=True)
-class PlanePoint:
-    """A (skewness^2, kurtosis) coordinate with its window midpoint time."""
-
-    s: float
-    k: float
-    t_mid_ms: int = 0
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError(f"s (skewness squared) must be >= 0, got {self.s}")
 
 
 def weibull_landmark(c: float) -> tuple[float, float]:
@@ -100,37 +92,21 @@ def weibull_curve() -> tuple[tuple[float, float], ...]:
     return tuple(weibull_landmark(float(c)) for c in shapes)
 
 
-def to_plane(m: Moments, t_mid_ms: int = 0) -> PlanePoint:
-    """Map non-degenerate moments to their plane coordinates."""
-    if m.degenerate:
-        raise DegenerateMoments("degenerate moments have no plane point")
-    return PlanePoint(s=m.skewness * m.skewness, k=m.kurtosis, t_mid_ms=t_mid_ms)
-
-
-def metric1(p: PlanePoint) -> float:
+def metric1(s: float, k: float) -> float:
     """Distance from the normal landmark (0, 3); the load-accommodation indicator."""
-    return math.hypot(p.s - NORMAL_LANDMARK[0], p.k - NORMAL_LANDMARK[1])
+    return math.hypot(s - NORMAL_LANDMARK[0], k - NORMAL_LANDMARK[1])
 
 
-def metric2(p: PlanePoint) -> float:
+def metric2(s: float, k: float) -> float:
     """Distance from the uniform landmark (0, 1.8); the recovery indicator."""
-    return math.hypot(p.s - UNIFORM_LANDMARK[0], p.k - UNIFORM_LANDMARK[1])
+    return math.hypot(s - UNIFORM_LANDMARK[0], k - UNIFORM_LANDMARK[1])
 
 
 #: Points per block of the polyline distance: 256 points by 199 segments
 #: keep each float64 temporary near 0.4 MB.
 POINT_BLOCK = 256
 
-#: Zones in rule order; the first matching rule wins and OTHER takes the rest.
-_RULES = (
-    Zone.INFEASIBLE,
-    Zone.NORMAL_VICINITY,
-    Zone.UNIFORM_VICINITY,
-    Zone.GAMMA_LINE,
-    Zone.WEIBULL_BAND,
-    Zone.BETA_ZONE,
-    Zone.OTHER,
-)
+_RULES = tuple(Zone)
 
 
 def _polyline_distances(s: np.ndarray, k: np.ndarray, curve: np.ndarray) -> np.ndarray:
@@ -153,13 +129,9 @@ def _polyline_distances(s: np.ndarray, k: np.ndarray, curve: np.ndarray) -> np.n
     return out
 
 
-def classify_zones(
-    points: list[PlanePoint],
-    rho: float = DEFAULT_RHO,
-    tau: float = DEFAULT_TAU,
-) -> list[Zone]:
-    """Total, deterministic zone classification of a sequence of plane
-    points; for each point the first matching rule wins.
+def classify_zones(s, k, rho: float = DEFAULT_RHO, tau: float = DEFAULT_TAU) -> list[Zone]:
+    """Total, deterministic zone classification of the plane points
+    (s[i], k[i]); for each point the first matching rule wins.
 
     Rule order: infeasible, normal vicinity, uniform vicinity, gamma line,
     Weibull band, beta zone, other. The gamma-line test precedes the Weibull
@@ -168,14 +140,14 @@ def classify_zones(
     all points at once; only the points that no earlier rule claims are
     measured against the Weibull curve.
     """
-    s = np.array([p.s for p in points], dtype=float)
-    k = np.array([p.k for p in points], dtype=float)
+    s = np.asarray(s, dtype=float)
+    k = np.asarray(k, dtype=float)
     limit = LIMIT_INTERCEPT + LIMIT_SLOPE * s
     gamma = GAMMA_INTERCEPT + GAMMA_SLOPE * s
     hits = [
         k < limit - tau,
-        np.array([metric1(p) for p in points], dtype=float) <= rho,
-        np.array([metric2(p) for p in points], dtype=float) <= rho,
+        np.array(list(map(metric1, s.tolist(), k.tolist())), dtype=float) <= rho,
+        np.array(list(map(metric2, s.tolist(), k.tolist())), dtype=float) <= rho,
         np.abs(k - gamma) <= tau,
     ]
     weibull = np.zeros(len(s), dtype=bool)
@@ -188,69 +160,75 @@ def classify_zones(
     return [_RULES[i] for i in first.tolist()]
 
 
-def classify_zone(p: PlanePoint, rho: float = DEFAULT_RHO, tau: float = DEFAULT_TAU) -> Zone:
-    """Zone of one point: ``classify_zones`` of a one-point sequence."""
-    (zone,) = classify_zones([p], rho, tau)
-    return zone
+_NULL_POINT = (
+    '  {\n   "t_mid_ms": %d,\n   "s": null,\n   "k": null,\n'
+    '   "zone": null,\n   "metric1": null,\n   "metric2": null\n  }'
+)
+
+
+def _point(t: int, s: float, k: float, zone: str | None) -> str:
+    """One member of "points" as ``json.dump(indent=1)`` spells it; only
+    finite floats reach it, and ``repr`` is json's spelling of those."""
+    if zone is None:
+        return _NULL_POINT % t
+    return (
+        f'  {{\n   "t_mid_ms": {t},\n   "s": {s!r},\n   "k": {k!r},\n   "zone": "{zone}",\n'
+        f'   "metric1": {metric1(s, k)!r},\n   "metric2": {metric2(s, k)!r}\n  }}'
+    )
+
+
+def _cloud_entry(s: float, k: float, mean: float, std: float, skewness: float, kurtosis: float) -> str:
+    """One member of "bootstrap_cloud", as ``_point`` spells a point."""
+    return (
+        f'  {{\n   "s": {s!r},\n   "k": {k!r},\n   "mean": {mean!r},\n   "std": {std!r},\n'
+        f'   "skewness": {skewness!r},\n   "kurtosis": {kurtosis!r}\n  }}'
+    )
+
+
+def _write_list(fh, item, *columns) -> None:
+    """A list at depth 1 of the indent=1 document, ``item(*row)`` for each
+    row of ``columns``, formatted and written ``ingest.WRITE_CHUNK_ROWS``
+    rows at a time."""
+    n = len(columns[0])
+    if not n:
+        fh.write("[]")
+        return
+    fh.write("[\n")
+    for i in range(0, n, ingest.WRITE_CHUNK_ROWS):
+        block = (col[i : i + ingest.WRITE_CHUNK_ROWS].tolist() for col in columns)
+        fh.write((",\n" if i else "") + ",\n".join(map(item, *block)))
+    fh.write("\n ]")
 
 
 def export_plane(
-    windows: list[SampleWindow],
-    rho: float = DEFAULT_RHO,
-    tau: float = DEFAULT_TAU,
-    bootstrap_cloud=None,
-) -> dict:
-    """Plot-ready plane export: landmarks, per-window points, optional cloud.
+    path, windows: WindowTable, rho: float = DEFAULT_RHO, tau: float = DEFAULT_TAU, cloud: MomentColumns | None = None
+) -> None:
+    """Write the plot-ready plane export: landmarks, one point per window
+    with its zone and metrics, and the optional bootstrap cloud.
 
     Degenerate windows appear with null coordinates as the missing-value
-    marker so consumers keep the full time axis.
+    marker so consumers keep the full time axis. The bytes are those of
+    ``json.dump(doc, fh, indent=1)`` and a newline; points and cloud entries
+    are streamed from fixed templates, so the text is never held whole.
     """
-    plane = [to_plane(w.moments, w.t_mid_ms) for w in windows if not w.degenerate]
-    classified = iter(zip(plane, classify_zones(plane, rho, tau)))
-    points = []
-    for w in windows:
-        if w.degenerate:
-            points.append(
-                {"t_mid_ms": w.t_mid_ms, "s": None, "k": None, "zone": None, "metric1": None, "metric2": None}
-            )
-            continue
-        p, zone = next(classified)
-        points.append(
-            {
-                "t_mid_ms": p.t_mid_ms,
-                "s": p.s,
-                "k": p.k,
-                "zone": zone.value,
-                "metric1": metric1(p),
-                "metric2": metric2(p),
-            }
-        )
-    cloud = []
-    if bootstrap_cloud is not None:
-        for m in bootstrap_cloud.points:
-            cloud.append(
-                {
-                    "s": m.skewness * m.skewness,
-                    "k": m.kurtosis,
-                    "mean": m.mean,
-                    "std": m.std,
-                    "skewness": m.skewness,
-                    "kurtosis": m.kurtosis,
-                }
-            )
-    return {
-        "landmarks": {
-            "normal": list(NORMAL_LANDMARK),
-            "uniform": list(UNIFORM_LANDMARK),
-            "gamma_line": {"intercept": GAMMA_INTERCEPT, "slope": GAMMA_SLOPE},
-            "limit_line": {"intercept": LIMIT_INTERCEPT, "slope": LIMIT_SLOPE},
-            "weibull_curve": [list(p) for p in weibull_curve()],
-        },
-        "rho": rho,
-        "tau": tau,
-        "points": points,
-        "bootstrap_cloud": cloud,
+    s = windows.skewness * windows.skewness
+    ok = ~windows.degenerate
+    zones = np.full(len(windows), None, dtype=object)
+    zones[ok] = [z.value for z in classify_zones(s[ok], windows.kurtosis[ok], rho, tau)]
+    landmarks = {
+        "normal": NORMAL_LANDMARK,
+        "uniform": UNIFORM_LANDMARK,
+        "gamma_line": {"intercept": GAMMA_INTERCEPT, "slope": GAMMA_SLOPE},
+        "limit_line": {"intercept": LIMIT_INTERCEPT, "slope": LIMIT_SLOPE},
+        "weibull_curve": weibull_curve(),
+    }
+    head = json.dumps({"landmarks": landmarks, "rho": rho, "tau": tau}, indent=1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head.removesuffix("\n}") + ',\n "points": ')
+        _write_list(fh, _point, windows.t_mid_ms, s, windows.kurtosis, zones)
+        fh.write(',\n "bootstrap_cloud": ')
+        c = MomentColumns(0, [], [], [], []) if cloud is None else cloud
+        _write_list(fh, _cloud_entry, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness, c.kurtosis)
         # No command produces exercise marks; the key stays, always empty,
         # because plane.json bytes are pinned.
-        "phase_marks": [],
-    }
+        fh.write(',\n "phase_marks": []\n}\n')

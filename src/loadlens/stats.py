@@ -6,33 +6,38 @@ kurtosis g2 = m4 / m2^2 (non-excess, normal -> 3, uniform -> 1.8). This
 keeps the distribution landmarks on the moments plane at their textbook
 positions; sample-size corrections would shift them.
 
-Every moment goes through one row-moment kernel, ``_row_moments``: it takes
-a 2-D block of samples, one sample per row, and reduces each row along its
-contiguous last axis. ``moments`` passes a one-row block, ``sliding_windows``
-blocks of rows of a strided window view, ``bootstrap`` blocks of stacked
-resamples. Blocks hold at most ``BLOCK_VALUES`` values (256 rows of the
-default 300-sample window, about 0.6 MB per float64 temporary), and each
-block's results become Python floats before the next block is reduced, so
-memory stays flat however many windows or resamples there are. Results are
-bit-identical to reducing each sample as its own 1-D array: numpy reduces
-each row with the same pairwise summation it applies to a 1-D array, and
-the scalar tail (sqrt, the standardised ratios, the degeneracy test) runs
-on Python floats in the same operation order.
+Many samples make one table of columns, not one object each:
+``sliding_windows`` returns a ``WindowTable``, ``bootstrap`` a
+``MomentColumns``; ``moments`` of one sample returns a ``Moments``. All three
+go through one row-moment kernel, ``_block_moments``, which reduces each row
+of a 2-D block of samples along its contiguous last axis. Blocks hold at
+most ``BLOCK_VALUES`` values (256 rows of the default window, about 0.6 MB
+per float64 temporary) and fill preallocated columns, so memory grows by a
+few numbers per window or resample, not by an object. Results are
+bit-identical to reducing each sample as its own 1-D array and finishing in
+Python floats: numpy reduces a row with the pairwise summation it applies to
+a 1-D array, and its sqrt, products, divisions and comparisons are
+correctly rounded like Python's. Only ``m2**1.5`` is taken by Python's
+float power, value by value, because numpy's power differs from it in the
+last bit for about 5% of values.
 
 Degeneracy has one signal: a sample whose variance is numerically zero
-relative to its mean gets NaN skewness and kurtosis, which
-``Moments.degenerate`` reads. ``moments`` and the windows flag it this way
-and the bootstrap redraws such resamples; nothing raises for it.
+relative to its mean gets NaN skewness and kurtosis, which ``degenerate``
+reads. Windows keep such rows and the bootstrap redraws such resamples. A
+central moment that overflows float64 (values more than about 1e77 from
+their mean) raises ``MomentOverflow``, so every other number is finite.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesTooShort, TooFewSamples
+from .errors import MomentOverflow, SeriesTooShort, TooFewSamples
 from .ingest import Channel, _write_table
 
 #: Relative variance floor below which skewness/kurtosis are undefined.
@@ -44,17 +49,7 @@ DEFAULT_STRIDE = 30
 #: Values per block of the row-moment kernel: 256 rows of a default window.
 BLOCK_VALUES = 256 * DEFAULT_WINDOW
 
-WINDOW_CSV_HEADER = (
-    "start_index",
-    "t_start_ms",
-    "t_end_ms",
-    "n",
-    "mean",
-    "std",
-    "skewness",
-    "kurtosis",
-    "degenerate",
-)
+WINDOW_CSV_HEADER = ("start_index", "t_start_ms", "t_end_ms", "n", "mean", "std", "skewness", "kurtosis", "degenerate")
 
 
 @dataclass(frozen=True)
@@ -76,70 +71,84 @@ class Moments:
         return math.isnan(self.skewness)
 
 
-@dataclass(frozen=True)
-class SampleWindow:
-    """One sliding-window slice with its moment statistics."""
+@dataclass(frozen=True, eq=False)
+class MomentColumns:
+    """Moments of many samples of ``n`` values each: float64 columns
+    ``mean``, ``std``, ``skewness``, ``kurtosis``, one row per sample, NaN
+    skewness and kurtosis marking a degenerate sample. The columns are
+    read-only views."""
 
-    start_index: int
-    length: int
-    t_start_ms: int
-    t_end_ms: int
-    moments: Moments
+    n: int
+    mean: np.ndarray
+    std: np.ndarray
+    skewness: np.ndarray
+    kurtosis: np.ndarray
 
-    @property
-    def degenerate(self) -> bool:
-        return self.moments.degenerate
-
-    @property
-    def t_mid_ms(self) -> int:
-        return (self.t_start_ms + self.t_end_ms) // 2
-
-
-@dataclass(frozen=True)
-class BootstrapCloud:
-    """Moment points of B with-replacement resamples of one sample."""
-
-    points: tuple[Moments, ...]
-    seed: int
+    def __post_init__(self):
+        for f in dataclasses.fields(self)[1:]:
+            col = np.asarray(getattr(self, f.name)).view()
+            col.flags.writeable = False
+            object.__setattr__(self, f.name, col)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.mean)
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return np.isnan(self.skewness)
 
 
-def _row_moments(blk: np.ndarray) -> tuple[list, list, list, list]:
-    """Per-row mean and central moments m2, m3, m4 of a 2-D block, as lists
-    of Python floats."""
-    mean = blk.mean(axis=1)
-    d = blk - mean[:, None]
-    d2 = d * d
-    m2 = d2.mean(axis=1)
-    m3 = (d2 * d).mean(axis=1)
-    m4 = (d2 * d2).mean(axis=1)
-    return mean.tolist(), m2.tolist(), m3.tolist(), m4.tolist()
+@dataclass(frozen=True, eq=False)
+class WindowTable(MomentColumns):
+    """Sliding windows of ``n`` samples: the moment columns plus int64
+    columns ``start`` (index of the first sample), ``t_start_ms`` and
+    ``t_end_ms`` (times of the first and last sample)."""
+
+    start: np.ndarray
+    t_start_ms: np.ndarray
+    t_end_ms: np.ndarray
+
+    @property
+    def t_mid_ms(self) -> np.ndarray:
+        """(t_start_ms + t_end_ms) // 2, computed without int64 overflow."""
+        return self.t_start_ms + (self.t_end_ms - self.t_start_ms) // 2
 
 
-def _block_rows(n: int) -> int:
-    """Rows of n values each that fit in one kernel block."""
-    return max(1, BLOCK_VALUES // n)
+def _block_moments(blk: np.ndarray) -> list[np.ndarray]:
+    """Columns mean, std, skewness, kurtosis of the rows of a 2-D block."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = blk.mean(axis=1)
+        d = blk - mean[:, None]
+        d2 = d * d
+        m2 = d2.mean(axis=1)
+        m3 = (d2 * d).mean(axis=1)
+        m4 = (d2 * d2).mean(axis=1)
+        ok = ~(m2 < DEGENERACY_EPS * (1.0 + mean * mean))
+    if not (np.isfinite(m2).all() and np.isfinite(m3).all() and np.isfinite(m4).all()):
+        raise MomentOverflow("central moments overflow float64: values lie more than about 1e77 from their mean")
+    skewness = np.full(len(m2), math.nan)
+    kurtosis = np.full(len(m2), math.nan)
+    m2ok = m2[ok]
+    skewness[ok] = m3[ok] / np.array([v**1.5 for v in m2ok.tolist()])
+    kurtosis[ok] = m4[ok] / (m2ok * m2ok)
+    return [mean, np.sqrt(m2), skewness, kurtosis]
 
 
-def _finish(n: int, mean: float, m2: float, m3: float, m4: float) -> Moments:
-    """Moments from the kernel's results; NaN skewness/kurtosis when degenerate."""
-    if m2 < DEGENERACY_EPS * (1.0 + mean * mean):
-        return Moments(n, mean, math.sqrt(m2), math.nan, math.nan)
-    return Moments(n, mean, math.sqrt(m2), m3 / m2**1.5, m4 / (m2 * m2))
-
-
-def _block_moments(blk: np.ndarray) -> list[Moments]:
-    """Moments of each row of a 2-D block."""
-    n = blk.shape[1]
-    return [_finish(n, *row) for row in zip(*_row_moments(blk))]
+def _columns(count: int, n: int, block) -> list[np.ndarray]:
+    """Moment columns of ``count`` samples of n values, filled by kernel
+    blocks: ``block(rows)`` returns the columns of the samples in the slice
+    ``rows``."""
+    cols = [np.empty(count) for _ in range(4)]
+    step = max(1, BLOCK_VALUES // n)
+    for b in range(0, count, step):
+        rows = slice(b, min(b + step, count))
+        for col, part in zip(cols, block(rows)):
+            col[rows] = part
+    return cols
 
 
 def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.ravel()
+    arr = np.asarray(values, dtype=float).ravel()
     if arr.size < 4:
         raise TooFewSamples(arr.size)
     if not np.isfinite(arr).all():
@@ -154,15 +163,11 @@ def moments(values) -> Moments:
     and kurtosis are undefined: they come back NaN and ``.degenerate`` is
     true, as for a degenerate window. ``mean`` and ``std`` are always set.
     """
-    (m,) = _block_moments(_as_array(values)[None, :])
-    return m
+    arr = _as_array(values)
+    return Moments(arr.size, *(float(col[0]) for col in _block_moments(arr[None, :])))
 
 
-def sliding_windows(
-    series: Channel,
-    window: int = DEFAULT_WINDOW,
-    stride: int = DEFAULT_STRIDE,
-) -> list[SampleWindow]:
+def sliding_windows(series: Channel, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> WindowTable:
     """Windows at offsets 0, stride, 2*stride, ...; the last partial window
     is discarded. ``series`` must be univariate.
 
@@ -178,22 +183,14 @@ def sliding_windows(
     n = len(series)
     if n < window:
         raise SeriesTooShort(f"series length {n} < window {window}")
-    starts = range(0, n - window + 1, stride)
+    start = np.arange(0, n - window + 1, stride, dtype=np.int64)
     view = np.lib.stride_tricks.sliding_window_view(series.values, window)[::stride]
-    t_start = series.t_ms[: n - window + 1 : stride]
-    t_end = series.t_ms[window - 1 :: stride]
-    out: list[SampleWindow] = []
-    rows = _block_rows(window)
-    for b in range(0, len(starts), rows):
-        blk = slice(b, b + rows)
-        for start, ts, te, m in zip(
-            starts[blk], t_start[blk].tolist(), t_end[blk].tolist(), _block_moments(view[blk])
-        ):
-            out.append(SampleWindow(start, window, ts, te, m))
-    return out
+    cols = _columns(len(start), window, lambda rows: _block_moments(view[rows]))
+    t_start, t_end = series.t_ms[: n - window + 1 : stride], series.t_ms[window - 1 :: stride]
+    return WindowTable(window, *cols, start=start, t_start_ms=t_start, t_end_ms=t_end)
 
 
-def bootstrap(values, B: int, seed: int) -> BootstrapCloud:
+def bootstrap(values, B: int, seed: int) -> MomentColumns:
     """Nonparametric bootstrap: B with-replacement resamples of size n.
 
     Each resample draws from its own counter-derived generator, so the cloud
@@ -204,31 +201,33 @@ def bootstrap(values, B: int, seed: int) -> BootstrapCloud:
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     n = arr.size
-    points = []
-    rows = _block_rows(n)
-    for b in range(0, B, rows):
-        rngs = [np.random.default_rng([seed, i]) for i in range(b, min(b + rows, B))]
-        idx = np.stack([rng.integers(0, n, size=n) for rng in rngs])
-        for rng, m in zip(rngs, _block_moments(arr[idx])):
-            while m.degenerate:
-                (m,) = _block_moments(arr[None, rng.integers(0, n, size=n)])
-            points.append(m)
-    return BootstrapCloud(points=tuple(points), seed=seed)
+
+    def block(rows):
+        rngs = [np.random.default_rng([seed, i]) for i in range(rows.start, rows.stop)]
+        cols = _block_moments(arr[np.stack([rng.integers(0, n, size=n) for rng in rngs])])
+        for j in np.flatnonzero(np.isnan(cols[2])).tolist():
+            while math.isnan(cols[2][j]):
+                for col, redrawn in zip(cols, _block_moments(arr[None, rngs[j].integers(0, n, size=n)])):
+                    col[j] = redrawn[0]
+        return cols
+
+    return MomentColumns(n, *_columns(B, n, block))
 
 
-def _window_lines(windows: list[SampleWindow]) -> list[str]:
+def _window_lines(n: int, *columns: np.ndarray) -> list[str]:
     lines = []
-    for win in windows:
-        m = win.moments
-        tail = ",,true" if m.degenerate else f"{m.skewness!r},{m.kurtosis!r},false"
-        lines.append(f"{win.start_index},{win.t_start_ms},{win.t_end_ms},{m.n},{m.mean!r},{m.std!r},{tail}\r\n")
+    for a, b, c, m, s, g, k in zip(*(col.tolist() for col in columns)):
+        tail = ",,true" if math.isnan(g) else f"{g!r},{k!r},false"
+        lines.append(f"{a},{b},{c},{n},{m!r},{s!r},{tail}\r\n")
     return lines
 
 
-def write_windows_csv(path, windows: list[SampleWindow]) -> None:
+def write_windows_csv(path, windows: WindowTable) -> None:
     """Window CSV export; degenerate windows leave skewness/kurtosis empty.
 
     Written a block of rows at a time: a table of 36k windows joined whole
     would add about 10 MB to the peak memory of a ``moments`` run.
     """
-    _write_table(path, WINDOW_CSV_HEADER, _window_lines, windows)
+    w = windows
+    columns = (w.start, w.t_start_ms, w.t_end_ms, w.mean, w.std, w.skewness, w.kurtosis)
+    _write_table(path, WINDOW_CSV_HEADER, functools.partial(_window_lines, w.n), *columns)

@@ -287,6 +287,40 @@ class TestExitCodes:
         assert main(["moments", "--input", str(path), "--channel", "rr", "--window", "4", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_moment_overflow_is_numeric_error(self, tmp_path, capsys):
+        values = np.random.default_rng(0).uniform(1e79, 3e80, 40).tolist()
+        path = tmp_path / "rr.csv"
+        path.write_text("t_ms,rr_ms\n" + "".join(f"{1000 * (i + 1)},{v!r}\n" for i, v in enumerate(values)), encoding="utf-8")
+        for cmd, name in ((["plane"], "plane.json"), (["moments", "--channel", "rr"], "w.csv")):
+            out = tmp_path / name
+            assert main([*cmd, "--input", str(path), "--window", "20", "--stride", "5", "--out", str(out)]) == 4
+            assert "MomentOverflow" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_predict_with_no_usable_row_is_input_error(self, features_csv, tmp_path, capsys):
+        models = tmp_path / "models"
+        argv = ["train", "--features", features_csv, "--model", "lrm", "--preset", "hr", "--out-dir", str(models)]
+        assert main(argv) == 0
+        with open(features_csv, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        col = table[0].index("ahr_bpm")
+        for row in table[1:]:
+            row[col] = ""
+        features = tmp_path / "no_ahr.csv"
+        with open(features, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+        out = tmp_path / "predict.csv"
+        assert main(["predict", "--model", str(models / "lrm_hr.model.json"), "--features", str(features), "--out", str(out)]) == 2
+        assert "no row has every model feature" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ["inf", "nan", "0", "86400.5", "1e9"])
+    def test_synth_accel_rejects_duration(self, tmp_path, capsys, duration):
+        out = tmp_path / "accel.csv"
+        assert main(["synth", "accel", "--class", "passive", "--duration", duration, "--out", str(out)]) == 3
+        assert "argument --duration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_validation_split_is_empty_eval_set(self, tmp_path, capsys):
         # 4 rows per class: the stratified 70/15/15 cut leaves validation empty
         rng = np.random.default_rng(3)

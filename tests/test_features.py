@@ -63,6 +63,13 @@ class TestExtractFeatures:
         with pytest.raises(ValueError):
             extract_features(meta, raw_axes, rr_list([800.0] * 10))
 
+    def test_non_positive_rr_is_missing_channel(self, rng):
+        meta = SessionMeta("s1", "walking", 5.0, 30.0)
+        accel = series(rng.normal(0, 1, 50))
+        for rr in ([800.0, 0.0, 810.0, 790.0, 805.0], [800.0, 810.0, -790.0, 805.0]):
+            with pytest.raises(MissingChannel, match="rr_ms must be > 0"):
+                extract_features(meta, accel, rr_list(rr))
+
     def test_against_independent_recomputation(self):
         # oracle: standalone numpy recomputation of every feature
         meta = SessionMeta("r1", "running", 8.0, 44.0)

@@ -9,13 +9,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from loadlens import ingest, stats
-from loadlens.errors import SeriesTooShort, TooFewSamples
+from loadlens.errors import MomentOverflow, SeriesTooShort, TooFewSamples
 from loadlens.ingest import Channel
 from loadlens.stats import (
     DEGENERACY_EPS,
-    BootstrapCloud,
+    MomentColumns,
     Moments,
-    SampleWindow,
+    WindowTable,
     bootstrap,
     moments,
     sliding_windows,
@@ -54,16 +54,17 @@ def reference_moments(arr) -> Moments:
 
 
 def reference_windows(values, t_ms, window, stride):
+    """(start, t_start_ms, t_end_ms, Moments) of each window, one at a time."""
     return [
-        SampleWindow(
-            start,
-            window,
-            int(t_ms[start]),
-            int(t_ms[start + window - 1]),
-            reference_moments(values[start : start + window]),
-        )
+        (start, int(t_ms[start]), int(t_ms[start + window - 1]), reference_moments(values[start : start + window]))
         for start in range(0, len(values) - window + 1, stride)
     ]
+
+
+def table_rows(table) -> list[Moments]:
+    """The rows of a moment table as Moments, for the per-sample references."""
+    cols = (table.mean, table.std, table.skewness, table.kurtosis)
+    return [Moments(table.n, *row) for row in zip(*(c.tolist() for c in cols))]
 
 
 def reference_bootstrap(arr, B, seed):
@@ -182,12 +183,13 @@ class TestMoments:
 class TestSlidingWindows:
     def test_offsets_10_4_3(self):
         wins = sliding_windows(series_of(range(10)), window=4, stride=3)
-        assert [w.start_index for w in wins] == [0, 3, 6]
+        assert wins.start.tolist() == [0, 3, 6]
 
     def test_single_window_boundary(self):
         wins = sliding_windows(series_of(range(4)), window=4, stride=1)
         assert len(wins) == 1
-        assert wins[0].t_start_ms == 0 and wins[0].t_end_ms == 30
+        assert wins.t_start_ms.tolist() == [0] and wins.t_end_ms.tolist() == [30]
+        assert wins.t_mid_ms.tolist() == [15]
 
     def test_count_1000_300_30(self, rng):
         # oracle: enumerate offsets directly
@@ -213,18 +215,33 @@ class TestSlidingWindows:
         values = list(rng.normal(0, 1, 8)) + [5.0] * 8 + list(rng.normal(0, 1, 8))
         wins = sliding_windows(series_of(values), window=8, stride=8)
         assert len(wins) == 3
-        assert [w.degenerate for w in wins] == [False, True, False]
-        assert math.isnan(wins[1].moments.skewness)
-        assert wins[1].moments.mean == 5.0
+        assert wins.degenerate.tolist() == [False, True, False]
+        assert math.isnan(wins.skewness[1]) and math.isnan(wins.kurtosis[1])
+        assert wins.mean[1] == 5.0
 
     def test_window_times_and_moments(self, rng):
         values = rng.normal(0, 1, 100)
         wins = sliding_windows(series_of(values), window=10, stride=7)
-        for w in wins:
-            assert w.t_start_ms == 10 * w.start_index
-            assert w.t_end_ms == 10 * (w.start_index + w.length - 1)
-            ref = moments(values[w.start_index : w.start_index + 10])
-            assert w.moments == ref
+        assert wins.n == 10
+        for start, t0, t1, m in zip(wins.start.tolist(), wins.t_start_ms, wins.t_end_ms, table_rows(wins)):
+            assert t0 == 10 * start
+            assert t1 == 10 * (start + wins.n - 1)
+            assert m == moments(values[start : start + 10])
+
+    def test_columns_are_typed_and_read_only(self, rng):
+        wins = sliding_windows(series_of(rng.normal(0, 1, 50)), window=8, stride=3)
+        assert isinstance(wins, WindowTable) and isinstance(wins, MomentColumns)
+        for col in (wins.start, wins.t_start_ms, wins.t_end_ms):
+            assert col.dtype == np.int64 and col.shape == (len(wins),)
+        for col in (wins.mean, wins.std, wins.skewness, wins.kurtosis):
+            assert col.dtype == np.float64 and col.shape == (len(wins),)
+            with pytest.raises(ValueError):
+                col[0] = 0.0
+
+    def test_midpoint_does_not_overflow(self):
+        t = np.array([2**62, 2**62 + 1, 2**63 - 3, 2**63 - 1], dtype=np.int64)
+        wins = sliding_windows(Channel(t, [1.0, 2.0, 4.0, 8.0]), window=4, stride=1)
+        assert wins.t_mid_ms.tolist() == [(2**62 + 2**63 - 1) // 2]
 
 
 class TestKernelBits:
@@ -244,13 +261,33 @@ class TestKernelBits:
             x = rng.lognormal(0.0, 2.0, (3, n))
         else:
             x = rng.integers(0, 3, (3, n)).astype(float)
-        rows = stats._block_moments(x)
+        rows = table_rows(MomentColumns(n, *stats._block_moments(x)))
         assert [bits(m) for m in rows] == [bits(reference_moments(x[i].copy())) for i in range(3)]
         assert bits(moments(x[0])) == bits(rows[0])
 
     def test_long_rows_past_the_buffer_size(self):
         x = np.random.default_rng(1).lognormal(0.0, 1.5, 70_001)
         assert bits(moments(x)) == bits(reference_moments(x))
+
+
+class TestMomentOverflow:
+    """A central moment beyond float64 raises instead of yielding inf/NaN
+    statistics that look like data."""
+
+    BIG = np.random.default_rng(0).uniform(1e79, 3e80, 40)
+
+    def test_every_kernel_caller_raises(self, recwarn):
+        with pytest.raises(MomentOverflow):
+            moments(self.BIG)
+        with pytest.raises(MomentOverflow):
+            sliding_windows(series_of(self.BIG), window=20, stride=5)
+        with pytest.raises(MomentOverflow):
+            bootstrap(self.BIG, 10, 0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_large_values_below_the_limit_are_finite(self):
+        m = moments(self.BIG * 1e-5)
+        assert all(math.isfinite(v) for v in (m.mean, m.std, m.skewness, m.kurtosis))
 
 
 @st.composite
@@ -277,11 +314,11 @@ class TestWindowBits:
         with mock.patch.object(stats, "BLOCK_VALUES", block):
             got = sliding_windows(Channel(t_ms, values), window, stride)
         want = reference_windows(values, t_ms, window, stride)
-        assert [(w.start_index, w.length, w.t_start_ms, w.t_end_ms, w.degenerate) for w in got] == [
-            (w.start_index, w.length, w.t_start_ms, w.t_end_ms, w.degenerate) for w in want
+        assert got.n == window
+        assert list(zip(got.start.tolist(), got.t_start_ms.tolist(), got.t_end_ms.tolist(), got.degenerate.tolist())) == [
+            (start, t0, t1, m.degenerate) for start, t0, t1, m in want
         ]
-        assert [bits(w.moments) for w in got] == [bits(w.moments) for w in want]
-        assert all(type(w.t_start_ms) is int and type(w.t_end_ms) is int for w in got)
+        assert [bits(m) for m in table_rows(got)] == [bits(m) for *_, m in want]
 
 
 class TestBootstrapBits:
@@ -303,7 +340,8 @@ class TestBootstrapBits:
         with mock.patch.object(stats, "BLOCK_VALUES", block):
             cloud = bootstrap(x, B, seed)
         want, _ = reference_bootstrap(x, B, seed)
-        assert [bits(m) for m in cloud.points] == [bits(m) for m in want]
+        assert len(cloud) == B
+        assert [bits(m) for m in table_rows(cloud)] == [bits(m) for m in want]
 
     def test_redraws_come_from_the_resample_stream(self):
         x = np.array([3.0, 3.0, 3.0, 4.0])
@@ -311,30 +349,30 @@ class TestBootstrapBits:
         assert redraws > 20
         for block in (1, 4, stats.BLOCK_VALUES):
             with mock.patch.object(stats, "BLOCK_VALUES", block):
-                assert [bits(m) for m in bootstrap(x, 200, 5).points] == [bits(m) for m in want]
+                assert [bits(m) for m in table_rows(bootstrap(x, 200, 5))] == [bits(m) for m in want]
 
 
 class TestBootstrap:
     def test_structural_single_resample(self):
         cloud = bootstrap([1.0, 2.0, 3.0, 4.0, 5.0], B=1, seed=11)
         assert len(cloud) == 1
-        m = cloud.points[0]
+        (m,) = table_rows(cloud)
         assert m.kurtosis >= m.skewness**2 + 1.0 - 1e-12
 
     def test_determinism(self, rng):
         x = rng.normal(0, 1, 64)
-        a = bootstrap(x, B=25, seed=7)
-        b = bootstrap(x, B=25, seed=7)
-        assert a == b
-        c = bootstrap(x, B=25, seed=8)
-        assert a != c
+        a = table_rows(bootstrap(x, B=25, seed=7))
+        b = table_rows(bootstrap(x, B=25, seed=7))
+        assert [bits(m) for m in a] == [bits(m) for m in b]
+        c = table_rows(bootstrap(x, B=25, seed=8))
+        assert [bits(m) for m in a] != [bits(m) for m in c]
 
     def test_standard_error_of_mean(self):
         # oracle: classical standard error m2^0.5 / sqrt(n)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(500)
         cloud = bootstrap(x, B=1000, seed=3)
-        boot_means = np.array([p.mean for p in cloud.points])
+        boot_means = cloud.mean
         se = x.std() / math.sqrt(500)
         assert abs(boot_means.std() - se) / se < 0.2
 
@@ -367,7 +405,7 @@ class TestWindowCsv:
         assert len(rows) == 3
         assert rows[1][-1] == "false" and rows[2][-1] == "true"
         assert rows[2][6] == "" and rows[2][7] == ""
-        assert float(rows[1][4]) == wins[0].moments.mean
+        assert float(rows[1][4]) == wins.mean[0]
 
     @pytest.mark.parametrize("chunk", [1, 4, 5, ingest.WRITE_CHUNK_ROWS])
     def test_table_spanning_several_chunks(self, tmp_path, rng, chunk):
@@ -378,9 +416,8 @@ class TestWindowCsv:
         ref = io.StringIO(newline="")
         w = csv.writer(ref)
         w.writerow(stats.WINDOW_CSV_HEADER)
-        for win in wins:
-            m = win.moments
+        for start, t0, t1, m in zip(wins.start.tolist(), wins.t_start_ms.tolist(), wins.t_end_ms.tolist(), table_rows(wins)):
             shape = ["", "", "true"] if m.degenerate else [repr(m.skewness), repr(m.kurtosis), "false"]
-            w.writerow([win.start_index, win.t_start_ms, win.t_end_ms, m.n, repr(m.mean), repr(m.std)] + shape)
-        assert sum(win.degenerate for win in wins) > 0
+            w.writerow([start, t0, t1, m.n, repr(m.mean), repr(m.std)] + shape)
+        assert wins.degenerate.sum() > 0
         assert (tmp_path / "w.csv").read_bytes() == ref.getvalue().encode()
