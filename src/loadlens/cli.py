@@ -4,9 +4,10 @@ Commands read the CSV/JSON formats declared by the backing modules and
 write their outputs plus a provenance manifest alongside. Plot rendering is
 out of scope: every figure-shaped result is served as data (CSV/JSON).
 
+``synth sessions`` and ``features`` spread their sessions over worker
+processes, one per available CPU; no output byte depends on how many.
+
 Exit codes: 0 ok, 2 input error, 3 configuration error, 4 numeric failure.
-The ``LOADLENS_SEED`` environment variable supplies the default seed when a
-command takes one and ``--seed`` is not given.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import __version__
 from .errors import LoadlensError, MomentOverflow, NonFiniteLoss, ParseError, UnknownLabel
 from .features import (
     ALL_FEATURES,
+    SessionFeatures,
     correlation_matrix,
     extract_features,
     feature_matrix,
@@ -34,6 +36,7 @@ from .features import (
 )
 from .ingest import (
     DEFAULT_ACTIVITIES,
+    _map_sessions,
     accel_magnitude,
     parse_accel_csv,
     parse_rr_csv,
@@ -78,14 +81,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("LOADLENS_SEED", "0"))
-
-
-def _resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
-
-
 def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -111,13 +106,12 @@ def cmd_moments(args) -> None:
 
 
 def cmd_plane(args) -> None:
-    seed = _resolve_seed(args)
     rr = parse_rr_csv(args.input)
     windows = sliding_windows(rr, args.window, args.stride)
     cloud = None
     if args.bootstrap > 0:
         last = int(windows.start[-1])
-        cloud = bootstrap(rr.values[last : last + windows.n], args.bootstrap, seed)
+        cloud = bootstrap(rr.values[last : last + windows.n], args.bootstrap, args.seed)
     export_plane(args.out, windows, args.rho, args.tau, cloud)
     write_manifest(
         manifest_path_for(args.out),
@@ -131,22 +125,26 @@ def cmd_plane(args) -> None:
         },
         [args.input],
         [args.out],
-        seed=seed,
+        seed=args.seed,
     )
 
 
+def _session_features(task) -> SessionFeatures:
+    """Parse one session's channel files and extract its feature row."""
+    meta, accel_path, rr_path = task
+    accel = accel_magnitude(parse_accel_csv(accel_path))
+    rr = parse_rr_csv(rr_path)
+    return extract_features(meta, accel, rr)
+
+
 def cmd_features(args) -> None:
-    metas = parse_sessions_csv(args.sessions)
-    rows = []
-    inputs = [args.sessions]
-    for meta in metas:
-        accel_path = resolve_channel_path(args.sessions, meta.accel_file)
-        rr_path = resolve_channel_path(args.sessions, meta.rr_file)
-        accel = accel_magnitude(parse_accel_csv(accel_path))
-        rr = parse_rr_csv(rr_path)
-        rows.append(extract_features(meta, accel, rr))
-        inputs.extend([accel_path, rr_path])
+    tasks = [
+        (meta, resolve_channel_path(args.sessions, meta.accel_file), resolve_channel_path(args.sessions, meta.rr_file))
+        for meta in parse_sessions_csv(args.sessions)
+    ]
+    rows = _map_sessions(_session_features, tasks)
     write_features_csv(args.out, rows)
+    inputs = [args.sessions] + [path for _, accel_path, rr_path in tasks for path in (accel_path, rr_path)]
     write_manifest(manifest_path_for(args.out), "features", {}, inputs, [args.out])
 
 
@@ -175,14 +173,13 @@ def cmd_correlate(args) -> None:
 
 
 def cmd_cluster(args) -> None:
-    seed = _resolve_seed(args)
     rows = read_features_csv(args.features)
     columns = _parse_columns(args.columns)
     X = feature_matrix(rows, columns)
     keep = np.isfinite(X).all(axis=1)
     kept_rows = [r for r, k in zip(rows, keep) if k]
     std = Standardizer.fit(X[keep])
-    result = kmeans(std.transform(X[keep]), k=args.k, seed=seed, feature_names=columns)
+    result = kmeans(std.transform(X[keep]), k=args.k, seed=args.seed, feature_names=columns)
     doc = {
         "k": result.k,
         "columns": list(columns),
@@ -208,7 +205,7 @@ def cmd_cluster(args) -> None:
         {"k": args.k, "columns": list(columns)},
         [args.features],
         [args.out],
-        seed=seed,
+        seed=args.seed,
     )
 
 
@@ -220,16 +217,15 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 
 def cmd_train(args) -> None:
-    seed = _resolve_seed(args)
     config = DnnConfig(
         hidden=_parse_hidden(args.hidden),
         epochs=args.epochs,
         lr=args.lr,
         batch=args.batch,
-        seed=seed,
+        seed=args.seed,
     )
     rows = read_features_csv(args.features)
-    model, report = run_training(rows, args.model, args.preset, config, split_seed=seed)
+    model, report = run_training(rows, args.model, args.preset, config, split_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     stem = f"{args.model}_{args.preset}"
     model_path = os.path.join(args.out_dir, f"{stem}.model.json")
@@ -243,7 +239,7 @@ def cmd_train(args) -> None:
         "epochs": config.epochs,
         "lr": config.lr,
         "batch": config.batch,
-        "seed": seed,
+        "seed": args.seed,
     }
     _write_json(report_path, {**report.to_dict(), "config": config_echo})
     with open(losses_path, "w", encoding="utf-8") as fh:
@@ -256,7 +252,7 @@ def cmd_train(args) -> None:
         config_echo,
         [args.features],
         [model_path, report_path, losses_path],
-        seed=seed,
+        seed=args.seed,
     )
 
 
@@ -282,8 +278,7 @@ def cmd_predict(args) -> None:
 
 
 def cmd_synth_sessions(args) -> None:
-    seed = _resolve_seed(args)
-    metas = gen_sessions(args.n, seed, args.out_dir)
+    metas = gen_sessions(args.n, args.seed, args.out_dir)
     outputs = [os.path.join(args.out_dir, "sessions.csv")] + [
         os.path.join(args.out_dir, f)
         for m in metas
@@ -295,22 +290,20 @@ def cmd_synth_sessions(args) -> None:
         {"n": args.n},
         [],
         outputs,
-        seed=seed,
+        seed=args.seed,
     )
 
 
 def cmd_synth_rr(args) -> None:
-    seed = _resolve_seed(args)
-    samples = gen_rr(PROTOCOL_PRESETS[args.preset], GenConfig(seed=seed))
+    samples = gen_rr(PROTOCOL_PRESETS[args.preset], GenConfig(seed=args.seed))
     write_rr_csv(args.out, samples)
     write_manifest(
-        manifest_path_for(args.out), "synth rr", {"preset": args.preset}, [], [args.out], seed=seed
+        manifest_path_for(args.out), "synth rr", {"preset": args.preset}, [], [args.out], seed=args.seed
     )
 
 
 def cmd_synth_accel(args) -> None:
-    seed = _resolve_seed(args)
-    samples = gen_accel(args.activity_class, args.duration, GenConfig(seed=seed))
+    samples = gen_accel(args.activity_class, args.duration, GenConfig(seed=args.seed))
     write_accel_csv(args.out, samples)
     write_manifest(
         manifest_path_for(args.out),
@@ -318,7 +311,7 @@ def cmd_synth_accel(args) -> None:
         {"class": args.activity_class, "duration_s": args.duration},
         [],
         [args.out],
-        seed=seed,
+        seed=args.seed,
     )
 
 
@@ -380,7 +373,7 @@ def _count(text: str) -> int:
 
 
 def _add_seed(p) -> None:
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $LOADLENS_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
 
 def build_parser() -> _Parser:

@@ -1,8 +1,26 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class LoadlensError(Exception):
-    """Base class for all loadlens errors."""
+    """Base class for all loadlens errors.
+
+    Subclasses build their message from their own constructor arguments
+    (``MalformedRow(5, "bad x")``), so the message alone cannot rebuild them.
+    The base class keeps the constructor arguments and pickles an error as
+    a call with them: type, message and attributes survive the round trip
+    that carries an error from a worker process to its parent.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args)
+        self._init_args = (args, kwargs)
+        return self
+
+    def __reduce__(self):
+        args, kwargs = self._init_args
+        return functools.partial(type(self), **kwargs), args, self.__dict__
 
 
 class ParseError(LoadlensError):

@@ -397,3 +397,30 @@ def resolve_channel_path(sessions_path, channel_file: str) -> str:
     if os.path.isabs(channel_file):
         return channel_file
     return os.path.join(os.path.dirname(os.path.abspath(sessions_path)), channel_file)
+
+
+def _worker_count(n_sessions: int) -> int:
+    """Worker processes for ``n_sessions`` sessions: one per CPU this process
+    may run on, and no more than there are sessions."""
+    return min(len(os.sched_getaffinity(0)), n_sessions)
+
+
+def _map_sessions(fn, tasks: list) -> list:
+    """``[fn(task) for task in tasks]``, computed in worker processes.
+
+    Sessions share no state, so any worker may run any task; the results
+    come back in task order. When tasks fail, the error of the first failing
+    one in task order is raised, as a loop over the tasks would raise it,
+    though later tasks may have run. ``fn`` must be a module-level function:
+    workers receive it, the tasks and the results pickled.
+
+    The workers are forked, so they start with every module the parent
+    imported instead of importing numpy and loadlens again. The pool forks
+    them before it starts its own management thread.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(_worker_count(len(tasks)), mp_context=context) as pool:
+        return list(pool.map(fn, tasks))

@@ -22,6 +22,7 @@ from .errors import InvalidProtocol, UnknownClass
 from .ingest import (
     Channel,
     SessionMeta,
+    _map_sessions,
     write_accel_csv,
     write_rr_csv,
     write_sessions_csv,
@@ -233,18 +234,30 @@ def session_protocol(duration_min: float, intensity: float) -> Protocol:
     )
 
 
+def _write_session(task) -> None:
+    """Generate one session's rr and accel channels and write their files."""
+    protocol, rr_config, accel_class, accel_config, rr_path, accel_path = task
+    rr = gen_rr(protocol, rr_config)
+    accel = gen_accel(accel_class, TREMOR_DURATION_S, accel_config)
+    write_rr_csv(rr_path, rr)
+    write_accel_csv(accel_path, accel)
+
+
 def gen_sessions(n_per_class: int, seed: int, out_dir) -> list[SessionMeta]:
     """Write a full synthetic dataset: sessions.csv plus one accel and one rr
     file per session.
 
     Each session uses a generator derived from (seed, session index), so
     sessions are independent and the whole dataset is reproducible
-    bit-for-bit.
+    bit-for-bit. The sessions' parameters are drawn here in session order;
+    their channels are generated and written in parallel over the available
+    CPUs, and no output byte depends on how many there are.
     """
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
     os.makedirs(out_dir, exist_ok=True)
     metas: list[SessionMeta] = []
+    tasks = []
     idx = 0
     for activity, spec in SESSION_CLASSES.items():
         for j in range(n_per_class):
@@ -260,16 +273,20 @@ def gen_sessions(n_per_class: int, seed: int, out_dir) -> list[SessionMeta]:
             rr_file = f"{session_id}_rr.csv"
             accel_file = f"{session_id}_accel.csv"
 
-            rr = gen_rr(
-                session_protocol(duration, spec.intensity),
-                GenConfig(seed=rr_seed, baseline_rr_ms=baseline),
+            tasks.append(
+                (
+                    session_protocol(duration, spec.intensity),
+                    GenConfig(seed=rr_seed, baseline_rr_ms=baseline),
+                    spec.accel_class,
+                    GenConfig(seed=accel_seed),
+                    os.path.join(out_dir, rr_file),
+                    os.path.join(out_dir, accel_file),
+                )
             )
-            accel = gen_accel(spec.accel_class, TREMOR_DURATION_S, GenConfig(seed=accel_seed))
-            write_rr_csv(os.path.join(out_dir, rr_file), rr)
-            write_accel_csv(os.path.join(out_dir, accel_file), accel)
             metas.append(
                 SessionMeta(session_id, activity, distance, duration, accel_file, rr_file)
             )
             idx += 1
+    _map_sessions(_write_session, tasks)
     write_sessions_csv(os.path.join(out_dir, "sessions.csv"), metas)
     return metas

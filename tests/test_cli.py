@@ -6,11 +6,16 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import loadlens
+from loadlens import ingest
 from loadlens.cli import main
+from loadlens.errors import MalformedRow, NonMonotonicTime, ParseError
 from loadlens.features import write_features_csv
 from loadlens.manifest import TIMESTAMP_KEY
 from tests.conftest import make_rows
@@ -96,6 +101,65 @@ class TestGoldenPipeline:
             assert sha256(second / rel) == digest, rel
         for rel in MANIFESTS:
             assert portable_manifest(first / rel, first) == portable_manifest(second / rel, second), rel
+
+
+def replace_line(path, i, text) -> None:
+    """Replace line ``i`` (the header is line 0) of a channel CSV."""
+    lines = path.read_bytes().split(b"\r\n")
+    lines[i] = text.encode()
+    path.write_bytes(b"\r\n".join(lines))
+
+
+class TestSessionWorkers:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(ingest, "_worker_count", lambda n_sessions: workers)
+        data = tmp_path / "data"
+        assert main(["synth", "sessions", "--n", "2", "--seed", "0", "--out-dir", str(data)]) == 0
+        assert main(["features", "--sessions", str(data / "sessions.csv"), "--out", str(tmp_path / "features.csv")]) == 0
+        for rel, digest in GOLDEN_SHA256.items():
+            if rel.startswith("data/") or rel == "features.csv":
+                assert sha256(tmp_path / rel) == digest, rel
+
+    @pytest.mark.parametrize("lower", ["rr", "accel"])
+    def test_lowest_failing_session_error_wins(self, tmp_path, capsys, lower):
+        """Sessions 2 and 5 of 6 are broken: one has a non-monotonic rr
+        file, the other a malformed accel row."""
+        data = tmp_path / "data"
+        assert main(["synth", "sessions", "--n", "2", "--seed", "0", "--out-dir", str(data)]) == 0
+        metas = ingest.parse_sessions_csv(data / "sessions.csv")
+        assert len(metas) == 6
+        upper = "accel" if lower == "rr" else "rr"
+        broken = {lower: metas[1], upper: metas[4]}
+        paths = {"rr": data / broken["rr"].rr_file, "accel": data / broken["accel"].accel_file}
+        replace_line(paths["rr"], 7, "0,800.0")
+        replace_line(paths["accel"], 9, "x,0.0,0.0,9.8")
+        parse = {"rr": ingest.parse_rr_csv, "accel": ingest.parse_accel_csv}[lower]
+        with pytest.raises(ParseError) as ei:
+            parse(paths[lower])
+        assert type(ei.value) is {"rr": NonMonotonicTime, "accel": MalformedRow}[lower]
+        capsys.readouterr()
+        out = tmp_path / "features.csv"
+        assert main(["features", "--sessions", str(data / "sessions.csv"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {type(ei.value).__name__}: {ei.value}\n"
+        assert not out.exists()
+
+    def test_importing_the_cli_loads_no_pool_module(self):
+        code = "import sys, loadlens.cli; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
+class TestSeed:
+    def test_environment_does_not_set_the_seed(self, tmp_path, monkeypatch):
+        argv = ["synth", "rr", "--preset", "rest", "--out"]
+        assert main([*argv, str(tmp_path / "plain.csv")]) == 0
+        monkeypatch.setenv("LOADLENS_SEED", "7")
+        assert main([*argv, str(tmp_path / "env.csv")]) == 0
+        assert sha256(tmp_path / "env.csv") == sha256(tmp_path / "plain.csv")
+        assert json.loads((tmp_path / "env.csv.manifest.json").read_text(encoding="utf-8"))["seed"] == 0
 
 
 def run_plane(root, window: str, bootstrap: str) -> None:

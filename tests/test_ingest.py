@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import tempfile
 from decimal import Decimal
 from unittest import mock
@@ -20,6 +21,7 @@ from loadlens.errors import (
 from loadlens import ingest
 from loadlens.features import extract_features
 from loadlens.ingest import (
+    DEFAULT_ACTIVITIES,
     Channel,
     SessionMeta,
     accel_magnitude,
@@ -275,6 +277,28 @@ def _parse_text(parse, text):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         return parse(path)
+
+
+#: Cell text the sessions.csv writer must quote or escape, mixed with any
+#: character UTF-8 can encode (so no lone surrogate). The parser strips
+#: cells, so a cell never starts or ends with white space.
+_cell_text = st.text(
+    st.one_of(st.sampled_from(',"\'\r\n \t;é日\ufeff'), st.characters(exclude_categories=["Cs"]))
+).map(str.strip)
+_distance = st.one_of(st.just(-0.0), st.floats(min_value=0.0, allow_infinity=False))
+_session = st.builds(SessionMeta, _cell_text, st.sampled_from(DEFAULT_ACTIVITIES), _distance, _positive, _cell_text, _cell_text)
+
+
+def _float_bits(metas) -> list[bytes]:
+    return [struct.pack("<dd", m.distance_km, m.duration_min) for m in metas]
+
+
+class TestSessionsCsvProperties:
+    @given(st.lists(_session, min_size=1, max_size=8, unique_by=lambda m: m.session_id))
+    def test_round_trip_keeps_text_and_float_bits(self, metas):
+        parsed = _round_trip(write_sessions_csv, parse_sessions_csv, metas)
+        assert parsed == metas
+        assert _float_bits(parsed) == _float_bits(metas)
 
 
 #: name -> (header, parser, row text of (t, value list))
