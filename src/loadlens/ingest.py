@@ -128,7 +128,11 @@ class Channel:
 
 @dataclass(frozen=True)
 class SessionMeta:
-    """Descriptive record for one exercise session."""
+    """Descriptive record for one exercise session.
+
+    Text fields may not start or end with white space: ``sessions.csv``
+    cells are stripped when parsed, so such text would not come back.
+    """
 
     session_id: str
     activity: str
@@ -138,6 +142,10 @@ class SessionMeta:
     rr_file: str = ""
 
     def __post_init__(self):
+        for name in ("session_id", "activity", "accel_file", "rr_file"):
+            text = getattr(self, name)
+            if text != text.strip():
+                raise ValueError(f"{name} must not start or end with white space, got {text!r}")
         if self.distance_km < 0:
             raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
         if self.duration_min <= 0:

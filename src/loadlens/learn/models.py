@@ -4,20 +4,25 @@ features.
 Both models predict the ordinal activity code as a regression target; class
 decisions come from rounding the output (see ``data.decode_prediction``).
 Training is deterministic under a fixed seed and single-threaded execution.
+
+The network's mini-batch step keeps every weight and bias as a view into one
+flat vector and writes each batch gradient into views of a second one, so an
+update is two whole-vector operations. Every element operation is the one of
+the textbook per-batch update (forward trace, backpropagated MSE gradient,
+``W - lr * dW`` per layer), so the fitted layers and both loss curves match
+that update bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DegenerateDesign, NonFiniteLoss, ParseError, TooFewRows
-
-log = logging.getLogger(__name__)
 
 #: Condition-number threshold beyond which OLS falls back to ridge.
 COND_LIMIT = 1e12
@@ -100,7 +105,7 @@ def fit_lrm_xy(X, y, feature_names) -> LinearModel:
     if not np.isfinite(cond) or cond > COND_LIMIT:
         ridge = True
         G = G + RIDGE_LAMBDA * np.eye(p + 1)
-        log.warning("normal equations ill-conditioned (cond=%.3g); using ridge fallback", cond)
+        warnings.warn(f"normal equations ill-conditioned (cond={cond:.3g}); using ridge fallback")
     coef = np.linalg.solve(G, rhs)
     return LinearModel(
         features=tuple(feature_names),
@@ -138,41 +143,80 @@ def init_layers(sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     return layers
 
 
-def forward_trace(layers, X):
-    """Forward pass keeping every layer's pre-activation and activation.
-
-    Hidden layers are rectified-linear; the output layer is linear and
-    squeezed to shape (n,).
-    """
-    acts = [np.asarray(X, dtype=float)]
-    preacts = []
-    for i, (W, b) in enumerate(layers):
-        z = acts[-1] @ W + b
-        preacts.append(z)
-        acts.append(np.maximum(z, 0.0) if i < len(layers) - 1 else z)
-    return acts, preacts
-
-
 def forward(layers, X) -> np.ndarray:
-    acts, _ = forward_trace(layers, X)
-    return acts[-1][:, 0]
+    """Network output, shape (n,): rectified-linear hidden layers and a
+    linear output layer."""
+    a = np.asarray(X, dtype=float)
+    last = len(layers) - 1
+    for i, (W, b) in enumerate(layers):
+        z = a @ W + b
+        a = np.maximum(z, 0.0) if i < last else z
+    return a[:, 0]
 
 
-def loss_and_grads(layers, X, y):
-    """Mean-squared-error loss and its gradients via backpropagation."""
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    acts, preacts = forward_trace(layers, X)
-    resid = acts[-1][:, 0] - y
-    loss = float((resid * resid).mean())
-    delta = (2.0 / n) * resid[:, None]
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        W, _ = layers[i]
-        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
-        if i > 0:
-            delta = (delta @ W.T) * (preacts[i - 1] > 0.0)
-    return loss, grads
+class _FlatNet:
+    """Layers as views into one flat parameter vector ``P``, and the
+    gradients of a mini-batch as the same views into one flat vector ``G``.
+
+    ``gradient`` writes the backpropagated gradient of the batch MSE into
+    ``G`` with the element operations of a textbook per-batch update (forward
+    trace, ``(2/n) * resid``, ``delta @ W.T`` times the 0/1 mask of active
+    units), through ``out=`` buffers cached per batch size, so ``P -= lr * G``
+    reproduces the per-layer update bit for bit.
+    """
+
+    def __init__(self, layers):
+        self.P = np.concatenate([np.concatenate([W.ravel(), b]) for W, b in layers])
+        self.G = np.empty_like(self.P)
+        self.layers = self._views(self.P, layers)
+        self.grads = self._views(self.G, layers)
+        self._buffers: dict[int, tuple] = {}
+
+    @staticmethod
+    def _views(flat, layers):
+        views, at = [], 0
+        for W, b in layers:
+            (fan_in, fan_out), end = W.shape, at + W.size
+            views.append((flat[at:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
+            at = end + fan_out
+        return views
+
+    def _work(self, n: int) -> tuple:
+        """Activation, delta and mask buffers for a batch of ``n`` rows."""
+        work = self._buffers.get(n)
+        if work is None:
+            widths = [W.shape[1] for W, _ in self.layers]
+            acts = [np.empty((n, w)) for w in widths]
+            deltas = [np.empty((n, w)) for w in widths]
+            masks = [np.empty((n, w), dtype=bool) for w in widths[:-1]]
+            work = self._buffers[n] = (acts, deltas, masks)
+        return work
+
+    def gradient(self, X, y) -> None:
+        """Write the gradient of mean((forward(X) - y)**2) into ``G``."""
+        acts, deltas, masks = self._work(len(y))
+        last = len(self.layers) - 1
+        a = X
+        for i, (W, b) in enumerate(self.layers):
+            z = acts[i]
+            np.matmul(a, W, out=z)
+            np.add(z, b, out=z)
+            if i < last:
+                np.maximum(z, 0.0, out=z)
+            a = z
+        d = deltas[last]
+        np.subtract(a, y[:, None], out=d)
+        np.multiply(2.0 / len(y), d, out=d)
+        for i in range(last, -1, -1):
+            dW, db = self.grads[i]
+            np.matmul((acts[i - 1] if i else X).T, d, out=dW)
+            np.add.reduce(d, axis=0, out=db)
+            if i:
+                prev, mask = deltas[i - 1], masks[i - 1]
+                np.matmul(d, self.layers[i][0].T, out=prev)
+                np.greater(acts[i - 1], 0.0, out=mask)
+                np.multiply(prev, mask, out=prev)
+                d = prev
 
 
 def _mse(layers, X, y) -> float:
@@ -218,11 +262,12 @@ def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig 
 
     rng = np.random.default_rng(config.seed)
     sizes = (Zt.shape[1],) + tuple(config.hidden) + (1,)
-    layers = init_layers(sizes, rng)
+    net = _FlatNet(init_layers(sizes, rng))
+    step = np.empty_like(net.P)
 
     def record(train_losses, val_losses, epoch):
-        tl = _mse(layers, Zt, y_train)
-        vl = _mse(layers, Zv, yv) if Zv is not None else float("nan")
+        tl = _mse(net.layers, Zt, y_train)
+        vl = _mse(net.layers, Zv, yv) if Zv is not None else float("nan")
         if not np.isfinite(tl) or (Zv is not None and not np.isfinite(vl)):
             raise NonFiniteLoss(epoch, tl if not np.isfinite(tl) else vl, config.lr)
         train_losses.append(tl)
@@ -230,20 +275,20 @@ def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig 
 
     train_losses: list[float] = []
     val_losses: list[float] = []
-    record(train_losses, val_losses, 0)
     n = len(y_train)
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch):
-            sel = order[start : start + config.batch]
-            _, grads = loss_and_grads(layers, Zt[sel], y_train[sel])
-            layers = [
-                (W - config.lr * dW, b - config.lr * db)
-                for (W, b), (dW, db) in zip(layers, grads)
-            ]
-        record(train_losses, val_losses, epoch)
+    # a diverging fit overflows before record() sees the non-finite loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(train_losses, val_losses, 0)
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n)
+            Xo, yo = Zt[order], y_train[order]
+            for start in range(0, n, config.batch):
+                net.gradient(Xo[start : start + config.batch], yo[start : start + config.batch])
+                np.multiply(config.lr, net.G, out=step)
+                np.subtract(net.P, step, out=net.P)
+            record(train_losses, val_losses, epoch)
 
-    model = NetworkModel(features=tuple(feature_names), standardizer=std, layers=layers)
+    model = NetworkModel(features=tuple(feature_names), standardizer=std, layers=net.layers)
     return model, train_losses, val_losses
 
 

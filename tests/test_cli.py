@@ -145,7 +145,8 @@ class TestSessionWorkers:
         assert not out.exists()
 
     def test_importing_the_cli_loads_no_pool_module(self):
-        code = "import sys, loadlens.cli; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+        """Nor ``logging``: warnings go through ``warnings.warn``."""
+        code = "import sys, loadlens.cli; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing', 'logging'))))"
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__))}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -360,6 +361,20 @@ class TestExitCodes:
             assert main([*cmd, "--input", str(path), "--window", "20", "--stride", "5", "--out", str(out)]) == 4
             assert "MomentOverflow" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_divergent_training_prints_only_the_error_line(self, features_csv, tmp_path):
+        """In a fresh process, so numpy's RuntimeWarnings would reach stderr."""
+        out = tmp_path / "models"
+        argv = ["train", "--features", features_csv, "--model", "dnn", "--lr", "1e6", "--epochs", "50", "--out-dir", str(out)]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "loadlens.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: NonFiniteLoss: "), proc.stderr
+        assert lines[0].endswith("\n")
+        assert not out.exists()
 
     def test_predict_with_no_usable_row_is_input_error(self, features_csv, tmp_path, capsys):
         models = tmp_path / "models"

@@ -157,6 +157,9 @@ class TestSessions:
             SessionMeta("x", "walking", -1.0, 10.0)
         with pytest.raises(ValueError):
             SessionMeta("x", "walking", 1.0, 0.0)
+        for args in ((" x", "walking"), ("x", "walking\n"), ("x", "walking", "a.csv\t"), ("x", "walking", "a.csv", "\u3000r.csv")):
+            with pytest.raises(ValueError, match="white space"):
+                SessionMeta(args[0], args[1], 1.0, 10.0, *args[2:])
 
     def test_duplicate_session_id(self, tmp_path):
         p = _write(
@@ -280,13 +283,16 @@ def _parse_text(parse, text):
 
 
 #: Cell text the sessions.csv writer must quote or escape, mixed with any
-#: character UTF-8 can encode (so no lone surrogate). The parser strips
-#: cells, so a cell never starts or ends with white space.
+#: character UTF-8 can encode (so no lone surrogate). Inner white space
+#: stays; outer white space is what SessionMeta rejects.
 _cell_text = st.text(
-    st.one_of(st.sampled_from(',"\'\r\n \t;é日\ufeff'), st.characters(exclude_categories=["Cs"]))
+    st.one_of(st.sampled_from(',"\'\r\n \t;é日\ufeff\u3000'), st.characters(exclude_categories=["Cs"]))
 ).map(str.strip)
 _distance = st.one_of(st.just(-0.0), st.floats(min_value=0.0, allow_infinity=False))
-_session = st.builds(SessionMeta, _cell_text, st.sampled_from(DEFAULT_ACTIVITIES), _distance, _positive, _cell_text, _cell_text)
+#: SessionMeta arguments: (session_id, activity, distance_km, duration_min, accel_file, rr_file).
+_session_args = st.tuples(_cell_text, st.sampled_from(DEFAULT_ACTIVITIES), _distance, _positive, _cell_text, _cell_text)
+#: Every character ``str.strip`` removes (U+3000 is the highest).
+_white_space = st.text(st.sampled_from([c for c in map(chr, range(0x3001)) if c.isspace()]), min_size=1)
 
 
 def _float_bits(metas) -> list[bytes]:
@@ -294,11 +300,21 @@ def _float_bits(metas) -> list[bytes]:
 
 
 class TestSessionsCsvProperties:
-    @given(st.lists(_session, min_size=1, max_size=8, unique_by=lambda m: m.session_id))
-    def test_round_trip_keeps_text_and_float_bits(self, metas):
+    @given(st.lists(_session_args, min_size=1, max_size=8, unique_by=lambda args: args[0]))
+    def test_round_trip_keeps_text_and_float_bits(self, drawn):
+        metas = [SessionMeta(*args) for args in drawn]
         parsed = _round_trip(write_sessions_csv, parse_sessions_csv, metas)
         assert parsed == metas
         assert _float_bits(parsed) == _float_bits(metas)
+
+    @given(_session_args, st.sampled_from([0, 1, 4, 5]), _white_space, st.sampled_from(["lead", "trail", "both"]))
+    def test_outer_white_space_is_rejected(self, args, field, pad, side):
+        """The stripping parser could not give such text back."""
+        args = list(args)
+        text = args[field]
+        args[field] = pad + text + pad if side == "both" else (pad + text if side == "lead" else text + pad)
+        with pytest.raises(ValueError, match="white space"):
+            SessionMeta(*args)
 
 
 #: name -> (header, parser, row text of (t, value list))

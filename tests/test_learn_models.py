@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loadlens.errors import (
     DegenerateDesign,
@@ -25,7 +27,7 @@ from loadlens.learn import (
     save_model,
     split,
 )
-from loadlens.learn.models import forward_trace, init_layers, loss_and_grads
+from loadlens.learn.models import _FlatNet, _mse, forward, init_layers
 from tests.conftest import make_rows
 
 
@@ -153,7 +155,8 @@ class TestFitLrm:
         x = rng.normal(0, 1, 40)
         X = np.column_stack([x, x])
         y = 3.0 * x + 2.0
-        model = fit_lrm_xy(X, y, ["x1", "x2"])
+        with pytest.warns(UserWarning, match="ridge fallback"):
+            model = fit_lrm_xy(X, y, ["x1", "x2"])
         assert model.ridge_fallback
         assert np.abs(model.predict(X) - y).max() < 1e-6
 
@@ -251,33 +254,139 @@ class TestGradients:
     def test_backprop_matches_central_differences(self, rng):
         X = rng.normal(0, 1, (8, 4))
         y = rng.normal(0, 1, 8)
-        layers = init_layers((4, 6, 5, 1), rng)
-        loss, grads = loss_and_grads(layers, X, y)
+        net = _FlatNet(init_layers((4, 6, 5, 1), rng))
+        net.gradient(X, y)
+        grads = net.G.copy()
         h = 1e-5
-        for li, (W, b) in enumerate(layers):
-            for arr, garr in ((W, grads[li][0]), (b, grads[li][1])):
-                it = np.nditer(arr, flags=["multi_index"])
-                while not it.finished:
-                    idx = it.multi_index
-                    orig = arr[idx]
-                    arr[idx] = orig + h
-                    lp = loss_and_grads(layers, X, y)[0]
-                    arr[idx] = orig - h
-                    lm = loss_and_grads(layers, X, y)[0]
-                    arr[idx] = orig
-                    fd = (lp - lm) / (2 * h)
-                    g = garr[idx]
-                    denom = max(abs(g), abs(fd), 1e-6)
-                    assert abs(g - fd) / denom < 1e-4
-                    it.iternext()
+        for j in range(net.P.size):
+            orig = net.P[j]
+            net.P[j] = orig + h
+            lp = _mse(net.layers, X, y)
+            net.P[j] = orig - h
+            lm = _mse(net.layers, X, y)
+            net.P[j] = orig
+            fd = (lp - lm) / (2 * h)
+            denom = max(abs(grads[j]), abs(fd), 1e-6)
+            assert abs(grads[j] - fd) / denom < 1e-4
 
-    def test_forward_trace_shapes(self, rng):
+    def test_flat_views_match_layer_shapes(self, rng):
         X = rng.normal(0, 1, (7, 3))
         layers = init_layers((3, 4, 1), rng)
-        acts, preacts = forward_trace(layers, X)
-        assert [a.shape for a in acts] == [(7, 3), (7, 4), (7, 1)]
-        assert [z.shape for z in preacts] == [(7, 4), (7, 1)]
-        assert (acts[1] >= 0).all()
+        net = _FlatNet(layers)
+        shapes = [(W.shape, b.shape) for W, b in layers]
+        assert [(W.shape, b.shape) for W, b in net.layers] == shapes == [((3, 4), (4,)), ((4, 1), (1,))]
+        assert [(W.shape, b.shape) for W, b in net.grads] == shapes
+        assert net.P.shape == net.G.shape == (3 * 4 + 4 + 4 * 1 + 1,)
+        for (W, b), (vW, vb), (gW, gb) in zip(layers, net.layers, net.grads):
+            assert (vW == W).all() and (vb == b).all()
+            assert all(np.shares_memory(v, net.P) for v in (vW, vb))
+            assert all(np.shares_memory(g, net.G) for g in (gW, gb))
+        assert forward(net.layers, X).shape == (7,)
+        net.gradient(X, rng.normal(0, 1, 7))
+        assert np.isfinite(net.G).all()
+        hidden = net._work(7)[0][0]
+        assert hidden.shape == (7, 4) and (hidden >= 0).all()
+
+
+def _reference_forward_trace(layers, X):
+    """Forward pass keeping every layer's pre-activation and activation."""
+    acts = [np.asarray(X, dtype=float)]
+    preacts = []
+    for i, (W, b) in enumerate(layers):
+        z = acts[-1] @ W + b
+        preacts.append(z)
+        acts.append(np.maximum(z, 0.0) if i < len(layers) - 1 else z)
+    return acts, preacts
+
+
+def _reference_loss_and_grads(layers, X, y):
+    """Mean-squared-error loss and its gradients via backpropagation."""
+    n = len(y)
+    acts, preacts = _reference_forward_trace(layers, X)
+    resid = acts[-1][:, 0] - y
+    loss = float((resid * resid).mean())
+    delta = (2.0 / n) * resid[:, None]
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        W, _ = layers[i]
+        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ W.T) * (preacts[i - 1] > 0.0)
+    return loss, grads
+
+
+def _reference_mse(layers, X, y) -> float:
+    r = _reference_forward_trace(layers, X)[0][-1][:, 0] - y
+    return float((r * r).mean())
+
+
+def _reference_fit(X_train, y_train, X_val, y_val, config):
+    """The per-batch update: a list of fresh (W, b) pairs per step."""
+    std = Standardizer.fit(X_train)
+    Zt = std.transform(X_train)
+    Zv = std.transform(X_val) if X_val is not None else None
+    rng = np.random.default_rng(config.seed)
+    layers = init_layers((Zt.shape[1],) + tuple(config.hidden) + (1,), rng)
+    train_losses, val_losses = [], []
+
+    def record(epoch):
+        tl = _reference_mse(layers, Zt, y_train)
+        vl = _reference_mse(layers, Zv, y_val) if Zv is not None else float("nan")
+        if not np.isfinite(tl) or (Zv is not None and not np.isfinite(vl)):
+            raise NonFiniteLoss(epoch, tl if not np.isfinite(tl) else vl, config.lr)
+        train_losses.append(tl)
+        val_losses.append(vl)
+
+    record(0)
+    n = len(y_train)
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch):
+            sel = order[start : start + config.batch]
+            _, grads = _reference_loss_and_grads(layers, Zt[sel], y_train[sel])
+            layers = [(W - config.lr * dW, b - config.lr * db) for (W, b), (dW, db) in zip(layers, grads)]
+        record(epoch)
+    return layers, train_losses, val_losses
+
+
+@st.composite
+def _fit_cases(draw):
+    n = draw(st.integers(20, 70))
+    config = DnnConfig(
+        hidden=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))),
+        epochs=draw(st.integers(1, 4)),
+        lr=draw(st.sampled_from([0.001, 0.01, 0.1])),
+        batch=draw(st.integers(1, n + 5)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+    return n, draw(st.integers(1, 5)), draw(st.booleans()), draw(st.integers(0, 2**32 - 1)), config
+
+
+class TestFlatStepMatchesPerBatchUpdate:
+    @settings(deadline=None)
+    @given(_fit_cases())
+    @example((20, 5, False, 1, DnnConfig(hidden=(7,), epochs=2, lr=0.1, batch=1, seed=1)))  # diverges at epoch 2
+    def test_layers_and_losses_are_bitwise_equal(self, case):
+        n, p, with_val, data_seed, config = case
+        data = np.random.default_rng(data_seed)
+        X = data.normal(0, 1, (n, p)) * data.uniform(0.1, 10, p)
+        y = data.normal(0, 1, n)
+        X_val, y_val = (data.normal(0, 1, (9, p)), data.normal(0, 1, 9)) if with_val else (None, None)
+        try:
+            with np.errstate(all="ignore"):
+                layers, ref_train, ref_val = _reference_fit(X, y, X_val, y_val, config)
+        except NonFiniteLoss as e:
+            with pytest.raises(NonFiniteLoss) as ei:
+                fit_dnn_xy(X, y, X_val, y_val, list("abcde")[:p], config)
+            assert str(ei.value) == str(e)
+            return
+        model, train_losses, val_losses = fit_dnn_xy(X, y, X_val, y_val, list("abcde")[:p], config)
+        assert np.array(train_losses).tobytes() == np.array(ref_train).tobytes()
+        assert np.array(val_losses).tobytes() == np.array(ref_val).tobytes()
+        assert len(model.layers) == len(layers)
+        for (W, b), (rW, rb) in zip(model.layers, layers):
+            assert W.shape == rW.shape and W.tobytes() == rW.tobytes()
+            assert b.shape == rb.shape and b.tobytes() == rb.tobytes()
 
 
 class TestSerialization:
