@@ -7,7 +7,8 @@ out of scope: every figure-shaped result is served as data (CSV/JSON).
 ``synth sessions`` and ``features`` spread their sessions over worker
 processes, one per available CPU; no output byte depends on how many.
 
-Exit codes: 0 ok, 2 input error, 3 configuration error, 4 numeric failure.
+Exit codes: 0 ok, 2 input error, 3 configuration error, 4 numeric failure;
+``loadlens.errors`` holds the table of error bases and their codes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import LoadlensError, MomentOverflow, NonFiniteLoss, ParseError, UnknownLabel
+from .errors import ConfigError, LoadlensError, ParseError
 from .features import (
     ALL_FEATURES,
     SessionFeatures,
@@ -63,13 +64,9 @@ from .manifest import (
 )
 from .momentplane import export_plane
 from .stats import DEFAULT_STRIDE, DEFAULT_WINDOW, bootstrap, sliding_windows, write_windows_csv
-from .synth import ACCEL_CLASSES, PROTOCOL_PRESETS, GenConfig, gen_accel, gen_rr, gen_sessions
+from .synth import ACCEL_CLASSES, ACCEL_HZ, PROTOCOL_PRESETS, GenConfig, gen_accel, gen_rr, gen_sessions
 
 DEFAULT_CLUSTER_COLUMNS = "acc_mean,acc_std,acc_skewness,acc_kurtosis"
-
-
-class _UsageError(Exception):
-    """A command line argparse rejected; ``main`` returns 3 for it."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,8 +74,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 def _write_json(path, doc) -> None:
@@ -92,7 +88,7 @@ def cmd_moments(args) -> None:
         series = accel_magnitude(parse_accel_csv(args.input), center=args.center)
     else:
         if args.center:
-            raise ValueError("--center applies to the accel channel only")
+            raise ConfigError("--center applies to the accel channel only")
         series = parse_rr_csv(args.input)
     windows = sliding_windows(series, args.window, args.stride)
     write_windows_csv(args.out, windows)
@@ -152,9 +148,9 @@ def _parse_columns(text: str) -> tuple[str, ...]:
     cols = tuple(c.strip() for c in text.split(",") if c.strip())
     unknown = [c for c in cols if c not in ALL_FEATURES]
     if unknown:
-        raise ValueError(f"unknown feature columns: {', '.join(unknown)}")
+        raise ConfigError(f"unknown feature columns: {', '.join(unknown)}")
     if not cols:
-        raise ValueError("no feature columns given")
+        raise ConfigError("no feature columns given")
     return cols
 
 
@@ -213,7 +209,7 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
-        raise ValueError(f"bad --hidden {text!r}; expected comma-separated integers") from None
+        raise ConfigError(f"bad --hidden {text!r}; expected comma-separated integers") from None
 
 
 def cmd_train(args) -> None:
@@ -358,11 +354,14 @@ def _duration(text: str) -> float:
     value = _positive_float(text)
     if value > MAX_ACCEL_DURATION_S:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_ACCEL_DURATION_S:g} s, got {text}")
+    if round(value * ACCEL_HZ) < 1:
+        shortest = 0.5 / ACCEL_HZ
+        raise argparse.ArgumentTypeError(f"must be over {shortest:g} s to hold one sample at {ACCEL_HZ} Hz, got {text}")
     return value
 
 
 def _count(text: str) -> int:
-    """argparse type for sizes where 0 means none: an int >= 0."""
+    """argparse type for seeds, and sizes where 0 means none: an int >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -373,7 +372,7 @@ def _count(text: str) -> int:
 
 
 def _add_seed(p) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    p.add_argument("--seed", type=_count, default=0, help="RNG seed, >= 0 (default: 0)")
 
 
 def build_parser() -> _Parser:
@@ -470,22 +469,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError:
-        return 3
-    try:
+        args = build_parser().parse_args(argv)
         args.fn(args)
-    except (ParseError, UnknownLabel, OSError) as e:
+    except LoadlensError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return e.exit_code
+    except OSError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except (NonFiniteLoss, MomentOverflow) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 4
-    except (LoadlensError, ValueError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exit code of each.
+
+Every concrete error derives from exactly one of three bases, and the base
+carries the exit code the command line returns for it (``cli.main``):
+
+=================  ====  ==================================================
+base               exit  raised for
+=================  ====  ==================================================
+``ParseError``     2     an input file that cannot be read as its format
+``ConfigError``    3     a request that cannot be met: a rejected argument,
+                         or inputs too few or too flat for the operation
+``NumericError``   4     a computation whose result is not a finite number
+=================  ====  ==================================================
+
+An ``OSError`` (a missing or unreadable file) also exits 2. Any other
+exception escaping a command is a bug and ends in a traceback.
+"""
 
 import functools
 
@@ -13,6 +29,9 @@ class LoadlensError(Exception):
     that carries an error from a worker process to its parent.
     """
 
+    #: Process exit code for this error; set by the three bases below.
+    exit_code: int
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args)
         self._init_args = (args, kwargs)
@@ -25,6 +44,21 @@ class LoadlensError(Exception):
 
 class ParseError(LoadlensError):
     """Base class for errors raised while reading input files."""
+
+    exit_code = 2
+
+
+class ConfigError(LoadlensError):
+    """Base class for requests that cannot be met, such as a rejected
+    command-line argument or too few rows for a fit."""
+
+    exit_code = 3
+
+
+class NumericError(LoadlensError):
+    """Base class for computations that leave the finite floats."""
+
+    exit_code = 4
 
 
 class MalformedRow(ParseError):
@@ -64,7 +98,7 @@ class InvalidRr(ParseError):
         super().__init__(msg)
 
 
-class UnknownLabel(LoadlensError):
+class UnknownLabel(ParseError):
     """Activity label not present in the label registry."""
 
     def __init__(self, label: str):
@@ -72,31 +106,7 @@ class UnknownLabel(LoadlensError):
         super().__init__(f"unknown activity label {label!r}")
 
 
-class EmptyInput(LoadlensError):
-    """An operation received an empty sample list."""
-
-
-class TooFewSamples(LoadlensError):
-    """Fewer samples than the four-moment minimum (n >= 4)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        super().__init__(f"need at least 4 samples, got {n}")
-
-
-class SeriesTooShort(LoadlensError):
-    """Series shorter than one window."""
-
-
-class MomentOverflow(LoadlensError):
-    """A central moment overflows float64; no finite statistic exists."""
-
-
-class NonPositiveShape(LoadlensError):
-    """Weibull shape parameter must be > 0."""
-
-
-class MissingChannel(LoadlensError):
+class MissingChannel(ParseError):
     """A required sensor channel is absent or unusable."""
 
     def __init__(self, name: str, detail: str = ""):
@@ -107,15 +117,32 @@ class MissingChannel(LoadlensError):
         super().__init__(msg)
 
 
-class TooFewRows(LoadlensError):
+class SeriesTooShort(ConfigError):
+    """Series shorter than one window."""
+
+
+class TooFewRows(ConfigError):
     """Not enough rows for the requested operation."""
 
 
-class DegenerateDesign(LoadlensError):
+class DegenerateDesign(ConfigError):
     """All features constant; no regression is possible."""
 
 
-class NonFiniteLoss(LoadlensError):
+class EmptyEvalSet(ConfigError):
+    """Evaluation called with no rows."""
+
+
+class TooFewDistinctPoints(ConfigError):
+    """k-means needs at least k distinct points."""
+
+
+class MomentOverflow(NumericError):
+    """A moment (a mean, a variance or higher) overflows float64; no finite
+    statistic exists."""
+
+
+class NonFiniteLoss(NumericError):
     """Training diverged to a non-finite loss."""
 
     def __init__(self, epoch: int, loss: float, lr: float):
@@ -126,23 +153,3 @@ class NonFiniteLoss(LoadlensError):
             f"non-finite loss {loss!r} at epoch {epoch} (lr={lr}); "
             "try a smaller learning rate"
         )
-
-
-class EmptyEvalSet(LoadlensError):
-    """Evaluation called with no rows."""
-
-
-class TooFewDistinctPoints(LoadlensError):
-    """k-means needs at least k distinct points."""
-
-
-class InvalidProtocol(LoadlensError):
-    """Generator protocol violates its invariants."""
-
-
-class UnknownClass(LoadlensError):
-    """Unregistered synthetic activity class."""
-
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"unknown activity class {name!r}")

@@ -20,15 +20,8 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .errors import (
-    EmptyFile,
-    MalformedRow,
-    MissingChannel,
-    ParseError,
-    TooFewRows,
-    UnknownLabel,
-)
-from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta
+from .errors import EmptyFile, MalformedRow, MissingChannel, TooFewRows, UnknownLabel
+from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta, _read_rows
 from .momentplane import metric1, metric2
 from .stats import moments
 
@@ -220,33 +213,22 @@ def write_features_csv(path, rows: list[SessionFeatures]) -> None:
 
 
 def read_features_csv(path) -> list[SessionFeatures]:
-    """Read features.csv back; empty cells become NaN."""
+    """Read features.csv back; empty cells become NaN. Row numbers in
+    errors count non-blank data rows from 1, as for the channel files."""
     rows: list[SessionFeatures] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != FEATURES_CSV_HEADER:
-            raise MalformedRow(0, f"expected header {','.join(FEATURES_CSV_HEADER)}")
-        for idx, fields in enumerate(reader, start=1):
-            if not fields:
+    for row, fields in _read_rows(path, FEATURES_CSV_HEADER):
+        if fields[1] not in DEFAULT_ACTIVITIES:
+            raise UnknownLabel(fields[1])
+        values = []
+        for name, text in zip(FEATURES_CSV_HEADER[2:], fields[2:]):
+            if text == "":
+                values.append(math.nan)
                 continue
-            if len(fields) != len(FEATURES_CSV_HEADER):
-                raise MalformedRow(idx, f"expected {len(FEATURES_CSV_HEADER)} fields")
-            if fields[1] not in DEFAULT_ACTIVITIES:
-                raise UnknownLabel(fields[1])
-            values = []
-            for name, text in zip(FEATURES_CSV_HEADER[2:], fields[2:]):
-                if text == "":
-                    values.append(math.nan)
-                    continue
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise MalformedRow(idx, f"bad {name} {text!r}") from None
-            rows.append(SessionFeatures(fields[0], fields[1], *values))
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise MalformedRow(row, f"bad {name} {text!r}") from None
+        rows.append(SessionFeatures(fields[0], fields[1], *values))
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
     return rows
@@ -259,29 +241,3 @@ def write_correlation_csv(path, corr: CorrelationMatrix) -> None:
         w.writerow(("feature",) + corr.feature_names)
         for i, name in enumerate(corr.feature_names):
             w.writerow([name] + [_fmt(float(v)) for v in corr.r[i]])
-
-
-def read_correlation_csv(path) -> CorrelationMatrix:
-    """Read a matrix written by ``write_correlation_csv``; empty cells become NaN."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: empty file") from None
-        names = tuple(header[1:])
-        rows = []
-        for idx, fields in enumerate(reader, start=1):
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise MalformedRow(idx, f"expected {len(header)} fields, got {len(fields)}")
-            try:
-                rows.append([math.nan if t == "" else float(t) for t in fields[1:]])
-            except ValueError:
-                raise MalformedRow(idx, "bad correlation value") from None
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
-    if len(rows) != len(names):
-        raise ParseError(f"{path}: {len(rows)} data rows for {len(names)} features")
-    return CorrelationMatrix(feature_names=names, r=np.array(rows, dtype=float))

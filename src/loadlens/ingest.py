@@ -29,6 +29,7 @@ that a write -> parse round trip is bit-exact.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import math
 import os
@@ -39,10 +40,10 @@ import numpy as np
 
 from .errors import (
     EmptyFile,
-    EmptyInput,
     InvalidRr,
     MalformedRow,
     NonMonotonicTime,
+    ParseError,
     UnknownLabel,
 )
 
@@ -184,6 +185,18 @@ def _parse_rr(text: str, row: int) -> float:
     return rr
 
 
+@contextlib.contextmanager
+def _open_csv(path):
+    """Open a CSV file for reading. Bytes that are not UTF-8, and cells
+    longer than the csv module's field limit, raise ParseError naming the
+    file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def _read_header(fh, path, expected_header) -> None:
     """Consume and check the header row, leaving ``fh`` at the first data line."""
     try:
@@ -195,8 +208,9 @@ def _read_header(fh, path, expected_header) -> None:
 
 
 def _read_rows(path, expected_header):
-    """Yield (data_row_index, fields) after validating the header."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    """Yield (data_row_index, fields) after validating the header; row
+    indices count non-blank data rows from 1."""
+    with _open_csv(path) as fh:
         _read_header(fh, path, expected_header)
         row = 0
         for fields in csv.reader(fh):
@@ -258,7 +272,7 @@ def _read_body(path, header, dtype):
     """
     if not _loadtxt_reads_like_python(path):
         return None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_csv(path) as fh:
         _read_header(fh, path, header)
         try:
             with warnings.catch_warnings():
@@ -390,7 +404,7 @@ def accel_magnitude(samples: Channel, center: bool = False) -> Channel:
     (crude gravity removal); default is the raw magnitude.
     """
     if not len(samples):
-        raise EmptyInput("accel_magnitude needs at least one sample")
+        raise ValueError("accel_magnitude needs at least one sample")
     if samples.values.ndim != 2:
         raise ValueError("accel_magnitude needs a tri-axial channel")
     ax, ay, az = samples.values.T

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TooFewDistinctPoints
+from ..errors import ConfigError, TooFewDistinctPoints
 
 #: Intensity labels by descending acceleration spread of the cluster centroid.
 INTENSITY_ORDER = ("active", "moderate", "passive")
@@ -55,7 +55,7 @@ def kmeans(
     active/moderate/passive labels by descending centroid value on it.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     X = np.asarray(points, dtype=float)
     if X.ndim == 1:
         X = X[:, None]

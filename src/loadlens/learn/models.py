@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateDesign, NonFiniteLoss, ParseError, TooFewRows
+from ..errors import ConfigError, DegenerateDesign, MomentOverflow, NonFiniteLoss, ParseError, TooFewRows
 
 #: Condition-number threshold beyond which OLS falls back to ridge.
 COND_LIMIT = 1e12
@@ -37,7 +37,8 @@ class Standardizer:
     """Per-feature mean/std computed on the training split only.
 
     Zero-variance features map to constant 0 so they can never inject
-    non-finite values at predict time.
+    non-finite values at predict time. Features whose mean or std
+    overflows float64 raise MomentOverflow, so no model stores one.
     """
 
     means: np.ndarray
@@ -45,7 +46,13 @@ class Standardizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
-        return cls(means=X.mean(axis=0), stds=X.std(axis=0))
+        if not len(X):
+            raise TooFewRows("standardizing needs at least one row")
+        with np.errstate(over="ignore", invalid="ignore"):
+            means, stds = X.mean(axis=0), X.std(axis=0)
+        if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+            raise MomentOverflow("a feature mean or std overflows float64")
+        return cls(means=means, stds=stds)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         zero = self.stds < STD_FLOOR
@@ -126,12 +133,12 @@ class DnnConfig:
 
     def __post_init__(self):
         if not self.hidden or any(size < 1 for size in self.hidden):
-            raise ValueError(f"hidden sizes must be >= 1, got {self.hidden}")
+            raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden}")
         for name in ("epochs", "batch"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
 
 def init_layers(sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -342,15 +349,15 @@ def _check_len(arr: np.ndarray, n: int, name: str) -> None:
 def load_model(path):
     """Read a model written by ``save_model``.
 
-    A document that is not JSON, lacks a key, names an unknown kind, or
-    holds arrays whose sizes disagree with the feature list or with each
-    other raises ParseError.
+    A file that is not UTF-8 JSON, or a document that lacks a key, names an
+    unknown kind, or holds arrays whose sizes disagree with the feature list
+    or with each other raises ParseError.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"model: not JSON ({e})") from None
+        except ValueError as e:
+            raise ParseError(f"{path}: not a JSON model ({e})") from None
     kind = _key(doc, "kind", "")
     features = _key(doc, "features", "")
     if not (isinstance(features, list) and features and all(isinstance(f, str) for f in features)):

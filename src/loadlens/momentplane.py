@@ -32,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import ingest
-from .errors import NonPositiveShape
 from .stats import MomentColumns, WindowTable
 
 NORMAL_LANDMARK = (0.0, 3.0)
@@ -73,7 +72,7 @@ def weibull_landmark(c: float) -> tuple[float, float]:
     the exponential landmark (4, 9).
     """
     if not c > 0:
-        raise NonPositiveShape(f"shape must be > 0, got {c}")
+        raise ValueError(f"shape must be > 0, got {c}")
     mu1, mu2, mu3, mu4 = (math.gamma(1.0 + r / c) for r in (1, 2, 3, 4))
     m2 = mu2 - mu1 * mu1
     m3 = mu3 - 3.0 * mu1 * mu2 + 2.0 * mu1**3

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MomentOverflow, SeriesTooShort, TooFewSamples
+from .errors import ConfigError, MomentOverflow, SeriesTooShort
 from .ingest import Channel, _write_table
 
 #: Relative variance floor below which skewness/kurtosis are undefined.
@@ -150,7 +150,7 @@ def _columns(count: int, n: int, block) -> list[np.ndarray]:
 def _as_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size < 4:
-        raise TooFewSamples(arr.size)
+        raise ValueError(f"need at least 4 samples, got {arr.size}")
     if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
     return arr
@@ -175,9 +175,9 @@ def sliding_windows(series: Channel, window: int = DEFAULT_WINDOW, stride: int =
     stay aligned with time.
     """
     if window < 4:
-        raise ValueError(f"window must be >= 4, got {window}")
+        raise ConfigError(f"window must be >= 4, got {window}")
     if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+        raise ConfigError(f"stride must be >= 1, got {stride}")
     if series.values.ndim != 1:
         raise ValueError("sliding_windows needs a univariate channel")
     n = len(series)

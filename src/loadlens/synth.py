@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProtocol, UnknownClass
+from .errors import ConfigError
 from .ingest import (
     Channel,
     SessionMeta,
@@ -61,14 +61,14 @@ class Protocol:
 
     def __post_init__(self):
         if not self.segments:
-            raise InvalidProtocol("protocol needs at least one segment")
+            raise ValueError("protocol needs at least one segment")
         for seg in self.segments:
             if seg.phase not in PHASES:
-                raise InvalidProtocol(f"unknown phase {seg.phase!r}")
+                raise ValueError(f"unknown phase {seg.phase!r}")
             if not seg.duration_s > 0:
-                raise InvalidProtocol(f"segment duration must be > 0, got {seg.duration_s}")
+                raise ValueError(f"segment duration must be > 0, got {seg.duration_s}")
             if not 0.0 <= seg.intensity <= 1.0:
-                raise InvalidProtocol(f"intensity must be in [0, 1], got {seg.intensity}")
+                raise ValueError(f"intensity must be in [0, 1], got {seg.intensity}")
 
 
 #: Built-in protocols; every load is followed by a recovery.
@@ -118,8 +118,6 @@ def _noise_pairs(rng):
 def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> Channel:
     """Generate heartbeat intervals for a protocol; timestamps accumulate
     the generated rr values."""
-    if not isinstance(protocol, Protocol):
-        raise InvalidProtocol(f"expected Protocol, got {type(protocol).__name__}")
     rng = np.random.default_rng(config.seed)
     noise = _noise_pairs(rng)
     ts: list[int] = []
@@ -181,10 +179,10 @@ def gen_accel(activity_class: str, duration_s: float, config: GenConfig = GenCon
     try:
         spec = ACCEL_CLASSES[activity_class]
     except KeyError:
-        raise UnknownClass(activity_class) from None
+        raise ValueError(f"unknown activity class {activity_class!r}") from None
     n = int(round(duration_s * ACCEL_HZ))
     if n <= 0:
-        raise InvalidProtocol(f"duration_s must be > 0, got {duration_s}")
+        raise ValueError(f"duration_s must give at least one sample at {ACCEL_HZ} Hz, got {duration_s}")
     rng = np.random.default_rng(config.seed)
     noise = rng.standard_normal((n, 3)) * spec.noise_std
     t_s = np.arange(n) / ACCEL_HZ
@@ -224,7 +222,7 @@ def session_protocol(duration_min: float, intensity: float) -> Protocol:
     """Rest + load + recovery protocol covering one session."""
     load_s = duration_min * 60.0 - SESSION_REST_S - SESSION_RECOVERY_S
     if load_s <= 0:
-        raise InvalidProtocol(f"session too short for the rest/recovery margins: {duration_min} min")
+        raise ValueError(f"session too short for the rest/recovery margins: {duration_min} min")
     return Protocol(
         (
             Segment(REST, SESSION_REST_S),
@@ -254,7 +252,7 @@ def gen_sessions(n_per_class: int, seed: int, out_dir) -> list[SessionMeta]:
     CPUs, and no output byte depends on how many there are.
     """
     if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+        raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
     os.makedirs(out_dir, exist_ok=True)
     metas: list[SessionMeta] = []
     tasks = []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import loadlens
-from loadlens import ingest
+from loadlens import cli, ingest
 from loadlens.cli import main
 from loadlens.errors import MalformedRow, NonMonotonicTime, ParseError
 from loadlens.features import write_features_csv
@@ -276,6 +276,10 @@ def rr_csv(tmp_path):
     return str(path)
 
 
+#: Kinds of input file that must reject an unreadable file with exit 2.
+FILE_KINDS = ("rr", "sessions", "features", "model")
+
+
 class TestExitCodes:
     def test_ok(self, features_csv, tmp_path):
         assert main(["cluster", "--features", features_csv, "--out", str(tmp_path / "c.json")]) == 0
@@ -304,10 +308,23 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_usage_errors_return_three(self, capsys):
-        assert main([]) == 3
-        assert main(["plane", "--input", "rr.csv"]) == 3
-        assert main(["no-such-command"]) == 3
-        assert "usage:" in capsys.readouterr().err
+        seed = ["synth", "rr", "--preset", "rest", "--seed", "-1", "--out", "x.csv"]
+        for argv in ([], ["plane", "--input", "rr.csv"], ["no-such-command"], seed):
+            assert main(argv) == 3
+            lines = capsys.readouterr().err.splitlines()
+            assert lines[0].startswith("usage: loadlens")
+            assert lines[-1].startswith("error: ConfigError: ")
+            assert sum(line.startswith("error:") for line in lines) == 1
+
+    def test_value_error_in_a_command_is_not_caught(self, monkeypatch, rr_csv, tmp_path):
+        """A ValueError reaching ``main`` is a bug: it propagates, not exit 3."""
+
+        def broken(args):
+            raise ValueError("an internal invariant failed")
+
+        monkeypatch.setattr(cli, "cmd_moments", broken)
+        with pytest.raises(ValueError, match="internal invariant"):
+            main(["moments", "--input", rr_csv, "--channel", "rr", "--out", str(tmp_path / "w.csv")])
 
     def test_help_still_exits_zero(self, capsys):
         for argv in (["--help"], ["plane", "--help"]):
@@ -393,11 +410,75 @@ class TestExitCodes:
         assert "no row has every model feature" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("duration", ["inf", "nan", "0", "86400.5", "1e9"])
+    @pytest.mark.parametrize("duration", ["inf", "nan", "0", "0.01", "86400.5", "1e9"])
     def test_synth_accel_rejects_duration(self, tmp_path, capsys, duration):
         out = tmp_path / "accel.csv"
         assert main(["synth", "accel", "--class", "passive", "--duration", duration, "--out", str(out)]) == 3
         assert "argument --duration" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,fault", [(k, "byte") for k in FILE_KINDS] + [(k, "cell") for k in FILE_KINDS if k != "model"])
+    def test_unreadable_input_file_is_input_error(self, features_csv, rr_csv, tmp_path, capsys, kind, fault):
+        """A byte that is not UTF-8, or a CSV cell over the csv module's
+        field limit, in the first data row of each kind of input file."""
+        inputs = {"rr": rr_csv, "features": features_csv}
+        if kind == "sessions":
+            assert main(["synth", "sessions", "--n", "1", "--out-dir", str(tmp_path / "data")]) == 0
+            inputs[kind] = str(tmp_path / "data" / "sessions.csv")
+        if kind == "model":
+            argv = ["train", "--features", features_csv, "--model", "lrm", "--preset", "hr", "--out-dir", str(tmp_path / "m")]
+            assert main(argv) == 0
+            inputs[kind] = str(tmp_path / "m" / "lrm_hr.model.json")
+        path = inputs[kind]
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        first = 0 if kind == "model" else 1
+        lines[first] = (b"\xff" if fault == "byte" else b"x" * (csv.field_size_limit() + 1)) + lines[first]
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "rr": ["moments", "--input", path, "--channel", "rr"],
+            "sessions": ["features", "--sessions", path],
+            "features": ["cluster", "--features", path],
+            "model": ["predict", "--model", path, "--features", features_csv],
+        }[kind]
+        assert main([*argv, "--out", str(out)]) == 2
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: ParseError: {path}: ")
+        assert not out.exists()
+
+    def test_short_accel_channel_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "sessions", "--n", "1", "--out-dir", str(data)]) == 0
+        accel = data / ingest.parse_sessions_csv(data / "sessions.csv")[0].accel_file
+        accel.write_bytes(b"\r\n".join(accel.read_bytes().split(b"\r\n")[:4]) + b"\r\n")
+        capsys.readouterr()
+        out = tmp_path / "features.csv"
+        assert main(["features", "--sessions", str(data / "sessions.csv"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: MissingChannel: missing or unusable channel 'accel': needs >= 4 samples, got 3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["train", "--model", "lrm"], ["train", "--model", "dnn"], ["cluster"]], ids=" ".join)
+    def test_overflowing_features_are_numeric_error(self, tmp_path, capsys, argv):
+        """Features around 1e300 overflow the standardizer's std; no model
+        with an infinite std is written."""
+        features = tmp_path / "features.csv"
+        X = np.random.default_rng(6).normal(0, 1, (30, 2)) * 1e300
+        write_features_csv(features, make_rows(X, [i % 3 for i in range(30)], ["ahr", "mhr"]))
+        out = tmp_path / "out"
+        opts = ["--columns", "ahr,mhr", "--out"] if argv == ["cluster"] else ["--preset", "hr", "--out-dir"]
+        assert main([*argv, "--features", str(features), *opts, str(out)]) == 4
+        assert capsys.readouterr().err == "error: MomentOverflow: a feature mean or std overflows float64\n"
+        assert not out.exists()
+
+    def test_cluster_with_no_complete_row_is_config_error(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        write_features_csv(features, make_rows(np.full((30, 1), np.nan), [i % 3 for i in range(30)], ["acc_std"]))
+        out = tmp_path / "c.json"
+        assert main(["cluster", "--features", str(features), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: TooFewRows: standardizing needs at least one row\n"
         assert not out.exists()
 
     def test_empty_validation_split_is_empty_eval_set(self, tmp_path, capsys):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from loadlens.errors import (
     EmptyFile,
-    EmptyInput,
     InvalidRr,
     MalformedRow,
     NonMonotonicTime,
@@ -192,7 +191,7 @@ class TestMagnitude:
         assert abs(math.fsum(centered.values.tolist()) / 100) < 1e-12
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="at least one sample"):
             accel_magnitude(Channel(np.zeros(0, dtype=np.int64), np.zeros((0, 3))))
 
     @given(

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadlens import ingest, momentplane
-from loadlens.errors import NonPositiveShape
 from loadlens.ingest import Channel
 from loadlens.momentplane import (
     Zone,
@@ -141,9 +140,9 @@ class TestWeibullLandmark:
         assert s < 1e-12
 
     def test_non_positive_shape(self):
-        with pytest.raises(NonPositiveShape):
+        with pytest.raises(ValueError, match="shape must be > 0"):
             weibull_landmark(0.0)
-        with pytest.raises(NonPositiveShape):
+        with pytest.raises(ValueError, match="shape must be > 0"):
             weibull_landmark(-2.0)
 
     def test_curve_grid_monotone_and_feasible(self):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from loadlens import ingest, stats
-from loadlens.errors import MomentOverflow, SeriesTooShort, TooFewSamples
+from loadlens.errors import ConfigError, MomentOverflow, SeriesTooShort
 from loadlens.ingest import Channel
 from loadlens.stats import (
     DEGENERACY_EPS,
@@ -128,7 +128,7 @@ class TestMoments:
         assert float.hex(m.std) == float.hex(float(x.std()))
 
     def test_too_few(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValueError, match="need at least 4 samples, got 3"):
             moments([1.0, 2.0, 3.0])
 
     def test_non_finite_rejected(self):
@@ -204,9 +204,9 @@ class TestSlidingWindows:
             sliding_windows(series_of(range(5)), window=6, stride=1)
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="window must be >= 4"):
             sliding_windows(series_of(range(10)), window=3, stride=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="stride must be >= 1"):
             sliding_windows(series_of(range(10)), window=4, stride=0)
         with pytest.raises(ValueError):
             sliding_windows(Channel(np.arange(10), np.ones((10, 3))), window=4, stride=1)
@@ -377,7 +377,7 @@ class TestBootstrap:
         assert abs(boot_means.std() - se) / se < 0.2
 
     def test_validation(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValueError, match="need at least 4 samples, got 2"):
             bootstrap([1.0, 2.0], B=10, seed=0)
         with pytest.raises(ValueError):
             bootstrap([1.0, 2.0, 3.0, 4.0], B=0, seed=0)
