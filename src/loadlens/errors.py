@@ -138,8 +138,8 @@ class TooFewDistinctPoints(ConfigError):
 
 
 class MomentOverflow(NumericError):
-    """A moment (a mean, a variance or higher) overflows float64; no finite
-    statistic exists."""
+    """A moment (a mean, a variance or higher), or the accel magnitude,
+    overflows float64; no finite statistic exists."""
 
 
 class NonFiniteLoss(NumericError):

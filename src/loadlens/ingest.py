@@ -42,6 +42,7 @@ from .errors import (
     EmptyFile,
     InvalidRr,
     MalformedRow,
+    MomentOverflow,
     NonMonotonicTime,
     ParseError,
     UnknownLabel,
@@ -402,13 +403,19 @@ def accel_magnitude(samples: Channel, center: bool = False) -> Channel:
     The magnitude is orientation-invariant, so no axis calibration is needed.
     With ``center=True`` the series mean is subtracted from every value
     (crude gravity removal); default is the raw magnitude.
+
+    An axis value beyond about 1.3e154 overflows the sum of squares; that
+    raises ``MomentOverflow``.
     """
     if not len(samples):
         raise ValueError("accel_magnitude needs at least one sample")
     if samples.values.ndim != 2:
         raise ValueError("accel_magnitude needs a tri-axial channel")
     ax, ay, az = samples.values.T
-    values = np.sqrt(ax * ax + ay * ay + az * az)
+    with np.errstate(over="ignore"):
+        values = np.sqrt(ax * ax + ay * ay + az * az)
+    if not np.isfinite(values).all():
+        raise MomentOverflow("accel magnitude overflows float64: an axis value lies beyond about 1.3e154")
     if center:
         values = values - math.fsum(values.tolist()) / len(values)
     return Channel(samples.t_ms, values)

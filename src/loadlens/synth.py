@@ -182,7 +182,7 @@ def gen_accel(activity_class: str, duration_s: float, config: GenConfig = GenCon
         raise ValueError(f"unknown activity class {activity_class!r}") from None
     n = int(round(duration_s * ACCEL_HZ))
     if n <= 0:
-        raise ValueError(f"duration_s must give at least one sample at {ACCEL_HZ} Hz, got {duration_s}")
+        raise ValueError(f"duration_s={duration_s} gives no sample")
     rng = np.random.default_rng(config.seed)
     noise = rng.standard_normal((n, 3)) * spec.noise_std
     t_s = np.arange(n) / ACCEL_HZ

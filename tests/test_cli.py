@@ -460,6 +460,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: MissingChannel: missing or unusable channel 'accel': needs >= 4 samples, got 3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["moments", "features"])
+    def test_overflowing_accel_magnitude_is_numeric_error(self, tmp_path, capsys, cmd):
+        """An axis value of 1e200 overflows the sum of squares under the
+        accel magnitude."""
+        data = tmp_path / "data"
+        assert main(["synth", "sessions", "--n", "1", "--out-dir", str(data)]) == 0
+        accel = data / ingest.parse_sessions_csv(data / "sessions.csv")[0].accel_file
+        lines = accel.read_bytes().split(b"\r\n")
+        t_ms, _, ay, az = lines[1].split(b",")
+        lines[1] = b",".join([t_ms, b"1e200", ay, az])
+        accel.write_bytes(b"\r\n".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        argv = {
+            "moments": ["moments", "--input", str(accel), "--channel", "accel"],
+            "features": ["features", "--sessions", str(data / "sessions.csv")],
+        }[cmd]
+        assert main([*argv, "--out", str(out)]) == 4
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: MomentOverflow: accel magnitude overflows float64")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["train", "--model", "lrm"], ["train", "--model", "dnn"], ["cluster"]], ids=" ".join)
     def test_overflowing_features_are_numeric_error(self, tmp_path, capsys, argv):
         """Features around 1e300 overflow the standardizer's std; no model
