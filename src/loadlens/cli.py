@@ -14,14 +14,11 @@ Exit codes: 0 ok, 2 input error, 3 configuration error, 4 numeric failure;
 from __future__ import annotations
 
 import argparse
-import csv
 import glob
-import json
+import itertools
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .errors import ConfigError, LoadlensError, ParseError
@@ -30,7 +27,6 @@ from .features import (
     SessionFeatures,
     correlation_matrix,
     extract_features,
-    feature_matrix,
     read_features_csv,
     write_correlation_csv,
     write_features_csv,
@@ -38,6 +34,9 @@ from .features import (
 from .ingest import (
     DEFAULT_ACTIVITIES,
     _map_sessions,
+    _read_json,
+    _write_csv,
+    _write_json,
     accel_magnitude,
     parse_accel_csv,
     parse_rr_csv,
@@ -62,7 +61,7 @@ from .manifest import (
     manifest_path_for_dir,
     write_manifest,
 )
-from .momentplane import export_plane
+from .momentplane import DEFAULT_RHO, DEFAULT_TAU, export_plane
 from .stats import DEFAULT_STRIDE, DEFAULT_WINDOW, bootstrap, sliding_windows, write_windows_csv
 from .synth import ACCEL_CLASSES, ACCEL_HZ, PROTOCOL_PRESETS, GenConfig, gen_accel, gen_rr, gen_sessions
 
@@ -75,12 +74,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 def cmd_moments(args) -> None:
@@ -171,11 +164,9 @@ def cmd_correlate(args) -> None:
 def cmd_cluster(args) -> None:
     rows = read_features_csv(args.features)
     columns = _parse_columns(args.columns)
-    X = feature_matrix(rows, columns)
-    keep = np.isfinite(X).all(axis=1)
-    kept_rows = [r for r, k in zip(rows, keep) if k]
-    std = Standardizer.fit(X[keep])
-    result = kmeans(std.transform(X[keep]), k=args.k, seed=args.seed, feature_names=columns)
+    X, _, kept_rows = build_xy(rows, columns)
+    std = Standardizer.fit(X)
+    result = kmeans(std.transform(X), k=args.k, seed=args.seed, feature_names=columns)
     doc = {
         "k": result.k,
         "columns": list(columns),
@@ -238,10 +229,8 @@ def cmd_train(args) -> None:
         "seed": args.seed,
     }
     _write_json(report_path, {**report.to_dict(), "config": config_echo})
-    with open(losses_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for epoch, (tl, vl) in enumerate(zip(report.train_loss, report.val_loss)):
-            fh.write(f"{epoch},{tl!r},{vl!r}\n")
+    losses = zip(itertools.count(), report.train_loss, report.val_loss)
+    _write_csv(losses_path, ("epoch", "train_loss", "val_loss"), losses, lineterminator="\n")
     write_manifest(
         manifest_path_for(os.path.join(args.out_dir, stem)),
         "train",
@@ -259,11 +248,12 @@ def cmd_predict(args) -> None:
     if not kept:
         raise ParseError(f"{args.features}: no row has every model feature ({', '.join(model.features)})")
     yhat = model.predict(X)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("session_id", "activity", "y_true", "y_pred", "predicted_activity"))
-        for r, yt, yp in zip(kept, y.tolist(), yhat.tolist()):
-            w.writerow((r.session_id, r.activity, yt, yp, DEFAULT_ACTIVITIES[decode_prediction(yp)]))
+    header = ("session_id", "activity", "y_true", "y_pred", "predicted_activity")
+    body = (
+        (r.session_id, r.activity, yt, yp, DEFAULT_ACTIVITIES[decode_prediction(yp)])
+        for r, yt, yp in zip(kept, y.tolist(), yhat.tolist())
+    )
+    _write_csv(args.out, header, body, lineterminator="\n")
     write_manifest(
         manifest_path_for(args.out),
         "predict",
@@ -275,11 +265,8 @@ def cmd_predict(args) -> None:
 
 def cmd_synth_sessions(args) -> None:
     metas = gen_sessions(args.n, args.seed, args.out_dir)
-    outputs = [os.path.join(args.out_dir, "sessions.csv")] + [
-        os.path.join(args.out_dir, f)
-        for m in metas
-        for f in (m.accel_file, m.rr_file)
-    ]
+    files = ["sessions.csv"] + [f for m in metas for f in (m.accel_file, m.rr_file)]
+    outputs = [os.path.join(args.out_dir, f) for f in files]
     write_manifest(
         manifest_path_for_dir(args.out_dir),
         "synth sessions",
@@ -321,11 +308,7 @@ def cmd_report(args) -> None:
         raise FileNotFoundError(f"no *.report.json files in {args.in_dir}")
     entries = []
     for p in paths:
-        with open(p, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as e:
-                raise ParseError(f"{p}: not a JSON report ({e})") from None
+        doc = _read_json(p, "report")
         missing = [k for k in REPORT_KEYS if not isinstance(doc, dict) or k not in doc]
         if missing:
             raise ParseError(f"{p}: report lacks {', '.join(missing)}")
@@ -394,8 +377,8 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     p.add_argument("--bootstrap", type=_count, default=0, metavar="B", help="cloud size for the final window")
-    p.add_argument("--rho", type=_positive_float, default=0.3, help="vicinity radius of the landmarks")
-    p.add_argument("--tau", type=_positive_float, default=0.15, help="half-width of the line and band zones")
+    p.add_argument("--rho", type=_positive_float, default=DEFAULT_RHO, help="vicinity radius of the landmarks")
+    p.add_argument("--tau", type=_positive_float, default=DEFAULT_TAU, help="half-width of the line and band zones")
     _add_seed(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_plane)

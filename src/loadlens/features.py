@@ -14,14 +14,13 @@ Missing values are carried as NaN in memory and as empty cells in CSV.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .errors import EmptyFile, MalformedRow, MissingChannel, TooFewRows, UnknownLabel
-from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta, _read_rows
+from .errors import EmptyFile, MalformedRow, MissingChannel, MomentOverflow, TooFewRows, UnknownLabel
+from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta, _read_rows, _write_csv
 from .momentplane import metric1, metric2
 from .stats import moments
 
@@ -95,7 +94,9 @@ def extract_features(
     Pace-derived features are NaN when distance is zero. A degenerate
     channel (numerically constant accel or rr) does not fail the session:
     ``moments`` flags it, its skewness and kurtosis (for rr, ``metric1`` and
-    ``metric2``) stay NaN, and ``acc_mean``/``acc_std`` are always set.
+    ``metric2``) stay NaN, and ``acc_mean``/``acc_std`` are always set. A
+    heart rate 60000/rr_ms whose mean overflows float64 (an rr_ms below
+    about 3.3e-304) raises MomentOverflow.
     """
     if accel.values.ndim != 1:
         raise ValueError("extract_features needs the accel magnitude, not the raw axes")
@@ -115,8 +116,11 @@ def extract_features(
         pace = math.nan
         metric_d = math.nan
 
-    hr = 60000.0 / rr.values
-    ahr = float(hr.mean())
+    with np.errstate(over="ignore"):
+        hr = 60000.0 / rr.values
+        ahr = float(hr.mean())
+    if not math.isfinite(ahr):
+        raise MomentOverflow("heart rate 60000/rr_ms overflows float64: an rr_ms lies too close to 0")
     mhr = float(hr.max())
 
     acc_m = moments(accel.values)
@@ -174,7 +178,8 @@ def correlation_matrix(rows: list[SessionFeatures], features=ALL_FEATURES) -> Co
     """Pearson r per feature pair over the rows where both values are present.
 
     Pairs with fewer than 3 complete rows, and zero-variance features (their
-    whole row/column, diagonal included), come back NaN.
+    whole row/column, diagonal included), come back NaN. A feature whose
+    squared deviations overflow float64 raises MomentOverflow.
     """
     if len(rows) < 3:
         raise TooFewRows(f"correlation needs >= 3 rows, got {len(rows)}")
@@ -182,18 +187,23 @@ def correlation_matrix(rows: list[SessionFeatures], features=ALL_FEATURES) -> Co
     X = feature_matrix(rows, names)
     p = len(names)
     r = np.full((p, p), math.nan)
-    for i in range(p):
-        for j in range(i, p):
-            mask = np.isfinite(X[:, i]) & np.isfinite(X[:, j])
-            if mask.sum() < 3:
-                continue
-            if i == j:
-                xi = X[mask, i]
-                r[i, i] = math.nan if float(xi.std()) == 0.0 else 1.0
-                continue
-            rij = _pearson(X[mask, i], X[mask, j])
-            r[i, j] = rij
-            r[j, i] = rij
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(p):
+            for j in range(i, p):
+                mask = np.isfinite(X[:, i]) & np.isfinite(X[:, j])
+                if mask.sum() < 3:
+                    continue
+                if i == j:
+                    # A pair's rows are a subset of the column's, whose squared
+                    # deviations sum to no less: this check covers its pairs.
+                    std = float(X[mask, i].std())
+                    if not math.isfinite(std):
+                        raise MomentOverflow("a feature mean or std overflows float64")
+                    r[i, i] = math.nan if std == 0.0 else 1.0
+                    continue
+                rij = _pearson(X[mask, i], X[mask, j])
+                r[i, j] = rij
+                r[j, i] = rij
     return CorrelationMatrix(feature_names=names, r=r)
 
 
@@ -202,14 +212,8 @@ def _fmt(v: float) -> str:
 
 
 def write_features_csv(path, rows: list[SessionFeatures]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(FEATURES_CSV_HEADER)
-        for r in rows:
-            w.writerow(
-                [r.session_id, r.activity]
-                + [_fmt(getattr(r, name)) for name in FEATURES_CSV_HEADER[2:]]
-            )
+    body = ([r.session_id, r.activity] + [_fmt(getattr(r, name)) for name in FEATURES_CSV_HEADER[2:]] for r in rows)
+    _write_csv(path, FEATURES_CSV_HEADER, body)
 
 
 def read_features_csv(path) -> list[SessionFeatures]:
@@ -236,8 +240,5 @@ def read_features_csv(path) -> list[SessionFeatures]:
 
 def write_correlation_csv(path, corr: CorrelationMatrix) -> None:
     """Square matrix with a header row and a leading name column; NaN as empty."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("feature",) + corr.feature_names)
-        for i, name in enumerate(corr.feature_names):
-            w.writerow([name] + [_fmt(float(v)) for v in corr.r[i]])
+    body = ([name] + [_fmt(float(v)) for v in corr.r[i]] for i, name in enumerate(corr.feature_names))
+    _write_csv(path, ("feature",) + corr.feature_names, body)

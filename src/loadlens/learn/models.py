@@ -15,7 +15,6 @@ that update bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DegenerateDesign, MomentOverflow, NonFiniteLoss, ParseError, TooFewRows
+from ..ingest import _read_json, _write_json
 
 #: Condition-number threshold beyond which OLS falls back to ridge.
 COND_LIMIT = 1e12
@@ -319,9 +319,7 @@ def save_model(model, path) -> None:
         doc["dnn"] = {
             "layers": [{"W": W.tolist(), "b": b.tolist()} for W, b in model.layers]
         }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def _key(doc, key: str, where: str):
@@ -353,11 +351,7 @@ def load_model(path):
     unknown kind, or holds arrays whose sizes disagree with the feature list
     or with each other raises ParseError.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:
-            raise ParseError(f"{path}: not a JSON model ({e})") from None
+    doc = _read_json(path, "model")
     kind = _key(doc, "kind", "")
     features = _key(doc, "features", "")
     if not (isinstance(features, list) and features and all(isinstance(f, str) for f in features)):

@@ -9,11 +9,11 @@ manifest (timestamp aside) must reproduce its outputs byte-for-byte; the
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from datetime import datetime, timezone
 
 from . import __version__
+from .ingest import _write_json
 
 MANIFEST_SUFFIX = ".manifest.json"
 RUN_MANIFEST_NAME = "run.manifest.json"
@@ -30,8 +30,8 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def build_manifest(command: str, config: dict, inputs, outputs, seed=None) -> dict:
-    return {
+def write_manifest(manifest_path, command: str, config: dict, inputs, outputs, seed=None) -> None:
+    doc = {
         "command": command,
         "version": __version__,
         TIMESTAMP_KEY: datetime.now(timezone.utc).isoformat(),
@@ -40,13 +40,7 @@ def build_manifest(command: str, config: dict, inputs, outputs, seed=None) -> di
         "inputs": [{"path": str(p), "sha256": sha256_file(p)} for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
-
-
-def write_manifest(manifest_path, command: str, config: dict, inputs, outputs, seed=None) -> None:
-    doc = build_manifest(command, config, inputs, outputs, seed)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest_path, doc, sort_keys=True)
 
 
 def manifest_path_for(out_path) -> str:

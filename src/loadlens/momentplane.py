@@ -24,6 +24,7 @@ Two scalar indicators summarize where a window sits:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from enum import Enum
@@ -166,7 +167,7 @@ _NULL_POINT = (
 
 
 def _point(t: int, s: float, k: float, zone: str | None) -> str:
-    """One member of "points" as ``json.dump(indent=1)`` spells it; only
+    """One member of "points" as ``ingest._write_json`` spells it; only
     finite floats reach it, and ``repr`` is json's spelling of those."""
     if zone is None:
         return _NULL_POINT % t
@@ -184,19 +185,19 @@ def _cloud_entry(s: float, k: float, mean: float, std: float, skewness: float, k
     )
 
 
-def _write_list(fh, item, *columns) -> None:
-    """A list at depth 1 of the indent=1 document, ``item(*row)`` for each
-    row of ``columns``, formatted and written ``ingest.WRITE_CHUNK_ROWS``
-    rows at a time."""
+def _json_list(item, *columns):
+    """Text parts of a list at depth 1 of the indent=1 document:
+    ``item(*row)`` for each row of ``columns``, formatted
+    ``ingest.WRITE_CHUNK_ROWS`` rows at a time."""
     n = len(columns[0])
     if not n:
-        fh.write("[]")
+        yield "[]"
         return
-    fh.write("[\n")
+    yield "[\n"
     for i in range(0, n, ingest.WRITE_CHUNK_ROWS):
         block = (col[i : i + ingest.WRITE_CHUNK_ROWS].tolist() for col in columns)
-        fh.write((",\n" if i else "") + ",\n".join(map(item, *block)))
-    fh.write("\n ]")
+        yield (",\n" if i else "") + ",\n".join(map(item, *block))
+    yield "\n ]"
 
 
 def export_plane(
@@ -207,8 +208,8 @@ def export_plane(
 
     Degenerate windows appear with null coordinates as the missing-value
     marker so consumers keep the full time axis. The bytes are those of
-    ``json.dump(doc, fh, indent=1)`` and a newline; points and cloud entries
-    are streamed from fixed templates, so the text is never held whole.
+    ``ingest._write_json(path, doc)``; points and cloud entries are
+    streamed from fixed templates, so the text is never held whole.
     """
     s = windows.skewness * windows.skewness
     ok = ~windows.degenerate
@@ -222,12 +223,13 @@ def export_plane(
         "weibull_curve": weibull_curve(),
     }
     head = json.dumps({"landmarks": landmarks, "rho": rho, "tau": tau}, indent=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head.removesuffix("\n}") + ',\n "points": ')
-        _write_list(fh, _point, windows.t_mid_ms, s, windows.kurtosis, zones)
-        fh.write(',\n "bootstrap_cloud": ')
-        c = MomentColumns(0, [], [], [], []) if cloud is None else cloud
-        _write_list(fh, _cloud_entry, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness, c.kurtosis)
+    c = MomentColumns(0, [], [], [], []) if cloud is None else cloud
+    ingest._write_text(path, itertools.chain(
+        [head.removesuffix("\n}") + ',\n "points": '],
+        _json_list(_point, windows.t_mid_ms, s, windows.kurtosis, zones),
+        [',\n "bootstrap_cloud": '],
+        _json_list(_cloud_entry, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness, c.kurtosis),
         # No command produces exercise marks; the key stays, always empty,
         # because plane.json bytes are pinned.
-        fh.write(',\n "phase_marks": []\n}\n')
+        [',\n "phase_marks": []\n}\n'],
+    ))

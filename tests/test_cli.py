@@ -77,6 +77,12 @@ def sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def assert_canonical_json(path) -> None:
+    """The file holds exactly ``json.dump(indent=1, sort_keys=True)`` and a newline."""
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n", path
+
+
 def portable_manifest(path, root) -> dict:
     """Manifest without its timestamp and with the run directory abstracted."""
     with open(path, encoding="utf-8") as fh:
@@ -101,6 +107,7 @@ class TestGoldenPipeline:
             assert sha256(second / rel) == digest, rel
         for rel in MANIFESTS:
             assert portable_manifest(first / rel, first) == portable_manifest(second / rel, second), rel
+            assert_canonical_json(first / rel)
 
 
 def replace_line(path, i, text) -> None:
@@ -256,6 +263,29 @@ class TestGoldenLearn:
             assert sha256(second / rel) == digest, rel
         for rel in LEARN_MANIFESTS:
             assert portable_manifest(first / rel, first) == portable_manifest(second / rel, second), rel
+            assert_canonical_json(first / rel)
+
+
+class TestOutputSink:
+    def test_every_output_goes_through_the_sink(self, tmp_path, monkeypatch):
+        """Each file the learn commands and ``plane`` write is written once,
+        by ``ingest._write_text``."""
+        written = []
+        sink = ingest._write_text
+
+        def recording(path, parts):
+            written.append(os.path.relpath(path, tmp_path).replace(os.sep, "/"))
+            sink(path, parts)
+
+        monkeypatch.setattr(ingest, "_write_text", recording)
+        run_learn(str(tmp_path / "learn"))
+        (tmp_path / "plane").mkdir()
+        assert main(["synth", "rr", "--preset", "rest", "--out", str(tmp_path / "plane" / "rr.csv")]) == 0
+        run_plane(str(tmp_path / "plane"), "60", "20")
+        on_disk = [
+            os.path.relpath(os.path.join(d, f), tmp_path).replace(os.sep, "/") for d, _, files in os.walk(tmp_path) for f in files
+        ]
+        assert sorted(written) == sorted(on_disk)
 
 
 @pytest.fixture
@@ -482,17 +512,36 @@ class TestExitCodes:
         assert line.startswith("error: MomentOverflow: accel magnitude overflows float64")
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["train", "--model", "lrm"], ["train", "--model", "dnn"], ["cluster"]], ids=" ".join)
+    @pytest.mark.parametrize(
+        "argv", [["train", "--model", "lrm"], ["train", "--model", "dnn"], ["cluster"], ["correlate"]], ids=" ".join
+    )
     def test_overflowing_features_are_numeric_error(self, tmp_path, capsys, argv):
-        """Features around 1e300 overflow the standardizer's std; no model
-        with an infinite std is written."""
+        """Features around 1e300 overflow their std; no model with an
+        infinite std, and no correlation.csv with empty cells, is written."""
         features = tmp_path / "features.csv"
         X = np.random.default_rng(6).normal(0, 1, (30, 2)) * 1e300
         write_features_csv(features, make_rows(X, [i % 3 for i in range(30)], ["ahr", "mhr"]))
         out = tmp_path / "out"
-        opts = ["--columns", "ahr,mhr", "--out"] if argv == ["cluster"] else ["--preset", "hr", "--out-dir"]
+        opts = ["--preset", "hr", "--out-dir"] if argv[0] == "train" else ["--columns", "ahr,mhr", "--out"]
         assert main([*argv, "--features", str(features), *opts, str(out)]) == 4
         assert capsys.readouterr().err == "error: MomentOverflow: a feature mean or std overflows float64\n"
+        assert not out.exists()
+
+    def test_subnormal_rr_is_numeric_error(self, tmp_path, capsys):
+        """rr_ms cells of 1e-320 parse (finite and > 0), but the heart rate
+        60000/rr_ms overflows; the error comes back from a worker process."""
+        data = tmp_path / "data"
+        assert main(["synth", "sessions", "--n", "1", "--out-dir", str(data)]) == 0
+        rr = data / ingest.parse_sessions_csv(data / "sessions.csv")[0].rr_file
+        lines = rr.read_bytes().split(b"\r\n")
+        for i in range(1, 6):
+            lines[i] = lines[i].split(b",")[0] + b",1e-320"
+        rr.write_bytes(b"\r\n".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "features.csv"
+        assert main(["features", "--sessions", str(data / "sessions.csv"), "--out", str(out)]) == 4
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: MomentOverflow: heart rate 60000/rr_ms overflows float64")
         assert not out.exists()
 
     def test_cluster_with_no_complete_row_is_config_error(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loadlens.errors import MissingChannel, TooFewRows
+from loadlens.cli import main
+from loadlens.errors import MissingChannel, MomentOverflow, TooFewRows
 from loadlens.features import (
     ALL_FEATURES,
     correlation_matrix,
@@ -17,6 +19,7 @@ from loadlens.features import (
     write_features_csv,
 )
 from loadlens.ingest import Channel, SessionMeta, accel_magnitude
+from loadlens.learn import LinearModel, Standardizer, save_model
 from loadlens.synth import GenConfig, gen_accel, gen_rr, session_protocol
 from tests.conftest import make_rows
 
@@ -62,6 +65,13 @@ class TestExtractFeatures:
         raw_axes = Channel(np.arange(50) * 10, rng.normal(0, 1, (50, 3)))
         with pytest.raises(ValueError):
             extract_features(meta, raw_axes, rr_list([800.0] * 10))
+
+    def test_subnormal_rr_overflows_the_heart_rate(self, rng):
+        meta = SessionMeta("s1", "walking", 5.0, 30.0)
+        accel = series(rng.normal(0, 1, 50))
+        for rr in ([800.0, 1e-320, 810.0, 790.0, 805.0], [1e-303] * 5):
+            with pytest.raises(MomentOverflow, match="heart rate"):
+                extract_features(meta, accel, rr_list(rr))
 
     def test_non_positive_rr_is_missing_channel(self, rng):
         meta = SessionMeta("s1", "walking", 5.0, 30.0)
@@ -155,6 +165,22 @@ class TestCorrelationMatrix:
         with pytest.raises(TooFewRows):
             correlation_matrix(rows, ["ahr", "mhr"])
 
+    @pytest.mark.parametrize("scale", [[1e200, 1.0], [1.0, 1e200]], ids=["first", "second"])
+    def test_overflowing_variance_raises(self, rng, scale):
+        """Either column's overflow raises, the second's though its pair is
+        computed before its std is; r is never left empty."""
+        X = rng.normal(0, 1, (30, 2)) * scale
+        rows = make_rows(X, [0] * 30, ["ahr", "mhr"])
+        with pytest.raises(MomentOverflow, match="mean or std overflows"):
+            correlation_matrix(rows, ["ahr", "mhr"])
+
+    def test_large_finite_values_keep_r(self, rng):
+        X = rng.normal(0, 1, (30, 2))
+        X[:, 1] += X[:, 0]
+        small = correlation_matrix(make_rows(X, [0] * 30, ["ahr", "mhr"]), ["ahr", "mhr"])
+        large = correlation_matrix(make_rows(X * 1e150, [0] * 30, ["ahr", "mhr"]), ["ahr", "mhr"])
+        assert large.get("ahr", "mhr") == pytest.approx(small.get("ahr", "mhr"), rel=1e-12)
+
     def test_symmetry_and_bounds(self, rng):
         rows = make_rows(rng.normal(0, 1, (40, 4)), [0] * 40, ["ahr", "mhr", "acc_std", "metric1"])
         corr = correlation_matrix(rows, ["ahr", "mhr", "acc_std", "metric1"])
@@ -184,30 +210,33 @@ class TestCorrelationMatrix:
 
 
 class TestFeatureCsv:
-    def test_roundtrip_with_missing(self, rng):
+    def test_roundtrip_with_missing(self, rng, tmp_path):
         rows = make_rows(rng.normal(5, 2, (4, len(ALL_FEATURES))), [0, 1, 2, 0], ALL_FEATURES)
         # puncture one value to exercise the missing marker
-        import dataclasses
-
         rows[1] = dataclasses.replace(rows[1], metric1=math.nan)
-        path = "features_test.csv"
-
-        def check(tmpfile):
-            write_features_csv(tmpfile, rows)
-            back = read_features_csv(tmpfile)
-            assert len(back) == 4
-            for a, b in zip(rows, back):
-                for f in dataclasses.fields(a):
-                    va, vb = getattr(a, f.name), getattr(b, f.name)
-                    if isinstance(va, float) and math.isnan(va):
-                        assert math.isnan(vb)
-                    else:
-                        assert va == vb
-
-        import tempfile, os
-
-        with tempfile.TemporaryDirectory() as d:
-            check(os.path.join(d, path))
+        # ids that csv.writer must quote: a comma, a quote, line breaks
+        ids = ("run 1, hill", 'say "hi"', "two\r\nlines", "cr\rlf\n")
+        rows = [dataclasses.replace(r, session_id=i) for r, i in zip(rows, ids)]
+        path = tmp_path / "features.csv"
+        write_features_csv(path, rows)
+        back = read_features_csv(path)
+        assert len(back) == 4
+        for a, b in zip(rows, back):
+            for f in dataclasses.fields(a):
+                va, vb = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(va, float) and math.isnan(va):
+                    assert math.isnan(vb)
+                else:
+                    assert va == vb
+        # predict carries the ids through to predict.csv
+        model = LinearModel(("ahr",), Standardizer(np.zeros(1), np.ones(1)), np.ones(1), 0.0)
+        save_model(model, tmp_path / "model.json")
+        out = tmp_path / "predict.csv"
+        assert main(["predict", "--model", str(tmp_path / "model.json"), "--features", str(path), "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *table = csv.reader(fh)
+        assert header[0] == "session_id"
+        assert [r[0] for r in table] == list(ids)
 
     def test_correlation_csv_roundtrip(self, tmp_path, rng):
         rows = make_rows(rng.normal(0, 1, (12, 3)), [0] * 12, ["ahr", "mhr", "acc_std"])

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import math
 import os
 import struct
@@ -468,6 +471,34 @@ class TestChunkedWriter:
         rows = zip(rr.t_ms.tolist(), rr.values.tolist())
         assert (tmp_path / "r.csv").read_bytes() == self.reference(("t_ms", "rr_ms"), rows)
         assert_same_channel(parse_rr_csv(tmp_path / "r.csv"), rr)
+
+
+class TestOutputWriters:
+    """``_write_csv`` and ``_write_json`` write what ``csv.writer`` and
+    ``json.dump`` write to an open file."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.text(), st.floats(), st.integers()), max_size=5),
+        terminator=st.sampled_from(["\r\n", "\n"]),
+    )
+    def test_csv_bytes_equal_csv_writer(self, rows, terminator):
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected, lineterminator=terminator)
+        w.writerow(("text", "float", "int"))
+        w.writerows(rows)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.csv")
+            ingest._write_csv(path, ("text", "float", "int"), rows, lineterminator=terminator)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    def test_json_bytes_equal_json_dump(self, tmp_path, sort_keys):
+        doc = {"z": [1.5, -0.0, 1e300, None], "a": {"k": "caf\u00e9 \"q\"", "n": []}, "m": 7}
+        ingest._write_json(tmp_path / "d.json", doc, sort_keys=sort_keys)
+        assert (tmp_path / "d.json").read_bytes() == (json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n").encode()
+        assert ingest._read_json(tmp_path / "d.json", "doc") == doc
 
 
 class TestHeartRate:
