@@ -4,6 +4,8 @@ Commands read the CSV/JSON formats declared by the backing modules and
 write their outputs plus a provenance manifest alongside. Plot rendering is
 out of scope: every figure-shaped result is served as data (CSV/JSON).
 
+A command imports only the modules it runs, when it runs, and its
+arguments are added to the parser only then; ``report`` runs without numpy.
 ``synth sessions`` and ``features`` spread their sessions over worker
 processes, one per available CPU; no output byte depends on how many.
 
@@ -21,55 +23,34 @@ import os
 import sys
 
 from . import __version__
-from .errors import ConfigError, LoadlensError, ParseError
-from .features import (
-    ALL_FEATURES,
-    SessionFeatures,
-    correlation_matrix,
-    extract_features,
-    read_features_csv,
-    write_correlation_csv,
-    write_features_csv,
-)
-from .ingest import (
-    DEFAULT_ACTIVITIES,
-    _map_sessions,
+from .errors import ConfigError, LoadlensError, NumericError, ParseError
+from .manifest import (
     _read_json,
     _write_csv,
     _write_json,
-    accel_magnitude,
-    parse_accel_csv,
-    parse_rr_csv,
-    parse_sessions_csv,
-    resolve_channel_path,
-    write_accel_csv,
-    write_rr_csv,
-)
-from .learn import (
-    PRESETS,
-    DnnConfig,
-    Standardizer,
-    build_xy,
-    decode_prediction,
-    kmeans,
-    load_model,
-    run_training,
-    save_model,
-)
-from .manifest import (
     manifest_path_for,
     manifest_path_for_dir,
     write_manifest,
 )
-from .momentplane import DEFAULT_RHO, DEFAULT_TAU, export_plane
-from .stats import DEFAULT_STRIDE, DEFAULT_WINDOW, bootstrap, sliding_windows, write_windows_csv
-from .synth import ACCEL_CLASSES, ACCEL_HZ, PROTOCOL_PRESETS, GenConfig, gen_accel, gen_rr, gen_sessions
 
 DEFAULT_CLUSTER_COLUMNS = "acc_mean,acc_std,acc_skewness,acc_kurtosis"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reports usage problems as configuration errors (exit 3)."""
+    """argparse reports usage problems as configuration errors (exit 3).
+    ``arguments``, a function adding a command's arguments, runs when that
+    command is parsed, so the modules holding its defaults and choices load
+    only when it runs."""
+
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            self._arguments(self)
+            self._arguments = None
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -77,14 +58,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_moments(args) -> None:
+    from . import ingest, stats
+
     if args.channel == "accel":
-        series = accel_magnitude(parse_accel_csv(args.input), center=args.center)
+        series = ingest.accel_magnitude(ingest.parse_accel_csv(args.input), center=args.center)
     else:
         if args.center:
             raise ConfigError("--center applies to the accel channel only")
-        series = parse_rr_csv(args.input)
-    windows = sliding_windows(series, args.window, args.stride)
-    write_windows_csv(args.out, windows)
+        series = ingest.parse_rr_csv(args.input)
+    windows = stats.sliding_windows(series, args.window, args.stride)
+    stats.write_windows_csv(args.out, windows)
     write_manifest(
         manifest_path_for(args.out),
         "moments",
@@ -95,13 +78,15 @@ def cmd_moments(args) -> None:
 
 
 def cmd_plane(args) -> None:
-    rr = parse_rr_csv(args.input)
-    windows = sliding_windows(rr, args.window, args.stride)
+    from . import ingest, momentplane, stats
+
+    rr = ingest.parse_rr_csv(args.input)
+    windows = stats.sliding_windows(rr, args.window, args.stride)
     cloud = None
     if args.bootstrap > 0:
         last = int(windows.start[-1])
-        cloud = bootstrap(rr.values[last : last + windows.n], args.bootstrap, args.seed)
-    export_plane(args.out, windows, args.rho, args.tau, cloud)
+        cloud = stats.bootstrap(rr.values[last : last + windows.n], args.bootstrap, args.seed)
+    momentplane.export_plane(args.out, windows, args.rho, args.tau, cloud)
     write_manifest(
         manifest_path_for(args.out),
         "plane",
@@ -118,15 +103,23 @@ def cmd_plane(args) -> None:
     )
 
 
-def _session_features(task) -> SessionFeatures:
+def _session_features(task):
     """Parse one session's channel files and extract its feature row."""
+    from . import features, ingest
+
     meta, accel_path, rr_path = task
-    accel = accel_magnitude(parse_accel_csv(accel_path))
-    rr = parse_rr_csv(rr_path)
-    return extract_features(meta, accel, rr)
+    accel = ingest.accel_magnitude(ingest.parse_accel_csv(accel_path))
+    rr = ingest.parse_rr_csv(rr_path)
+    return features.extract_features(meta, accel, rr)
 
 
 def cmd_features(args) -> None:
+    from .features import write_features_csv
+    from .ingest import _map_sessions, parse_sessions_csv, resolve_channel_path
+
+    # forked workers start with the modules loaded here: load what extraction imports
+    from . import momentplane, stats  # noqa: F401
+
     tasks = [
         (meta, resolve_channel_path(args.sessions, meta.accel_file), resolve_channel_path(args.sessions, meta.rr_file))
         for meta in parse_sessions_csv(args.sessions)
@@ -138,6 +131,8 @@ def cmd_features(args) -> None:
 
 
 def _parse_columns(text: str) -> tuple[str, ...]:
+    from .features import ALL_FEATURES
+
     cols = tuple(c.strip() for c in text.split(",") if c.strip())
     unknown = [c for c in cols if c not in ALL_FEATURES]
     if unknown:
@@ -148,6 +143,8 @@ def _parse_columns(text: str) -> tuple[str, ...]:
 
 
 def cmd_correlate(args) -> None:
+    from .features import ALL_FEATURES, correlation_matrix, read_features_csv, write_correlation_csv
+
     rows = read_features_csv(args.features)
     columns = _parse_columns(args.columns) if args.columns else ALL_FEATURES
     corr = correlation_matrix(rows, columns)
@@ -162,11 +159,14 @@ def cmd_correlate(args) -> None:
 
 
 def cmd_cluster(args) -> None:
+    from .features import read_features_csv
+    from .learn import cluster, data, models
+
     rows = read_features_csv(args.features)
     columns = _parse_columns(args.columns)
-    X, _, kept_rows = build_xy(rows, columns)
-    std = Standardizer.fit(X)
-    result = kmeans(std.transform(X), k=args.k, seed=args.seed, feature_names=columns)
+    X, _, kept_rows = data.build_xy(rows, columns)
+    std = models.Standardizer.fit(X)
+    result = cluster.kmeans(std.transform(X), k=args.k, seed=args.seed, feature_names=columns)
     doc = {
         "k": result.k,
         "columns": list(columns),
@@ -204,7 +204,10 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 
 def cmd_train(args) -> None:
-    config = DnnConfig(
+    from .features import read_features_csv
+    from .learn import evaluate, models
+
+    config = models.DnnConfig(
         hidden=_parse_hidden(args.hidden),
         epochs=args.epochs,
         lr=args.lr,
@@ -212,13 +215,13 @@ def cmd_train(args) -> None:
         seed=args.seed,
     )
     rows = read_features_csv(args.features)
-    model, report = run_training(rows, args.model, args.preset, config, split_seed=args.seed)
+    model, report = evaluate.run_training(rows, args.model, args.preset, config, split_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     stem = f"{args.model}_{args.preset}"
     model_path = os.path.join(args.out_dir, f"{stem}.model.json")
     report_path = os.path.join(args.out_dir, f"{stem}.report.json")
     losses_path = os.path.join(args.out_dir, f"{stem}.losses.csv")
-    save_model(model, model_path)
+    models.save_model(model, model_path)
     config_echo = {
         "model": args.model,
         "preset": args.preset,
@@ -242,15 +245,24 @@ def cmd_train(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    model = load_model(args.model)
+    import numpy as np
+
+    from .features import read_features_csv
+    from .ingest import DEFAULT_ACTIVITIES
+    from .learn import data, models
+
+    model = models.load_model(args.model)
     rows = read_features_csv(args.features)
-    X, y, kept = build_xy(rows, model.features)
+    X, y, kept = data.build_xy(rows, model.features)
     if not kept:
         raise ParseError(f"{args.features}: no row has every model feature ({', '.join(model.features)})")
-    yhat = model.predict(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        yhat = model.predict(X)
+    if not np.isfinite(yhat).all():
+        raise NumericError(f"{args.model}: the model predicts a value that is not a finite float64")
     header = ("session_id", "activity", "y_true", "y_pred", "predicted_activity")
     body = (
-        (r.session_id, r.activity, yt, yp, DEFAULT_ACTIVITIES[decode_prediction(yp)])
+        (r.session_id, r.activity, yt, yp, DEFAULT_ACTIVITIES[data.decode_prediction(yp)])
         for r, yt, yp in zip(kept, y.tolist(), yhat.tolist())
     )
     _write_csv(args.out, header, body, lineterminator="\n")
@@ -264,6 +276,8 @@ def cmd_predict(args) -> None:
 
 
 def cmd_synth_sessions(args) -> None:
+    from .synth import gen_sessions
+
     metas = gen_sessions(args.n, args.seed, args.out_dir)
     files = ["sessions.csv"] + [f for m in metas for f in (m.accel_file, m.rr_file)]
     outputs = [os.path.join(args.out_dir, f) for f in files]
@@ -278,16 +292,20 @@ def cmd_synth_sessions(args) -> None:
 
 
 def cmd_synth_rr(args) -> None:
-    samples = gen_rr(PROTOCOL_PRESETS[args.preset], GenConfig(seed=args.seed))
-    write_rr_csv(args.out, samples)
+    from . import ingest, synth
+
+    samples = synth.gen_rr(synth.PROTOCOL_PRESETS[args.preset], synth.GenConfig(seed=args.seed))
+    ingest.write_rr_csv(args.out, samples)
     write_manifest(
         manifest_path_for(args.out), "synth rr", {"preset": args.preset}, [], [args.out], seed=args.seed
     )
 
 
 def cmd_synth_accel(args) -> None:
-    samples = gen_accel(args.activity_class, args.duration, GenConfig(seed=args.seed))
-    write_accel_csv(args.out, samples)
+    from . import ingest, synth
+
+    samples = synth.gen_accel(args.activity_class, args.duration, synth.GenConfig(seed=args.seed))
+    ingest.write_accel_csv(args.out, samples)
     write_manifest(
         manifest_path_for(args.out),
         "synth accel",
@@ -334,6 +352,8 @@ MAX_ACCEL_DURATION_S = 86_400.0
 
 
 def _duration(text: str) -> float:
+    from .synth import ACCEL_HZ
+
     value = _positive_float(text)
     if value > MAX_ACCEL_DURATION_S:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_ACCEL_DURATION_S:g} s, got {text}")
@@ -359,95 +379,118 @@ def _add_seed(p) -> None:
 
 
 def build_parser() -> _Parser:
+    """The parser of every command. Each function below adds one command's
+    arguments, and runs only when that command is parsed."""
     parser = _Parser(prog="loadlens", description=__doc__)
     parser.add_argument("--version", action="version", version=f"loadlens {__version__}")
+
+    def moments(p):
+        from .stats import DEFAULT_STRIDE, DEFAULT_WINDOW
+
+        p.add_argument("--input", required=True)
+        p.add_argument("--channel", choices=["accel", "rr"], required=True)
+        p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+        p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
+        p.add_argument("--center", action="store_true", help="subtract the series mean (accel only)")
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=cmd_moments)
+
+    def plane(p):
+        from .momentplane import DEFAULT_RHO, DEFAULT_TAU
+        from .stats import DEFAULT_STRIDE, DEFAULT_WINDOW
+
+        p.add_argument("--input", required=True, help="rr.csv")
+        p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+        p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
+        p.add_argument("--bootstrap", type=_count, default=0, metavar="B", help="cloud size for the final window")
+        p.add_argument("--rho", type=_positive_float, default=DEFAULT_RHO, help="vicinity radius of the landmarks")
+        p.add_argument("--tau", type=_positive_float, default=DEFAULT_TAU, help="half-width of the line and band zones")
+        _add_seed(p)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=cmd_plane)
+
+    def features(p):
+        p.add_argument("--sessions", required=True, help="sessions.csv")
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=cmd_features)
+
+    def correlate(p):
+        p.add_argument("--features", required=True, help="features.csv")
+        p.add_argument("--columns", default=None, help="comma-separated feature subset")
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=cmd_correlate)
+
+    def cluster(p):
+        p.add_argument("--features", required=True)
+        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--columns", default=DEFAULT_CLUSTER_COLUMNS)
+        _add_seed(p)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=cmd_cluster)
+
+    def train(p):
+        from .learn.data import PRESETS
+
+        p.add_argument("--features", required=True)
+        p.add_argument("--model", choices=["lrm", "dnn"], required=True)
+        p.add_argument("--preset", choices=sorted(PRESETS), default="all")
+        p.add_argument("--epochs", type=int, default=200)
+        p.add_argument("--lr", type=float, default=0.01)
+        p.add_argument("--batch", type=int, default=16)
+        p.add_argument("--hidden", default="16,16")
+        _add_seed(p)
+        p.add_argument("--out-dir", required=True)
+        p.set_defaults(fn=cmd_train)
+
+    def predict(p):
+        p.add_argument("--model", required=True, help="model.json")
+        p.add_argument("--features", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=cmd_predict)
+
+    def synth_sessions(p):
+        p.add_argument("--n", type=int, required=True, help="sessions per class")
+        _add_seed(p)
+        p.add_argument("--out-dir", required=True)
+        p.set_defaults(fn=cmd_synth_sessions)
+
+    def synth_rr(p):
+        from .synth import PROTOCOL_PRESETS
+
+        p.add_argument("--preset", choices=sorted(PROTOCOL_PRESETS), required=True)
+        _add_seed(p)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=cmd_synth_rr)
+
+    def synth_accel(p):
+        from .synth import ACCEL_CLASSES
+
+        p.add_argument("--class", dest="activity_class", choices=sorted(ACCEL_CLASSES), required=True)
+        limit = f"at most {MAX_ACCEL_DURATION_S:g} (one day, 4.32 M rows at 50 Hz)"
+        p.add_argument("--duration", type=_duration, default=60.0, help=f"seconds, > 0 and {limit}")
+        _add_seed(p)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=cmd_synth_accel)
+
+    def report(p):
+        p.add_argument("--in-dir", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=cmd_report)
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("moments", parents=[], help="sliding-window moment statistics to CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--channel", choices=["accel", "rr"], required=True)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
-    p.add_argument("--center", action="store_true", help="subtract the series mean (accel only)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_moments)
-
-    p = sub.add_parser("plane", help="moments-plane export (landmarks, zones, metrics) to JSON")
-    p.add_argument("--input", required=True, help="rr.csv")
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
-    p.add_argument("--bootstrap", type=_count, default=0, metavar="B", help="cloud size for the final window")
-    p.add_argument("--rho", type=_positive_float, default=DEFAULT_RHO, help="vicinity radius of the landmarks")
-    p.add_argument("--tau", type=_positive_float, default=DEFAULT_TAU, help="half-width of the line and band zones")
-    _add_seed(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_plane)
-
-    p = sub.add_parser("features", help="per-session feature vectors to features.csv")
-    p.add_argument("--sessions", required=True, help="sessions.csv")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_features)
-
-    p = sub.add_parser("correlate", help="Pearson correlation matrix to CSV")
-    p.add_argument("--features", required=True, help="features.csv")
-    p.add_argument("--columns", default=None, help="comma-separated feature subset")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_correlate)
-
-    p = sub.add_parser("cluster", help="k-means intensity clustering to JSON")
-    p.add_argument("--features", required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--columns", default=DEFAULT_CLUSTER_COLUMNS)
-    _add_seed(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_cluster)
-
-    p = sub.add_parser("train", help="fit and evaluate one model on one preset")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", choices=["lrm", "dnn"], required=True)
-    p.add_argument("--preset", choices=sorted(PRESETS), default="all")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--hidden", default="16,16")
-    _add_seed(p)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("predict", help="apply a saved model to features.csv")
-    p.add_argument("--model", required=True, help="model.json")
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_predict)
-
-    p = sub.add_parser("synth", help="deterministic synthetic data generators")
-    ssub = p.add_subparsers(dest="synth_command", required=True)
-
-    q = ssub.add_parser("sessions", help="full dataset: sessions.csv + channel files")
-    q.add_argument("--n", type=int, required=True, help="sessions per class")
-    _add_seed(q)
-    q.add_argument("--out-dir", required=True)
-    q.set_defaults(fn=cmd_synth_sessions)
-
-    q = ssub.add_parser("rr", help="heartbeat protocol to rr.csv")
-    q.add_argument("--preset", choices=sorted(PROTOCOL_PRESETS), required=True)
-    _add_seed(q)
-    q.add_argument("--out", required=True)
-    q.set_defaults(fn=cmd_synth_rr)
-
-    q = ssub.add_parser("accel", help="accelerometer trace to accel.csv")
-    q.add_argument("--class", dest="activity_class", choices=sorted(ACCEL_CLASSES), required=True)
-    limit = f"at most {MAX_ACCEL_DURATION_S:g} (one day, 4.32 M rows at 50 Hz)"
-    q.add_argument("--duration", type=_duration, default=60.0, help=f"seconds, > 0 and {limit}")
-    _add_seed(q)
-    q.add_argument("--out", required=True)
-    q.set_defaults(fn=cmd_synth_accel)
-
-    p = sub.add_parser("report", help="merge train reports into one comparison JSON")
-    p.add_argument("--in-dir", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_report)
-
+    sub.add_parser("moments", help="sliding-window moment statistics to CSV", arguments=moments)
+    sub.add_parser("plane", help="moments-plane export (landmarks, zones, metrics) to JSON", arguments=plane)
+    sub.add_parser("features", help="per-session feature vectors to features.csv", arguments=features)
+    sub.add_parser("correlate", help="Pearson correlation matrix to CSV", arguments=correlate)
+    sub.add_parser("cluster", help="k-means intensity clustering to JSON", arguments=cluster)
+    sub.add_parser("train", help="fit and evaluate one model on one preset", arguments=train)
+    sub.add_parser("predict", help="apply a saved model to features.csv", arguments=predict)
+    ssub = sub.add_parser("synth", help="deterministic synthetic data generators")
+    ssub = ssub.add_subparsers(dest="synth_command", required=True)
+    ssub.add_parser("sessions", help="full dataset: sessions.csv + channel files", arguments=synth_sessions)
+    ssub.add_parser("rr", help="heartbeat protocol to rr.csv", arguments=synth_rr)
+    ssub.add_parser("accel", help="accelerometer trace to accel.csv", arguments=synth_accel)
+    sub.add_parser("report", help="merge train reports into one comparison JSON", arguments=report)
     return parser
 
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .errors import EmptyFile, MalformedRow, MissingChannel, MomentOverflow, TooFewRows, UnknownLabel
-from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta, _read_rows, _write_csv
-from .momentplane import metric1, metric2
-from .stats import moments
+from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta, _read_rows
+from .manifest import _write_csv
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,10 @@ def extract_features(
     heart rate 60000/rr_ms whose mean overflows float64 (an rr_ms below
     about 3.3e-304) raises MomentOverflow.
     """
+    # imported here, so that reading or writing features.csv loads neither
+    from .momentplane import metric1, metric2
+    from .stats import moments
+
     if accel.values.ndim != 1:
         raise ValueError("extract_features needs the accel magnitude, not the raw axes")
     if not len(rr):

@@ -21,18 +21,7 @@ In memory one recording is a :class:`Channel`, a pair of numpy arrays:
 The constructor checks these invariants once, so no consumer re-checks them.
 Both arrays are read-only views.
 
-Every output file is opened in one place, ``_write_text``, which writes text
-parts as UTF-8 with line ends as given. ``_write_table`` feeds it the numeric
-tables (accel, rr, windows) as f-string lines, ``WRITE_CHUNK_ROWS`` rows at a
-time; ``_write_csv`` the tables that hold text (sessions, features,
-correlations, predictions, loss curves) through ``csv.writer``, which quotes
-text cells; ``_write_json`` every JSON file but ``plane.json``, which
-``momentplane.export_plane`` streams from templates. Floats are written by
-``repr``, so a write -> parse round trip is bit-exact. CSV lines end in
-``\\r\\n``, but those of ``predict.csv`` and ``*.losses.csv`` in ``\\n``, as in
-JSON files. Both CSV writers stay: f-strings cannot quote text, and
-``csv.writer`` is slower on numeric tables (180,000 accel rows: 1.21 s
-against 0.77 s; 35,941 window rows: 0.39 s against 0.25 s; 2-vCPU VM).
+Files are written through the output sink in ``loadlens.manifest``.
 """
 
 from __future__ import annotations
@@ -41,15 +30,14 @@ import codecs
 import contextlib
 import csv
 import itertools
-import json
 import math
 import os
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
+from . import manifest
 from .errors import (
     EmptyFile,
     InvalidRr,
@@ -371,35 +359,6 @@ def parse_sessions_csv(path) -> list[SessionMeta]:
 WRITE_CHUNK_ROWS = 2048
 
 
-def _write_text(path, parts) -> None:
-    """Write the text ``parts``, an iterable consumed as it is written, to
-    ``path``; the one place where an output file is opened."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(parts)
-
-
-def _write_json(path, doc, sort_keys: bool = False) -> None:
-    """``doc`` as ``json.dump(doc, fh, indent=1)`` spells it, and a newline."""
-    _write_text(path, (json.dumps(doc, indent=1, sort_keys=sort_keys), "\n"))
-
-
-def _read_json(path, what: str):
-    """The JSON document in ``path``; a file that is not UTF-8 JSON raises
-    ParseError, naming the file and ``what`` it should have held."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as e:
-        raise ParseError(f"{path}: not a JSON {what} ({e})") from None
-
-
-def _write_csv(path, header, rows, lineterminator: str = "\r\n") -> None:
-    """Write the ``header`` row and then ``rows`` through ``csv.writer``,
-    whose ``writerow`` returns what its file's ``write`` returns: the line."""
-    writerow = csv.writer(SimpleNamespace(write=str), lineterminator=lineterminator).writerow
-    _write_text(path, itertools.chain([writerow(header)], map(writerow, rows)))
-
-
 def _write_table(path, header, lines, *columns) -> None:
     """Write a numeric CSV table: the header, then the rows of ``columns``
     (equal-length sequences) ``WRITE_CHUNK_ROWS`` at a time, each block
@@ -408,7 +367,7 @@ def _write_table(path, header, lines, *columns) -> None:
         "".join(lines(*(col[i : i + WRITE_CHUNK_ROWS] for col in columns)))
         for i in range(0, len(columns[0]), WRITE_CHUNK_ROWS)
     )
-    _write_text(path, itertools.chain([",".join(header) + "\r\n"], blocks))
+    manifest._write_text(path, itertools.chain([",".join(header) + "\r\n"], blocks))
 
 
 def _accel_lines(t_ms: np.ndarray, values: np.ndarray) -> list[str]:
@@ -430,7 +389,7 @@ def write_rr_csv(path, samples: Channel) -> None:
 
 def write_sessions_csv(path, metas: list[SessionMeta]) -> None:
     body = ([m.session_id, m.activity, m.distance_km, m.duration_min, m.accel_file, m.rr_file] for m in metas)
-    _write_csv(path, SESSIONS_HEADER, body)
+    manifest._write_csv(path, SESSIONS_HEADER, body)
 
 
 def accel_magnitude(samples: Channel, center: bool = False) -> Channel:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DegenerateDesign, MomentOverflow, NonFiniteLoss, ParseError, TooFewRows
-from ..ingest import _read_json, _write_json
+from ..manifest import _read_json, _write_json
 
 #: Condition-number threshold beyond which OLS falls back to ridge.
 COND_LIMIT = 1e12
@@ -348,8 +348,8 @@ def load_model(path):
     """Read a model written by ``save_model``.
 
     A file that is not UTF-8 JSON, or a document that lacks a key, names an
-    unknown kind, or holds arrays whose sizes disagree with the feature list
-    or with each other raises ParseError.
+    unknown kind, holds a negative std, or holds arrays whose sizes disagree
+    with the feature list or with each other raises ParseError.
     """
     doc = _read_json(path, "model")
     kind = _key(doc, "kind", "")
@@ -364,6 +364,8 @@ def load_model(path):
     )
     _check_len(std.means, nf, "standardizer.means")
     _check_len(std.stds, nf, "standardizer.stds")
+    if (std.stds < 0).any():
+        raise ParseError("model: standardizer.stds must be >= 0")
     if kind == "lrm":
         lrm = _key(doc, "lrm", "")
         weights = _floats(_key(lrm, "w", "lrm."), "lrm.w", 1)

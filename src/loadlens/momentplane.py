@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import ingest
+from . import ingest, manifest
 from .stats import MomentColumns, WindowTable
 
 NORMAL_LANDMARK = (0.0, 3.0)
@@ -167,7 +167,7 @@ _NULL_POINT = (
 
 
 def _point(t: int, s: float, k: float, zone: str | None) -> str:
-    """One member of "points" as ``ingest._write_json`` spells it; only
+    """One member of "points" as ``manifest._write_json`` spells it; only
     finite floats reach it, and ``repr`` is json's spelling of those."""
     if zone is None:
         return _NULL_POINT % t
@@ -208,7 +208,7 @@ def export_plane(
 
     Degenerate windows appear with null coordinates as the missing-value
     marker so consumers keep the full time axis. The bytes are those of
-    ``ingest._write_json(path, doc)``; points and cloud entries are
+    ``manifest._write_json(path, doc)``; points and cloud entries are
     streamed from fixed templates, so the text is never held whole.
     """
     s = windows.skewness * windows.skewness
@@ -224,7 +224,7 @@ def export_plane(
     }
     head = json.dumps({"landmarks": landmarks, "rho": rho, "tau": tau}, indent=1)
     c = MomentColumns(0, [], [], [], []) if cloud is None else cloud
-    ingest._write_text(path, itertools.chain(
+    manifest._write_text(path, itertools.chain(
         [head.removesuffix("\n}") + ',\n "points": '],
         _json_list(_point, windows.t_mid_ms, s, windows.kurtosis, zones),
         [',\n "bootstrap_cloud": '],

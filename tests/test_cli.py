@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import loadlens
-from loadlens import cli, ingest
+from loadlens import cli, ingest, manifest
 from loadlens.cli import main
 from loadlens.errors import MalformedRow, NonMonotonicTime, ParseError
 from loadlens.features import write_features_csv
@@ -269,15 +270,15 @@ class TestGoldenLearn:
 class TestOutputSink:
     def test_every_output_goes_through_the_sink(self, tmp_path, monkeypatch):
         """Each file the learn commands and ``plane`` write is written once,
-        by ``ingest._write_text``."""
+        by ``manifest._write_text``."""
         written = []
-        sink = ingest._write_text
+        sink = manifest._write_text
 
         def recording(path, parts):
             written.append(os.path.relpath(path, tmp_path).replace(os.sep, "/"))
             sink(path, parts)
 
-        monkeypatch.setattr(ingest, "_write_text", recording)
+        monkeypatch.setattr(manifest, "_write_text", recording)
         run_learn(str(tmp_path / "learn"))
         (tmp_path / "plane").mkdir()
         assert main(["synth", "rr", "--preset", "rest", "--out", str(tmp_path / "plane" / "rr.csv")]) == 0
@@ -386,11 +387,34 @@ class TestExitCodes:
         assert main(argv) == 0
         path = models / "lrm_hr.model.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for broken in ({k: v for k, v in doc.items() if k != "standardizer"}, {**doc, "lrm": {**doc["lrm"], "w": [1.0]}}):
+        negative_std = {**doc, "standardizer": {**doc["standardizer"], "stds": [-1.0, 1.0]}}
+        for broken in ({k: v for k, v in doc.items() if k != "standardizer"}, {**doc, "lrm": {**doc["lrm"], "w": [1.0]}}, negative_std):
             path.write_text(json.dumps(broken), encoding="utf-8")
             out = tmp_path / "pred.csv"
             assert main(["predict", "--model", str(path), "--features", features_csv, "--out", str(out)]) == 2
             assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["overflow", "inf_minus_inf"])
+    def test_non_finite_prediction_is_numeric_error(self, features_csv, tmp_path, capsys, fault):
+        models = tmp_path / "models"
+        argv = ["train", "--features", features_csv, "--model", "lrm", "--preset", "hr", "--out-dir", str(models)]
+        assert main(argv) == 0
+        path = models / "lrm_hr.model.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if fault == "overflow":
+            doc["lrm"]["w"] = [1e308, 1e308]
+        else:
+            # standardized ahr near 1e12 and mhr near -1e17: the two terms are inf and -inf
+            doc["standardizer"] = {"means": [0.0, 1e6], "stds": [1e-11, 1e-11]}
+            doc["lrm"]["w"] = [1e300, 1e300]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "predict.csv"
+        assert main(["predict", "--model", str(path), "--features", features_csv, "--out", str(out)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: NumericError: "), lines
+        assert not out.exists()
+        assert not (tmp_path / "predict.csv.manifest.json").exists()
 
     def test_non_monotonic_channel_is_input_error(self, tmp_path):
         path = tmp_path / "rr.csv"
@@ -612,3 +636,170 @@ class TestReport:
         assert "ParseError" in err and "x.report.json" in err
         assert not out.exists()
 
+
+
+#: ``loadlens.*`` modules each command loads beyond ``cli``, ``errors`` and
+#: ``manifest``. Every command but ``report`` loads numpy; the learn and
+#: analysis commands load none of ``synth``, ``stats`` and ``momentplane``.
+COMMAND_MODULES = {
+    "moments": {"ingest", "stats"},
+    "plane": {"ingest", "stats", "momentplane"},
+    "features": {"ingest", "features", "stats", "momentplane"},
+    "correlate": {"ingest", "features"},
+    "cluster": {"ingest", "features", "learn", "learn.cluster", "learn.data", "learn.models"},
+    "train": {"ingest", "features", "learn", "learn.data", "learn.evaluate", "learn.models"},
+    "predict": {"ingest", "features", "learn", "learn.data", "learn.models"},
+    "report": set(),
+    "synth sessions": {"ingest", "synth"},
+    "synth rr": {"ingest", "synth"},
+    "synth accel": {"ingest", "synth"},
+}
+
+#: Runs one command in a fresh interpreter and prints its exit code, whether
+#: numpy is loaded, and the loaded ``loadlens`` modules. With ``--serial``,
+#: ``_map_sessions`` runs its tasks in this process and also prints the
+#: modules that running them loaded: the modules a forked worker would lack.
+PROBE = """
+import json, sys
+from loadlens import cli
+fresh = []
+if sys.argv[1] == "--serial":
+    from loadlens import ingest
+    def serial(fn, tasks):
+        before = set(sys.modules)
+        results = [fn(task) for task in tasks]
+        fresh.extend(sorted(set(sys.modules) - before))
+        return results
+    ingest._map_sessions = serial
+code = cli.main(sys.argv[2:])
+print(json.dumps([code, "numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("loadlens")), fresh]))
+"""
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """rr.csv, a one-session-per-class dataset, features.csv and a trained
+    lrm model with its report: an input for every command."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert main(["synth", "rr", "--preset", "rest", "--out", str(root / "rr.csv")]) == 0
+    assert main(["synth", "sessions", "--n", "1", "--out-dir", str(root / "data")]) == 0
+    rng = np.random.default_rng(5)
+    rows = make_rows(rng.normal(10, 2, (30, 4)), [i % 3 for i in range(30)], ("ahr", "mhr", "acc_std", "acc_mean"))
+    write_features_csv(root / "features.csv", rows)
+    argv = ["train", "--features", str(root / "features.csv"), "--model", "lrm", "--preset", "hr"]
+    assert main([*argv, "--out-dir", str(root / "models")]) == 0
+    return root
+
+
+def command_argv(command: str, inputs, out) -> list[str]:
+    features = str(inputs / "features.csv")
+    argv = {
+        "moments": ["--input", str(inputs / "rr.csv"), "--channel", "rr", "--out", str(out / "w.csv")],
+        "plane": ["--input", str(inputs / "rr.csv"), "--out", str(out / "plane.json")],
+        "features": ["--sessions", str(inputs / "data" / "sessions.csv"), "--out", str(out / "features.csv")],
+        "correlate": ["--features", features, "--out", str(out / "corr.csv")],
+        "cluster": ["--features", features, "--out", str(out / "cluster.json")],
+        "train": ["--features", features, "--model", "dnn", "--preset", "hr", "--epochs", "2", "--out-dir", str(out)],
+        "predict": ["--model", str(inputs / "models" / "lrm_hr.model.json"), "--features", features, "--out", str(out / "p.csv")],
+        "report": ["--in-dir", str(inputs / "models"), "--out", str(out / "report.json")],
+        "synth sessions": ["--n", "1", "--out-dir", str(out)],
+        "synth rr": ["--preset", "rest", "--out", str(out / "rr.csv")],
+        "synth accel": ["--class", "active", "--duration", "2", "--out", str(out / "accel.csv")],
+    }[command]
+    return [*command.split(), *argv]
+
+
+def probe(mode: str, argv) -> tuple[bool, set[str], list[str]]:
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__))}
+    proc = subprocess.run([sys.executable, "-c", PROBE, mode, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_loaded, modules, fresh = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return numpy_loaded, {m.removeprefix("loadlens.") for m in modules}, fresh
+
+
+class TestCommandImports:
+    @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+    def test_each_command_loads_only_its_modules(self, command_inputs, tmp_path, command):
+        numpy_loaded, modules, _ = probe("-", command_argv(command, command_inputs, tmp_path))
+        assert modules == {"loadlens", "cli", "errors", "manifest"} | COMMAND_MODULES[command]
+        assert numpy_loaded == (command != "report")
+
+    @pytest.mark.parametrize("command", ["features", "synth sessions"])
+    def test_workers_start_with_their_modules_loaded(self, command_inputs, tmp_path, command):
+        """The workers fork from the command's process: running every task
+        there first imports nothing, so no forked worker imports anything."""
+        _, _, fresh = probe("--serial", command_argv(command, command_inputs, tmp_path))
+        assert fresh == []
+
+
+#: What ``loadlens <command> --help`` prints after "usage: loadlens
+#: <command> [-h] " on a wide terminal, and the defaults its flags parse to.
+HELP = {
+    "moments": (
+        "--input INPUT --channel {accel,rr} [--window WINDOW] [--stride STRIDE] [--center] --out OUT",
+        {"window": 300, "stride": 30, "center": False},
+    ),
+    "plane": (
+        "--input INPUT [--window WINDOW] [--stride STRIDE] [--bootstrap B] [--rho RHO] [--tau TAU] [--seed SEED] --out OUT",
+        {"window": 300, "stride": 30, "bootstrap": 0, "rho": 0.3, "tau": 0.15, "seed": 0},
+    ),
+    "features": ("--sessions SESSIONS --out OUT", {}),
+    "correlate": ("--features FEATURES [--columns COLUMNS] --out OUT", {"columns": None}),
+    "cluster": (
+        "--features FEATURES [--k K] [--columns COLUMNS] [--seed SEED] --out OUT",
+        {"k": 3, "columns": "acc_mean,acc_std,acc_skewness,acc_kurtosis", "seed": 0},
+    ),
+    "train": (
+        "--features FEATURES --model {lrm,dnn} [--preset {acc,acc_with_metrics,all,dist_dur_hr,hr}] [--epochs EPOCHS]"
+        " [--lr LR] [--batch BATCH] [--hidden HIDDEN] [--seed SEED] --out-dir OUT_DIR",
+        {"preset": "all", "epochs": 200, "lr": 0.01, "batch": 16, "hidden": "16,16", "seed": 0},
+    ),
+    "predict": ("--model MODEL --features FEATURES --out OUT", {}),
+    "report": ("--in-dir IN_DIR --out OUT", {}),
+    "synth sessions": ("--n N [--seed SEED] --out-dir OUT_DIR", {"seed": 0}),
+    "synth rr": ("--preset {rest,staircase} [--seed SEED] --out OUT", {"seed": 0}),
+    "synth accel": (
+        "--class {active,moderate,passive} [--duration DURATION] [--seed SEED] --out OUT",
+        {"duration": 60.0, "seed": 0},
+    ),
+}
+
+
+def help_text(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, "--help"])
+    assert ei.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestHelp:
+    """The parser gets a command's flags only when that command runs; help
+    must still list them all."""
+
+    @pytest.fixture(autouse=True)
+    def wide_terminal(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")
+
+    def test_top_level_lists_every_command(self, capsys):
+        text = help_text(capsys, [])
+        assert "{moments,plane,features,correlate,cluster,train,predict,synth,report}" in text
+        for command in ("moments", "plane", "features", "correlate", "cluster", "train", "predict", "synth", "report"):
+            assert re.search(rf"^    {command} +\S", text, re.M), command
+        assert "usage: loadlens synth [-h] {sessions,rr,accel} ..." in help_text(capsys, ["synth"])
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_command_lists_every_flag_with_its_default(self, capsys, command):
+        usage, defaults = HELP[command]
+        text = help_text(capsys, command.split())
+        assert text.startswith(f"usage: loadlens {command} [-h] {usage}\n")
+        flags = re.findall(r"--[\w-]+", usage)
+        for flag in flags:
+            assert re.search(rf"^  {flag}\b", text, re.M), flag
+        # fill each required flag (outside brackets) with its first choice, or "1"
+        required = re.findall(r"(?<!\[)(--[\w-]+) (?:\{(\w+)[^}]*\}|\w+)", usage)
+        argv = [a for flag, choice in required for a in (flag, choice or "1")]
+        args = cli.build_parser().parse_args([*command.split(), *argv])
+        assert {k: getattr(args, k) for k in defaults} == defaults
+        optional = {f.lstrip("-").replace("-", "_") for f in re.findall(r"\[(--[\w-]+)", usage)}
+        assert optional == set(defaults)

@@ -19,7 +19,7 @@ from loadlens.features import (
     write_features_csv,
 )
 from loadlens.ingest import Channel, SessionMeta, accel_magnitude
-from loadlens.learn import LinearModel, Standardizer, save_model
+from loadlens.learn.models import LinearModel, Standardizer, save_model
 from loadlens.synth import GenConfig, gen_accel, gen_rr, session_protocol
 from tests.conftest import make_rows
 

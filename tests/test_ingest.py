@@ -20,7 +20,7 @@ from loadlens.errors import (
     NonMonotonicTime,
     UnknownLabel,
 )
-from loadlens import ingest
+from loadlens import ingest, manifest
 from loadlens.features import extract_features
 from loadlens.ingest import (
     DEFAULT_ACTIVITIES,
@@ -489,16 +489,16 @@ class TestOutputWriters:
         w.writerows(rows)
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "t.csv")
-            ingest._write_csv(path, ("text", "float", "int"), rows, lineterminator=terminator)
+            manifest._write_csv(path, ("text", "float", "int"), rows, lineterminator=terminator)
             with open(path, "rb") as fh:
                 assert fh.read() == expected.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize("sort_keys", [False, True])
     def test_json_bytes_equal_json_dump(self, tmp_path, sort_keys):
         doc = {"z": [1.5, -0.0, 1e300, None], "a": {"k": "caf\u00e9 \"q\"", "n": []}, "m": 7}
-        ingest._write_json(tmp_path / "d.json", doc, sort_keys=sort_keys)
+        manifest._write_json(tmp_path / "d.json", doc, sort_keys=sort_keys)
         assert (tmp_path / "d.json").read_bytes() == (json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n").encode()
-        assert ingest._read_json(tmp_path / "d.json", "doc") == doc
+        assert manifest._read_json(tmp_path / "d.json", "doc") == doc
 
 
 class TestHeartRate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loadlens.errors import TooFewDistinctPoints
-from loadlens.learn import kmeans
+from loadlens.learn.cluster import kmeans
 
 
 def blobs(rng, centers, n_each=40, spread=0.05):

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from loadlens.errors import EmptyEvalSet
-from loadlens.learn import (
-    PRESETS,
-    DnnConfig,
-    build_xy,
-    evaluate_xy,
-    fit_lrm_xy,
-    permutation_importance,
-    run_training,
-)
+from loadlens.learn.data import PRESETS, build_xy
+from loadlens.learn.evaluate import evaluate_xy, permutation_importance, run_training
+from loadlens.learn.models import DnnConfig, fit_lrm_xy
 from tests.conftest import make_rows
 
 

@@ -13,21 +13,19 @@ from loadlens.errors import (
     TooFewRows,
     UnknownLabel,
 )
-from loadlens.learn import (
-    PRESETS,
+from loadlens.learn.data import PRESETS, build_xy, decode_prediction, encode_target, get_preset, split
+from loadlens.learn.models import (
     DnnConfig,
     Standardizer,
-    build_xy,
-    decode_prediction,
-    encode_target,
+    _FlatNet,
+    _mse,
     fit_dnn_xy,
     fit_lrm_xy,
-    get_preset,
+    forward,
+    init_layers,
     load_model,
     save_model,
-    split,
 )
-from loadlens.learn.models import _FlatNet, _mse, forward, init_layers
 from tests.conftest import make_rows
 
 
