@@ -60,12 +60,13 @@ class _Parser(argparse.ArgumentParser):
 def cmd_moments(args) -> None:
     from . import ingest, stats
 
+    digests = {}
     if args.channel == "accel":
-        series = ingest.accel_magnitude(ingest.parse_accel_csv(args.input), center=args.center)
+        series = ingest.accel_magnitude(ingest.parse_accel_csv(args.input, digests), center=args.center)
     else:
         if args.center:
             raise ConfigError("--center applies to the accel channel only")
-        series = ingest.parse_rr_csv(args.input)
+        series = ingest.parse_rr_csv(args.input, digests)
     windows = stats.sliding_windows(series, args.window, args.stride)
     stats.write_windows_csv(args.out, windows)
     write_manifest(
@@ -74,13 +75,15 @@ def cmd_moments(args) -> None:
         {"channel": args.channel, "window": args.window, "stride": args.stride, "center": args.center},
         [args.input],
         [args.out],
+        digests=digests,
     )
 
 
 def cmd_plane(args) -> None:
     from . import ingest, momentplane, stats
 
-    rr = ingest.parse_rr_csv(args.input)
+    digests = {}
+    rr = ingest.parse_rr_csv(args.input, digests)
     windows = stats.sliding_windows(rr, args.window, args.stride)
     cloud = None
     if args.bootstrap > 0:
@@ -100,17 +103,20 @@ def cmd_plane(args) -> None:
         [args.input],
         [args.out],
         seed=args.seed,
+        digests=digests,
     )
 
 
 def _session_features(task):
-    """Parse one session's channel files and extract its feature row."""
+    """Parse one session's channel files and extract its feature row;
+    returns the row and the digests of the two files."""
     from . import features, ingest
 
     meta, accel_path, rr_path = task
-    accel = ingest.accel_magnitude(ingest.parse_accel_csv(accel_path))
-    rr = ingest.parse_rr_csv(rr_path)
-    return features.extract_features(meta, accel, rr)
+    digests = {}
+    accel = ingest.accel_magnitude(ingest.parse_accel_csv(accel_path, digests))
+    rr = ingest.parse_rr_csv(rr_path, digests)
+    return features.extract_features(meta, accel, rr), digests
 
 
 def cmd_features(args) -> None:
@@ -124,10 +130,11 @@ def cmd_features(args) -> None:
         (meta, resolve_channel_path(args.sessions, meta.accel_file), resolve_channel_path(args.sessions, meta.rr_file))
         for meta in parse_sessions_csv(args.sessions)
     ]
-    rows = _map_sessions(_session_features, tasks)
+    rows, session_digests = zip(*_map_sessions(_session_features, tasks))
     write_features_csv(args.out, rows)
     inputs = [args.sessions] + [path for _, accel_path, rr_path in tasks for path in (accel_path, rr_path)]
-    write_manifest(manifest_path_for(args.out), "features", {}, inputs, [args.out])
+    digests = {path: sha256 for d in session_digests for path, sha256 in d.items()}
+    write_manifest(manifest_path_for(args.out), "features", {}, inputs, [args.out], digests=digests)
 
 
 def _parse_columns(text: str) -> tuple[str, ...]:

@@ -21,6 +21,30 @@ In memory one recording is a :class:`Channel`, a pair of numpy arrays:
 The constructor checks these invariants once, so no consumer re-checks them.
 Both arrays are read-only views.
 
+A channel file is read in two passes, whatever its length:
+
+1. ``_scan`` reads its bytes 1 MB at a time into a sha256 (the digest the
+   manifest records), a count of ``\\n`` bytes, a check that ``np.loadtxt``
+   reads every field as ``int()``/``float()`` do, and a note of any quote
+   character.
+2. ``_read_body`` parses the body ``CHUNK_ROWS`` lines at a time with
+   ``np.loadtxt`` into columns preallocated from that count, which
+   ``Channel`` takes without a copy.
+
+When the check fails, a block does not parse, or lines ending in a bare
+``\\r`` outgrow the columns, the field-by-field parser ``_parse_rows`` reads
+the file instead and raises the error of its first faulty row. Faults in
+rows the columnar read accepts (non-finite values, t_ms below 0 or not
+increasing) are found by ``_first_fault`` over the whole columns. Neither
+depends on where the blocks fall.
+
+The columnar read holds the columns (32 B per accel row, 16 B per rr row)
+and one block of lines (about 0.6 MB), after a scan that holds two 1 MB
+reads; ``accel_magnitude`` adds its 8 B per row. Reading the whole text first would hold the text too: parsing the
+11.9 MB file of an hour of 50 Hz accel samples peaks at 38.5 MB of RSS in a
+fresh process by blocks, 94 MB through ``np.loadtxt`` over the decoded text
+and 73 MB over its ``splitlines()``.
+
 Files are written through the output sink in ``loadlens.manifest``.
 """
 
@@ -29,6 +53,7 @@ from __future__ import annotations
 import codecs
 import contextlib
 import csv
+import hashlib
 import itertools
 import math
 import os
@@ -67,6 +92,13 @@ SESSIONS_HEADER = (
 _ACCEL_DTYPE = np.dtype([("t", "<i8"), ("v", "<f8", (3,))])
 _RR_DTYPE = np.dtype([("t", "<i8"), ("v", "<f8")])
 
+#: Rows that the channel readers parse, ``accel_magnitude`` computes and the
+#: table writers convert, format and write at a time, so their memory does
+#: not grow with the table. Larger blocks parse and write no faster, and
+#: 8,192 rows of window lines add about 1 MB to the peak of an accel
+#: ``moments`` run.
+CHUNK_ROWS = 2048
+
 
 def _first_fault(t_ms: np.ndarray, values: np.ndarray, positive: bool = False):
     """First row that breaks the channel invariants, or None.
@@ -74,24 +106,29 @@ def _first_fault(t_ms: np.ndarray, values: np.ndarray, positive: bool = False):
     Returns ``(index, field)``: field is ``"negative"`` for t_ms < 0,
     ``"order"`` for a t_ms not above its predecessor, else the value column
     holding a non-finite value (with ``positive``, also one <= 0). Within a
-    row the time checks come first, then the columns left to right.
+    row the time checks come first, then the columns left to right. Rows
+    are checked ``CHUNK_ROWS`` at a time, so the check's memory does not
+    grow with the channel.
     """
     n = len(t_ms)
-    order = np.zeros(n, dtype=bool)
-    np.less_equal(t_ms[1:], t_ms[:-1], out=order[1:])
     cols = values if values.ndim == 2 else values[:, None]
-    bad = ~np.isfinite(cols)
-    if positive:
-        bad |= cols <= 0
-    rows = np.flatnonzero((t_ms < 0) | order | bad.any(axis=1))
-    if not rows.size:
-        return None
-    i = int(rows[0])
-    if t_ms[i] < 0:
-        return i, "negative"
-    if order[i]:
-        return i, "order"
-    return i, int(np.argmax(bad[i]))
+    for lo in range(0, n, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, n)
+        order = np.zeros(hi - lo, dtype=bool)
+        first = max(lo, 1)
+        np.less_equal(t_ms[first:hi], t_ms[first - 1 : hi - 1], out=order[first - lo :])
+        bad = ~np.isfinite(cols[lo:hi])
+        if positive:
+            bad |= cols[lo:hi] <= 0
+        rows = np.flatnonzero((t_ms[lo:hi] < 0) | order | bad.any(axis=1))
+        if rows.size:
+            i = int(rows[0])
+            if t_ms[lo + i] < 0:
+                return lo + i, "negative"
+            if order[i]:
+                return lo + i, "order"
+            return lo + i, int(np.argmax(bad[i]))
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,44 +289,95 @@ def _parse_rows(path, header, rr: bool):
 _LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _loadtxt_reads_like_python(path) -> bool:
-    """True when ``np.loadtxt`` would read every field of the file as
-    ``int()``/``float()`` do: ASCII only after an optional BOM, and none of
-    ``_LOADTXT_ONLY_SPACE``."""
-    with open(path, "rb") as fh:
-        chunk = fh.read(1 << 20).removeprefix(codecs.BOM_UTF8)
-        while chunk:
-            if not chunk.isascii() or any(c in chunk for c in _LOADTXT_ONLY_SPACE):
-                return False
-            chunk = fh.read(1 << 20)
-    return True
+def _loadtxt_reads_like_python(data: bytes) -> bool:
+    """True when ``np.loadtxt`` would read every field in ``data`` as
+    ``int()``/``float()`` do: ASCII only, and none of ``_LOADTXT_ONLY_SPACE``."""
+    return data.isascii() and not any(c in data for c in _LOADTXT_ONLY_SPACE)
 
 
-def _read_body(path, header, dtype):
-    """Columnar read of a channel CSV after checking its header.
+#: Bytes that ``_scan`` reads at a time. Smaller reads hash and count no
+#: faster. Freeing a 1 MB read buffer also raises glibc's mmap threshold, so
+#: the 0.6 MB temporaries of the window kernel in ``stats`` come from the
+#: heap; after 64 KB reads they were mapped afresh for every block (21,000
+#: page faults and 2x the time for 13,000 windows).
+_SCAN_BYTES = 1 << 20
 
-    Returns the structured body array, or None when ``np.loadtxt`` fails
-    or might read the file differently from ``int()``/``float()``.
+
+def _scan(path):
+    """One pass over the bytes of ``path``, ``_SCAN_BYTES`` at a time.
+
+    Returns ``(sha256, newlines, loadtxt_safe, quoted)``: the file's hex
+    digest; the count of ``\\n`` bytes, which bounds the data rows unless a
+    line ends in a bare ``\\r``; whether ``_loadtxt_reads_like_python`` holds
+    for the file after an optional BOM; and whether it holds a quote
+    character.
     """
-    if not _loadtxt_reads_like_python(path):
-        return None
-    with _open_csv(path) as fh:
-        _read_header(fh, path, header)
-        try:
-            with warnings.catch_warnings():
-                # An empty body warns; the caller reports it as EmptyFile.
-                warnings.simplefilter("ignore", UserWarning)
-                return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', dtype=dtype, ndmin=1)
-        except ValueError:
-            return None
+    digest = hashlib.sha256()
+    newlines = 0
+    quoted = False
+    with open(path, "rb") as fh:
+        chunk = fh.read(_SCAN_BYTES)
+        safe = _loadtxt_reads_like_python(chunk.removeprefix(codecs.BOM_UTF8))
+        while chunk:
+            digest.update(chunk)
+            newlines += chunk.count(b"\n")
+            quoted = quoted or b'"' in chunk
+            chunk = fh.read(_SCAN_BYTES)
+            safe = safe and _loadtxt_reads_like_python(chunk)
+    return digest.hexdigest(), newlines, safe, quoted
 
 
-def _parse_channel(path, header, dtype, rr: bool) -> Channel:
-    body = _read_body(path, header, dtype)
+def _line_blocks(fh, quoted: bool):
+    """The lines of ``fh`` in lists of ``CHUNK_ROWS``. In a ``quoted`` file,
+    a list that holds an odd number of quote characters takes more lines
+    until it holds an even number, so no block ends inside a quoted field:
+    in a field that ``np.loadtxt`` converts, quote characters come in pairs."""
+    while lines := list(itertools.islice(fh, CHUNK_ROWS)):
+        quotes = "".join(lines).count('"') if quoted else 0
+        while quotes % 2 and (line := next(fh, "")):
+            lines.append(line)
+            quotes += line.count('"')
+        yield lines
+
+
+def _read_body(fh, rows: int, dtype, quoted: bool):
+    """Columnar read of the channel body left in ``fh``, ``CHUNK_ROWS``
+    lines at a time (see ``_line_blocks``), into columns preallocated for
+    ``rows`` rows. Returns ``(t_ms, values)``, contiguous slices of those
+    columns, or None when ``np.loadtxt`` fails on any block or the body
+    holds more than ``rows`` rows."""
+    t = np.empty(rows, dtype=np.int64)
+    values = np.empty((rows, *dtype["v"].shape))
+    n = 0
+    with warnings.catch_warnings():
+        # A block of blank lines warns; an empty body is the caller's EmptyFile.
+        warnings.simplefilter("ignore", UserWarning)
+        for lines in _line_blocks(fh, quoted):
+            try:
+                block = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', dtype=dtype, ndmin=1)
+            except ValueError:
+                return None
+            if n + len(block) > rows:
+                return None
+            t[n : n + len(block)] = block["t"]
+            values[n : n + len(block)] = block["v"]
+            n += len(block)
+    return t[:n], values[:n]
+
+
+def _parse_channel(path, header, dtype, rr: bool, digests) -> Channel:
+    sha256, newlines, loadtxt_safe, quoted = _scan(path)
+    if digests is not None:
+        digests[str(path)] = sha256
+    body = None
+    if loadtxt_safe:
+        with _open_csv(path) as fh:
+            _read_header(fh, path, header)
+            body = _read_body(fh, newlines, dtype, quoted)
     if body is None:
         t, values = _parse_rows(path, header, rr)
     else:
-        t, values = body["t"], body["v"]
+        t, values = body
         fault = _first_fault(t, values, positive=rr)
         if fault is not None:
             i, field = fault
@@ -306,20 +394,22 @@ def _parse_channel(path, header, dtype, rr: bool) -> Channel:
     return Channel(t, values)
 
 
-def parse_accel_csv(path) -> Channel:
+def parse_accel_csv(path, digests: dict | None = None) -> Channel:
     """Parse an accelerometer CSV into a channel with (n, 3) values.
 
     Raises MalformedRow, NonMonotonicTime or EmptyFile; row numbers count
     non-blank data rows from 1, header excluded. With several faults the
-    lowest row wins, then the field order.
+    lowest row wins, then the field order. ``digests``, when given, receives
+    the file's sha256 under ``str(path)``.
     """
-    return _parse_channel(path, ACCEL_HEADER, _ACCEL_DTYPE, rr=False)
+    return _parse_channel(path, ACCEL_HEADER, _ACCEL_DTYPE, rr=False, digests=digests)
 
 
-def parse_rr_csv(path) -> Channel:
+def parse_rr_csv(path, digests: dict | None = None) -> Channel:
     """Parse a heartbeat-interval CSV into a channel with (n,) values.
-    rr_ms must be finite and > 0 (InvalidRr otherwise)."""
-    return _parse_channel(path, RR_HEADER, _RR_DTYPE, rr=True)
+    rr_ms must be finite and > 0 (InvalidRr otherwise). ``digests`` as for
+    ``parse_accel_csv``."""
+    return _parse_channel(path, RR_HEADER, _RR_DTYPE, rr=True, digests=digests)
 
 
 def parse_sessions_csv(path) -> list[SessionMeta]:
@@ -352,20 +442,13 @@ def parse_sessions_csv(path) -> list[SessionMeta]:
     return metas
 
 
-#: Rows that ``_write_table`` converts, formats and writes at a time, so a
-#: writer's memory does not grow with the table. Larger blocks write no
-#: faster, and 8,192 rows of window lines add about 1 MB to the peak of an
-#: accel ``moments`` run.
-WRITE_CHUNK_ROWS = 2048
-
-
 def _write_table(path, header, lines, *columns) -> None:
     """Write a numeric CSV table: the header, then the rows of ``columns``
-    (equal-length sequences) ``WRITE_CHUNK_ROWS`` at a time, each block
+    (equal-length sequences) ``CHUNK_ROWS`` at a time, each block
     formatted by ``lines(*block_columns)`` into ``\r\n``-ended lines."""
     blocks = (
-        "".join(lines(*(col[i : i + WRITE_CHUNK_ROWS] for col in columns)))
-        for i in range(0, len(columns[0]), WRITE_CHUNK_ROWS)
+        "".join(lines(*(col[i : i + CHUNK_ROWS] for col in columns)))
+        for i in range(0, len(columns[0]), CHUNK_ROWS)
     )
     manifest._write_text(path, itertools.chain([",".join(header) + "\r\n"], blocks))
 
@@ -406,13 +489,17 @@ def accel_magnitude(samples: Channel, center: bool = False) -> Channel:
         raise ValueError("accel_magnitude needs at least one sample")
     if samples.values.ndim != 2:
         raise ValueError("accel_magnitude needs a tri-axial channel")
-    ax, ay, az = samples.values.T
+    n = len(samples)
+    values = np.empty(n)
     with np.errstate(over="ignore"):
-        values = np.sqrt(ax * ax + ay * ay + az * az)
+        for i in range(0, n, CHUNK_ROWS):
+            ax, ay, az = samples.values[i : i + CHUNK_ROWS].T
+            np.sqrt(ax * ax + ay * ay + az * az, out=values[i : i + CHUNK_ROWS])
     if not np.isfinite(values).all():
         raise MomentOverflow("accel magnitude overflows float64: an axis value lies beyond about 1.3e154")
     if center:
-        values = values - math.fsum(values.tolist()) / len(values)
+        blocks = (values[i : i + CHUNK_ROWS].tolist() for i in range(0, n, CHUNK_ROWS))
+        values -= math.fsum(itertools.chain.from_iterable(blocks)) / n
     return Channel(samples.t_ms, values)
 
 

@@ -6,6 +6,13 @@ paths of one command invocation. Re-running a command with an identical
 manifest (timestamp aside) must reproduce its outputs byte-for-byte; the
 ``created_utc`` field is the only part excluded from that contract.
 
+Input digests come from the pass that read the input where there is one:
+the channel readers (``ingest.parse_accel_csv``/``parse_rr_csv``) hash each
+accel and rr file in the scan that precedes their parse, and ``moments``,
+``plane`` and ``features`` hand those digests to ``write_manifest``. Every
+other input (``sessions.csv``, ``features.csv``, models, reports) is read
+again by ``sha256_file`` when the manifest is written.
+
 Every output file is opened in one place, ``_write_text``, which writes text
 parts as UTF-8 with line ends as given. ``ingest._write_table`` feeds it the
 numeric tables (accel, rr, windows) as f-string lines; ``_write_csv`` the
@@ -79,14 +86,17 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(manifest_path, command: str, config: dict, inputs, outputs, seed=None) -> None:
+def write_manifest(manifest_path, command: str, config: dict, inputs, outputs, seed=None, digests=None) -> None:
+    """Write the manifest of one command. ``digests`` maps an input path, as
+    ``str``, to the sha256 its reader computed; other inputs are hashed here."""
+    digests = digests or {}
     doc = {
         "command": command,
         "version": __version__,
         TIMESTAMP_KEY: datetime.now(timezone.utc).isoformat(),
         "seed": seed,
         "config": config,
-        "inputs": [{"path": str(p), "sha256": sha256_file(p)} for p in inputs],
+        "inputs": [{"path": str(p), "sha256": digests.get(str(p)) or sha256_file(p)} for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
     _write_json(manifest_path, doc, sort_keys=True)

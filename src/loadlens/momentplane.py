@@ -188,14 +188,14 @@ def _cloud_entry(s: float, k: float, mean: float, std: float, skewness: float, k
 def _json_list(item, *columns):
     """Text parts of a list at depth 1 of the indent=1 document:
     ``item(*row)`` for each row of ``columns``, formatted
-    ``ingest.WRITE_CHUNK_ROWS`` rows at a time."""
+    ``ingest.CHUNK_ROWS`` rows at a time."""
     n = len(columns[0])
     if not n:
         yield "[]"
         return
     yield "[\n"
-    for i in range(0, n, ingest.WRITE_CHUNK_ROWS):
-        block = (col[i : i + ingest.WRITE_CHUNK_ROWS].tolist() for col in columns)
+    for i in range(0, n, ingest.CHUNK_ROWS):
+        block = (col[i : i + ingest.CHUNK_ROWS].tolist() for col in columns)
         yield (",\n" if i else "") + ",\n".join(map(item, *block))
     yield "\n ]"
 

@@ -289,6 +289,42 @@ class TestOutputSink:
         assert sorted(written) == sorted(on_disk)
 
 
+class TestInputDigests:
+    def test_channel_digests_come_from_the_reader(self, tmp_path, monkeypatch):
+        """Each input digest of ``moments``, ``plane`` and ``features`` is the
+        sha256 of the file's bytes, and ``manifest.sha256_file`` reads no
+        channel file: the reader's scan hashed it. One rr file holds a
+        number only ``float()`` reads, so it takes the field-by-field parser."""
+        data = tmp_path / "data"
+        assert main(["synth", "sessions", "--n", "1", "--seed", "0", "--out-dir", str(data)]) == 0
+        meta = ingest.parse_sessions_csv(data / "sessions.csv")[0]
+        accel, rr = data / meta.accel_file, data / meta.rr_file
+        lines = rr.read_bytes().split(b"\r\n")
+        t, value = lines[1].split(b",")
+        lines[1] = t + b"," + value[:1] + b"_" + value[1:]
+        rr.write_bytes(b"\r\n".join(lines))
+        hashed, fallbacks = [], []
+        monkeypatch.setattr(manifest, "sha256_file", lambda path, f=manifest.sha256_file: hashed.append(path) or f(path))
+        monkeypatch.setattr(ingest, "_parse_rows", lambda path, *a, f=ingest._parse_rows: fallbacks.append(path) or f(path, *a))
+        runs = {
+            "features.csv": ["features", "--sessions", str(data / "sessions.csv")],
+            "accel_windows.csv": ["moments", "--channel", "accel", "--input", str(accel)],
+            "rr_windows.csv": ["moments", "--channel", "rr", "--input", str(rr)],
+            "plane.json": ["plane", "--input", str(rr)],
+        }
+        inputs = []
+        for out, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / out)]) == 0
+            doc = json.loads((tmp_path / f"{out}.manifest.json").read_text(encoding="utf-8"))
+            inputs += doc["inputs"]
+        assert len(inputs) == 1 + 6 + 3
+        for entry in inputs:
+            assert entry["sha256"] == sha256(entry["path"]), entry["path"]
+        assert hashed == [str(data / "sessions.csv")]
+        # features parses in worker processes, which this list does not see
+        assert fallbacks == [str(rr)] * 2
+
+
 @pytest.fixture
 def features_csv(tmp_path):
     """A valid features.csv of 30 rows, enough for every command."""

@@ -1,10 +1,12 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import struct
 import tempfile
+import tracemalloc
 from decimal import Decimal
 from unittest import mock
 
@@ -442,21 +444,196 @@ class TestChannelCsvProperties:
         assert ch.values.tolist() == [800.0]
 
 
+@pytest.fixture(scope="class", params=[1, 3])
+def small_blocks(request):
+    """The channel readers, the fault check and the writers working
+    ``request.param`` rows at a time."""
+    with mock.patch.object(ingest, "CHUNK_ROWS", request.param):
+        yield request.param
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestChannelCsvPropertiesInSmallBlocks(TestChannelCsvProperties):
+    """The properties above with block boundaries between most rows."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestChannelInSmallBlocks(TestChannel):
+    """The channel invariants checked 1 and 3 rows at a time."""
+
+
+def _rr_row(t, value="800.5"):
+    return f"{t},{value}"
+
+
+def _accel_row(t, value="0.5"):
+    return f"{t},1.5,{value},-2.5"
+
+
+#: fault -> (row text from (row function, previous t), {format: error class}).
+_BOUNDARY_FAULTS = {
+    "non_finite": (lambda row, prev_t: row(prev_t + 10, "nan"), {"accel": MalformedRow, "rr": InvalidRr}),
+    "bad_text": (lambda row, prev_t: row(prev_t + 10, "abc"), {"accel": MalformedRow, "rr": MalformedRow}),
+    "order": (lambda row, prev_t: row(prev_t), {"accel": NonMonotonicTime, "rr": NonMonotonicTime}),
+    "negative_t": (lambda row, prev_t: row(-5), {"accel": MalformedRow, "rr": MalformedRow}),
+}
+
+
+class TestBlockBoundaries:
+    """What falls on or across a boundary of the reader's 3-row blocks reads
+    as it would in one block."""
+
+    @pytest.fixture(autouse=True)
+    def three_rows(self, monkeypatch):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", 3)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_no_final_line_end(self, end, n):
+        """A bare ``\\r`` line end is not counted as a row: the columns
+        overflow, and the field-by-field parser reads the file."""
+        ch = _parse_text(parse_rr_csv, "t_ms,rr_ms" + end + end.join(_rr_row(10 * i, f"{800 + i}.5") for i in range(n)))
+        assert ch.t_ms.tolist() == [10 * i for i in range(n)]
+        assert ch.values.tolist() == [800.5 + i for i in range(n)]
+
+    @pytest.mark.parametrize("fmt", ["accel", "rr"])
+    @pytest.mark.parametrize(
+        "last, first", [(a, b) for a, b in itertools.product([None, *_BOUNDARY_FAULTS], repeat=2) if a or b]
+    )
+    def test_faults_either_side_of_a_boundary(self, fmt, last, first):
+        """Rows 3 and 4 end one block and start the next; the lower faulty
+        row wins, and a t_ms is compared with the last one of the block before."""
+        row = {"accel": _accel_row, "rr": _rr_row}[fmt]
+        lines = [row(10 * i) for i in range(6)]
+        for i, fault in ((2, last), (3, first)):
+            if fault:
+                lines[i] = _BOUNDARY_FAULTS[fault][0](row, int(lines[i - 1].split(",")[0]))
+        header = {"accel": "t_ms,ax,ay,az", "rr": "t_ms,rr_ms"}[fmt]
+        with pytest.raises(_BOUNDARY_FAULTS[last or first][1][fmt]) as ei:
+            _parse_text(_FORMATS[fmt][1], header + "\n" + "".join(line + "\n" for line in lines))
+        assert ei.value.row == (3 if last else 4)
+
+    def test_non_ascii_after_the_first_scan_read(self):
+        """The loadtxt check covers the whole file: a digit look-alike
+        beyond the first read and the first block still takes the
+        field-by-field parser, with its error and row."""
+        lines = ["t_ms,rr_ms"] + [_rr_row(10 * i) for i in range(100_000)]
+        bad = 90_000
+        lines[bad] = "\u01fe3,800"
+        text = "\r\n".join(lines) + "\r\n"
+        assert len("\r\n".join(lines[:bad]).encode()) > ingest._SCAN_BYTES
+        with pytest.raises(MalformedRow) as ei:
+            _parse_text(parse_rr_csv, text)
+        assert ei.value.row == bad
+        assert str(ei.value) == f"data row {bad}: bad t_ms '\u01fe3'"
+
+    def test_quoted_line_end_across_a_boundary(self):
+        """Row 3 holds a quoted line end: its block takes the next line too."""
+        plain = "t_ms,rr_ms\n" + "".join(_rr_row(10 * i) + "\n" for i in range(5))
+        quoted = plain.replace('20,800.5\n', '20,"800.5\n"\n')
+        assert_same_channel(_parse_text(parse_rr_csv, quoted), _parse_text(parse_rr_csv, plain))
+
+    def test_quote_cut_by_a_boundary_is_not_read_as_a_field(self):
+        """Cut after its third line, this body would read as two valid
+        blocks, (0, 5, 20) and (30,): the fourth line would close no quote
+        but open one. Read whole, the fifth line holds a bare quote."""
+        body = '0,800.5\n5,800.5\n20,"800.5\n"\n30",810\n'
+        with pytest.raises(MalformedRow) as ei:
+            _parse_text(parse_rr_csv, "t_ms,rr_ms\n" + body)
+        assert ei.value.row == 4
+        assert str(ei.value) == "data row 4: bad t_ms '30\"'"
+
+
+class TestBoundedMemory:
+    """numpy registers its buffers with tracemalloc, so these peaks repeat
+    exactly."""
+
+    #: Two scan reads alive at once, or one block's lines and parse buffers
+    #: (0.58 MiB measured with 2,048-row blocks at 100,000 and 200,000 rows).
+    ALLOWANCE = 2 * ingest._SCAN_BYTES
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [20_000, 100_000])
+    def test_parse_peaks_at_its_columns_and_an_allowance(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        write_accel_csv(tmp_path / "a.csv", Channel(np.arange(n) * 20, rng.normal(0, 3, (n, 3))))
+        ch, peak = self.traced_peak(parse_accel_csv, tmp_path / "a.csv")
+        assert len(ch) == n
+        assert peak <= ch.t_ms.nbytes + ch.values.nbytes + self.ALLOWANCE
+
+    def test_centred_magnitude_needs_at_most_two_outputs(self):
+        n = 100_000
+        samples = Channel(np.arange(n) * 20, np.random.default_rng(0).normal(0, 3, (n, 3)))
+        mags, peak = self.traced_peak(accel_magnitude, samples, True)
+        assert peak <= 2 * mags.values.nbytes
+
+
+#: ``np.loadtxt`` arguments of the channel reader.
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "dtype": ingest._RR_DTYPE, "ndmin": 1}
+
+
+class TestLoadtxtContract:
+    """What the channel reader relies on ``np.loadtxt`` to do with a block of
+    lines. pyproject.toml allows numpy >= 1.24; these pin the behaviour for
+    whichever version runs them."""
+
+    #: CRLF line ends, blank lines, quoted fields, and a quoted line end.
+    BODY = '0,800.5\r\n\r\n"10","801.5"\r\n20,"802.5\r\n"\r\n\r\n30,803.5\r\n'
+    ROWS = [(0, 800.5), (10, 801.5), (20, 802.5), (30, 803.5)]
+
+    def test_islice_parses_k_lines_and_leaves_the_rest(self, tmp_path):
+        path = _write(tmp_path / "r.csv", "t_ms,rr_ms\r\n" + self.BODY)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            next(fh)
+            head = np.loadtxt(itertools.islice(fh, 3), **_LOADTXT)
+            assert next(fh) == '20,"802.5\r\n'
+        assert head.tolist() == self.ROWS[:2]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n", "\r"])
+    def test_lines_read_as_the_file_reads(self, tmp_path, end):
+        """A quoted field may span two lines of the list."""
+        path = _write(tmp_path / "r.csv", self.BODY.replace("\r\n", end))
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(fh)
+        with open(path, newline="", encoding="utf-8") as fh:
+            whole = np.loadtxt(fh, **_LOADTXT)
+        assert np.loadtxt(lines, **_LOADTXT).tolist() == whole.tolist() == self.ROWS
+
+    def test_blank_lines_read_as_no_rows_with_a_warning(self):
+        with pytest.warns(UserWarning):
+            assert np.loadtxt(["\r\n", "\n"], **_LOADTXT).shape == (0,)
+
+    @pytest.mark.parametrize("line", ['0,8"00\n', '0,800"\n', '0,"8""00"\n', '"0"",800\n'])
+    def test_a_converted_field_holds_its_quotes_in_pairs(self, line):
+        """A quote character that neither opens nor closes a field fails,
+        which is why the reader cuts blocks only at an even quote count."""
+        with pytest.raises(ValueError):
+            np.loadtxt([line], **_LOADTXT)
+
+
 class TestChunkedWriter:
-    """The channel writers convert and write WRITE_CHUNK_ROWS rows at a
+    """The channel writers convert and write CHUNK_ROWS rows at a
     time; the bytes equal one line per sample."""
 
     @staticmethod
     def reference(header, rows) -> bytes:
         return (",".join(header) + "\r\n" + "".join(",".join(map(repr, r)) + "\r\n" for r in rows)).encode()
 
-    @pytest.mark.parametrize("chunk", [1, 7, 30, 31, ingest.WRITE_CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk", [1, 7, 30, 31, ingest.CHUNK_ROWS])
     def test_tables_spanning_several_chunks(self, tmp_path, chunk):
         rng = np.random.default_rng(chunk)
         t = np.cumsum(rng.integers(1, 50, 30))
         accel = Channel(t, rng.normal(0, 3, (30, 3)))
         rr = Channel(t, rng.uniform(300, 1200, 30))
-        with mock.patch.object(ingest, "WRITE_CHUNK_ROWS", chunk):
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk):
             write_accel_csv(tmp_path / "a.csv", accel)
             write_rr_csv(tmp_path / "r.csv", rr)
         rows = zip(t.tolist(), *accel.values.T.tolist())
@@ -465,7 +642,7 @@ class TestChunkedWriter:
         assert (tmp_path / "r.csv").read_bytes() == self.reference(("t_ms", "rr_ms"), rows)
 
     def test_default_chunk_boundaries(self, tmp_path):
-        n = 2 * ingest.WRITE_CHUNK_ROWS + 3
+        n = 2 * ingest.CHUNK_ROWS + 3
         rr = Channel(np.arange(n) * 800, np.random.default_rng(0).uniform(300, 1200, n))
         write_rr_csv(tmp_path / "r.csv", rr)
         rows = zip(rr.t_ms.tolist(), rr.values.tolist())

@@ -388,11 +388,11 @@ def plane_inputs(draw):
 class TestPlaneTemplates:
     """The streamed templates write the bytes of ``json.dump(indent=1)``."""
 
-    @given(plane_inputs(), st.sampled_from([0.3, 1e-4, 1e16]), st.sampled_from([0.15, 2.5]), st.sampled_from([1, 3, ingest.WRITE_CHUNK_ROWS]))
+    @given(plane_inputs(), st.sampled_from([0.3, 1e-4, 1e16]), st.sampled_from([0.15, 2.5]), st.sampled_from([1, 3, ingest.CHUNK_ROWS]))
     @settings(max_examples=200, deadline=None)
     def test_bytes_equal_json_dumps(self, case, rho, tau, block):
         windows, cloud = case
-        with tempfile.TemporaryDirectory() as d, mock.patch.object(ingest, "WRITE_CHUNK_ROWS", block):
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(ingest, "CHUNK_ROWS", block):
             path = os.path.join(d, "plane.json")
             export_plane(path, windows, rho, tau, cloud)
             with open(path, "rb") as fh:

@@ -407,11 +407,11 @@ class TestWindowCsv:
         assert rows[2][6] == "" and rows[2][7] == ""
         assert float(rows[1][4]) == wins.mean[0]
 
-    @pytest.mark.parametrize("chunk", [1, 4, 5, ingest.WRITE_CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk", [1, 4, 5, ingest.CHUNK_ROWS])
     def test_table_spanning_several_chunks(self, tmp_path, rng, chunk):
         values = np.concatenate([rng.normal(0, 1, 40), np.full(20, 2.0), rng.lognormal(0, 1, 40)])
         wins = sliding_windows(series_of(values), window=8, stride=3)
-        with mock.patch.object(ingest, "WRITE_CHUNK_ROWS", chunk):
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk):
             write_windows_csv(tmp_path / "w.csv", wins)
         ref = io.StringIO(newline="")
         w = csv.writer(ref)
