@@ -19,6 +19,8 @@ In memory one recording is a :class:`Channel`, a pair of numpy arrays:
   accel magnitude).
 
 The constructor checks these invariants once, so no consumer re-checks them.
+The channel readers and ``accel_magnitude`` check them on the way, to raise
+their own errors, and build the channel without a second check.
 Both arrays are read-only views.
 
 A channel file is read in two passes, whatever its length:
@@ -145,8 +147,8 @@ class Channel:
             t = t.astype(np.int64)
         if t.dtype.kind not in "iu":
             raise TypeError(f"t_ms must hold integers, got dtype {t.dtype}")
-        t = np.ascontiguousarray(t, dtype=np.int64).view()
-        v = np.ascontiguousarray(self.values, dtype=np.float64).view()
+        t = np.ascontiguousarray(t, dtype=np.int64)
+        v = np.ascontiguousarray(self.values, dtype=np.float64)
         if t.ndim != 1:
             raise ValueError(f"t_ms must have shape (n,), got {t.shape}")
         if v.shape not in ((len(t),), (len(t), 3)):
@@ -156,6 +158,19 @@ class Channel:
             i, field = fault
             what = {"negative": "negative t_ms", "order": "t_ms not strictly increasing"}.get(field, "non-finite value")
             raise ValueError(f"{what} at row {i + 1}")
+        self._set_columns(t, v)
+
+    @classmethod
+    def _checked(cls, t_ms, values) -> Channel:
+        """A channel of columns whose invariants the caller has already
+        checked, as the channel readers and ``accel_magnitude`` do, built
+        without checking them again."""
+        channel = object.__new__(cls)
+        channel._set_columns(np.ascontiguousarray(t_ms, dtype=np.int64), np.ascontiguousarray(values, dtype=np.float64))
+        return channel
+
+    def _set_columns(self, t: np.ndarray, v: np.ndarray) -> None:
+        t, v = t.view(), v.view()
         t.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "t_ms", t)
@@ -391,7 +406,7 @@ def _parse_channel(path, header, dtype, rr: bool, digests) -> Channel:
             raise MalformedRow(i + 1, f"non-finite {header[1 + field]} {value!r}")
     if not len(t):
         raise EmptyFile(f"{path}: no data rows")
-    return Channel(t, values)
+    return Channel._checked(t, values)
 
 
 def parse_accel_csv(path, digests: dict | None = None) -> Channel:
@@ -500,7 +515,7 @@ def accel_magnitude(samples: Channel, center: bool = False) -> Channel:
     if center:
         blocks = (values[i : i + CHUNK_ROWS].tolist() for i in range(0, n, CHUNK_ROWS))
         values -= math.fsum(itertools.chain.from_iterable(blocks)) / n
-    return Channel(samples.t_ms, values)
+    return Channel._checked(samples.t_ms, values)
 
 
 def resolve_channel_path(sessions_path, channel_file: str) -> str:

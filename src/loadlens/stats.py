@@ -26,6 +26,17 @@ relative to its mean gets NaN skewness and kurtosis, which ``degenerate``
 reads. Windows keep such rows and the bootstrap redraws such resamples. A
 central moment that overflows float64 (values more than about 1e77 from
 their mean) raises ``MomentOverflow``, so every other number is finite.
+
+Bootstrap resample i draws from the stream of
+``np.random.default_rng([seed, i])``. Building 10,000 such generators one at
+a time costs more than drawing from them, and most of that is the
+``SeedSequence`` hash. That hash is a fixed mix of 32-bit words (O'Neill's
+``seed_seq_fe``, the seeding of O'Neill 2014, *PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation*), so ``_seed_states`` computes it for a whole block of i in
+numpy uint32 arithmetic. Each row seeds numpy's own ``PCG64`` through an
+``ISeedSequence`` that hands it that row: the streams, and so the cloud,
+are those of ``default_rng([seed, i])`` for every ``seed >= 0``.
 """
 
 from __future__ import annotations
@@ -190,20 +201,100 @@ def sliding_windows(series: Channel, window: int = DEFAULT_WINDOW, stride: int =
     return WindowTable(window, *cols, start=start, t_start_ms=t_start, t_end_ms=t_end)
 
 
+#: Constants of numpy's ``SeedSequence`` hash (O'Neill's ``seed_seq_fe``):
+#: the pool's ``hashmix``, its ``mix`` and the ``generate_state`` output hash.
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)``
+    for every i in [lo, hi), as one (hi - lo, 4) uint64 array.
+
+    The entropy is the little-endian 32-bit words of ``seed`` (one word 0
+    for 0), then those of ``i``; words past the pool's four are mixed in by
+    the extra rounds. Each step works on one uint32 column per word, so
+    every i is hashed at once; the hash constants do not depend on the
+    data and stay Python ints.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if lo < 2**32 < hi:
+        return np.concatenate((_seed_states(seed, lo, 2**32), _seed_states(seed, 2**32, hi)))
+    m = hi - lo
+    entropy = []
+    while True:
+        entropy.append(np.full(m, seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    i = np.arange(lo, hi, dtype=np.uint64)
+    entropy.append((i & _MASK32).astype(np.uint32))
+    if lo >= 2**32:
+        entropy.append((i >> np.uint64(32)).astype(np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return r ^ (r >> np.uint32(16))
+
+    zero = np.zeros(m, dtype=np.uint32)
+    pool = [hashmix(entropy[j] if j < len(entropy) else zero) for j in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # 4 uint64 words are 8 uint32 words, the low word of each first
+    const = _INIT_B
+    state = np.empty((m, 8), dtype=np.uint32)
+    for j in range(8):
+        value = pool[j % _POOL_WORDS] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, j] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def bootstrap(values, B: int, seed: int) -> MomentColumns:
     """Nonparametric bootstrap: B with-replacement resamples of size n.
 
-    Each resample draws from its own counter-derived generator, so the cloud
-    is identical no matter how resamples are scheduled. A resample that
+    Resample i draws from ``np.random.default_rng([seed, i])``, so the cloud
+    is identical no matter how resamples are scheduled; the generators of a
+    block are seeded from one ``_seed_states`` pass. A resample that
     collapses to zero variance is redrawn from the same stream.
     """
+    # imported here, so that commands without a bootstrap never load numpy.random
+    from numpy.random import PCG64, Generator, bit_generator
+
+    class _State(bit_generator.ISeedSequence):
+        """One row of ``_seed_states``: the words ``PCG64`` asks for."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
     arr = _as_array(values)
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     n = arr.size
 
     def block(rows):
-        rngs = [np.random.default_rng([seed, i]) for i in range(rows.start, rows.stop)]
+        rngs = [Generator(PCG64(_State(words))) for words in _seed_states(seed, rows.start, rows.stop)]
         cols = _block_moments(arr[np.stack([rng.integers(0, n, size=n) for rng in rngs])])
         for j in np.flatnonzero(np.isnan(cols[2])).tolist():
             while math.isnan(cols[2][j]):

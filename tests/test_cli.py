@@ -692,9 +692,14 @@ COMMAND_MODULES = {
 }
 
 #: Runs one command in a fresh interpreter and prints its exit code, whether
-#: numpy is loaded, and the loaded ``loadlens`` modules. With ``--serial``,
+#: numpy and ``numpy.random`` are loaded, and the loaded ``loadlens`` modules. With ``--serial``,
 #: ``_map_sessions`` runs its tasks in this process and also prints the
 #: modules that running them loaded: the modules a forked worker would lack.
+#: Commands that draw no random numbers, so they must not load
+#: ``numpy.random``: it adds about 2 MB of RSS and 12 ms to a process, and a
+#: module-level import of it in ``stats`` would load it for all of them.
+NO_RANDOM = ("moments", "features", "correlate", "plane")
+
 PROBE = """
 import json, sys
 from loadlens import cli
@@ -708,7 +713,7 @@ if sys.argv[1] == "--serial":
         return results
     ingest._map_sessions = serial
 code = cli.main(sys.argv[2:])
-print(json.dumps([code, "numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("loadlens")), fresh]))
+print(json.dumps([code, "numpy" in sys.modules, "numpy.random" in sys.modules, sorted(m for m in sys.modules if m.startswith("loadlens")), fresh]))
 """
 
 
@@ -745,27 +750,34 @@ def command_argv(command: str, inputs, out) -> list[str]:
     return [*command.split(), *argv]
 
 
-def probe(mode: str, argv) -> tuple[bool, set[str], list[str]]:
+def probe(mode: str, argv) -> tuple[bool, bool, set[str], list[str]]:
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__))}
     proc = subprocess.run([sys.executable, "-c", PROBE, mode, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, numpy_loaded, modules, fresh = json.loads(proc.stdout)
+    code, numpy_loaded, random_loaded, modules, fresh = json.loads(proc.stdout)
     assert code == 0, proc.stderr
-    return numpy_loaded, {m.removeprefix("loadlens.") for m in modules}, fresh
+    return numpy_loaded, random_loaded, {m.removeprefix("loadlens.") for m in modules}, fresh
 
 
 class TestCommandImports:
     @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
     def test_each_command_loads_only_its_modules(self, command_inputs, tmp_path, command):
-        numpy_loaded, modules, _ = probe("-", command_argv(command, command_inputs, tmp_path))
+        numpy_loaded, random_loaded, modules, _ = probe("-", command_argv(command, command_inputs, tmp_path))
         assert modules == {"loadlens", "cli", "errors", "manifest"} | COMMAND_MODULES[command]
         assert numpy_loaded == (command != "report")
+        if command in NO_RANDOM:
+            assert not random_loaded
+
+    def test_plane_loads_numpy_random_for_a_bootstrap(self, command_inputs, tmp_path):
+        """The probe sees ``numpy.random`` where a command does load it."""
+        _, random_loaded, _, _ = probe("-", [*command_argv("plane", command_inputs, tmp_path), "--bootstrap", "5"])
+        assert random_loaded
 
     @pytest.mark.parametrize("command", ["features", "synth sessions"])
     def test_workers_start_with_their_modules_loaded(self, command_inputs, tmp_path, command):
         """The workers fork from the command's process: running every task
         there first imports nothing, so no forked worker imports anything."""
-        _, _, fresh = probe("--serial", command_argv(command, command_inputs, tmp_path))
+        *_, fresh = probe("--serial", command_argv(command, command_inputs, tmp_path))
         assert fresh == []
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from loadlens import ingest, stats
@@ -321,14 +321,36 @@ class TestWindowBits:
         assert [bits(m) for m in table_rows(got)] == [bits(m) for *_, m in want]
 
 
+#: Seeds of one to seven 32-bit words. From 2**96 on, the entropy of
+#: ``[seed, i]`` outgrows the 4-word pool of ``SeedSequence``, and its extra
+#: words go through the extra mixing rounds.
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**200)
+
+
+def seeds():
+    return st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**200))
+
+
+class TestSeedStates:
+    @given(seeds(), st.one_of(st.sampled_from([0, 1, 9_999, 2**32 - 3]), st.integers(0, 2**33)), st.integers(0, 40))
+    @example(2**200, 5, 3)
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_seed_sequence_states(self, seed, lo, m):
+        got = stats._seed_states(seed, lo, lo + m)
+        assert got.dtype == np.uint64 and got.shape == (m, 4)
+        want = [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64).tolist() for i in range(lo, lo + m)]
+        assert got.tolist() == want
+
+
 class TestBootstrapBits:
     @given(
         st.integers(4, 400),
         st.integers(1, 300),
-        st.integers(0, 2**31),
+        seeds(),
         st.booleans(),
         block_values(),
     )
+    @example(50, 20, 2**200, False, stats.BLOCK_VALUES)
     @settings(max_examples=40, deadline=None)
     def test_equal_to_per_resample_reference(self, n, B, seed, mostly_constant, block):
         rng = np.random.default_rng(seed)
@@ -345,11 +367,12 @@ class TestBootstrapBits:
 
     def test_redraws_come_from_the_resample_stream(self):
         x = np.array([3.0, 3.0, 3.0, 4.0])
-        want, redraws = reference_bootstrap(x, 200, 5)
-        assert redraws > 20
-        for block in (1, 4, stats.BLOCK_VALUES):
-            with mock.patch.object(stats, "BLOCK_VALUES", block):
-                assert [bits(m) for m in table_rows(bootstrap(x, 200, 5))] == [bits(m) for m in want]
+        for seed in (5, 2**200 + 5):
+            want, redraws = reference_bootstrap(x, 200, seed)
+            assert redraws > 20
+            for block in (1, 4, stats.BLOCK_VALUES):
+                with mock.patch.object(stats, "BLOCK_VALUES", block):
+                    assert [bits(m) for m in table_rows(bootstrap(x, 200, seed))] == [bits(m) for m in want]
 
 
 class TestBootstrap:
@@ -381,6 +404,8 @@ class TestBootstrap:
             bootstrap([1.0, 2.0], B=10, seed=0)
         with pytest.raises(ValueError):
             bootstrap([1.0, 2.0, 3.0, 4.0], B=0, seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            bootstrap([1.0, 2.0, 3.0, 4.0], B=1, seed=-1)
 
 
 class TestWindowCsv:
