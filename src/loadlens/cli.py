@@ -153,7 +153,7 @@ def cmd_correlate(args) -> None:
     from .features import ALL_FEATURES, correlation_matrix, read_features_csv, write_correlation_csv
 
     rows = read_features_csv(args.features)
-    columns = _parse_columns(args.columns) if args.columns else ALL_FEATURES
+    columns = ALL_FEATURES if args.columns is None else _parse_columns(args.columns)
     corr = correlation_matrix(rows, columns)
     write_correlation_csv(args.out, corr)
     write_manifest(
@@ -181,13 +181,13 @@ def cmd_cluster(args) -> None:
         "n_iter": result.n_iter,
         "centroids_standardized": result.centroids.tolist(),
         "centroids": (result.centroids * std.stds + std.means).tolist(),
-        "intensity_labels": {str(c): v for c, v in (result.intensity_labels or {}).items()},
+        "intensity_labels": {str(c): v for c, v in result.intensity_labels.items()},
         "assignments": [
             {
                 "session_id": r.session_id,
                 "activity": r.activity,
                 "cluster": int(c),
-                "intensity": (result.intensity_labels or {}).get(int(c)),
+                "intensity": result.intensity_labels.get(int(c)),
             }
             for r, c in zip(kept_rows, result.assignments)
         ],
@@ -238,8 +238,8 @@ def cmd_train(args) -> None:
         "batch": config.batch,
         "seed": args.seed,
     }
-    _write_json(report_path, {**report.to_dict(), "config": config_echo})
-    losses = zip(itertools.count(), report.train_loss, report.val_loss)
+    _write_json(report_path, {**report, "config": config_echo})
+    losses = zip(itertools.count(), report["train_loss"], report["val_loss"])
     _write_csv(losses_path, ("epoch", "train_loss", "val_loss"), losses, lineterminator="\n")
     write_manifest(
         manifest_path_for(os.path.join(args.out_dir, stem)),

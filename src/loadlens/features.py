@@ -67,19 +67,13 @@ ALL_FEATURES = tuple(FEATURE_COLUMNS)
 FEATURES_CSV_HEADER = tuple(f.name for f in dc_fields(SessionFeatures))
 
 
-def feature_value(row: SessionFeatures, name: str) -> float:
-    """Look up a feature by canonical name."""
-    try:
-        return getattr(row, FEATURE_COLUMNS[name])
-    except KeyError:
-        raise KeyError(f"unknown feature {name!r}; known: {', '.join(FEATURE_COLUMNS)}") from None
-
-
 def feature_matrix(rows: list[SessionFeatures], names) -> np.ndarray:
-    """(n_rows, n_features) matrix of the named features, NaN for missing;
-    shape (0, n_features) for no rows."""
-    values = [[feature_value(r, n) for n in names] for r in rows]
-    return np.array(values, dtype=float).reshape(len(rows), len(names))
+    """(n_rows, n_features) matrix of the features named in ``names``
+    (keys of ``FEATURE_COLUMNS``), NaN for missing; shape (0, n_features)
+    for no rows."""
+    attrs = [FEATURE_COLUMNS[n] for n in names]
+    values = [[getattr(r, a) for a in attrs] for r in rows]
+    return np.array(values, dtype=float).reshape(len(rows), len(attrs))
 
 
 def extract_features(

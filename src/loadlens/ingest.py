@@ -33,7 +33,8 @@ A channel file is read in two passes, whatever its length:
    ``np.loadtxt`` into columns preallocated from that count, which
    ``Channel`` takes without a copy.
 
-When the check fails, a block does not parse, or lines ending in a bare
+When the check fails, the file holds a quote character (no writer puts one
+in a channel file), a block does not parse, or lines ending in a bare
 ``\\r`` outgrow the columns, the field-by-field parser ``_parse_rows`` reads
 the file instead and raises the error of its first faulty row. Faults in
 rows the columnar read accepts (non-finite values, t_ms below 0 or not
@@ -325,7 +326,8 @@ def _scan(path):
     digest; the count of ``\\n`` bytes, which bounds the data rows unless a
     line ends in a bare ``\\r``; whether ``_loadtxt_reads_like_python`` holds
     for the file after an optional BOM; and whether it holds a quote
-    character.
+    character, which sends it to ``_parse_rows`` (``np.loadtxt`` reads
+    quoting otherwise than the csv module).
     """
     digest = hashlib.sha256()
     newlines = 0
@@ -342,23 +344,10 @@ def _scan(path):
     return digest.hexdigest(), newlines, safe, quoted
 
 
-def _line_blocks(fh, quoted: bool):
-    """The lines of ``fh`` in lists of ``CHUNK_ROWS``. In a ``quoted`` file,
-    a list that holds an odd number of quote characters takes more lines
-    until it holds an even number, so no block ends inside a quoted field:
-    in a field that ``np.loadtxt`` converts, quote characters come in pairs."""
-    while lines := list(itertools.islice(fh, CHUNK_ROWS)):
-        quotes = "".join(lines).count('"') if quoted else 0
-        while quotes % 2 and (line := next(fh, "")):
-            lines.append(line)
-            quotes += line.count('"')
-        yield lines
-
-
-def _read_body(fh, rows: int, dtype, quoted: bool):
-    """Columnar read of the channel body left in ``fh``, ``CHUNK_ROWS``
-    lines at a time (see ``_line_blocks``), into columns preallocated for
-    ``rows`` rows. Returns ``(t_ms, values)``, contiguous slices of those
+def _read_body(fh, rows: int, dtype):
+    """Columnar read of the unquoted channel body left in ``fh``,
+    ``CHUNK_ROWS`` lines at a time, into columns preallocated for ``rows``
+    rows. Returns ``(t_ms, values)``, contiguous slices of those
     columns, or None when ``np.loadtxt`` fails on any block or the body
     holds more than ``rows`` rows."""
     t = np.empty(rows, dtype=np.int64)
@@ -367,9 +356,9 @@ def _read_body(fh, rows: int, dtype, quoted: bool):
     with warnings.catch_warnings():
         # A block of blank lines warns; an empty body is the caller's EmptyFile.
         warnings.simplefilter("ignore", UserWarning)
-        for lines in _line_blocks(fh, quoted):
+        while lines := list(itertools.islice(fh, CHUNK_ROWS)):
             try:
-                block = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', dtype=dtype, ndmin=1)
+                block = np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=1)
             except ValueError:
                 return None
             if n + len(block) > rows:
@@ -385,10 +374,10 @@ def _parse_channel(path, header, dtype, rr: bool, digests) -> Channel:
     if digests is not None:
         digests[str(path)] = sha256
     body = None
-    if loadtxt_safe:
+    if loadtxt_safe and not quoted:
         with _open_csv(path) as fh:
             _read_header(fh, path, header)
-            body = _read_body(fh, newlines, dtype, quoted)
+            body = _read_body(fh, newlines, dtype)
     if body is None:
         t, values = _parse_rows(path, header, rr)
     else:

@@ -11,16 +11,28 @@ from ..errors import ConfigError, TooFewDistinctPoints
 #: Intensity labels by descending acceleration spread of the cluster centroid.
 INTENSITY_ORDER = ("active", "moderate", "passive")
 
+#: The feature whose centroid value orders the intensity labels.
+INTENSITY_FEATURE = "acc_std"
+
+#: Most Lloyd steps per run.
+MAX_ITER = 100
+
+#: Largest centroid shift, in standardized units, that counts as converged.
+TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ClusterResult:
+    """Centroids, assignments and final inertia of one run;
+    ``intensity_labels`` maps cluster index to label, or is empty when no
+    labels apply."""
+
     k: int
     centroids: np.ndarray
     assignments: np.ndarray
     inertia: float
-    inertia_history: tuple[float, ...]
     n_iter: int
-    intensity_labels: dict[int, str] | None = None
+    intensity_labels: dict[int, str]
 
 
 def _plus_plus_init(X: np.ndarray, k: int, rng) -> np.ndarray:
@@ -38,20 +50,13 @@ def _plus_plus_init(X: np.ndarray, k: int, rng) -> np.ndarray:
     return np.array(centroids)
 
 
-def kmeans(
-    points,
-    k: int = 3,
-    seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    feature_names=None,
-    intensity_feature: str = "acc_std",
-) -> ClusterResult:
-    """Lloyd iterations from a seeded k-means++ start.
+def kmeans(points, k: int, seed: int, feature_names=()) -> ClusterResult:
+    """Lloyd iterations from a seeded k-means++ start, at most ``MAX_ITER``
+    of them, until no centroid moves by ``TOL`` or more.
 
     Points should already be standardized. Empty clusters are reseeded to
     the point farthest from its centroid. When ``feature_names`` includes
-    the intensity feature and k matches the intensity scale, clusters get
+    ``INTENSITY_FEATURE`` and k matches the intensity scale, clusters get
     active/moderate/passive labels by descending centroid value on it.
     """
     if k < 1:
@@ -64,18 +69,16 @@ def kmeans(
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(X, k, rng)
 
-    history: list[float] = []
+    previous = np.inf
     assign = np.zeros(len(X), dtype=int)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1)
         own = d2[np.arange(len(X)), assign]
         inertia = float(own.sum())
         # Lloyd steps can only lower the objective; anything else is a bug.
-        assert not history or inertia <= history[-1] * (1 + 1e-12) + 1e-12, (
-            f"inertia increased: {history[-1]} -> {inertia}"
-        )
-        history.append(inertia)
+        assert inertia <= previous * (1 + 1e-12) + 1e-12, f"inertia increased: {previous} -> {inertia}"
+        previous = inertia
 
         new_centroids = centroids.copy()
         farthest = np.argsort(own)[::-1]
@@ -89,23 +92,20 @@ def kmeans(
                 spare += 1
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < TOL:
             break
 
-    labels = None
-    if feature_names is not None and k == len(INTENSITY_ORDER):
-        names = list(feature_names)
-        if intensity_feature in names:
-            col = names.index(intensity_feature)
-            order = np.argsort(centroids[:, col])[::-1]
-            labels = {int(c): INTENSITY_ORDER[rank] for rank, c in enumerate(order)}
+    labels = {}
+    names = list(feature_names)
+    if k == len(INTENSITY_ORDER) and INTENSITY_FEATURE in names:
+        order = np.argsort(centroids[:, names.index(INTENSITY_FEATURE)])[::-1]
+        labels = {int(c): INTENSITY_ORDER[rank] for rank, c in enumerate(order)}
 
     return ClusterResult(
         k=k,
         centroids=centroids,
         assignments=assign,
-        inertia=history[-1],
-        inertia_history=tuple(history),
-        n_iter=len(history),
+        inertia=inertia,
+        n_iter=it,
         intensity_labels=labels,
     )

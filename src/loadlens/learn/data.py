@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import TooFewRows, UnknownLabel
@@ -11,51 +9,30 @@ from ..features import SessionFeatures, feature_matrix
 from ..ingest import DEFAULT_ACTIVITIES
 
 
-@dataclass(frozen=True)
-class FeaturePreset:
-    """A named feature-column subset used to compare model inputs."""
-
-    name: str
-    columns: tuple[str, ...]
-
-
-PRESETS: dict[str, FeaturePreset] = {
-    p.name: p
-    for p in (
-        FeaturePreset(
-            "all",
-            (
-                "distance",
-                "duration",
-                "velocity",
-                "pace",
-                "metricD",
-                "ahr",
-                "mhr",
-                "acc_std",
-                "acc_skewness",
-                "acc_kurtosis",
-                "metric1",
-                "metric2",
-            ),
-        ),
-        FeaturePreset("dist_dur_hr", ("distance", "duration", "ahr", "mhr")),
-        FeaturePreset("hr", ("ahr", "mhr")),
-        FeaturePreset(
-            "acc_with_metrics",
-            ("acc_std", "acc_skewness", "acc_kurtosis", "metric1", "metric2"),
-        ),
-        FeaturePreset("acc", ("acc_std", "acc_skewness", "acc_kurtosis")),
-    )
+#: Named feature-column subsets used to compare model inputs.
+PRESETS: dict[str, tuple[str, ...]] = {
+    "all": (
+        "distance",
+        "duration",
+        "velocity",
+        "pace",
+        "metricD",
+        "ahr",
+        "mhr",
+        "acc_std",
+        "acc_skewness",
+        "acc_kurtosis",
+        "metric1",
+        "metric2",
+    ),
+    "dist_dur_hr": ("distance", "duration", "ahr", "mhr"),
+    "hr": ("ahr", "mhr"),
+    "acc_with_metrics": ("acc_std", "acc_skewness", "acc_kurtosis", "metric1", "metric2"),
+    "acc": ("acc_std", "acc_skewness", "acc_kurtosis"),
 }
 
-
-def get_preset(name: str) -> FeaturePreset:
-    """Resolve a preset by name."""
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}") from None
+#: Shares of the rows in the train, validation and prediction splits.
+SPLIT_FRACTIONS = (0.7, 0.15, 0.15)
 
 
 def encode_target(activity: str) -> float:
@@ -84,26 +61,21 @@ def build_xy(rows: list[SessionFeatures], columns):
     return X[keep], y[keep], kept
 
 
-def _cuts(n: int, fractions) -> tuple[int, int]:
-    i1 = int(round(fractions[0] * n))
-    i2 = int(round((fractions[0] + fractions[1]) * n))
+def _cuts(n: int) -> tuple[int, int]:
+    i1 = int(round(SPLIT_FRACTIONS[0] * n))
+    i2 = int(round((SPLIT_FRACTIONS[0] + SPLIT_FRACTIONS[1]) * n))
     return i1, i2
 
 
-def split(
-    rows: list[SessionFeatures],
-    fractions: tuple[float, float, float] = (0.7, 0.15, 0.15),
-    seed: int = 0,
-):
-    """Seeded shuffle + contiguous cut into (train, validation, prediction).
+def split(rows: list[SessionFeatures], seed: int = 0):
+    """Seeded shuffle + contiguous cut into (train, validation, prediction)
+    by ``SPLIT_FRACTIONS``.
 
     Stratified by activity whenever every class present has >= 3 rows, which
     keeps each split's class counts within one of proportional.
     """
     if len(rows) < 10:
         raise TooFewRows(f"split needs >= 10 rows, got {len(rows)}")
-    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be non-negative and sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
 
     by_label: dict[str, list[int]] = {}
@@ -116,13 +88,13 @@ def split(
         for label in sorted(by_label):
             idx = np.array(by_label[label])
             idx = idx[rng.permutation(len(idx))]
-            i1, i2 = _cuts(len(idx), fractions)
+            i1, i2 = _cuts(len(idx))
             parts[0].extend(idx[:i1].tolist())
             parts[1].extend(idx[i1:i2].tolist())
             parts[2].extend(idx[i2:].tolist())
     else:
         idx = rng.permutation(len(rows))
-        i1, i2 = _cuts(len(rows), fractions)
+        i1, i2 = _cuts(len(rows))
         parts = (idx[:i1].tolist(), idx[i1:i2].tolist(), idx[i2:].tolist())
 
     return tuple([rows[i] for i in part] for part in parts)

@@ -4,19 +4,22 @@ MRD (mean residual deviance) is the mean squared prediction error, the
 Gaussian-deviance convention. Class decisions come from rounding the
 regression output, which is what reconciles regression-style error metrics
 with a confusion-matrix accuracy.
+
+``run_training`` returns its report as the JSON document that ``train``
+writes, less the ``"config"`` echo the command adds.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import EmptyEvalSet
 from ..features import SessionFeatures
 from ..ingest import DEFAULT_ACTIVITIES
-from .data import build_xy, decode_prediction, get_preset, split
+from .data import PRESETS, build_xy, decode_prediction, split
 from .models import DnnConfig, fit_dnn_xy, fit_lrm_xy
 
 
@@ -81,40 +84,6 @@ def permutation_importance(model, X, y, seed: int = 0) -> list[tuple[str, float]
     return list(zip(model.features, (raw / total).tolist()))
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Full training record: loss curves, split metrics, importances."""
-
-    model_kind: str
-    preset: str
-    train_loss: list[float]
-    val_loss: list[float]
-    mae_val: float
-    mrd_val: float
-    mae_pred: float
-    mrd_pred: float
-    confusion: np.ndarray
-    accuracy: float
-    accuracy_val: float
-    importances: list[tuple[str, float]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_kind,
-            "preset": self.preset,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "mae_val": self.mae_val,
-            "mrd_val": self.mrd_val,
-            "mae_pred": self.mae_pred,
-            "mrd_pred": self.mrd_pred,
-            "confusion": self.confusion.tolist(),
-            "accuracy": self.accuracy,
-            "accuracy_val": self.accuracy_val,
-            "importances": [[name, v] for name, v in self.importances],
-        }
-
-
 def run_training(
     rows: list[SessionFeatures],
     model_kind: str,
@@ -122,14 +91,15 @@ def run_training(
     config: DnnConfig = DnnConfig(),
     split_seed: int = 0,
 ):
-    """Split, fit, and evaluate one model; returns (model, EvalReport).
+    """Split, fit, and evaluate one model; returns (model, report), the
+    report a dict of the loss curves, split metrics and importances.
 
     Each split's design matrix is built once; rows with a missing selected
     feature are dropped. The confusion matrix and accuracy are reported on
     the prediction split; importances on the validation split (empty when
     it is too small to permute meaningfully).
     """
-    columns = get_preset(preset).columns
+    columns = PRESETS[preset]
     train, val, pred = (build_xy(part, columns)[:2] for part in split(rows, seed=split_seed))
     if model_kind == "lrm":
         model = fit_lrm_xy(*train, columns)
@@ -145,18 +115,17 @@ def run_training(
         importances = permutation_importance(model, *val, seed=config.seed)
     except EmptyEvalSet:
         importances = []
-    report = EvalReport(
-        model_kind=model_kind,
-        preset=preset,
-        train_loss=train_losses,
-        val_loss=val_losses,
-        mae_val=ev_val.mae,
-        mrd_val=ev_val.mrd,
-        mae_pred=ev_pred.mae,
-        mrd_pred=ev_pred.mrd,
-        confusion=ev_pred.confusion,
-        accuracy=ev_pred.accuracy,
-        accuracy_val=ev_val.accuracy,
-        importances=importances,
-    )
-    return model, report
+    return model, {
+        "model": model_kind,
+        "preset": preset,
+        "train_loss": train_losses,
+        "val_loss": val_losses,
+        "mae_val": ev_val.mae,
+        "mrd_val": ev_val.mrd,
+        "mae_pred": ev_pred.mae,
+        "mrd_pred": ev_pred.mrd,
+        "confusion": ev_pred.confusion.tolist(),
+        "accuracy": ev_pred.accuracy,
+        "accuracy_val": ev_val.accuracy,
+        "importances": [[name, v] for name, v in importances],
+    }

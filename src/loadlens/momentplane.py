@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -53,17 +52,17 @@ WEIBULL_SHAPE_RANGE = (0.5, 10.0)
 WEIBULL_GRID_SIZE = 200
 
 
-class Zone(str, Enum):
-    """Moments-plane region labels, in rule order: for each point the first
-    matching rule wins, and OTHER takes the rest (``classify_zones``)."""
-
-    INFEASIBLE = "infeasible"
-    NORMAL_VICINITY = "normal_vicinity"
-    UNIFORM_VICINITY = "uniform_vicinity"
-    GAMMA_LINE = "gamma_line"
-    WEIBULL_BAND = "weibull_band"
-    BETA_ZONE = "beta_zone"
-    OTHER = "other"
+#: Moments-plane region labels, in rule order: for each point the first
+#: matching rule wins, and "other" takes the rest (``classify_zones``).
+ZONES = (
+    "infeasible",
+    "normal_vicinity",
+    "uniform_vicinity",
+    "gamma_line",
+    "weibull_band",
+    "beta_zone",
+    "other",
+)
 
 
 def weibull_landmark(c: float) -> tuple[float, float]:
@@ -106,9 +105,6 @@ def metric2(s: float, k: float) -> float:
 #: keep each float64 temporary near 0.4 MB.
 POINT_BLOCK = 256
 
-_RULES = tuple(Zone)
-
-
 def _polyline_distances(s: np.ndarray, k: np.ndarray, curve: np.ndarray) -> np.ndarray:
     """Exact distance from each point (s[i], k[i]) to the piecewise-linear
     curve through the grid points."""
@@ -138,7 +134,7 @@ def _metric_columns(s: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _rule_indices(s, k, m1, m2, rho: float, tau: float) -> np.ndarray:
-    """For each point, the index in ``_RULES`` of the first rule it meets;
+    """For each point, the index in ``ZONES`` of the first rule it meets;
     ``m1`` and ``m2`` are its ``_metric_columns``."""
     limit = LIMIT_INTERCEPT + LIMIT_SLOPE * s
     gamma = GAMMA_INTERCEPT + GAMMA_SLOPE * s
@@ -152,7 +148,7 @@ def _rule_indices(s, k, m1, m2, rho: float, tau: float) -> np.ndarray:
     return np.select(hits, range(len(hits)), default=len(hits))
 
 
-def classify_zones(s, k, rho: float = DEFAULT_RHO, tau: float = DEFAULT_TAU) -> list[Zone]:
+def classify_zones(s, k, rho: float = DEFAULT_RHO, tau: float = DEFAULT_TAU) -> list[str]:
     """Total, deterministic zone classification of the plane points
     (s[i], k[i]); for each point the first matching rule wins.
 
@@ -166,7 +162,7 @@ def classify_zones(s, k, rho: float = DEFAULT_RHO, tau: float = DEFAULT_TAU) -> 
     s = np.asarray(s, dtype=float)
     k = np.asarray(k, dtype=float)
     first = _rule_indices(s, k, *_metric_columns(s, k), rho, tau)
-    return [_RULES[i] for i in first.tolist()]
+    return [ZONES[i] for i in first.tolist()]
 
 
 _NULL_POINT = (
@@ -224,7 +220,7 @@ def export_plane(
     m1, m2 = _metric_columns(s, k)
     ok = ~windows.degenerate
     zones = np.full(len(windows), None, dtype=object)
-    zones[ok] = [_RULES[i].value for i in _rule_indices(s[ok], k[ok], m1[ok], m2[ok], rho, tau).tolist()]
+    zones[ok] = [ZONES[i] for i in _rule_indices(s[ok], k[ok], m1[ok], m2[ok], rho, tau).tolist()]
     landmarks = {
         "normal": NORMAL_LANDMARK,
         "uniform": UNIFORM_LANDMARK,

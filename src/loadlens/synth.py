@@ -7,7 +7,8 @@ mean interval ramps down while the noise grows a negative skew, dragging
 windows away from the landmark; during recovery the mean relaxes back
 exponentially with a positive, decaying skew. Exact figures from any real
 recording are out of reach by construction, so tests anchor to these
-generator properties instead.
+generator properties instead: ``tests/test_claims.py`` checks the paper's
+hypothesis 2 on them.
 """
 
 from __future__ import annotations

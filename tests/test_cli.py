@@ -357,12 +357,31 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag,value", [("--epochs", "0"), ("--epochs", "-3"), ("--batch", "0"), ("--lr", "0"), ("--hidden", "8,0")]
+        "flag,value",
+        [
+            ("--epochs", "0"),
+            ("--epochs", "-3"),
+            ("--batch", "0"),
+            ("--lr", "0"),
+            ("--hidden", "8,0"),
+            ("--preset", "nosuch"),
+        ],
     )
     def test_train_rejects(self, features_csv, tmp_path, flag, value):
         out = tmp_path / "models"
         argv = ["train", "--features", features_csv, "--model", "dnn", flag, value, "--out-dir", str(out)]
         assert main(argv) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cluster", "--columns", ""], ["correlate", "--columns", ","], ["correlate", "--columns", ""]],
+        ids=["cluster-empty", "correlate-comma", "correlate-empty"],
+    )
+    def test_no_feature_columns(self, features_csv, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--features", features_csv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: ConfigError: no feature columns given\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

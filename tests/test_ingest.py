@@ -577,7 +577,7 @@ class TestBoundedMemory:
 
 
 #: ``np.loadtxt`` arguments of the channel reader.
-_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "dtype": ingest._RR_DTYPE, "ndmin": 1}
+_LOADTXT = {"delimiter": ",", "comments": None, "dtype": ingest._RR_DTYPE, "ndmin": 1}
 
 
 class TestLoadtxtContract:
@@ -585,8 +585,8 @@ class TestLoadtxtContract:
     lines. pyproject.toml allows numpy >= 1.24; these pin the behaviour for
     whichever version runs them."""
 
-    #: CRLF line ends, blank lines, quoted fields, and a quoted line end.
-    BODY = '0,800.5\r\n\r\n"10","801.5"\r\n20,"802.5\r\n"\r\n\r\n30,803.5\r\n'
+    #: CRLF line ends and blank lines.
+    BODY = "0,800.5\r\n\r\n10,801.5\r\n20,802.5\r\n\r\n30,803.5\r\n"
     ROWS = [(0, 800.5), (10, 801.5), (20, 802.5), (30, 803.5)]
 
     def test_islice_parses_k_lines_and_leaves_the_rest(self, tmp_path):
@@ -594,12 +594,12 @@ class TestLoadtxtContract:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             next(fh)
             head = np.loadtxt(itertools.islice(fh, 3), **_LOADTXT)
-            assert next(fh) == '20,"802.5\r\n'
+            assert next(fh) == "20,802.5\r\n"
         assert head.tolist() == self.ROWS[:2]
 
     @pytest.mark.parametrize("end", ["\r\n", "\n", "\r"])
     def test_lines_read_as_the_file_reads(self, tmp_path, end):
-        """A quoted field may span two lines of the list."""
+        """Each line end reads as the file reads it."""
         path = _write(tmp_path / "r.csv", self.BODY.replace("\r\n", end))
         with open(path, newline="", encoding="utf-8") as fh:
             lines = list(fh)
@@ -613,8 +613,9 @@ class TestLoadtxtContract:
 
     @pytest.mark.parametrize("line", ['0,8"00\n', '0,800"\n', '0,"8""00"\n', '"0"",800\n'])
     def test_a_converted_field_holds_its_quotes_in_pairs(self, line):
-        """A quote character that neither opens nor closes a field fails,
-        which is why the reader cuts blocks only at an even quote count."""
+        """A quote character fails the field that holds it, paired or not,
+        so no block with quotes parses into numbers. The reader sends a
+        file with quotes to ``_parse_rows`` before it gets here."""
         with pytest.raises(ValueError):
             np.loadtxt([line], **_LOADTXT)
 

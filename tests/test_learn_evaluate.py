@@ -73,7 +73,7 @@ class TestEvaluate:
 
     def test_row_level(self, rng):
         rows = make_rows(rng.normal(70, 5, (12, 2)), [i % 3 for i in range(12)], ["ahr", "mhr"])
-        ev = evaluate_xy(ConstantModel(1.0), *build_xy(rows, PRESETS["hr"].columns)[:2])
+        ev = evaluate_xy(ConstantModel(1.0), *build_xy(rows, PRESETS["hr"])[:2])
         assert ev.confusion.sum() == 12
         assert ev.confusion.sum(axis=1).tolist() == [4, 4, 4]
 
@@ -139,20 +139,19 @@ class TestRunTraining:
 
     def test_lrm_report(self, rng):
         model, rep = run_training(self._rows(rng), "lrm", "hr", split_seed=0)
-        assert rep.model_kind == "lrm" and rep.preset == "hr"
-        assert rep.train_loss == [] and rep.val_loss == []
-        assert rep.accuracy > 0.8
-        assert rep.confusion.sum() == 18  # 15% prediction split of 120
-        assert sum(v for _, v in rep.importances) == pytest.approx(1.0, abs=1e-9)
+        assert rep["model"] == "lrm" and rep["preset"] == "hr"
+        assert rep["train_loss"] == [] and rep["val_loss"] == []
+        assert rep["accuracy"] > 0.8
+        assert sum(map(sum, rep["confusion"])) == 18  # 15% prediction split of 120
+        assert sum(v for _, v in rep["importances"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_dnn_report(self, rng):
         cfg = DnnConfig(epochs=60, seed=4)
         model, rep = run_training(self._rows(rng), "dnn", "hr", cfg, split_seed=0)
-        assert len(rep.train_loss) == 61
-        assert rep.train_loss[-1] < rep.train_loss[0]
-        assert rep.accuracy > 0.8
-        doc = rep.to_dict()
-        assert doc["model"] == "dnn" and len(doc["confusion"]) == 3
+        assert len(rep["train_loss"]) == 61
+        assert rep["train_loss"][-1] < rep["train_loss"][0]
+        assert rep["accuracy"] > 0.8
+        assert rep["model"] == "dnn" and len(rep["confusion"]) == 3
 
     def test_empty_validation_split(self, rng):
         # 4 rows per class: the stratified 70/15/15 cut leaves validation empty

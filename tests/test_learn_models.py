@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from loadlens.errors import (
     TooFewRows,
     UnknownLabel,
 )
-from loadlens.learn.data import PRESETS, build_xy, decode_prediction, encode_target, get_preset, split
+from loadlens.learn.data import PRESETS, build_xy, decode_prediction, encode_target, split
 from loadlens.learn.models import (
     DnnConfig,
     Standardizer,
@@ -31,7 +33,7 @@ from tests.conftest import make_rows
 
 class TestPresets:
     def test_table_columns(self):
-        assert PRESETS["all"].columns == (
+        assert PRESETS["all"] == (
             "distance",
             "duration",
             "velocity",
@@ -45,20 +47,22 @@ class TestPresets:
             "metric1",
             "metric2",
         )
-        assert PRESETS["dist_dur_hr"].columns == ("distance", "duration", "ahr", "mhr")
-        assert PRESETS["hr"].columns == ("ahr", "mhr")
-        assert PRESETS["acc_with_metrics"].columns == (
+        assert PRESETS["dist_dur_hr"] == ("distance", "duration", "ahr", "mhr")
+        assert PRESETS["hr"] == ("ahr", "mhr")
+        assert PRESETS["acc_with_metrics"] == (
             "acc_std",
             "acc_skewness",
             "acc_kurtosis",
             "metric1",
             "metric2",
         )
-        assert PRESETS["acc"].columns == ("acc_std", "acc_skewness", "acc_kurtosis")
+        assert PRESETS["acc"] == ("acc_std", "acc_skewness", "acc_kurtosis")
 
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            get_preset("nosuch")
+    def test_benchmark_trains_every_preset(self):
+        """The benchmark's ``train`` workload trains the presets it names in
+        ``bench/common.py``; a preset renamed here must be renamed there."""
+        common = runpy.run_path(str(pathlib.Path(__file__).parents[1] / "bench" / "common.py"))
+        assert common["PRESETS"] == tuple(PRESETS)
 
 
 class TestTargetCoding:
@@ -111,10 +115,6 @@ class TestSplit:
     def test_too_few(self, rng):
         with pytest.raises(TooFewRows):
             split(self._rows(9, rng))
-
-    def test_bad_fractions(self, rng):
-        with pytest.raises(ValueError):
-            split(self._rows(20, rng), fractions=(0.5, 0.2, 0.2))
 
 
 class TestStandardizer:
@@ -183,9 +183,9 @@ class TestFitLrm:
         X = rng.normal(70, 10, (40, 2))
         codes = [i % 3 for i in range(40)]
         rows = make_rows(X, codes, ["ahr", "mhr"])
-        Xr, y, kept = build_xy(rows, PRESETS["hr"].columns)
+        Xr, y, kept = build_xy(rows, PRESETS["hr"])
         assert kept == rows and y.tolist() == [float(c) for c in codes]
-        model = fit_lrm_xy(Xr, y, PRESETS["hr"].columns)
+        model = fit_lrm_xy(Xr, y, PRESETS["hr"])
         assert model.features == ("ahr", "mhr")
         assert len(model.weights) == 2
 
