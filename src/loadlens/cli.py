@@ -437,14 +437,15 @@ def build_parser() -> _Parser:
 
     def train(p):
         from .learn.data import PRESETS
+        from .learn.models import DnnConfig
 
         p.add_argument("--features", required=True)
         p.add_argument("--model", choices=["lrm", "dnn"], required=True)
         p.add_argument("--preset", choices=sorted(PRESETS), default="all")
-        p.add_argument("--epochs", type=int, default=200)
-        p.add_argument("--lr", type=float, default=0.01)
-        p.add_argument("--batch", type=int, default=16)
-        p.add_argument("--hidden", default="16,16")
+        p.add_argument("--epochs", type=int, default=DnnConfig.epochs)
+        p.add_argument("--lr", type=float, default=DnnConfig.lr)
+        p.add_argument("--batch", type=int, default=DnnConfig.batch)
+        p.add_argument("--hidden", default=",".join(map(str, DnnConfig.hidden)))
         _add_seed(p)
         p.add_argument("--out-dir", required=True)
         p.set_defaults(fn=cmd_train)

@@ -35,8 +35,14 @@ PHASES = (REST, LOAD, RECOVERY)
 GRAVITY = 9.81
 ACCEL_HZ = 50
 
-#: Time constant of the heart's response at load onset (mean rr drop).
+#: Heartbeat shape: the mean rr drop at full intensity and the time constant
+#: of the heart's response at load onset, the rest noise std, the skew
+#: amplitude at full intensity, and the recovery's time constant.
+LOAD_DROP_MS = 350.0
 LOAD_ONSET_TAU_S = 45.0
+NOISE_REST_MS = 25.0
+SKEW_SCALE_LOAD = 60.0
+RECOVERY_TAU_S = 90.0
 
 #: Skewed-noise building block: standard lognormal rescaled to zero mean and
 #: unit variance. The heavy right tail displaces window kurtosis early in a
@@ -87,21 +93,14 @@ PROTOCOL_PRESETS: dict[str, Protocol] = {
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Heartbeat generator tuning; defaults give desk-scale but plausible RR."""
+    """Generator seed and resting mean rr; defaults give desk-scale but plausible RR."""
 
     seed: int = 0
     baseline_rr_ms: float = 850.0
-    load_drop_ms: float = 350.0
-    noise_rest_ms: float = 25.0
-    skew_scale_load: float = 60.0
-    recovery_tau_s: float = 90.0
 
     def __post_init__(self):
-        for name in ("baseline_rr_ms", "load_drop_ms", "noise_rest_ms", "skew_scale_load", "recovery_tau_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if not self.load_drop_ms < self.baseline_rr_ms:
-            raise ValueError("load_drop_ms must be < baseline_rr_ms")
+        if not self.baseline_rr_ms > LOAD_DROP_MS:
+            raise ValueError(f"baseline_rr_ms must be > {LOAD_DROP_MS}, got {self.baseline_rr_ms}")
 
 
 def _noise_pairs(rng):
@@ -128,7 +127,7 @@ def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> Channel:
     # are pinned byte for byte.
     exp = math.exp
     base = config.baseline_rr_ms
-    noise_ms = config.noise_rest_ms
+    noise_ms = NOISE_REST_MS
     t_cum = 0.0
     mean = base
     for seg in protocol.segments:
@@ -137,9 +136,9 @@ def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> Channel:
         seg_end = seg_start + seg.duration_s * 1000.0
         seg_len = seg_end - seg_start
         entry_mean = mean
-        target = base - seg.intensity * config.load_drop_ms
-        load_skew = -config.skew_scale_load * seg.intensity
-        recovery_skew = config.skew_scale_load * seg.intensity
+        target = base - seg.intensity * LOAD_DROP_MS
+        load_skew = -SKEW_SCALE_LOAD * seg.intensity
+        recovery_skew = SKEW_SCALE_LOAD * seg.intensity
         while t_cum < seg_end:
             dt_s = (t_cum - seg_start) / 1000.0
             if phase == REST:
@@ -149,7 +148,7 @@ def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> Channel:
                 mean = target + (entry_mean - target) * exp(-dt_s / LOAD_ONSET_TAU_S)
                 s_amt = load_skew * ((t_cum - seg_start) / seg_len)
             else:  # recovery
-                decay = exp(-dt_s / config.recovery_tau_s)
+                decay = exp(-dt_s / RECOVERY_TAU_S)
                 mean = base + (entry_mean - base) * decay
                 s_amt = recovery_skew * decay
             z, b = next(noise)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from loadlens import ingest, momentplane
 from loadlens.ingest import Channel
 from loadlens.momentplane import (
-    ZONES,
     classify_zones,
     export_plane,
     metric1,
@@ -182,13 +181,6 @@ class TestClassifyZone:
         assert zone(1.0, 1.0) == "infeasible"
         assert zone(0.5, 6.0) == "other"
 
-    @given(st.floats(0, 60, allow_nan=False), st.floats(-10, 100, allow_nan=False))
-    @settings(max_examples=200)
-    def test_total_and_deterministic(self, s, k):
-        z = zone(s, k)
-        assert z in ZONES
-        assert zone(s, k) == z
-
 
 def reference_polyline_distance(s, k, curve):
     """Distance to the Weibull polyline, one point at a time (the reference
@@ -227,10 +219,10 @@ def points_on_and_off_boundaries(draw):
     n = draw(st.integers(1, 12))
     pts = []
     for _ in range(n):
-        s = draw(st.floats(0, 30, allow_nan=False))
+        s = draw(st.floats(0, 60, allow_nan=False))
         k = draw(
             st.one_of(
-                st.floats(-5, 60, allow_nan=False),
+                st.floats(-10, 100, allow_nan=False),
                 st.sampled_from([1.0 + s, 3.0 + 1.5 * s, 1.0 + s - 0.15, 3.0 + 1.5 * s + 0.15]),
             )
         )
