@@ -4,6 +4,14 @@ Commands read the CSV/JSON formats declared by the backing modules and
 write their outputs plus a provenance manifest alongside. Plot rendering is
 out of scope: every figure-shaped result is served as data (CSV/JSON).
 
+Each ``cmd_*`` writes its outputs and returns its run record: its
+``config`` and ``inputs``, the ``digests`` its channel readers computed,
+and, for ``train`` and ``synth sessions``, which write several files, its
+``outputs`` and manifest ``stem``. ``main`` writes the one manifest from
+that record after the command returns, so the manifest is written last: a
+failed command leaves none, and a missing manifest marks an incomplete run.
+Each output file appears whole or not at all (``manifest._write_text``).
+
 A command imports only the modules it runs, when it runs, and its
 arguments are added to the parser only then; ``report`` runs without numpy.
 ``synth sessions`` and ``features`` spread their sessions over worker
@@ -24,14 +32,7 @@ import sys
 
 from . import __version__
 from .errors import ConfigError, LoadlensError, NumericError, ParseError
-from .manifest import (
-    _read_json,
-    _write_csv,
-    _write_json,
-    manifest_path_for,
-    manifest_path_for_dir,
-    write_manifest,
-)
+from .manifest import _read_json, _write_csv, _write_json, manifest_path_for, write_manifest
 
 DEFAULT_CLUSTER_COLUMNS = "acc_mean,acc_std,acc_skewness,acc_kurtosis"
 
@@ -57,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def cmd_moments(args) -> None:
+def cmd_moments(args) -> dict:
     from . import ingest, stats
 
     digests = {}
@@ -69,17 +70,11 @@ def cmd_moments(args) -> None:
         series = ingest.parse_rr_csv(args.input, digests)
     windows = stats.sliding_windows(series, args.window, args.stride)
     stats.write_windows_csv(args.out, windows)
-    write_manifest(
-        manifest_path_for(args.out),
-        "moments",
-        {"channel": args.channel, "window": args.window, "stride": args.stride, "center": args.center},
-        [args.input],
-        [args.out],
-        digests=digests,
-    )
+    config = {"channel": args.channel, "window": args.window, "stride": args.stride, "center": args.center}
+    return {"config": config, "inputs": [args.input], "digests": digests}
 
 
-def cmd_plane(args) -> None:
+def cmd_plane(args) -> dict:
     from . import ingest, momentplane, stats
 
     digests = {}
@@ -90,21 +85,8 @@ def cmd_plane(args) -> None:
         last = int(windows.start[-1])
         cloud = stats.bootstrap(rr.values[last : last + windows.n], args.bootstrap, args.seed)
     momentplane.export_plane(args.out, windows, args.rho, args.tau, cloud)
-    write_manifest(
-        manifest_path_for(args.out),
-        "plane",
-        {
-            "window": args.window,
-            "stride": args.stride,
-            "bootstrap": args.bootstrap,
-            "rho": args.rho,
-            "tau": args.tau,
-        },
-        [args.input],
-        [args.out],
-        seed=args.seed,
-        digests=digests,
-    )
+    config = {"window": args.window, "stride": args.stride, "bootstrap": args.bootstrap}
+    return {"config": {**config, "rho": args.rho, "tau": args.tau}, "inputs": [args.input], "digests": digests}
 
 
 def _session_features(task):
@@ -119,7 +101,7 @@ def _session_features(task):
     return features.extract_features(meta, accel, rr), digests
 
 
-def cmd_features(args) -> None:
+def cmd_features(args) -> dict:
     from .features import write_features_csv
     from .ingest import _map_sessions, parse_sessions_csv, resolve_channel_path
 
@@ -134,7 +116,7 @@ def cmd_features(args) -> None:
     write_features_csv(args.out, rows)
     inputs = [args.sessions] + [path for _, accel_path, rr_path in tasks for path in (accel_path, rr_path)]
     digests = {path: sha256 for d in session_digests for path, sha256 in d.items()}
-    write_manifest(manifest_path_for(args.out), "features", {}, inputs, [args.out], digests=digests)
+    return {"config": {}, "inputs": inputs, "digests": digests}
 
 
 def _parse_columns(text: str) -> tuple[str, ...]:
@@ -149,23 +131,17 @@ def _parse_columns(text: str) -> tuple[str, ...]:
     return cols
 
 
-def cmd_correlate(args) -> None:
+def cmd_correlate(args) -> dict:
     from .features import ALL_FEATURES, correlation_matrix, read_features_csv, write_correlation_csv
 
     rows = read_features_csv(args.features)
     columns = ALL_FEATURES if args.columns is None else _parse_columns(args.columns)
     corr = correlation_matrix(rows, columns)
     write_correlation_csv(args.out, corr)
-    write_manifest(
-        manifest_path_for(args.out),
-        "correlate",
-        {"columns": list(columns)},
-        [args.features],
-        [args.out],
-    )
+    return {"config": {"columns": list(columns)}, "inputs": [args.features]}
 
 
-def cmd_cluster(args) -> None:
+def cmd_cluster(args) -> dict:
     from .features import read_features_csv
     from .learn import cluster, data, models
 
@@ -193,14 +169,7 @@ def cmd_cluster(args) -> None:
         ],
     }
     _write_json(args.out, doc)
-    write_manifest(
-        manifest_path_for(args.out),
-        "cluster",
-        {"k": args.k, "columns": list(columns)},
-        [args.features],
-        [args.out],
-        seed=args.seed,
-    )
+    return {"config": {"k": args.k, "columns": list(columns)}, "inputs": [args.features]}
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -210,7 +179,9 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad --hidden {text!r}; expected comma-separated integers") from None
 
 
-def cmd_train(args) -> None:
+def cmd_train(args) -> dict:
+    from dataclasses import asdict
+
     from .features import read_features_csv
     from .learn import evaluate, models
 
@@ -222,36 +193,20 @@ def cmd_train(args) -> None:
         seed=args.seed,
     )
     rows = read_features_csv(args.features)
-    model, report = evaluate.run_training(rows, args.model, args.preset, config, split_seed=args.seed)
+    model, report = evaluate.run_training(rows, args.model, args.preset, config)
     os.makedirs(args.out_dir, exist_ok=True)
-    stem = f"{args.model}_{args.preset}"
-    model_path = os.path.join(args.out_dir, f"{stem}.model.json")
-    report_path = os.path.join(args.out_dir, f"{stem}.report.json")
-    losses_path = os.path.join(args.out_dir, f"{stem}.losses.csv")
+    stem = os.path.join(args.out_dir, f"{args.model}_{args.preset}")
+    model_path, report_path, losses_path = f"{stem}.model.json", f"{stem}.report.json", f"{stem}.losses.csv"
     models.save_model(model, model_path)
-    config_echo = {
-        "model": args.model,
-        "preset": args.preset,
-        "hidden": list(config.hidden),
-        "epochs": config.epochs,
-        "lr": config.lr,
-        "batch": config.batch,
-        "seed": args.seed,
-    }
+    config_echo = {"model": args.model, "preset": args.preset, **asdict(config)}
     _write_json(report_path, {**report, "config": config_echo})
     losses = zip(itertools.count(), report["train_loss"], report["val_loss"])
     _write_csv(losses_path, ("epoch", "train_loss", "val_loss"), losses, lineterminator="\n")
-    write_manifest(
-        manifest_path_for(os.path.join(args.out_dir, stem)),
-        "train",
-        config_echo,
-        [args.features],
-        [model_path, report_path, losses_path],
-        seed=args.seed,
-    )
+    outputs = [model_path, report_path, losses_path]
+    return {"config": config_echo, "inputs": [args.features], "outputs": outputs, "stem": stem}
 
 
-def cmd_predict(args) -> None:
+def cmd_predict(args) -> dict:
     import numpy as np
 
     from .features import read_features_csv
@@ -273,61 +228,40 @@ def cmd_predict(args) -> None:
         for r, yt, yp in zip(kept, y.tolist(), yhat.tolist())
     )
     _write_csv(args.out, header, body, lineterminator="\n")
-    write_manifest(
-        manifest_path_for(args.out),
-        "predict",
-        {"model_features": list(model.features), "kind": model.kind},
-        [args.model, args.features],
-        [args.out],
-    )
+    config = {"model_features": list(model.features), "kind": model.kind}
+    return {"config": config, "inputs": [args.model, args.features]}
 
 
-def cmd_synth_sessions(args) -> None:
+def cmd_synth_sessions(args) -> dict:
     from .synth import gen_sessions
 
     metas = gen_sessions(args.n, args.seed, args.out_dir)
     files = ["sessions.csv"] + [f for m in metas for f in (m.accel_file, m.rr_file)]
     outputs = [os.path.join(args.out_dir, f) for f in files]
-    write_manifest(
-        manifest_path_for_dir(args.out_dir),
-        "synth sessions",
-        {"n": args.n},
-        [],
-        outputs,
-        seed=args.seed,
-    )
+    return {"config": {"n": args.n}, "inputs": [], "outputs": outputs, "stem": os.path.join(args.out_dir, "run")}
 
 
-def cmd_synth_rr(args) -> None:
+def cmd_synth_rr(args) -> dict:
     from . import ingest, synth
 
     samples = synth.gen_rr(synth.PROTOCOL_PRESETS[args.preset], synth.GenConfig(seed=args.seed))
     ingest.write_rr_csv(args.out, samples)
-    write_manifest(
-        manifest_path_for(args.out), "synth rr", {"preset": args.preset}, [], [args.out], seed=args.seed
-    )
+    return {"config": {"preset": args.preset}, "inputs": []}
 
 
-def cmd_synth_accel(args) -> None:
+def cmd_synth_accel(args) -> dict:
     from . import ingest, synth
 
     samples = synth.gen_accel(args.activity_class, args.duration, synth.GenConfig(seed=args.seed))
     ingest.write_accel_csv(args.out, samples)
-    write_manifest(
-        manifest_path_for(args.out),
-        "synth accel",
-        {"class": args.activity_class, "duration_s": args.duration},
-        [],
-        [args.out],
-        seed=args.seed,
-    )
+    return {"config": {"class": args.activity_class, "duration_s": args.duration}, "inputs": []}
 
 
 #: Report fields ``report`` copies from each ``*.report.json``, in order.
 REPORT_KEYS = ("model", "preset", "accuracy", "accuracy_val", "mae_val", "mrd_val", "mae_pred", "mrd_pred")
 
 
-def cmd_report(args) -> None:
+def cmd_report(args) -> dict:
     paths = sorted(glob.glob(os.path.join(args.in_dir, "*.report.json")))
     if not paths:
         raise FileNotFoundError(f"no *.report.json files in {args.in_dir}")
@@ -339,7 +273,7 @@ def cmd_report(args) -> None:
             raise ParseError(f"{p}: report lacks {', '.join(missing)}")
         entries.append({k: doc[k] for k in REPORT_KEYS})
     _write_json(args.out, {"entries": entries, "n": len(entries)})
-    write_manifest(manifest_path_for(args.out), "report", {}, paths, [args.out])
+    return {"config": {}, "inputs": paths}
 
 
 def _positive_float(text: str) -> float:
@@ -505,7 +439,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.fn(args)
+        run = args.fn(args)
+        write_manifest(
+            manifest_path_for(run.pop("stem", None) or args.out),
+            f"synth {args.synth_command}" if args.command == "synth" else args.command,
+            seed=getattr(args, "seed", None),
+            outputs=run.pop("outputs", None) or [args.out],
+            **run,
+        )
     except LoadlensError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return e.exit_code

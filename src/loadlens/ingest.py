@@ -213,7 +213,7 @@ def _parse_float(text: str, row: int, field: str) -> float:
     except ValueError:
         raise MalformedRow(row, f"bad {field} {text!r}") from None
     if not math.isfinite(v):
-        raise MalformedRow(row, f"non-finite {field} {text!r}")
+        raise MalformedRow(row, f"non-finite {field} {v!r}")
     return v
 
 

@@ -84,15 +84,10 @@ def permutation_importance(model, X, y, seed: int = 0) -> list[tuple[str, float]
     return list(zip(model.features, (raw / total).tolist()))
 
 
-def run_training(
-    rows: list[SessionFeatures],
-    model_kind: str,
-    preset: str,
-    config: DnnConfig = DnnConfig(),
-    split_seed: int = 0,
-):
+def run_training(rows: list[SessionFeatures], model_kind: str, preset: str, config: DnnConfig = DnnConfig()):
     """Split, fit, and evaluate one model; returns (model, report), the
-    report a dict of the loss curves, split metrics and importances.
+    report a dict of the loss curves, split metrics and importances. The
+    split, the DNN fit and the importances all draw from ``config.seed``.
 
     Each split's design matrix is built once; rows with a missing selected
     feature are dropped. The confusion matrix and accuracy are reported on
@@ -100,7 +95,7 @@ def run_training(
     it is too small to permute meaningfully).
     """
     columns = PRESETS[preset]
-    train, val, pred = (build_xy(part, columns)[:2] for part in split(rows, seed=split_seed))
+    train, val, pred = (build_xy(part, columns)[:2] for part in split(rows, seed=config.seed))
     if model_kind == "lrm":
         model = fit_lrm_xy(*train, columns)
         train_losses: list[float] = []

@@ -6,27 +6,37 @@ paths of one command invocation. Re-running a command with an identical
 manifest (timestamp aside) must reproduce its outputs byte-for-byte; the
 ``created_utc`` field is the only part excluded from that contract.
 
+``cli.main`` is the one caller of ``write_manifest``. It writes the
+manifest after the command has returned, so after every output, from the
+run record the command returns (config, inputs, digests and, for commands
+that write several files, outputs), adding the command name and seed from
+the parsed arguments. A manifest sits at ``manifest_path_for`` of the
+single output or of the command's stem: ``<out-dir>/<model>_<preset>`` for
+``train``, ``<out-dir>/run`` for ``synth sessions``.
+
 Input digests come from the pass that read the input where there is one:
 the channel readers (``ingest.parse_accel_csv``/``parse_rr_csv``) hash each
 accel and rr file in the scan that precedes their parse, and ``moments``,
-``plane`` and ``features`` hand those digests to ``write_manifest``. Every
+``plane`` and ``features`` return those digests in their run record. Every
 other input (``sessions.csv``, ``features.csv``, models, reports) is read
 again by ``sha256_file`` when the manifest is written.
 
 Every output file is opened in one place, ``_write_text``, which writes text
-parts as UTF-8 with line ends as given. ``ingest._write_table`` feeds it the
-numeric tables (accel, rr, windows) as f-string lines; ``_write_csv`` the
-tables that hold text (sessions, features, correlations, predictions, loss
-curves) through ``csv.writer``, which quotes text cells; ``_write_json``
-every JSON file but ``plane.json``, which ``momentplane.export_plane``
-streams from templates. ``_read_json`` is the one JSON reader. Floats are
-written by ``repr``, so a write -> parse round trip is bit-exact. CSV lines
-end in ``\\r\\n``, but those of ``predict.csv`` and ``*.losses.csv`` in
-``\\n``, as in JSON files. Both CSV writers stay: f-strings cannot quote
-text, and ``csv.writer`` is slower on numeric tables (180,000 accel rows:
-1.21 s against 0.77 s; 35,941 window rows: 0.39 s against 0.25 s; 2-vCPU
-VM). The sink needs only the standard library, so ``report``, which only
-copies JSON, runs without numpy.
+parts as UTF-8 with line ends as given, to a temporary file beside the
+target that replaces it only after the last part: an interrupted or failed
+write leaves the earlier target, or none, never a cut file.
+``ingest._write_table`` feeds it the numeric tables (accel, rr, windows) as
+f-string lines; ``_write_csv`` the tables that hold text (sessions,
+features, correlations, predictions, loss curves) through ``csv.writer``,
+which quotes text cells; ``_write_json`` every JSON file but ``plane.json``,
+which ``momentplane.export_plane`` streams from templates. ``_read_json`` is
+the one JSON reader. Floats are written by ``repr``, so a write -> parse
+round trip is bit-exact. CSV lines end in ``\\r\\n``, but those of
+``predict.csv`` and ``*.losses.csv`` in ``\\n``, as in JSON files. Both CSV
+writers stay: f-strings cannot quote text, and ``csv.writer`` is slower on
+numeric tables (180,000 accel rows: 1.21 s against 0.77 s; 35,941 window
+rows: 0.39 s against 0.25 s; 2-vCPU VM). The sink needs only the standard
+library, so ``report``, which only copies JSON, runs without numpy.
 """
 
 from __future__ import annotations
@@ -43,7 +53,6 @@ from . import __version__
 from .errors import ParseError
 
 MANIFEST_SUFFIX = ".manifest.json"
-RUN_MANIFEST_NAME = "run.manifest.json"
 
 #: Manifest key excluded from the determinism contract.
 TIMESTAMP_KEY = "created_utc"
@@ -51,9 +60,28 @@ TIMESTAMP_KEY = "created_utc"
 
 def _write_text(path, parts) -> None:
     """Write the text ``parts``, an iterable consumed as it is written, to
-    ``path``; the one place where an output file is opened."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(parts)
+    ``path``; the one place where an output file is opened.
+
+    The parts go to a temporary file beside the file ``path`` names
+    (through any symlink), which ``os.replace`` moves onto it after the last
+    part. A raise removes the temporary file, and an OSError about it names
+    ``path``. So a write leaves the whole new file or the earlier one, with
+    the file mode and the messages of ``open(path, "w")``. A ``path`` that
+    exists but is not a regular file, such as ``/dev/null``, is written in
+    place.
+    """
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp" if os.path.isfile(target) or not os.path.exists(target) else target
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, target)
+    except BaseException as e:
+        if tmp != target and os.path.exists(tmp):
+            os.remove(tmp)
+        if isinstance(e, OSError) and e.filename == tmp != target:
+            raise type(e)(e.errno, e.strerror, os.fspath(path)) from None
+        raise
 
 
 def _write_json(path, doc, sort_keys: bool = False) -> None:
@@ -105,7 +133,3 @@ def write_manifest(manifest_path, command: str, config: dict, inputs, outputs, s
 def manifest_path_for(out_path) -> str:
     """Manifest location for a single-file output: alongside, suffixed."""
     return f"{out_path}{MANIFEST_SUFFIX}"
-
-
-def manifest_path_for_dir(out_dir) -> str:
-    return os.path.join(out_dir, RUN_MANIFEST_NAME)

@@ -42,7 +42,14 @@ GOLDEN_SHA256 = {
     "accel_windows.csv": "570af8ee72de1550c78273a89fcef09349fd1dc68fd961080712752cae6aedaf",
 }
 
-MANIFESTS = ("data/run.manifest.json", "features.csv.manifest.json", "accel_windows.csv.manifest.json")
+#: sha256 of ``json.dumps(portable_manifest(...), sort_keys=True)`` of each
+#: manifest of the golden pipeline, as written when each command still
+#: wrote its own manifest.
+MANIFESTS = {
+    "data/run.manifest.json": "18f0ca9c6b9c543ae4900e3270343bf4a09346f39c49eae37c89383d8449b1f6",
+    "features.csv.manifest.json": "8f1e3f780713a643b28a4feb7cb801d3206135bf1610169f7228574e6cf485a8",
+    "accel_windows.csv.manifest.json": "29c42fa18b2e63500a2490ee3d1151a5a7d7b69c02031b1c889eaac9c906ccf1",
+}
 
 #: sha256 of the plane export and the RR window table of a synthetic
 #: staircase protocol, as written by the per-window implementation that
@@ -92,6 +99,16 @@ def portable_manifest(path, root) -> dict:
     return json.loads(json.dumps(doc).replace(str(root), "<ROOT>"))
 
 
+def assert_manifests(manifests, first, second) -> None:
+    """Each manifest is canonical JSON, equal across the two runs, and holds
+    its pinned content."""
+    for rel, digest in manifests.items():
+        doc = portable_manifest(first / rel, first)
+        assert doc == portable_manifest(second / rel, second), rel
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest, rel
+        assert_canonical_json(first / rel)
+
+
 class TestGoldenPipeline:
     def test_outputs_match_pinned_digests_and_rerun(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -106,9 +123,7 @@ class TestGoldenPipeline:
         for rel, digest in GOLDEN_SHA256.items():
             assert sha256(first / rel) == digest, rel
             assert sha256(second / rel) == digest, rel
-        for rel in MANIFESTS:
-            assert portable_manifest(first / rel, first) == portable_manifest(second / rel, second), rel
-            assert_canonical_json(first / rel)
+        assert_manifests(MANIFESTS, first, second)
 
 
 def replace_line(path, i, text) -> None:
@@ -214,14 +229,15 @@ LEARN_GOLDEN_SHA256 = {
     "predict.csv": "95582a658d24e5cf21f4e2af806c4ab319d086675e8ab744895920ea48b4956b",
 }
 
-LEARN_MANIFESTS = (
-    "models/lrm_all.manifest.json",
-    "models/dnn_all.manifest.json",
-    "report.json.manifest.json",
-    "cluster.json.manifest.json",
-    "correlation.csv.manifest.json",
-    "predict.csv.manifest.json",
-)
+#: The same as ``MANIFESTS`` for the learn commands.
+LEARN_MANIFESTS = {
+    "models/lrm_all.manifest.json": "71b44016779c974317320a87a85a17c006892a332f79bc92375449a78d8485ac",
+    "models/dnn_all.manifest.json": "d475918168a19dfc2a9ae2d187e19598fe46081d8f9508346ad6d295eab2aba9",
+    "report.json.manifest.json": "a01159e83b62c0164bfb4010292b7f162eb575779716b6187bdf0dcb7fe8f4e9",
+    "cluster.json.manifest.json": "238863d3c5792c2f8339657bcadd4ab8dec67d81807a05696e535abe6d3a5b7b",
+    "correlation.csv.manifest.json": "6b178d18e483d3328a6065cc82e109936523ae3aef3772f288f08918f0fc8424",
+    "predict.csv.manifest.json": "7ff1548008f1cb715149017a81661e7cde7d1f5f44b9dc94cd4ff66a48a038ae",
+}
 
 
 def run_learn(root) -> None:
@@ -262,9 +278,7 @@ class TestGoldenLearn:
         for rel, digest in LEARN_GOLDEN_SHA256.items():
             assert sha256(first / rel) == digest, rel
             assert sha256(second / rel) == digest, rel
-        for rel in LEARN_MANIFESTS:
-            assert portable_manifest(first / rel, first) == portable_manifest(second / rel, second), rel
-            assert_canonical_json(first / rel)
+        assert_manifests(LEARN_MANIFESTS, first, second)
 
 
 class TestOutputSink:
@@ -287,6 +301,32 @@ class TestOutputSink:
             os.path.relpath(os.path.join(d, f), tmp_path).replace(os.sep, "/") for d, _, files in os.walk(tmp_path) for f in files
         ]
         assert sorted(written) == sorted(on_disk)
+
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path):
+        """A parts iterator that raises half-way leaves the earlier target's
+        bytes and no other file; a written file has the mode ``open`` gives,
+        and a symlink stays a symlink."""
+        (tmp_path / "plain.csv").open("w").close()
+        target = tmp_path / "out.csv"
+        manifest._write_text(target, ["old\n"])
+        assert target.stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+        (tmp_path / "link.csv").symlink_to(target)
+        manifest._write_text(tmp_path / "link.csv", ["linked\n"])
+        assert (tmp_path / "link.csv").is_symlink() and target.read_bytes() == b"linked\n"
+        manifest._write_text(target, ["old\n"])
+
+        def parts():
+            yield "new\n"
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space"):
+            manifest._write_text(target, parts())
+        assert target.read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "out.csv", "plain.csv"]
+        missing = tmp_path / "no_dir" / "out.csv"
+        with pytest.raises(FileNotFoundError) as ei:
+            manifest._write_text(missing, ["new\n"])
+        assert str(ei.value) == f"[Errno 2] No such file or directory: '{missing}'"
 
 
 class TestInputDigests:
@@ -487,6 +527,24 @@ class TestExitCodes:
             assert main([*cmd, "--input", str(path), "--window", "20", "--stride", "5", "--out", str(out)]) == 4
             assert "MomentOverflow" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_failed_command_leaves_no_manifest(self, features_csv, tmp_path, monkeypatch, capsys):
+        """``train`` fails on its last output, the loss curve, after the
+        model and the report are written: no manifest marks the run."""
+
+        def failing(path, header, rows, lineterminator):
+            def rows_then_fault():
+                yield next(iter(rows))
+                raise OSError(28, "No space left on device")
+
+            write_csv(path, header, rows_then_fault(), lineterminator)
+
+        write_csv = cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", failing)
+        out = tmp_path / "models"
+        assert main(["train", "--features", features_csv, "--model", "dnn", "--epochs", "2", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: OSError: [Errno 28] No space left on device\n"
+        assert sorted(os.listdir(out)) == ["dnn_all.model.json", "dnn_all.report.json"]
 
     def test_divergent_training_prints_only_the_error_line(self, features_csv, tmp_path):
         """In a fresh process, so numpy's RuntimeWarnings would reach stderr."""

@@ -380,9 +380,16 @@ class TestChannelCsvProperties:
         rows = [row_text(10 * i, [1.5] * (3 if fmt == "accel" else 1)).split(",") for i in range(n)]
         r = data.draw(st.integers(1 if fault == "non_monotonic_t" else 0, n - 1))
         rows[r] = _inject(fault, rows[r], 10 * (r - 1), data)
+        text = header + "\n" + "".join(",".join(f) + "\n" for f in rows)
         with mock.patch.object(ingest, "CHUNK_ROWS", block), pytest.raises(_FAULTS[fault][fmt]) as ei:
-            _parse_text(parse, header + "\n" + "".join(",".join(f) + "\n" for f in rows))
+            _parse_text(parse, text)
         assert ei.value.row == r + 1
+        # a valid row only float() reads sends the file to the field-by-field
+        # parser, which must report the same fault in the same words
+        underscored = row_text(10 * n, [1.5] * (3 if fmt == "accel" else 1)).replace("1.5", "1_0.5", 1)
+        with mock.patch.object(ingest, "CHUNK_ROWS", block), pytest.raises(type(ei.value)) as fallback:
+            _parse_text(parse, text + underscored + "\n")
+        assert (fallback.value.row, str(fallback.value)) == (ei.value.row, str(ei.value))
 
     @settings(max_examples=100)
     @given(st.sampled_from(sorted(_FORMATS)), _blocks, st.data())

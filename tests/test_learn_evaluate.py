@@ -138,7 +138,7 @@ class TestRunTraining:
         return make_rows(np.column_stack([ahr, mhr]), codes, ["ahr", "mhr"])
 
     def test_lrm_report(self, rng):
-        model, rep = run_training(self._rows(rng), "lrm", "hr", split_seed=0)
+        model, rep = run_training(self._rows(rng), "lrm", "hr")
         assert rep["model"] == "lrm" and rep["preset"] == "hr"
         assert rep["train_loss"] == [] and rep["val_loss"] == []
         assert rep["accuracy"] > 0.8
@@ -147,7 +147,7 @@ class TestRunTraining:
 
     def test_dnn_report(self, rng):
         cfg = DnnConfig(epochs=60, seed=4)
-        model, rep = run_training(self._rows(rng), "dnn", "hr", cfg, split_seed=0)
+        model, rep = run_training(self._rows(rng), "dnn", "hr", cfg)
         assert len(rep["train_loss"]) == 61
         assert rep["train_loss"][-1] < rep["train_loss"][0]
         assert rep["accuracy"] > 0.8
