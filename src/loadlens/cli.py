@@ -9,7 +9,8 @@ Each ``cmd_*`` writes its outputs and returns its run record: its
 and, for ``train`` and ``synth sessions``, which write several files, its
 ``outputs`` and manifest ``stem``. ``main`` writes the one manifest from
 that record after the command returns, so the manifest is written last: a
-failed command leaves none, and a missing manifest marks an incomplete run.
+failed command leaves none, and a missing manifest marks an incomplete run,
+whose report ``report`` rejects.
 Each output file appears whole or not at all (``manifest._write_text``).
 
 A command imports only the modules it runs, when it runs, and its
@@ -271,6 +272,9 @@ def cmd_report(args) -> dict:
         missing = [k for k in REPORT_KEYS if not isinstance(doc, dict) or k not in doc]
         if missing:
             raise ParseError(f"{p}: report lacks {', '.join(missing)}")
+        manifest = manifest_path_for(p.removesuffix(".report.json"))
+        if not os.path.exists(manifest):
+            raise ParseError(f"{p}: no {os.path.basename(manifest)} beside it; the run that wrote it did not finish")
         entries.append({k: doc[k] for k in REPORT_KEYS})
     _write_json(args.out, {"entries": entries, "n": len(entries)})
     return {"config": {}, "inputs": paths}

@@ -155,11 +155,6 @@ class CorrelationMatrix:
     feature_names: tuple[str, ...]
     r: np.ndarray
 
-    def get(self, a: str, b: str) -> float:
-        i = self.feature_names.index(a)
-        j = self.feature_names.index(b)
-        return float(self.r[i, j])
-
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     xd = x - x.mean()

@@ -38,8 +38,10 @@ in a channel file), a block does not parse, or lines ending in a bare
 ``\\r`` outgrow the columns, the field-by-field parser ``_parse_rows`` reads
 the file instead and raises the error of its first faulty row. Faults in
 rows the columnar read accepts (non-finite values, t_ms below 0 or not
-increasing) are found by ``_first_fault`` over the whole columns. Neither
-depends on where the blocks fall.
+increasing) are found by ``_first_fault`` over the whole columns, and send
+the file to ``_parse_rows`` as well. So ``_parse_rows`` is the one place
+that builds a channel-file error, and neither check depends on where the
+blocks fall.
 
 The columnar read holds the columns (32 B per accel row, 16 B per rr row)
 and one block of lines (about 0.6 MB), after a scan that holds two 1 MB
@@ -106,12 +108,11 @@ CHUNK_ROWS = 2048
 def _first_fault(t_ms: np.ndarray, values: np.ndarray, positive: bool = False):
     """First row that breaks the channel invariants, or None.
 
-    Returns ``(index, field)``: field is ``"negative"`` for t_ms < 0,
-    ``"order"`` for a t_ms not above its predecessor, else the value column
-    holding a non-finite value (with ``positive``, also one <= 0). Within a
-    row the time checks come first, then the columns left to right. Rows
-    are checked ``CHUNK_ROWS`` at a time, so the check's memory does not
-    grow with the channel.
+    Returns ``(index, fault)``: fault is ``"negative"`` for t_ms < 0,
+    ``"order"`` for a t_ms not above its predecessor, else ``"value"`` for a
+    non-finite value (with ``positive``, also one <= 0). Within a row the
+    time checks come first. Rows are checked ``CHUNK_ROWS`` at a time, so
+    the check's memory does not grow with the channel.
     """
     n = len(t_ms)
     cols = values if values.ndim == 2 else values[:, None]
@@ -130,7 +131,7 @@ def _first_fault(t_ms: np.ndarray, values: np.ndarray, positive: bool = False):
                 return lo + i, "negative"
             if order[i]:
                 return lo + i, "order"
-            return lo + i, int(np.argmax(bad[i]))
+            return lo + i, "value"
     return None
 
 
@@ -282,7 +283,8 @@ def _parse_rows(path, header, rr: bool):
 
     Runs only when the columnar read cannot decide the file, so it also
     accepts whatever ``int()``/``float()`` accept and ``np.loadtxt`` does
-    not (such as ``1_000``).
+    not (such as ``1_000``), or when ``_first_fault`` found a fault in the
+    columns.
     """
     ts, vs = [], []
     prev_t = -1
@@ -378,21 +380,10 @@ def _parse_channel(path, header, dtype, rr: bool, digests) -> Channel:
         with _open_csv(path) as fh:
             _read_header(fh, path, header)
             body = _read_body(fh, newlines, dtype)
-    if body is None:
-        t, values = _parse_rows(path, header, rr)
-    else:
+    if body is not None and _first_fault(*body, positive=rr) is None:
         t, values = body
-        fault = _first_fault(t, values, positive=rr)
-        if fault is not None:
-            i, field = fault
-            if field == "negative":
-                raise MalformedRow(i + 1, f"negative t_ms {int(t[i])}")
-            if field == "order":
-                raise NonMonotonicTime(i + 1)
-            value = float(values[i, field] if values.ndim == 2 else values[i])
-            if rr:
-                raise InvalidRr(i + 1, value)
-            raise MalformedRow(i + 1, f"non-finite {header[1 + field]} {value!r}")
+    else:
+        t, values = _parse_rows(path, header, rr)
     if not len(t):
         raise EmptyFile(f"{path}: no data rows")
     return Channel._checked(t, values)

@@ -64,7 +64,9 @@ def kmeans(points, k: int, seed: int, feature_names=()) -> ClusterResult:
     X = np.asarray(points, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    if len(np.unique(X, axis=0)) < k:
+    # Distinct rows as a set of row tuples, where 0.0 == -0.0 as in
+    # np.unique(X, axis=0); that call would import numpy.ma (about 17 ms).
+    if len(set(map(tuple, X.tolist()))) < k:
         raise TooFewDistinctPoints(f"need >= {k} distinct points")
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(X, k, rng)

@@ -10,7 +10,9 @@ flat vector and writes each batch gradient into views of a second one, so an
 update is two whole-vector operations. Every element operation is the one of
 the textbook per-batch update (forward trace, backpropagated MSE gradient,
 ``W - lr * dW`` per layer), so the fitted layers and both loss curves match
-that update bit for bit.
+that update bit for bit. ``_FlatNet.forward`` is the one forward pass: the
+gradient's trace, the per-epoch losses and ``NetworkModel.predict`` all run
+it.
 """
 
 from __future__ import annotations
@@ -150,26 +152,16 @@ def init_layers(sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     return layers
 
 
-def forward(layers, X) -> np.ndarray:
-    """Network output, shape (n,): rectified-linear hidden layers and a
-    linear output layer."""
-    a = np.asarray(X, dtype=float)
-    last = len(layers) - 1
-    for i, (W, b) in enumerate(layers):
-        z = a @ W + b
-        a = np.maximum(z, 0.0) if i < last else z
-    return a[:, 0]
-
-
 class _FlatNet:
     """Layers as views into one flat parameter vector ``P``, and the
     gradients of a mini-batch as the same views into one flat vector ``G``.
 
-    ``gradient`` writes the backpropagated gradient of the batch MSE into
-    ``G`` with the element operations of a textbook per-batch update (forward
-    trace, ``(2/n) * resid``, ``delta @ W.T`` times the 0/1 mask of active
-    units), through ``out=`` buffers cached per batch size, so ``P -= lr * G``
-    reproduces the per-layer update bit for bit.
+    ``forward`` runs the layers through ``out=`` buffers cached per row
+    count. ``gradient`` takes its trace from ``forward`` and writes the
+    backpropagated gradient of the batch MSE into ``G`` with the element
+    operations of a textbook per-batch update (forward trace,
+    ``(2/n) * resid``, ``delta @ W.T`` times the 0/1 mask of active units),
+    so ``P -= lr * G`` reproduces the per-layer update bit for bit.
     """
 
     def __init__(self, layers):
@@ -189,7 +181,7 @@ class _FlatNet:
         return views
 
     def _work(self, n: int) -> tuple:
-        """Activation, delta and mask buffers for a batch of ``n`` rows."""
+        """Activation, delta and mask buffers for a pass over ``n`` rows."""
         work = self._buffers.get(n)
         if work is None:
             widths = [W.shape[1] for W, _ in self.layers]
@@ -199,9 +191,12 @@ class _FlatNet:
             work = self._buffers[n] = (acts, deltas, masks)
         return work
 
-    def gradient(self, X, y) -> None:
-        """Write the gradient of mean((forward(X) - y)**2) into ``G``."""
-        acts, deltas, masks = self._work(len(y))
+    def forward(self, X) -> np.ndarray:
+        """Network output for the rows of ``X``, shape (n,): rectified-linear
+        hidden layers and a linear output layer. The activations stay in the
+        buffers of ``len(X)`` rows, and the output is a view into the last
+        one, valid until the next pass over as many rows."""
+        acts = self._work(len(X))[0]
         last = len(self.layers) - 1
         a = X
         for i, (W, b) in enumerate(self.layers):
@@ -211,8 +206,14 @@ class _FlatNet:
             if i < last:
                 np.maximum(z, 0.0, out=z)
             a = z
+        return a[:, 0]
+
+    def gradient(self, X, y) -> None:
+        """Write the gradient of mean((forward(X) - y)**2) into ``G``."""
+        acts, deltas, masks = self._work(len(y))
+        last = len(self.layers) - 1
         d = deltas[last]
-        np.subtract(a, y[:, None], out=d)
+        np.subtract(self.forward(X), y, out=d[:, 0])
         np.multiply(2.0 / len(y), d, out=d)
         for i in range(last, -1, -1):
             dW, db = self.grads[i]
@@ -224,11 +225,6 @@ class _FlatNet:
                 np.greater(acts[i - 1], 0.0, out=mask)
                 np.multiply(prev, mask, out=prev)
                 d = prev
-
-
-def _mse(layers, X, y) -> float:
-    r = forward(layers, X) - np.asarray(y, dtype=float)
-    return float((r * r).mean())
 
 
 @dataclass(frozen=True)
@@ -243,12 +239,8 @@ class NetworkModel:
     def kind(self) -> str:
         return "dnn"
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple([self.layers[0][0].shape[0]] + [W.shape[1] for W, _ in self.layers])
-
     def predict(self, X) -> np.ndarray:
-        return forward(self.layers, self.standardizer.transform(_as_matrix(X)))
+        return _FlatNet(self.layers).forward(self.standardizer.transform(_as_matrix(X)))
 
 
 def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig = DnnConfig()):
@@ -272,9 +264,13 @@ def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig 
     net = _FlatNet(init_layers(sizes, rng))
     step = np.empty_like(net.P)
 
+    def mse(X, y) -> float:
+        r = net.forward(X) - y
+        return float((r * r).mean())
+
     def record(train_losses, val_losses, epoch):
-        tl = _mse(net.layers, Zt, y_train)
-        vl = _mse(net.layers, Zv, yv) if Zv is not None else float("nan")
+        tl = mse(Zt, y_train)
+        vl = mse(Zv, yv) if Zv is not None else float("nan")
         if not np.isfinite(tl) or (Zv is not None and not np.isfinite(vl)):
             raise NonFiniteLoss(epoch, tl if not np.isfinite(tl) else vl, config.lr)
         train_losses.append(tl)

@@ -740,6 +740,19 @@ class TestReport:
         assert "ParseError" in err and "lrm_hr.report.json" in err and "mae_pred" in err
         assert not out.exists()
 
+    def test_report_of_an_unfinished_run_is_input_error(self, features_csv, tmp_path, capsys):
+        """A report whose run left no manifest is not merged."""
+        models = tmp_path / "models"
+        for preset in ("acc", "hr"):
+            argv = ["train", "--features", features_csv, "--model", "lrm", "--preset", preset]
+            assert main([*argv, "--out-dir", str(models)]) == 0
+        (models / "lrm_acc.manifest.json").unlink()
+        out = tmp_path / "report.json"
+        assert main(["report", "--in-dir", str(models), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ") and "lrm_acc.report.json" in err and "lrm_acc.manifest.json" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b"\xff\xfe"])
     def test_not_a_report_is_input_error(self, tmp_path, capsys, content):
         (tmp_path / "x.report.json").write_bytes(content)
@@ -769,12 +782,13 @@ COMMAND_MODULES = {
 }
 
 #: Runs one command in a fresh interpreter and prints its exit code, whether
-#: numpy and ``numpy.random`` are loaded, and the loaded ``loadlens`` modules. With ``--serial``,
+#: numpy, ``numpy.random`` and ``numpy.ma`` are loaded, and the loaded ``loadlens`` modules. With ``--serial``,
 #: ``_map_sessions`` runs its tasks in this process and also prints the
 #: modules that running them loaded: the modules a forked worker would lack.
 #: Commands that draw no random numbers, so they must not load
 #: ``numpy.random``: it adds about 2 MB of RSS and 12 ms to a process, and a
-#: module-level import of it in ``stats`` would load it for all of them.
+#: module-level import of it in ``stats`` would load it for all of them. No
+#: command loads ``numpy.ma`` (about 17 ms; ``np.unique`` with ``axis`` loads it).
 NO_RANDOM = ("moments", "features", "correlate", "plane")
 
 PROBE = """
@@ -790,7 +804,8 @@ if sys.argv[1] == "--serial":
         return results
     ingest._map_sessions = serial
 code = cli.main(sys.argv[2:])
-print(json.dumps([code, "numpy" in sys.modules, "numpy.random" in sys.modules, sorted(m for m in sys.modules if m.startswith("loadlens")), fresh]))
+loaded = ["numpy" in sys.modules, "numpy.random" in sys.modules, "numpy.ma" in sys.modules]
+print(json.dumps([code, *loaded, sorted(m for m in sys.modules if m.startswith("loadlens")), fresh]))
 """
 
 
@@ -827,27 +842,28 @@ def command_argv(command: str, inputs, out) -> list[str]:
     return [*command.split(), *argv]
 
 
-def probe(mode: str, argv) -> tuple[bool, bool, set[str], list[str]]:
+def probe(mode: str, argv) -> tuple[bool, bool, bool, set[str], list[str]]:
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__))}
     proc = subprocess.run([sys.executable, "-c", PROBE, mode, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, numpy_loaded, random_loaded, modules, fresh = json.loads(proc.stdout)
+    code, numpy_loaded, random_loaded, ma_loaded, modules, fresh = json.loads(proc.stdout)
     assert code == 0, proc.stderr
-    return numpy_loaded, random_loaded, {m.removeprefix("loadlens.") for m in modules}, fresh
+    return numpy_loaded, random_loaded, ma_loaded, {m.removeprefix("loadlens.") for m in modules}, fresh
 
 
 class TestCommandImports:
     @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
     def test_each_command_loads_only_its_modules(self, command_inputs, tmp_path, command):
-        numpy_loaded, random_loaded, modules, _ = probe("-", command_argv(command, command_inputs, tmp_path))
+        numpy_loaded, random_loaded, ma_loaded, modules, _ = probe("-", command_argv(command, command_inputs, tmp_path))
         assert modules == {"loadlens", "cli", "errors", "manifest"} | COMMAND_MODULES[command]
         assert numpy_loaded == (command != "report")
+        assert not ma_loaded
         if command in NO_RANDOM:
             assert not random_loaded
 
     def test_plane_loads_numpy_random_for_a_bootstrap(self, command_inputs, tmp_path):
         """The probe sees ``numpy.random`` where a command does load it."""
-        _, random_loaded, _, _ = probe("-", [*command_argv("plane", command_inputs, tmp_path), "--bootstrap", "5"])
+        _, random_loaded, *_ = probe("-", [*command_argv("plane", command_inputs, tmp_path), "--bootstrap", "5"])
         assert random_loaded
 
     @pytest.mark.parametrize("command", ["features", "synth sessions"])

@@ -120,17 +120,22 @@ class TestExtractFeatures:
         assert a == b
 
 
+def r_of(corr, a: str, b: str) -> float:
+    """The correlation of features ``a`` and ``b`` in ``corr``."""
+    return float(corr.r[corr.feature_names.index(a), corr.feature_names.index(b)])
+
+
 class TestCorrelationMatrix:
     def test_self_correlation(self, rng):
         rows = make_rows(rng.normal(0, 1, (20, 2)), [0] * 20, ["ahr", "mhr"])
         corr = correlation_matrix(rows, ["ahr", "mhr"])
-        assert corr.get("ahr", "ahr") == 1.0
+        assert r_of(corr, "ahr", "ahr") == 1.0
 
     def test_perfect_anticorrelation(self, rng):
         x = rng.normal(0, 1, 30)
         rows = make_rows(np.column_stack([x, -3 * x + 7]), [0] * 30, ["ahr", "mhr"])
         corr = correlation_matrix(rows, ["ahr", "mhr"])
-        assert corr.get("ahr", "mhr") == pytest.approx(-1.0, abs=1e-12)
+        assert r_of(corr, "ahr", "mhr") == pytest.approx(-1.0, abs=1e-12)
 
     def test_constructed_distance_duration_link(self, rng):
         # oracle: duration built from distance * class pace + noise, with the
@@ -142,23 +147,23 @@ class TestCorrelationMatrix:
         duration = distance * pace_class + rng.normal(0, 3, 200)
         rows = make_rows(np.column_stack([distance, duration]), [0] * 200, ["distance", "duration"])
         corr = correlation_matrix(rows, ["distance", "duration"])
-        assert corr.get("distance", "duration") > 0.8
+        assert r_of(corr, "distance", "duration") > 0.8
 
     def test_zero_variance_marks_row_and_diagonal(self, rng):
         X = np.column_stack([rng.normal(0, 1, 10), np.full(10, 2.5)])
         rows = make_rows(X, [0] * 10, ["ahr", "mhr"])
         corr = correlation_matrix(rows, ["ahr", "mhr"])
-        assert math.isnan(corr.get("mhr", "mhr"))
-        assert math.isnan(corr.get("ahr", "mhr"))
-        assert corr.get("ahr", "ahr") == 1.0
+        assert math.isnan(r_of(corr, "mhr", "mhr"))
+        assert math.isnan(r_of(corr, "ahr", "mhr"))
+        assert r_of(corr, "ahr", "ahr") == 1.0
 
     def test_pairwise_deletion(self, rng):
         X = rng.normal(0, 1, (10, 2))
         X[:8, 0] = np.nan  # only 2 complete pairs -> undefined
         rows = make_rows(X, [0] * 10, ["ahr", "mhr"])
         corr = correlation_matrix(rows, ["ahr", "mhr"])
-        assert math.isnan(corr.get("ahr", "mhr"))
-        assert corr.get("mhr", "mhr") == 1.0
+        assert math.isnan(r_of(corr, "ahr", "mhr"))
+        assert r_of(corr, "mhr", "mhr") == 1.0
 
     def test_too_few_rows(self, rng):
         rows = make_rows(rng.normal(0, 1, (2, 2)), [0, 0], ["ahr", "mhr"])
@@ -179,7 +184,7 @@ class TestCorrelationMatrix:
         X[:, 1] += X[:, 0]
         small = correlation_matrix(make_rows(X, [0] * 30, ["ahr", "mhr"]), ["ahr", "mhr"])
         large = correlation_matrix(make_rows(X * 1e150, [0] * 30, ["ahr", "mhr"]), ["ahr", "mhr"])
-        assert large.get("ahr", "mhr") == pytest.approx(small.get("ahr", "mhr"), rel=1e-12)
+        assert r_of(large, "ahr", "mhr") == pytest.approx(r_of(small, "ahr", "mhr"), rel=1e-12)
 
     def test_symmetry_and_bounds(self, rng):
         rows = make_rows(rng.normal(0, 1, (40, 4)), [0] * 40, ["ahr", "mhr", "acc_std", "metric1"])
@@ -201,10 +206,10 @@ class TestCorrelationMatrix:
         y = gen.normal(0, 1, 25) + 0.5 * x
         assume(x.std() > 1e-6 and y.std() > 1e-6)
         rows0 = make_rows(np.column_stack([x, y]), [0] * 25, ["ahr", "mhr"])
-        base = correlation_matrix(rows0, ["ahr", "mhr"]).get("ahr", "mhr")
+        base = r_of(correlation_matrix(rows0, ["ahr", "mhr"]), "ahr", "mhr")
         scale = -a if flip else a
         rows1 = make_rows(np.column_stack([scale * x + b, y]), [0] * 25, ["ahr", "mhr"])
-        transformed = correlation_matrix(rows1, ["ahr", "mhr"]).get("ahr", "mhr")
+        transformed = r_of(correlation_matrix(rows1, ["ahr", "mhr"]), "ahr", "mhr")
         expected = -base if flip else base
         assert transformed == pytest.approx(expected, abs=1e-9)
 

@@ -26,7 +26,8 @@ class TestEvaluate:
         X = rng.normal(0, 1, (30, 2))
         codes = [i % 3 for i in range(30)]
         y = np.array(codes, dtype=float)
-        model = fit_lrm_xy(np.column_stack([y, -y]), y, ["a", "b"])
+        with pytest.warns(UserWarning, match="ridge fallback"):
+            model = fit_lrm_xy(np.column_stack([y, -y]), y, ["a", "b"])
         ev = evaluate_xy(model, np.column_stack([y, -y]), y)
         assert ev.mae == pytest.approx(0.0, abs=1e-9)
         assert ev.mrd == pytest.approx(0.0, abs=1e-12)
@@ -93,7 +94,8 @@ class TestPermutationImportance:
         x = rng.normal(0, 1, 40)
         y = 2.0 * x
         model = fit_lrm_xy(x[:, None], y, ["ahr"])
-        imps = permutation_importance(model, x[:, None], np.zeros(40), seed=1)
+        with pytest.warns(UserWarning, match="all permutation importances are zero"):
+            imps = permutation_importance(model, x[:, None], np.zeros(40), seed=1)
         assert imps == [("ahr", 1.0)]
 
     def test_sums_to_one(self, rng):
