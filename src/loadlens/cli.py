@@ -173,13 +173,6 @@ def cmd_cluster(args) -> dict:
     return {"config": {"k": args.k, "columns": list(columns)}, "inputs": [args.features]}
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(f"bad --hidden {text!r}; expected comma-separated integers") from None
-
-
 def cmd_train(args) -> dict:
     from dataclasses import asdict
 
@@ -187,7 +180,7 @@ def cmd_train(args) -> dict:
     from .learn import evaluate, models
 
     config = models.DnnConfig(
-        hidden=_parse_hidden(args.hidden),
+        hidden=args.hidden,
         epochs=args.epochs,
         lr=args.lr,
         batch=args.batch,
@@ -319,6 +312,42 @@ def _count(text: str) -> int:
     return value
 
 
+#: Largest sizes of ``plane --bootstrap`` (about 4 s and 20 MB of
+#: ``plane.json`` on a 2-vCPU x86-64 machine), ``synth sessions --n`` and
+#: ``train --hidden`` (the fit's memory and time grow with the square of
+#: the width). Larger requests fail here, not in a huge allocation or a run
+#: of hours.
+MAX_BOOTSTRAP = 100_000
+MAX_SESSIONS_PER_CLASS = 1_000
+MAX_HIDDEN_LAYERS = 8
+MAX_HIDDEN_WIDTH = 256
+HIDDEN_LIMIT = f"at most {MAX_HIDDEN_LAYERS} layers of at most {MAX_HIDDEN_WIDTH} units"
+
+
+def _at_most(maximum: int):
+    """argparse type for a size with a maximum: an int from 0 to ``maximum``."""
+
+    def size(text: str) -> int:
+        value = _count(text)
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum:,}, got {text}")
+        return value
+
+    return size
+
+
+def _hidden(text: str) -> tuple[int, ...]:
+    """argparse type for ``train --hidden``: comma-separated layer widths,
+    ``HIDDEN_LIMIT``."""
+    try:
+        sizes = tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if len(sizes) > MAX_HIDDEN_LAYERS or any(size > MAX_HIDDEN_WIDTH for size in sizes):
+        raise argparse.ArgumentTypeError(f"must be {HIDDEN_LIMIT}, got {text}")
+    return sizes
+
+
 def _add_seed(p) -> None:
     p.add_argument("--seed", type=_count, default=0, help="RNG seed, >= 0 (default: 0)")
 
@@ -347,7 +376,8 @@ def build_parser() -> _Parser:
         p.add_argument("--input", required=True, help="rr.csv")
         p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
         p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
-        p.add_argument("--bootstrap", type=_count, default=0, metavar="B", help="cloud size for the final window")
+        cloud = f"cloud size for the final window, at most {MAX_BOOTSTRAP:,} (about 4 s and 20 MB of plane.json)"
+        p.add_argument("--bootstrap", type=_at_most(MAX_BOOTSTRAP), default=0, metavar="B", help=cloud)
         p.add_argument("--rho", type=_positive_float, default=DEFAULT_RHO, help="vicinity radius of the landmarks")
         p.add_argument("--tau", type=_positive_float, default=DEFAULT_TAU, help="half-width of the line and band zones")
         _add_seed(p)
@@ -383,7 +413,8 @@ def build_parser() -> _Parser:
         p.add_argument("--epochs", type=int, default=DnnConfig.epochs)
         p.add_argument("--lr", type=float, default=DnnConfig.lr)
         p.add_argument("--batch", type=int, default=DnnConfig.batch)
-        p.add_argument("--hidden", default=",".join(map(str, DnnConfig.hidden)))
+        widths = f"comma-separated layer widths (default: {','.join(map(str, DnnConfig.hidden))}), {HIDDEN_LIMIT}"
+        p.add_argument("--hidden", type=_hidden, default=DnnConfig.hidden, help=f"{widths} (about 460 k weights)")
         _add_seed(p)
         p.add_argument("--out-dir", required=True)
         p.set_defaults(fn=cmd_train)
@@ -395,7 +426,8 @@ def build_parser() -> _Parser:
         p.set_defaults(fn=cmd_predict)
 
     def synth_sessions(p):
-        p.add_argument("--n", type=int, required=True, help="sessions per class")
+        n = f"sessions per class, at most {MAX_SESSIONS_PER_CLASS:,} (3,000 sessions, about 1 GB of CSV)"
+        p.add_argument("--n", type=_at_most(MAX_SESSIONS_PER_CLASS), required=True, help=n)
         _add_seed(p)
         p.add_argument("--out-dir", required=True)
         p.set_defaults(fn=cmd_synth_sessions)

@@ -18,37 +18,39 @@ In memory one recording is a :class:`Channel`, a pair of numpy arrays:
   axes ``ax, ay, az``, shape (n,) for a univariate series (``rr_ms``, or the
   accel magnitude).
 
-The constructor checks these invariants once, so no consumer re-checks them.
-The channel readers and ``accel_magnitude`` check them on the way, to raise
-their own errors, and build the channel without a second check.
-Both arrays are read-only views.
+``Channel(t_ms, values)`` is the only way to build a channel. It checks
+these invariants, so no consumer re-checks them; the channel readers and
+``accel_magnitude`` build their channels through it too. Both arrays are
+read-only views.
 
 A channel file is read in two passes, whatever its length:
 
 1. ``_scan`` reads its bytes 1 MB at a time into a sha256 (the digest the
-   manifest records), a count of ``\\n`` bytes, a check that ``np.loadtxt``
-   reads every field as ``int()``/``float()`` do, and a note of any quote
-   character.
+   manifest records), a count of ``\\n`` bytes, and a check that
+   ``np.loadtxt`` reads every field as ``int()``/``float()`` do.
 2. ``_read_body`` parses the body ``CHUNK_ROWS`` lines at a time with
    ``np.loadtxt`` into columns preallocated from that count, which
    ``Channel`` takes without a copy.
 
-When the check fails, the file holds a quote character (no writer puts one
-in a channel file), a block does not parse, or lines ending in a bare
-``\\r`` outgrow the columns, the field-by-field parser ``_parse_rows`` reads
-the file instead and raises the error of its first faulty row. Faults in
-rows the columnar read accepts (non-finite values, t_ms below 0 or not
-increasing) are found by ``_first_fault`` over the whole columns, and send
-the file to ``_parse_rows`` as well. So ``_parse_rows`` is the one place
-that builds a channel-file error, and neither check depends on where the
-blocks fall.
+The reader makes one decision: safe bytes are read in blocks into a
+``Channel``, and anything else goes to the field-by-field parser
+``_parse_rows``, which reads the file again and raises the error of its
+first faulty row. Anything else is a file whose check fails, a block that
+does not parse, lines ending in a bare ``\\r`` that outgrow the columns, an
+empty body, an rr value <= 0, or columns the constructor rejects (a
+non-finite value, a t_ms below 0 or not increasing). A quote character
+fails every field that holds it (``TestLoadtxtContract`` in
+``tests/test_ingest.py`` pins that), so a file with quotes takes the failure
+route as well. So ``_parse_rows`` is the one place that builds a
+channel-file error, and no check depends on where the blocks fall.
 
 The columnar read holds the columns (32 B per accel row, 16 B per rr row)
 and one block of lines (about 0.6 MB), after a scan that holds two 1 MB
-reads; ``accel_magnitude`` adds its 8 B per row. Reading the whole text first would hold the text too: parsing the
-11.9 MB file of an hour of 50 Hz accel samples peaks at 38.5 MB of RSS in a
-fresh process by blocks, 94 MB through ``np.loadtxt`` over the decoded text
-and 73 MB over its ``splitlines()``.
+reads; ``accel_magnitude`` adds its 8 B per row. Reading the whole text
+first would hold the text too: parsing the 11.9 MB file of an hour of 50 Hz
+accel samples peaks at 38.5 MB of RSS in a fresh process by blocks, 94 MB
+through ``np.loadtxt`` over the decoded text and 73 MB over its
+``splitlines()``.
 
 Files are written through the output sink in ``loadlens.manifest``.
 """
@@ -105,14 +107,14 @@ _RR_DTYPE = np.dtype([("t", "<i8"), ("v", "<f8")])
 CHUNK_ROWS = 2048
 
 
-def _first_fault(t_ms: np.ndarray, values: np.ndarray, positive: bool = False):
-    """First row that breaks the channel invariants, or None.
+def _first_fault(t_ms: np.ndarray, values: np.ndarray) -> str | None:
+    """The fault of the first row that breaks the channel invariants, as
+    ``"<fault> at row <i>"`` (1-based), or None.
 
-    Returns ``(index, fault)``: fault is ``"negative"`` for t_ms < 0,
-    ``"order"`` for a t_ms not above its predecessor, else ``"value"`` for a
-    non-finite value (with ``positive``, also one <= 0). Within a row the
-    time checks come first. Rows are checked ``CHUNK_ROWS`` at a time, so
-    the check's memory does not grow with the channel.
+    The fault is ``negative t_ms``, ``t_ms not strictly increasing`` (not
+    above its predecessor) or ``non-finite value``; within a row the time
+    checks come first. Rows are checked ``CHUNK_ROWS`` at a time, so the
+    check's memory does not grow with the channel.
     """
     n = len(t_ms)
     cols = values if values.ndim == 2 else values[:, None]
@@ -121,24 +123,25 @@ def _first_fault(t_ms: np.ndarray, values: np.ndarray, positive: bool = False):
         order = np.zeros(hi - lo, dtype=bool)
         first = max(lo, 1)
         np.less_equal(t_ms[first:hi], t_ms[first - 1 : hi - 1], out=order[first - lo :])
-        bad = ~np.isfinite(cols[lo:hi])
-        if positive:
-            bad |= cols[lo:hi] <= 0
-        rows = np.flatnonzero((t_ms[lo:hi] < 0) | order | bad.any(axis=1))
+        rows = np.flatnonzero((t_ms[lo:hi] < 0) | order | ~np.isfinite(cols[lo:hi]).all(axis=1))
         if rows.size:
             i = int(rows[0])
             if t_ms[lo + i] < 0:
-                return lo + i, "negative"
-            if order[i]:
-                return lo + i, "order"
-            return lo + i, "value"
+                what = "negative t_ms"
+            else:
+                what = "t_ms not strictly increasing" if order[i] else "non-finite value"
+            return f"{what} at row {lo + i + 1}"
     return None
 
 
 @dataclass(frozen=True, eq=False)
 class Channel:
     """One recording: times ``t_ms`` (int64, (n,)) and ``values`` (float64,
-    (n,) or (n, 3)); see the module docstring for the invariants."""
+    (n,) or (n, 3)); see the module docstring for the invariants.
+
+    This constructor is the only way to build a channel, and it checks the
+    invariants of every channel, the parsed ones included.
+    """
 
     t_ms: np.ndarray
     values: np.ndarray
@@ -157,21 +160,7 @@ class Channel:
             raise ValueError(f"values must have shape ({len(t)},) or ({len(t)}, 3), got {v.shape}")
         fault = _first_fault(t, v)
         if fault is not None:
-            i, field = fault
-            what = {"negative": "negative t_ms", "order": "t_ms not strictly increasing"}.get(field, "non-finite value")
-            raise ValueError(f"{what} at row {i + 1}")
-        self._set_columns(t, v)
-
-    @classmethod
-    def _checked(cls, t_ms, values) -> Channel:
-        """A channel of columns whose invariants the caller has already
-        checked, as the channel readers and ``accel_magnitude`` do, built
-        without checking them again."""
-        channel = object.__new__(cls)
-        channel._set_columns(np.ascontiguousarray(t_ms, dtype=np.int64), np.ascontiguousarray(values, dtype=np.float64))
-        return channel
-
-    def _set_columns(self, t: np.ndarray, v: np.ndarray) -> None:
+            raise ValueError(fault)
         t, v = t.view(), v.view()
         t.flags.writeable = False
         v.flags.writeable = False
@@ -277,14 +266,13 @@ def _read_rows(path, expected_header):
             yield row, fields
 
 
-def _parse_rows(path, header, rr: bool):
+def _parse_rows(path, header, rr: bool) -> Channel:
     """Field-by-field parse: raises the error of the first faulty row, or
-    returns (t_ms list, values list).
+    EmptyFile when no row holds data, else returns the channel.
 
-    Runs only when the columnar read cannot decide the file, so it also
-    accepts whatever ``int()``/``float()`` accept and ``np.loadtxt`` does
-    not (such as ``1_000``), or when ``_first_fault`` found a fault in the
-    columns.
+    Runs only when the columnar read cannot decide the file (see the module
+    docstring), so it also accepts whatever ``int()``/``float()`` accept and
+    ``np.loadtxt`` does not, such as ``1_000``.
     """
     ts, vs = [], []
     prev_t = -1
@@ -298,7 +286,9 @@ def _parse_rows(path, header, rr: bool):
             vs.append(_parse_rr(fields[1], row))
         else:
             vs.append([_parse_float(text, row, name) for text, name in zip(fields[1:], header[1:])])
-    return ts, vs
+    if not ts:
+        raise EmptyFile(f"{path}: no data rows")
+    return Channel(ts, vs)
 
 
 #: ASCII separators that ``np.loadtxt`` skips as whitespace and ``float()``
@@ -324,30 +314,26 @@ _SCAN_BYTES = 1 << 20
 def _scan(path):
     """One pass over the bytes of ``path``, ``_SCAN_BYTES`` at a time.
 
-    Returns ``(sha256, newlines, loadtxt_safe, quoted)``: the file's hex
-    digest; the count of ``\\n`` bytes, which bounds the data rows unless a
-    line ends in a bare ``\\r``; whether ``_loadtxt_reads_like_python`` holds
-    for the file after an optional BOM; and whether it holds a quote
-    character, which sends it to ``_parse_rows`` (``np.loadtxt`` reads
-    quoting otherwise than the csv module).
+    Returns ``(sha256, newlines, loadtxt_safe)``: the file's hex digest; the
+    count of ``\\n`` bytes, which bounds the data rows unless a line ends in
+    a bare ``\\r``; and whether ``_loadtxt_reads_like_python`` holds for the
+    file after an optional BOM.
     """
     digest = hashlib.sha256()
     newlines = 0
-    quoted = False
     with open(path, "rb") as fh:
         chunk = fh.read(_SCAN_BYTES)
         safe = _loadtxt_reads_like_python(chunk.removeprefix(codecs.BOM_UTF8))
         while chunk:
             digest.update(chunk)
             newlines += chunk.count(b"\n")
-            quoted = quoted or b'"' in chunk
             chunk = fh.read(_SCAN_BYTES)
             safe = safe and _loadtxt_reads_like_python(chunk)
-    return digest.hexdigest(), newlines, safe, quoted
+    return digest.hexdigest(), newlines, safe
 
 
 def _read_body(fh, rows: int, dtype):
-    """Columnar read of the unquoted channel body left in ``fh``,
+    """Columnar read of the channel body left in ``fh``,
     ``CHUNK_ROWS`` lines at a time, into columns preallocated for ``rows``
     rows. Returns ``(t_ms, values)``, contiguous slices of those
     columns, or None when ``np.loadtxt`` fails on any block or the body
@@ -372,21 +358,17 @@ def _read_body(fh, rows: int, dtype):
 
 
 def _parse_channel(path, header, dtype, rr: bool, digests) -> Channel:
-    sha256, newlines, loadtxt_safe, quoted = _scan(path)
+    sha256, newlines, loadtxt_safe = _scan(path)
     if digests is not None:
         digests[str(path)] = sha256
-    body = None
-    if loadtxt_safe and not quoted:
+    if loadtxt_safe:
         with _open_csv(path) as fh:
             _read_header(fh, path, header)
             body = _read_body(fh, newlines, dtype)
-    if body is not None and _first_fault(*body, positive=rr) is None:
-        t, values = body
-    else:
-        t, values = _parse_rows(path, header, rr)
-    if not len(t):
-        raise EmptyFile(f"{path}: no data rows")
-    return Channel._checked(t, values)
+        if body is not None and len(body[0]) and not (rr and body[1].min() <= 0):
+            with contextlib.suppress(ValueError):
+                return Channel(*body)
+    return _parse_rows(path, header, rr)
 
 
 def parse_accel_csv(path, digests: dict | None = None) -> Channel:
@@ -495,7 +477,7 @@ def accel_magnitude(samples: Channel, center: bool = False) -> Channel:
     if center:
         blocks = (values[i : i + CHUNK_ROWS].tolist() for i in range(0, n, CHUNK_ROWS))
         values -= math.fsum(itertools.chain.from_iterable(blocks)) / n
-    return Channel._checked(samples.t_ms, values)
+    return Channel(samples.t_ms, values)
 
 
 def resolve_channel_path(sessions_path, channel_file: str) -> str:

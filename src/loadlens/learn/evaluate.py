@@ -11,12 +11,13 @@ writes, less the ``"config"`` echo the command adds.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyEvalSet
+from ..errors import EmptyEvalSet, MomentOverflow
 from ..features import SessionFeatures
 from ..ingest import DEFAULT_ACTIVITIES
 from .data import PRESETS, build_xy, decode_prediction, split
@@ -38,14 +39,22 @@ IMPORTANCE_REPEATS = 10
 
 
 def evaluate_xy(model, X, y) -> EvalMetrics:
-    """Error metrics and confusion matrix of a fitted model on one split."""
+    """Error metrics and confusion matrix of a fitted model on one split.
+
+    An MAE or MRD that is not a finite float64 (a prediction far outside
+    the training range squares past the largest float) raises
+    ``MomentOverflow``.
+    """
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
         raise EmptyEvalSet("no rows to evaluate (rows with a missing feature are dropped)")
-    yhat = model.predict(X)
-    resid = yhat - y
-    mae = float(np.abs(resid).mean())
-    mrd = float((resid * resid).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        yhat = model.predict(X)
+        resid = yhat - y
+        mae = float(np.abs(resid).mean())
+        mrd = float((resid * resid).mean())
+    if not (math.isfinite(mae) and math.isfinite(mrd)):
+        raise MomentOverflow(f"the prediction error is not a finite float64 (MAE {mae!r}, MRD {mrd!r})")
     n_classes = len(DEFAULT_ACTIVITIES)
     confusion = np.zeros((n_classes, n_classes), dtype=int)
     for t, p in zip(y, yhat):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DegenerateDesign, MomentOverflow, NonFiniteLoss, ParseError, TooFewRows
+from ..features import ALL_FEATURES
 from ..manifest import _read_json, _write_json
 
 #: Condition-number threshold beyond which OLS falls back to ridge.
@@ -344,14 +345,18 @@ def load_model(path):
     """Read a model written by ``save_model``.
 
     A file that is not UTF-8 JSON, or a document that lacks a key, names an
-    unknown kind, holds a negative std, or holds arrays whose sizes disagree
-    with the feature list or with each other raises ParseError.
+    unknown kind or a feature outside ``features.ALL_FEATURES``, holds a
+    negative std, or holds arrays whose sizes disagree with the feature list
+    or with each other raises ParseError.
     """
     doc = _read_json(path, "model")
     kind = _key(doc, "kind", "")
     features = _key(doc, "features", "")
     if not (isinstance(features, list) and features and all(isinstance(f, str) for f in features)):
         raise ParseError("model: features must be a non-empty list of names")
+    unknown = [f for f in features if f not in ALL_FEATURES]
+    if unknown:
+        raise ParseError(f"model: unknown features {', '.join(map(repr, unknown))}")
     nf = len(features)
     std_doc = _key(doc, "standardizer", "")
     std = Standardizer(

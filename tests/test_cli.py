@@ -16,8 +16,9 @@ import pytest
 import loadlens
 from loadlens import cli, ingest, manifest
 from loadlens.cli import main
-from loadlens.errors import MalformedRow, NonMonotonicTime, ParseError
+from loadlens.errors import ConfigError, MalformedRow, NonMonotonicTime, ParseError
 from loadlens.features import write_features_csv
+from loadlens.learn.data import split
 from loadlens.manifest import TIMESTAMP_KEY
 from tests.conftest import make_rows
 
@@ -483,7 +484,13 @@ class TestExitCodes:
         path = models / "lrm_hr.model.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
         negative_std = {**doc, "standardizer": {**doc["standardizer"], "stds": [-1.0, 1.0]}}
-        for broken in ({k: v for k, v in doc.items() if k != "standardizer"}, {**doc, "lrm": {**doc["lrm"], "w": [1.0]}}, negative_std):
+        unknown_feature = {**doc, "features": ["ahr", "heart"]}
+        for broken in (
+            {k: v for k, v in doc.items() if k != "standardizer"},
+            {**doc, "lrm": {**doc["lrm"], "w": [1.0]}},
+            negative_std,
+            unknown_feature,
+        ):
             path.write_text(json.dumps(broken), encoding="utf-8")
             out = tmp_path / "pred.csv"
             assert main(["predict", "--model", str(path), "--features", features_csv, "--out", str(out)]) == 2
@@ -510,6 +517,51 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: NumericError: "), lines
         assert not out.exists()
         assert not (tmp_path / "predict.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("model", ["lrm", "dnn"])
+    def test_overflowing_prediction_error_is_numeric_error(self, tmp_path, capsys, model):
+        """One prediction-split row with an ahr of 1e308 squares past the
+        largest float in MRD: no report holding ``Infinity`` is written, and
+        no RuntimeWarning escapes (the test run turns one into an error)."""
+        rng = np.random.default_rng(3)
+        rows = make_rows(rng.normal(70, 5, (30, 2)), [i % 3 for i in range(30)], ["ahr", "mhr"])
+        far = split(rows, seed=0)[2][0]
+        rows = [dataclasses.replace(r, ahr_bpm=1e308) if r is far else r for r in rows]
+        features = tmp_path / "features.csv"
+        write_features_csv(features, rows)
+        out = tmp_path / "models"
+        argv = ["train", "--features", str(features), "--model", model, "--preset", "hr", "--epochs", "5"]
+        assert main([*argv, "--out-dir", str(out)]) == 4
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: MomentOverflow: the prediction error is not a finite float64")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plane", "--input", "rr.csv", "--bootstrap", "100001", "--out", "p.json"],
+            ["plane", "--input", "rr.csv", "--bootstrap", "1000000000000", "--out", "p.json"],
+            ["train", "--features", "f.csv", "--model", "dnn", "--hidden", "257", "--out-dir", "m"],
+            ["train", "--features", "f.csv", "--model", "dnn", "--hidden", "100000,100000", "--out-dir", "m"],
+            ["train", "--features", "f.csv", "--model", "dnn", "--hidden", ",".join(["4"] * 9), "--out-dir", "m"],
+            ["synth", "sessions", "--n", "1001", "--out-dir", "d"],
+            ["synth", "sessions", "--n", "100000000000", "--out-dir", "d"],
+        ],
+        ids=["bootstrap", "bootstrap-huge", "hidden-width", "hidden-huge", "hidden-depth", "n", "n-huge"],
+    )
+    def test_size_arguments_have_a_maximum(self, argv):
+        """Rejected by the parser, before the command starts."""
+        flag = next(a for a in argv if a in ("--bootstrap", "--hidden", "--n"))
+        with pytest.raises(ConfigError, match=f"argument {flag}: must be at most"):
+            cli.build_parser().parse_args(argv)
+
+    def test_size_arguments_accept_their_maximum(self):
+        parse = cli.build_parser().parse_args
+        assert parse(["plane", "--input", "rr.csv", "--bootstrap", "100000", "--out", "p.json"]).bootstrap == 100_000
+        hidden = ",".join(["256"] * 8)
+        argv = ["train", "--features", "f.csv", "--model", "dnn", "--hidden", hidden, "--out-dir", "m"]
+        assert parse(argv).hidden == (256,) * 8
+        assert parse(["synth", "sessions", "--n", "1000", "--out-dir", "d"]).n == 1000
 
     def test_non_monotonic_channel_is_input_error(self, tmp_path):
         path = tmp_path / "rr.csv"
@@ -894,7 +946,7 @@ HELP = {
     "train": (
         "--features FEATURES --model {lrm,dnn} [--preset {acc,acc_with_metrics,all,dist_dur_hr,hr}] [--epochs EPOCHS]"
         " [--lr LR] [--batch BATCH] [--hidden HIDDEN] [--seed SEED] --out-dir OUT_DIR",
-        {"preset": "all", "epochs": 200, "lr": 0.01, "batch": 16, "hidden": "16,16", "seed": 0},
+        {"preset": "all", "epochs": 200, "lr": 0.01, "batch": 16, "hidden": (16, 16), "seed": 0},
     ),
     "predict": ("--model MODEL --features FEATURES --out OUT", {}),
     "report": ("--in-dir IN_DIR --out OUT", {}),

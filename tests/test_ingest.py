@@ -494,29 +494,39 @@ class TestBlockBoundaries:
             _parse_text(_FORMATS[fmt][1], header + "\n" + "".join(line + "\n" for line in lines))
         assert ei.value.row == (3 if last else 4)
 
+    @staticmethod
+    def parse_with_a_row_beyond_the_first_scan_read(line):
+        """Parse an rr file whose data row 90,000, past the first scan read
+        and the first block, is ``line``; returns the MalformedRow raised."""
+        lines = ["t_ms,rr_ms"] + [_rr_row(10 * i) for i in range(100_000)]
+        lines[90_000] = line
+        assert len("\r\n".join(lines[:90_000]).encode()) > ingest._SCAN_BYTES
+        with pytest.raises(MalformedRow) as ei:
+            _parse_text(parse_rr_csv, "\r\n".join(lines) + "\r\n")
+        assert ei.value.row == 90_000
+        return ei.value
+
     def test_non_ascii_after_the_first_scan_read(self):
         """The loadtxt check covers the whole file: a digit look-alike
         beyond the first read and the first block still takes the
         field-by-field parser, with its error and row."""
-        lines = ["t_ms,rr_ms"] + [_rr_row(10 * i) for i in range(100_000)]
-        bad = 90_000
-        lines[bad] = "\u01fe3,800"
-        text = "\r\n".join(lines) + "\r\n"
-        assert len("\r\n".join(lines[:bad]).encode()) > ingest._SCAN_BYTES
-        with pytest.raises(MalformedRow) as ei:
-            _parse_text(parse_rr_csv, text)
-        assert ei.value.row == bad
-        assert str(ei.value) == f"data row {bad}: bad t_ms '\u01fe3'"
+        error = self.parse_with_a_row_beyond_the_first_scan_read("\u01fe3,800")
+        assert str(error) == "data row 90000: bad t_ms '\u01fe3'"
+
+    def test_separator_loadtxt_skips_after_the_first_scan_read(self):
+        """``np.loadtxt`` would read this row as valid, skipping the
+        ``\\x1c``: only the check over every scan read sends the file to
+        the field-by-field parser, which rejects the row."""
+        error = self.parse_with_a_row_beyond_the_first_scan_read(_rr_row(899_990, "\x1c800.5"))
+        assert str(error) == "data row 90000: bad rr_ms '\\x1c800.5'"
 
     def test_quoted_line_end_across_a_boundary(self):
         """Row 3 holds a quoted line end, which a block boundary would cut:
-        a file holding a quote skips the block reader for the field-by-field
-        parser."""
+        the quote fails the block that holds it, and the field-by-field
+        parser reads the file as the csv module does."""
         plain = "t_ms,rr_ms\n" + "".join(_rr_row(10 * i) + "\n" for i in range(5))
         quoted = plain.replace('20,800.5\n', '20,"800.5\n"\n')
-        with mock.patch.object(ingest, "_read_body", side_effect=AssertionError("the block reader read a quote")):
-            got = _parse_text(parse_rr_csv, quoted)
-        assert_same_channel(got, _parse_text(parse_rr_csv, plain))
+        assert_same_channel(_parse_text(parse_rr_csv, quoted), _parse_text(parse_rr_csv, plain))
 
     def test_quote_cut_by_a_boundary_is_not_read_as_a_field(self):
         """Cut after its third line, this body would read as two valid
@@ -599,8 +609,8 @@ class TestLoadtxtContract:
     @pytest.mark.parametrize("line", ['0,8"00\n', '0,800"\n', '0,"8""00"\n', '"0"",800\n'])
     def test_a_converted_field_holds_its_quotes_in_pairs(self, line):
         """A quote character fails the field that holds it, paired or not,
-        so no block with quotes parses into numbers. The reader sends a
-        file with quotes to ``_parse_rows`` before it gets here."""
+        so no block with quotes parses into numbers, and the reader sends a
+        file with quotes to ``_parse_rows``."""
         with pytest.raises(ValueError):
             np.loadtxt([line], **_LOADTXT)
 

@@ -391,11 +391,16 @@ class TestFlatStepMatchesPerBatchUpdate:
             assert b.shape == rb.shape and b.tobytes() == rb.tobytes()
 
 
+#: Feature names of the saved models below; ``load_model`` accepts only
+#: names of ``features.ALL_FEATURES``.
+SAVED_FEATURES = ["ahr", "mhr", "acc_std"]
+
+
 class TestSerialization:
     def test_lrm_roundtrip_bit_identical(self, tmp_path, rng):
         X = rng.normal(0, 1, (30, 3))
         y = X @ [1.0, 2.0, -0.5] + 0.3
-        model = fit_lrm_xy(X, y, ["a", "b", "c"])
+        model = fit_lrm_xy(X, y, SAVED_FEATURES)
         p = tmp_path / "m.json"
         save_model(model, p)
         back = load_model(p)
@@ -406,7 +411,7 @@ class TestSerialization:
     def test_dnn_roundtrip_bit_identical(self, tmp_path, rng):
         X = rng.normal(0, 1, (30, 3))
         y = rng.normal(0, 1, 30)
-        model, _, _ = fit_dnn_xy(X, y, None, None, ["a", "b", "c"], DnnConfig(epochs=5, seed=2))
+        model, _, _ = fit_dnn_xy(X, y, None, None, SAVED_FEATURES, DnnConfig(epochs=5, seed=2))
         p = tmp_path / "m.json"
         save_model(model, p)
         back = load_model(p)
@@ -420,9 +425,9 @@ def saved_doc(tmp_path, kind):
     X = rng.normal(0, 1, (30, 3))
     y = rng.normal(0, 1, 30)
     if kind == "lrm":
-        model = fit_lrm_xy(X, y, ["a", "b", "c"])
+        model = fit_lrm_xy(X, y, SAVED_FEATURES)
     else:
-        model, _, _ = fit_dnn_xy(X, y, None, None, ["a", "b", "c"], DnnConfig(hidden=(4, 2), epochs=1))
+        model, _, _ = fit_dnn_xy(X, y, None, None, SAVED_FEATURES, DnnConfig(hidden=(4, 2), epochs=1))
     path = tmp_path / "m.json"
     save_model(model, path)
     return json.loads(path.read_text(encoding="utf-8"))
@@ -458,6 +463,13 @@ class TestLoadModelSchema:
         doc = saved_doc(tmp_path, "dnn")
         del doc["dnn"]["layers"][1]["b"]
         with pytest.raises(ParseError, match="missing key"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("kind", ["lrm", "dnn"])
+    def test_unknown_feature(self, tmp_path, kind):
+        doc = saved_doc(tmp_path, kind)
+        doc["features"][1] = "heart"
+        with pytest.raises(ParseError, match="unknown features 'heart'"):
             load_doc(tmp_path, doc)
 
     def test_unknown_kind(self, tmp_path):
