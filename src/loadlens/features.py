@@ -9,7 +9,8 @@ Units are fixed: km, minutes, km/h, min/km. AHR/MHR are computed from the
 unrounded instantaneous rate 60000/rr_ms; rounding first would throw away
 the extra significant digits the millisecond heartbeat provides.
 
-Missing values are carried as NaN in memory and as empty cells in CSV.
+Missing values are carried as NaN in memory and as empty cells in CSV;
+every other value is a finite float.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .errors import EmptyFile, MalformedRow, MissingChannel, MomentOverflow, TooFewRows, UnknownLabel
-from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta, _read_rows
+from .errors import EmptyFile, MissingChannel, MomentOverflow, TooFewRows, UnknownLabel
+from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta, _parse_float, _read_rows
 from .manifest import _write_csv
 
 
@@ -89,7 +90,8 @@ def extract_features(
     ``moments`` flags it, its skewness and kurtosis (for rr, ``metric1`` and
     ``metric2``) stay NaN, and ``acc_mean``/``acc_std`` are always set. A
     heart rate 60000/rr_ms whose mean overflows float64 (an rr_ms below
-    about 3.3e-304) raises MomentOverflow.
+    about 3.3e-304), or a velocity, pace or metricD that does, raises
+    MomentOverflow.
     """
     # imported here, so that reading or writing features.csv loads neither
     from .momentplane import metric1, metric2
@@ -108,6 +110,8 @@ def extract_features(
         velocity = 60.0 * meta.distance_km / meta.duration_min
         pace = meta.duration_min / meta.distance_km
         metric_d = pace * pace
+        if not all(map(math.isfinite, (velocity, pace, metric_d))):
+            raise MomentOverflow("velocity, pace or metricD overflows float64: duration_min / distance_km is out of range")
     else:
         velocity = math.nan
         pace = math.nan
@@ -209,21 +213,15 @@ def write_features_csv(path, rows: list[SessionFeatures]) -> None:
 
 
 def read_features_csv(path) -> list[SessionFeatures]:
-    """Read features.csv back; empty cells become NaN. Row numbers in
-    errors count non-blank data rows from 1, as for the channel files."""
+    """Read features.csv back; empty cells become NaN, and a cell that is
+    not a finite float raises MalformedRow. Row numbers in errors count
+    non-blank data rows from 1, as for the channel files."""
     rows: list[SessionFeatures] = []
     for row, fields in _read_rows(path, FEATURES_CSV_HEADER):
         if fields[1] not in DEFAULT_ACTIVITIES:
             raise UnknownLabel(fields[1])
-        values = []
-        for name, text in zip(FEATURES_CSV_HEADER[2:], fields[2:]):
-            if text == "":
-                values.append(math.nan)
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise MalformedRow(row, f"bad {name} {text!r}") from None
+        cells = zip(FEATURES_CSV_HEADER[2:], fields[2:])
+        values = [math.nan if text == "" else _parse_float(text, row, name) for name, text in cells]
         rows.append(SessionFeatures(fields[0], fields[1], *values))
     if not rows:
         raise EmptyFile(f"{path}: no data rows")

@@ -235,7 +235,5 @@ def export_plane(
         _json_list(_point, windows.t_mid_ms, s, k, zones, m1, m2),
         [',\n "bootstrap_cloud": '],
         _json_list(_cloud_entry, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness, c.kurtosis),
-        # No command produces exercise marks; the key stays, always empty,
-        # because plane.json bytes are pinned.
-        [',\n "phase_marks": []\n}\n'],
+        ['\n}\n'],
     ))

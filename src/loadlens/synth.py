@@ -9,6 +9,13 @@ exponentially with a positive, decaying skew. Exact figures from any real
 recording are out of reach by construction, so tests anchor to these
 generator properties instead: ``tests/test_claims.py`` checks the paper's
 hypothesis 2 on them.
+
+``gen_rr`` floors each interval at 1.0 ms (``max(..., 1.0)``): a beat whose
+mean, noise and skew terms sum below 1 ms is written as a 1 ms beat, which
+keeps every rr file valid (rr_ms > 0) but not physiological. The floor
+fires under the heaviest loads: ``synth sessions --n 40 --seed 1`` writes 82
+such beats among 721,763, so 32 of 40 skiing and 5 of 40 running sessions
+read an ``mhr_bpm`` of 60,000.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ RECOVERY_TAU_S = 90.0
 _LN_MEAN = math.exp(0.5)
 _LN_STD = math.sqrt((math.e - 1.0) * math.e)
 
-#: Draws per noise refill.
+#: Draws per noise refill. The draw order, and so every rr file, depends on it.
 _NOISE_BLOCK = 1024
 
 

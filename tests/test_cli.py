@@ -54,10 +54,13 @@ MANIFESTS = {
 
 #: sha256 of the plane export and the RR window table of a synthetic
 #: staircase protocol, as written by the per-window implementation that
-#: preceded the block kernel and the array zone classifier.
+#: preceded the block kernel and the array zone classifier. ``plane.json``
+#: was re-pinned when each bootstrap block came to draw from one stream and
+#: the always-empty ``phase_marks`` key was dropped; its points are
+#: unchanged.
 PLANE_GOLDEN_SHA256 = {
     "rr.csv": "7e911e241b5ed1e6846db641e3e3ee8d42b6cb0fb527a24d2a76929792481523",
-    "plane.json": "2ad7e8f7c8beb3d42837e902df5e68560a3e670310bb5aefb6c6b08c03246660",
+    "plane.json": "80f2a8f088000ee0b21d3750553361e0dda9c1ae2661e1716858128d59549412",
     "windows.csv": "c4ab68e99aa643413281683c5398fc553cfd97c412264e91c39cbad1a1823c05",
 }
 
@@ -65,7 +68,7 @@ PLANE_GOLDEN_SHA256 = {
 #: degenerate windows (null plane points, empty CSV cells).
 FLAT_GOLDEN_SHA256 = {
     "rr.csv": "a52b016d33f0fcabd0c00e6059c31f987dd9488e7d028a0bba8ace7475b06612",
-    "plane.json": "4b272042b8019aa064b39d3ddcb146e9e219a8db8770ee92fd99b2210df7eeb6",
+    "plane.json": "07de3937d531694b91d74c98af02f754e1706246cffe206573bcd5f4c366be7d",
     "windows.csv": "3fc8efd37e37f5ea93180d842a424a2ab93ba27e52cc03c19ce0b2d7020d0118",
 }
 
@@ -544,14 +547,18 @@ class TestExitCodes:
             ["train", "--features", "f.csv", "--model", "dnn", "--hidden", "257", "--out-dir", "m"],
             ["train", "--features", "f.csv", "--model", "dnn", "--hidden", "100000,100000", "--out-dir", "m"],
             ["train", "--features", "f.csv", "--model", "dnn", "--hidden", ",".join(["4"] * 9), "--out-dir", "m"],
+            ["train", "--features", "f.csv", "--model", "dnn", "--epochs", "100001", "--out-dir", "m"],
+            ["train", "--features", "f.csv", "--model", "dnn", "--epochs", "10000000000", "--out-dir", "m"],
             ["synth", "sessions", "--n", "1001", "--out-dir", "d"],
             ["synth", "sessions", "--n", "100000000000", "--out-dir", "d"],
         ],
-        ids=["bootstrap", "bootstrap-huge", "hidden-width", "hidden-huge", "hidden-depth", "n", "n-huge"],
+        ids=[
+            "bootstrap", "bootstrap-huge", "hidden-width", "hidden-huge", "hidden-depth", "epochs", "epochs-huge", "n", "n-huge",
+        ],
     )
     def test_size_arguments_have_a_maximum(self, argv):
         """Rejected by the parser, before the command starts."""
-        flag = next(a for a in argv if a in ("--bootstrap", "--hidden", "--n"))
+        flag = next(a for a in argv if a in ("--bootstrap", "--hidden", "--epochs", "--n"))
         with pytest.raises(ConfigError, match=f"argument {flag}: must be at most"):
             cli.build_parser().parse_args(argv)
 
@@ -561,7 +568,57 @@ class TestExitCodes:
         hidden = ",".join(["256"] * 8)
         argv = ["train", "--features", "f.csv", "--model", "dnn", "--hidden", hidden, "--out-dir", "m"]
         assert parse(argv).hidden == (256,) * 8
+        assert parse(["train", "--features", "f.csv", "--model", "dnn", "--epochs", "100000", "--out-dir", "m"]).epochs == 100_000
         assert parse(["synth", "sessions", "--n", "1000", "--out-dir", "d"]).n == 1000
+
+    def test_degenerate_bootstrap_sample_is_config_error(self, tmp_path):
+        """The last window is constant, so every resample is: the redraws
+        would never end. Run in a child process, so that a hang fails the
+        test instead of stalling the suite."""
+        path = tmp_path / "rr.csv"
+        rr = [810.0, 790.0, 805.0, 820.0, 795.0, 800.5] + [800.0] * 6
+        t = np.cumsum(rr).astype(int).tolist()
+        path.write_text("t_ms,rr_ms\n" + "".join(f"{ti},{v!r}\n" for ti, v in zip(t, rr)), encoding="utf-8")
+        out = tmp_path / "plane.json"
+        argv = ["plane", "--input", str(path), "--window", "4", "--stride", "1", "--bootstrap", "5", "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "loadlens.cli", *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ConfigError: cannot bootstrap")
+        assert not out.exists()
+        assert not (tmp_path / "plane.json.manifest.json").exists()
+
+    def test_overflowing_velocity_is_numeric_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "sessions", "--n", "1", "--seed", "0", "--out-dir", str(data)]) == 0
+        sessions = data / "sessions.csv"
+        metas = ingest.parse_sessions_csv(sessions)
+        tiny = [dataclasses.replace(m, duration_min=1e-320) if m.session_id == "walking000" else m for m in metas]
+        ingest.write_sessions_csv(sessions, tiny)
+        capsys.readouterr()
+        out = tmp_path / "features.csv"
+        assert main(["features", "--sessions", str(sessions), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error: MomentOverflow: velocity, pace or metricD")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cluster", "--columns", "distance,ahr", "--out"], ["correlate", "--out"], ["train", "--model", "lrm", "--out-dir"]],
+        ids=["cluster", "correlate", "train"],
+    )
+    def test_non_finite_feature_cell_is_input_error(self, features_csv, tmp_path, capsys, argv):
+        """The empty cell spells a missing value; a cell that parses to a
+        non-finite float is malformed."""
+        with open(features_csv, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        table[7][table[0].index("distance_km")] = "inf"
+        table[9][table[0].index("ahr_bpm")] = "nan"
+        with open(features_csv, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+        out = tmp_path / "out"
+        assert main([argv[0], "--features", features_csv, *argv[1:], str(out)]) == 2
+        assert capsys.readouterr().err == "error: MalformedRow: data row 7: non-finite distance_km inf\n"
+        assert not out.exists()
 
     def test_non_monotonic_channel_is_input_error(self, tmp_path):
         path = tmp_path / "rr.csv"

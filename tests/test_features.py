@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loadlens.cli import main
-from loadlens.errors import MissingChannel, MomentOverflow, TooFewRows
+from loadlens.errors import MalformedRow, MissingChannel, MomentOverflow, TooFewRows
 from loadlens.features import (
     ALL_FEATURES,
     correlation_matrix,
@@ -72,6 +72,13 @@ class TestExtractFeatures:
         for rr in ([800.0, 1e-320, 810.0, 790.0, 805.0], [1e-303] * 5):
             with pytest.raises(MomentOverflow, match="heart rate"):
                 extract_features(meta, accel, rr_list(rr))
+
+    @pytest.mark.parametrize("distance,duration", [(5.0, 1e-320), (1e-320, 30.0), (1e-160, 1.0)])
+    def test_overflowing_pace_features_raise(self, rng, distance, duration):
+        """velocity, pace and metricD in turn leave the finite floats."""
+        meta = SessionMeta("s1", "walking", distance, duration)
+        with pytest.raises(MomentOverflow, match="velocity, pace or metricD"):
+            extract_features(meta, series(rng.normal(0, 1, 50)), rr_list(800 + rng.normal(0, 20, 40)))
 
     def test_non_positive_rr_is_missing_channel(self, rng):
         meta = SessionMeta("s1", "walking", 5.0, 30.0)
@@ -242,6 +249,19 @@ class TestFeatureCsv:
             header, *table = csv.reader(fh)
         assert header[0] == "session_id"
         assert [r[0] for r in table] == list(ids)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_cell_is_malformed(self, rng, tmp_path, cell):
+        rows = make_rows(rng.normal(5, 2, (4, 2)), [0, 1, 2, 0], ["velocity", "ahr"])
+        path = tmp_path / "features.csv"
+        write_features_csv(path, rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        table[3][table[0].index("velocity_kmh")] = cell
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+        with pytest.raises(MalformedRow, match=f"^data row 3: non-finite velocity_kmh {float(cell)!r}$"):
+            read_features_csv(path)
 
     def test_correlation_csv_roundtrip(self, tmp_path, rng):
         rows = make_rows(rng.normal(0, 1, (12, 3)), [0] * 12, ["ahr", "mhr", "acc_std"])

@@ -304,7 +304,7 @@ class TestExportPlane:
         wins = table(window_at(1000), window_at(2000, degenerate=True))
         cloud = bootstrap(rng.normal(0, 1, 64), B=5, seed=1)
         back = plane_doc(wins, cloud=cloud)
-        assert set(back) == {"landmarks", "rho", "tau", "points", "bootstrap_cloud", "phase_marks"}
+        assert set(back) == {"landmarks", "rho", "tau", "points", "bootstrap_cloud"}
         assert back["landmarks"]["normal"] == [0.0, 3.0]
         assert back["landmarks"]["uniform"] == [0.0, 1.8]
         assert back["landmarks"]["gamma_line"] == {"intercept": 3.0, "slope": 1.5}
@@ -314,7 +314,6 @@ class TestExportPlane:
         assert back["points"][0]["metric2"] == 1.2
         assert back["points"][1]["s"] is None and back["points"][1]["zone"] is None
         assert len(back["bootstrap_cloud"]) == 5
-        assert back["phase_marks"] == []
 
 
 def reference_doc(windows, rho, tau, cloud) -> dict:
@@ -338,7 +337,7 @@ def reference_doc(windows, rho, tau, cloud) -> dict:
         "limit_line": {"intercept": 1.0, "slope": 1.0},
         "weibull_curve": [list(p) for p in weibull_curve()],
     }
-    return {"landmarks": landmarks, "rho": rho, "tau": tau, "points": points, "bootstrap_cloud": entries, "phase_marks": []}
+    return {"landmarks": landmarks, "rho": rho, "tau": tau, "points": points, "bootstrap_cloud": entries}
 
 
 #: Finite floats where ``repr`` is most likely to part from json: signed

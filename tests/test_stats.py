@@ -67,17 +67,23 @@ def table_rows(table) -> list[Moments]:
     return [Moments(table.n, *row) for row in zip(*(c.tolist() for c in cols))]
 
 
-def reference_bootstrap(arr, B, seed):
-    """Returns the cloud's points and the number of redrawn resamples."""
+def reference_bootstrap(arr, B, seed, block_values):
+    """Returns the cloud's points and the number of redrawn resamples. The
+    resamples of each block of ``block_values // n`` (at least one) draw
+    from ``default_rng([seed, first])``, first the block's whole draw, then
+    each degenerate resample's redraws in row order; moments come one
+    resample at a time."""
+    n = arr.size
+    step = max(1, block_values // n)
     points, redraws = [], 0
-    for i in range(B):
-        rng = np.random.default_rng([seed, i])
-        while True:
-            m = reference_moments(arr[rng.integers(0, arr.size, size=arr.size)])
-            if not m.degenerate:
-                break
-            redraws += 1
-        points.append(m)
+    for first in range(0, B, step):
+        rng = np.random.default_rng([seed, first])
+        for idx in rng.integers(0, n, size=(min(step, B - first), n)):
+            m = reference_moments(arr[idx])
+            while m.degenerate:
+                redraws += 1
+                m = reference_moments(arr[rng.integers(0, n, size=n)])
+            points.append(m)
     return points, redraws
 
 
@@ -321,25 +327,12 @@ class TestWindowBits:
         assert [bits(m) for m in table_rows(got)] == [bits(m) for *_, m in want]
 
 
-#: Seeds of one to seven 32-bit words. From 2**96 on, the entropy of
-#: ``[seed, i]`` outgrows the 4-word pool of ``SeedSequence``, and its extra
-#: words go through the extra mixing rounds.
+#: Seeds of one to seven 32-bit words.
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**200)
 
 
 def seeds():
     return st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**200))
-
-
-class TestSeedStates:
-    @given(seeds(), st.one_of(st.sampled_from([0, 1, 9_999, 2**32 - 3]), st.integers(0, 2**33)), st.integers(0, 40))
-    @example(2**200, 5, 3)
-    @settings(max_examples=80, deadline=None)
-    def test_rows_are_seed_sequence_states(self, seed, lo, m):
-        got = stats._seed_states(seed, lo, lo + m)
-        assert got.dtype == np.uint64 and got.shape == (m, 4)
-        want = [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64).tolist() for i in range(lo, lo + m)]
-        assert got.tolist() == want
 
 
 class TestBootstrapBits:
@@ -351,6 +344,10 @@ class TestBootstrapBits:
         block_values(),
     )
     @example(50, 20, 2**200, False, stats.BLOCK_VALUES)
+    @example(300, 30, 7, True, 1)
+    @example(40, 25, 1, False, 7)
+    @example(9, 50, 2**64 + 5, True, 64)
+    @example(12, 300, 0, True, 1000)
     @settings(max_examples=40, deadline=None)
     def test_equal_to_per_resample_reference(self, n, B, seed, mostly_constant, block):
         rng = np.random.default_rng(seed)
@@ -361,16 +358,16 @@ class TestBootstrapBits:
             x = rng.normal(0.0, 1.0, n)
         with mock.patch.object(stats, "BLOCK_VALUES", block):
             cloud = bootstrap(x, B, seed)
-        want, _ = reference_bootstrap(x, B, seed)
+        want, _ = reference_bootstrap(x, B, seed, block)
         assert len(cloud) == B
         assert [bits(m) for m in table_rows(cloud)] == [bits(m) for m in want]
 
     def test_redraws_come_from_the_resample_stream(self):
         x = np.array([3.0, 3.0, 3.0, 4.0])
         for seed in (5, 2**200 + 5):
-            want, redraws = reference_bootstrap(x, 200, seed)
-            assert redraws > 20
-            for block in (1, 4, stats.BLOCK_VALUES):
+            for block in (1, 4, 12, stats.BLOCK_VALUES):
+                want, redraws = reference_bootstrap(x, 200, seed, block)
+                assert redraws > 20
                 with mock.patch.object(stats, "BLOCK_VALUES", block):
                     assert [bits(m) for m in table_rows(bootstrap(x, 200, seed))] == [bits(m) for m in want]
 
@@ -404,8 +401,15 @@ class TestBootstrap:
             bootstrap([1.0, 2.0], B=10, seed=0)
         with pytest.raises(ValueError):
             bootstrap([1.0, 2.0, 3.0, 4.0], B=0, seed=0)
-        with pytest.raises(ValueError, match="seed must be >= 0"):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
             bootstrap([1.0, 2.0, 3.0, 4.0], B=1, seed=-1)
+
+    def test_degenerate_sample_is_config_error(self):
+        """Every resample of a constant sample is constant: the redraws
+        would never end. The error comes before any generator is made."""
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("a generator was made")):
+            with pytest.raises(ConfigError, match="zero variance"):
+                bootstrap([800.0] * 6, B=5, seed=0)
 
 
 class TestWindowCsv:
