@@ -127,6 +127,9 @@ def _parse_columns(text: str) -> tuple[str, ...]:
     unknown = [c for c in cols if c not in ALL_FEATURES]
     if unknown:
         raise ConfigError(f"unknown feature columns: {', '.join(unknown)}")
+    repeated = [c for c in dict.fromkeys(cols) if cols.count(c) > 1]
+    if repeated:
+        raise ConfigError(f"repeated feature columns: {', '.join(repeated)}")
     if not cols:
         raise ConfigError("no feature columns given")
     return cols
@@ -160,12 +163,7 @@ def cmd_cluster(args) -> dict:
         "centroids": (result.centroids * std.stds + std.means).tolist(),
         "intensity_labels": {str(c): v for c, v in result.intensity_labels.items()},
         "assignments": [
-            {
-                "session_id": r.session_id,
-                "activity": r.activity,
-                "cluster": int(c),
-                "intensity": result.intensity_labels.get(int(c)),
-            }
+            {"session_id": r.session_id, "activity": r.activity, "cluster": int(c)}
             for r, c in zip(kept_rows, result.assignments)
         ],
     }
@@ -312,8 +310,9 @@ def _count(text: str) -> int:
     return value
 
 
-#: Largest sizes of ``plane --bootstrap`` (about 4 s and 20 MB of
-#: ``plane.json`` on a 2-vCPU x86-64 machine), ``synth sessions --n``,
+#: Largest sizes of ``plane --bootstrap`` (about 2 s and 16 MB of
+#: ``plane.json`` on a 2-vCPU x86-64 machine, as the CHANGES.md line "One
+#: form per result" records), ``synth sessions --n``,
 #: ``train --hidden`` (the fit's memory and time grow with the square of
 #: the width) and ``train --epochs`` (100 times the benchmark's 1,000; on
 #: the same machine about 28 s for 120 rows and the default layers, and
@@ -379,7 +378,7 @@ def build_parser() -> _Parser:
         p.add_argument("--input", required=True, help="rr.csv")
         p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
         p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
-        cloud = f"cloud size for the final window, at most {MAX_BOOTSTRAP:,} (about 4 s and 20 MB of plane.json)"
+        cloud = f"cloud size for the final window, at most {MAX_BOOTSTRAP:,}"
         p.add_argument("--bootstrap", type=_at_most(MAX_BOOTSTRAP), default=0, metavar="B", help=cloud)
         p.add_argument("--rho", type=_positive_float, default=DEFAULT_RHO, help="vicinity radius of the landmarks")
         p.add_argument("--tau", type=_positive_float, default=DEFAULT_TAU, help="half-width of the line and band zones")

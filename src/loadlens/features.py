@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .errors import EmptyFile, MissingChannel, MomentOverflow, TooFewRows, UnknownLabel
+from .errors import EmptyFile, MalformedRow, MissingChannel, MomentOverflow, TooFewRows, UnknownLabel
 from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta, _parse_float, _read_rows
 from .manifest import _write_csv
 
@@ -124,14 +124,16 @@ def extract_features(
         raise MomentOverflow("heart rate 60000/rr_ms overflows float64: an rr_ms lies too close to 0")
     mhr = float(hr.max())
 
+    # .item() of each one-row column: repr spells an np.float64 field
+    # "np.float64(...)", which would change features.csv
     acc_m = moments(accel.values)
 
     m1 = m2 = math.nan
     if len(rr) >= 4:
         rr_m = moments(rr.values)
-        if not rr_m.degenerate:
-            s = rr_m.skewness * rr_m.skewness
-            m1, m2 = metric1(s, rr_m.kurtosis), metric2(s, rr_m.kurtosis)
+        if not rr_m.degenerate[0]:
+            g, k = rr_m.skewness.item(), rr_m.kurtosis.item()
+            m1, m2 = metric1(g * g, k), metric2(g * g, k)
 
     return SessionFeatures(
         session_id=meta.session_id,
@@ -143,10 +145,10 @@ def extract_features(
         metricD=metric_d,
         ahr_bpm=ahr,
         mhr_bpm=mhr,
-        acc_mean=acc_m.mean,
-        acc_std=acc_m.std,
-        acc_skewness=acc_m.skewness,
-        acc_kurtosis=acc_m.kurtosis,
+        acc_mean=acc_m.mean.item(),
+        acc_std=acc_m.std.item(),
+        acc_skewness=acc_m.skewness.item(),
+        acc_kurtosis=acc_m.kurtosis.item(),
         metric1=m1,
         metric2=m2,
     )
@@ -214,10 +216,15 @@ def write_features_csv(path, rows: list[SessionFeatures]) -> None:
 
 def read_features_csv(path) -> list[SessionFeatures]:
     """Read features.csv back; empty cells become NaN, and a cell that is
-    not a finite float raises MalformedRow. Row numbers in errors count
-    non-blank data rows from 1, as for the channel files."""
+    not a finite float, or a repeated ``session_id``, raises MalformedRow.
+    Row numbers in errors count non-blank data rows from 1, as for the
+    channel files."""
     rows: list[SessionFeatures] = []
+    seen: set[str] = set()
     for row, fields in _read_rows(path, FEATURES_CSV_HEADER):
+        if fields[0] in seen:
+            raise MalformedRow(row, f"duplicate session_id {fields[0]!r}")
+        seen.add(fields[0])
         if fields[1] not in DEFAULT_ACTIVITIES:
             raise UnknownLabel(fields[1])
         cells = zip(FEATURES_CSV_HEADER[2:], fields[2:])

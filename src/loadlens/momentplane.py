@@ -12,7 +12,7 @@ computed, comes from ``weibull_curve()``. Zone classification and the plot
 export both read these.
 
 A window maps to the point (s, k) = (skewness^2, kurtosis); degenerate
-windows have none. ``classify_zones`` takes the coordinates as arrays, and
+windows have none. ``zone_indices`` classifies points given as arrays, and
 ``export_plane`` writes a ``stats.WindowTable`` straight to ``plane.json``.
 
 Two scalar indicators summarize where a window sits:
@@ -53,7 +53,7 @@ WEIBULL_GRID_SIZE = 200
 
 
 #: Moments-plane region labels, in rule order: for each point the first
-#: matching rule wins, and "other" takes the rest (``classify_zones``).
+#: matching rule wins, and "other" takes the rest (``zone_indices``).
 ZONES = (
     "infeasible",
     "normal_vicinity",
@@ -133,9 +133,20 @@ def _metric_columns(s: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.fromiter(map(metric1, s, k), float, len(s)), np.fromiter(map(metric2, s, k), float, len(s))
 
 
-def _rule_indices(s, k, m1, m2, rho: float, tau: float) -> np.ndarray:
-    """For each point, the index in ``ZONES`` of the first rule it meets;
-    ``m1`` and ``m2`` are its ``_metric_columns``."""
+def zone_indices(s, k, m1, m2, rho: float, tau: float) -> np.ndarray:
+    """Total, deterministic zone classification of the plane points
+    (s[i], k[i]): for each point, the index in ``ZONES`` of the first rule
+    it meets. ``m1`` and ``m2`` are the points' ``metric1`` and ``metric2``,
+    which ``export_plane`` computes for its output anyway, so no point pays
+    for a second ``math.hypot``.
+
+    Rule order: infeasible, normal vicinity, uniform vicinity, gamma line,
+    Weibull band, beta zone, other. The gamma-line test precedes the Weibull
+    band because the two families intersect at the exponential (shape 1),
+    and that shared landmark is read as gamma. Each rule is evaluated for
+    all points at once; only the points that no earlier rule claims are
+    measured against the Weibull curve.
+    """
     limit = LIMIT_INTERCEPT + LIMIT_SLOPE * s
     gamma = GAMMA_INTERCEPT + GAMMA_SLOPE * s
     hits = [k < limit - tau, m1 <= rho, m2 <= rho, np.abs(k - gamma) <= tau]
@@ -146,23 +157,6 @@ def _rule_indices(s, k, m1, m2, rho: float, tau: float) -> np.ndarray:
         weibull[todo] = _polyline_distances(s[todo], k[todo], curve) <= tau
     hits += [weibull, (limit <= k) & (k <= gamma)]
     return np.select(hits, range(len(hits)), default=len(hits))
-
-
-def classify_zones(s, k, rho: float = DEFAULT_RHO, tau: float = DEFAULT_TAU) -> list[str]:
-    """Total, deterministic zone classification of the plane points
-    (s[i], k[i]); for each point the first matching rule wins.
-
-    Rule order: infeasible, normal vicinity, uniform vicinity, gamma line,
-    Weibull band, beta zone, other. The gamma-line test precedes the Weibull
-    band because the two families intersect at the exponential (shape 1),
-    and that shared landmark is read as gamma. Each rule is evaluated for
-    all points at once; only the points that no earlier rule claims are
-    measured against the Weibull curve.
-    """
-    s = np.asarray(s, dtype=float)
-    k = np.asarray(k, dtype=float)
-    first = _rule_indices(s, k, *_metric_columns(s, k), rho, tau)
-    return [ZONES[i] for i in first.tolist()]
 
 
 _NULL_POINT = (
@@ -182,11 +176,12 @@ def _point(t: int, s: float, k: float, zone: str | None, m1: float, m2: float) -
     )
 
 
-def _cloud_entry(s: float, k: float, mean: float, std: float, skewness: float, kurtosis: float) -> str:
-    """One member of "bootstrap_cloud", as ``_point`` spells a point."""
+def _cloud_entry(s: float, k: float, mean: float, std: float, skewness: float) -> str:
+    """One member of "bootstrap_cloud", as ``_point`` spells a point. The
+    kurtosis is ``k``; ``skewness`` keeps the sign that ``s`` loses."""
     return (
         f'  {{\n   "s": {s!r},\n   "k": {k!r},\n   "mean": {mean!r},\n   "std": {std!r},\n'
-        f'   "skewness": {skewness!r},\n   "kurtosis": {kurtosis!r}\n  }}'
+        f'   "skewness": {skewness!r}\n  }}'
     )
 
 
@@ -220,7 +215,7 @@ def export_plane(
     m1, m2 = _metric_columns(s, k)
     ok = ~windows.degenerate
     zones = np.full(len(windows), None, dtype=object)
-    zones[ok] = [ZONES[i] for i in _rule_indices(s[ok], k[ok], m1[ok], m2[ok], rho, tau).tolist()]
+    zones[ok] = [ZONES[i] for i in zone_indices(s[ok], k[ok], m1[ok], m2[ok], rho, tau).tolist()]
     landmarks = {
         "normal": NORMAL_LANDMARK,
         "uniform": UNIFORM_LANDMARK,
@@ -234,6 +229,6 @@ def export_plane(
         [head.removesuffix("\n}") + ',\n "points": '],
         _json_list(_point, windows.t_mid_ms, s, k, zones, m1, m2),
         [',\n "bootstrap_cloud": '],
-        _json_list(_cloud_entry, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness, c.kurtosis),
+        _json_list(_cloud_entry, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness),
         ['\n}\n'],
     ))

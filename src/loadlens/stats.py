@@ -6,20 +6,20 @@ kurtosis g2 = m4 / m2^2 (non-excess, normal -> 3, uniform -> 1.8). This
 keeps the distribution landmarks on the moments plane at their textbook
 positions; sample-size corrections would shift them.
 
-Many samples make one table of columns, not one object each:
+Moments have one form, a table of columns with one row per sample:
 ``sliding_windows`` returns a ``WindowTable``, ``bootstrap`` a
-``MomentColumns``; ``moments`` of one sample returns a ``Moments``. All three
-go through one row-moment kernel, ``_block_moments``, which reduces each row
-of a 2-D block of samples along its contiguous last axis. Blocks hold at
-most ``BLOCK_VALUES`` values (256 rows of the default window, about 0.6 MB
-per float64 temporary) and fill preallocated columns, so memory grows by a
-few numbers per window or resample, not by an object. Results are
-bit-identical to reducing each sample as its own 1-D array and finishing in
-Python floats: numpy reduces a row with the pairwise summation it applies to
-a 1-D array, and its sqrt, products, divisions and comparisons are
-correctly rounded like Python's. Only ``m2**1.5`` is taken by Python's
-float power, value by value, because numpy's power differs from it in the
-last bit for about 5% of values.
+``MomentColumns``, and ``moments`` of one sample a one-row
+``MomentColumns``. All three go through one row-moment kernel,
+``_block_moments``, which reduces each row of a 2-D block of samples along
+its contiguous last axis. Blocks hold at most ``BLOCK_VALUES`` values (256
+rows of the default window, about 0.6 MB per float64 temporary) and fill
+preallocated columns, so memory grows by a few numbers per window or
+resample, not by an object. Results are bit-identical to reducing each
+sample as its own 1-D array and finishing in Python floats: numpy reduces a
+row with the pairwise summation it applies to a 1-D array, and its sqrt,
+products, divisions and comparisons are correctly rounded like Python's.
+Only ``m2**1.5`` is taken by Python's float power, value by value, because
+numpy's power differs from it in the last bit for about 5% of values.
 
 Degeneracy has one signal: a sample whose variance is numerically zero
 relative to its mean gets NaN skewness and kurtosis, which ``degenerate``
@@ -41,7 +41,6 @@ every cloud whose blocks hold more than one resample. When n exceeds
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -61,26 +60,7 @@ DEFAULT_STRIDE = 30
 #: here moves every bootstrap cloud; window outputs do not depend on it.
 BLOCK_VALUES = 256 * DEFAULT_WINDOW
 
-WINDOW_CSV_HEADER = ("start_index", "t_start_ms", "t_end_ms", "n", "mean", "std", "skewness", "kurtosis", "degenerate")
-
-
-@dataclass(frozen=True)
-class Moments:
-    """First four moments of a sample.
-
-    ``skewness``/``kurtosis`` are NaN when the sample is degenerate
-    (numerically zero variance).
-    """
-
-    n: int
-    mean: float
-    std: float
-    skewness: float
-    kurtosis: float
-
-    @property
-    def degenerate(self) -> bool:
-        return math.isnan(self.skewness)
+WINDOW_CSV_HEADER = ("start_index", "t_start_ms", "t_end_ms", "mean", "std", "skewness", "kurtosis")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,15 +148,16 @@ def _as_array(values) -> np.ndarray:
     return arr
 
 
-def moments(values) -> Moments:
-    """First four moments of a sample (n >= 4, finite values).
+def moments(values) -> MomentColumns:
+    """First four moments of a sample (n >= 4, finite values), as a one-row
+    ``MomentColumns``.
 
     When the variance is numerically zero relative to the mean, skewness
     and kurtosis are undefined: they come back NaN and ``.degenerate`` is
     true, as for a degenerate window. ``mean`` and ``std`` are always set.
     """
     arr = _as_array(values)
-    return Moments(arr.size, *(float(col[0]) for col in _block_moments(arr[None, :])))
+    return MomentColumns(arr.size, *_block_moments(arr[None, :]))
 
 
 def sliding_windows(series: Channel, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> WindowTable:
@@ -216,7 +197,7 @@ def bootstrap(values, B: int, seed: int) -> MomentColumns:
     arr = _as_array(values)
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    if moments(arr).degenerate:
+    if moments(arr).degenerate[0]:
         raise ConfigError("cannot bootstrap a sample of numerically zero variance: every resample would be degenerate")
     n = arr.size
 
@@ -232,20 +213,22 @@ def bootstrap(values, B: int, seed: int) -> MomentColumns:
     return MomentColumns(n, *_columns(B, n, block))
 
 
-def _window_lines(n: int, *columns: np.ndarray) -> list[str]:
+def _window_lines(*columns: np.ndarray) -> list[str]:
     lines = []
     for a, b, c, m, s, g, k in zip(*(col.tolist() for col in columns)):
-        tail = ",,true" if math.isnan(g) else f"{g!r},{k!r},false"
-        lines.append(f"{a},{b},{c},{n},{m!r},{s!r},{tail}\r\n")
+        tail = "," if math.isnan(g) else f"{g!r},{k!r}"
+        lines.append(f"{a},{b},{c},{m!r},{s!r},{tail}\r\n")
     return lines
 
 
 def write_windows_csv(path, windows: WindowTable) -> None:
-    """Window CSV export; degenerate windows leave skewness/kurtosis empty.
+    """Window CSV export. Empty skewness and kurtosis cells, the missing-value
+    marker of ``features.csv`` too, mark a degenerate window. The window
+    size is the run's ``window`` setting, which the manifest records.
 
-    Written a block of rows at a time: a table of 36k windows joined whole
-    would add about 10 MB to the peak memory of a ``moments`` run.
+    Written a block of rows at a time, so a table of many windows is never
+    joined whole in memory.
     """
     w = windows
     columns = (w.start, w.t_start_ms, w.t_end_ms, w.mean, w.std, w.skewness, w.kurtosis)
-    _write_table(path, WINDOW_CSV_HEADER, functools.partial(_window_lines, w.n), *columns)
+    _write_table(path, WINDOW_CSV_HEADER, _window_lines, *columns)

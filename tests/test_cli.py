@@ -25,6 +25,8 @@ from tests.conftest import make_rows
 #: sha256 of every data output of the golden pipeline below. They were
 #: computed with the row-object implementation that preceded the columnar
 #: channels; any change here is a change of output bytes.
+#: ``accel_windows.csv`` was re-pinned when the window table dropped its
+#: ``n`` and ``degenerate`` columns; its other cells are unchanged.
 GOLDEN_SHA256 = {
     "data/running000_accel.csv": "29ac54ebdfb461fc768e1639f2d3184f1a1658ccd55f58d83a806920563d7e83",
     "data/running000_rr.csv": "44e94971b6ce2c8500528e715873ae83caead032aa7af6700f6fa8bbef3f5726",
@@ -40,7 +42,7 @@ GOLDEN_SHA256 = {
     "data/walking001_accel.csv": "b2434aaa2e39d21ff640af354c1034fe25f3c1648c9e44bf303ca86b5518b08e",
     "data/walking001_rr.csv": "45f9f0cc9e80c2796c44c5ecdcba8bdb0ec033c75ba2f00543de9be63390b005",
     "features.csv": "6edb84d21cec7595e737e8ec23d606e34ec192d9f540f50b8e6d9dd4e46e704d",
-    "accel_windows.csv": "570af8ee72de1550c78273a89fcef09349fd1dc68fd961080712752cae6aedaf",
+    "accel_windows.csv": "86cf3c25aca43cbf77b0cae25e8d032368228563b3d79206d9aba887135172cb",
 }
 
 #: sha256 of ``json.dumps(portable_manifest(...), sort_keys=True)`` of each
@@ -57,19 +59,21 @@ MANIFESTS = {
 #: preceded the block kernel and the array zone classifier. ``plane.json``
 #: was re-pinned when each bootstrap block came to draw from one stream and
 #: the always-empty ``phase_marks`` key was dropped; its points are
-#: unchanged.
+#: unchanged. Both files were re-pinned again when the cloud entries dropped
+#: ``kurtosis`` (equal to ``k``) and the window table its ``n`` and
+#: ``degenerate`` columns; no remaining value changed.
 PLANE_GOLDEN_SHA256 = {
     "rr.csv": "7e911e241b5ed1e6846db641e3e3ee8d42b6cb0fb527a24d2a76929792481523",
-    "plane.json": "80f2a8f088000ee0b21d3750553361e0dda9c1ae2661e1716858128d59549412",
-    "windows.csv": "c4ab68e99aa643413281683c5398fc553cfd97c412264e91c39cbad1a1823c05",
+    "plane.json": "2bb237dc4fa02a258a8b4a3cdc768c1e9522f22d553ee94958edbb081f6a3bfe",
+    "windows.csv": "f1939b38dfc9d9aac9e59f10321d6833fa47319847731c6a876ef0a1ca59956f",
 }
 
 #: The same for a hand-made RR file whose constant stretch yields 31
 #: degenerate windows (null plane points, empty CSV cells).
 FLAT_GOLDEN_SHA256 = {
     "rr.csv": "a52b016d33f0fcabd0c00e6059c31f987dd9488e7d028a0bba8ace7475b06612",
-    "plane.json": "07de3937d531694b91d74c98af02f754e1706246cffe206573bcd5f4c366be7d",
-    "windows.csv": "3fc8efd37e37f5ea93180d842a424a2ab93ba27e52cc03c19ce0b2d7020d0118",
+    "plane.json": "092094a8a310c10b336910a730d1ae95bf56366f31c8d210a2b1e4ae21f61d77",
+    "windows.csv": "0bf5044772c40a28e97a1af21e67024dbb8df6049b77270d2a73a9ad54e42169",
 }
 
 
@@ -218,7 +222,9 @@ class TestGoldenPlane:
 #: sha256 of every output of the learn commands on fabricated features, as
 #: written by the row-level learn API before ``run_training`` built each
 #: split's arrays once. ``predict.csv`` is pinned as written since its rows
-#: go through ``csv.writer`` with plain floats.
+#: go through ``csv.writer`` with plain floats. ``cluster.json`` was
+#: re-pinned when its assignments dropped ``intensity``, which equals
+#: ``intensity_labels[cluster]``.
 LEARN_GOLDEN_SHA256 = {
     "features.csv": "62e20dcd0366907f25cf222fdb81e6ba79a3df4897f2fc1e624aa386ab69c11d",
     "models/lrm_all.model.json": "145e8932cac8cd2e320f45f1e6ce9cad11a671afd889c615d0938e8814195bc3",
@@ -228,7 +234,7 @@ LEARN_GOLDEN_SHA256 = {
     "models/dnn_all.report.json": "da644caa088583037b5ce28d2d46e3b026e2dcd14d61db6a9d3b968d31e42ea0",
     "models/dnn_all.losses.csv": "61dc2d5f7993d62d8569e676d70570ad36759febbfd24a969e58e9a5d1f4b905",
     "report.json": "b46b0922f6d81921fab624acd74ae7a84bfb42fd8a4aa65c2c416381e6ec8466",
-    "cluster.json": "a6c742b1096442f9f747a7ad0459b20d618cb2e0ee62fa35a89e64c554c84592",
+    "cluster.json": "0482e0816a24c27a4e0e825c1c9b847283c366e14466ee26f4b347043810d245",
     "correlation.csv": "49d25737fd001bc4e0c9797365d5c23ada28aa7c62296a2339083ed3836d0c07",
     "predict.csv": "95582a658d24e5cf21f4e2af806c4ab319d086675e8ab744895920ea48b4956b",
 }
@@ -427,6 +433,32 @@ class TestExitCodes:
         assert main([*argv, "--features", features_csv, "--out", str(out)]) == 3
         assert capsys.readouterr().err == "error: ConfigError: no feature columns given\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,repeated",
+        [(["cluster", "--columns", "acc_std,acc_std"], "acc_std"), (["correlate", "--columns", "ahr,mhr, ahr,mhr"], "ahr, mhr")],
+        ids=["cluster", "correlate"],
+    )
+    def test_repeated_feature_column(self, features_csv, tmp_path, capsys, argv, repeated):
+        """A repeated column would double a row and column of the
+        correlation matrix, or the column's weight in k-means."""
+        out = tmp_path / "out"
+        assert main([*argv, "--features", features_csv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: ConfigError: repeated feature columns: {repeated}\n"
+        assert not out.exists()
+        assert not (tmp_path / "out.manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "correlate"])
+    def test_repeated_session_id_in_features_is_input_error(self, features_csv, tmp_path, capsys, command):
+        with open(features_csv, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        with open(features_csv, "a", encoding="utf-8", newline="") as fh:
+            fh.write(lines[-1])
+        out = tmp_path / "out"
+        assert main([command, "--features", features_csv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: MalformedRow: data row 31: duplicate session_id 's0029'\n"
+        assert not out.exists()
+        assert not (tmp_path / "out.manifest.json").exists()
 
     @pytest.mark.parametrize(
         "flag,value", [("--rho", "-1"), ("--rho", "0"), ("--tau", "-0.5"), ("--tau", "nan"), ("--bootstrap", "-2")]

@@ -263,6 +263,13 @@ class TestFeatureCsv:
         with pytest.raises(MalformedRow, match=f"^data row 3: non-finite velocity_kmh {float(cell)!r}$"):
             read_features_csv(path)
 
+    def test_repeated_session_id_is_malformed(self, rng, tmp_path):
+        rows = make_rows(rng.normal(5, 2, (4, 2)), [0, 1, 2, 0], ["velocity", "ahr"])
+        path = tmp_path / "features.csv"
+        write_features_csv(path, rows + rows[2:3])
+        with pytest.raises(MalformedRow, match="^data row 5: duplicate session_id 's0002'$"):
+            read_features_csv(path)
+
     def test_correlation_csv_roundtrip(self, tmp_path, rng):
         rows = make_rows(rng.normal(0, 1, (12, 3)), [0] * 12, ["ahr", "mhr", "acc_std"])
         corr = correlation_matrix(rows, ["ahr", "mhr", "acc_std"])

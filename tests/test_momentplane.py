@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from loadlens import ingest, momentplane
 from loadlens.ingest import Channel
 from loadlens.momentplane import (
-    classify_zones,
+    ZONES,
     export_plane,
     metric1,
     metric2,
     weibull_curve,
     weibull_landmark,
+    zone_indices,
 )
 from loadlens.stats import MomentColumns, WindowTable, bootstrap, moments, sliding_windows
 
@@ -48,10 +49,23 @@ def whole_sample(values) -> WindowTable:
     return sliding_windows(Channel(np.arange(len(values)), values), window=len(values), stride=1)
 
 
+def zones(s, k, rho=momentplane.DEFAULT_RHO, tau=momentplane.DEFAULT_TAU) -> list[str]:
+    """Zone labels of the points (s[i], k[i]) by ``zone_indices``, given the
+    metric columns that ``export_plane`` computes."""
+    s, k = np.asarray(s, dtype=float), np.asarray(k, dtype=float)
+    return [ZONES[i] for i in zone_indices(s, k, *momentplane._metric_columns(s, k), rho, tau).tolist()]
+
+
 def zone(s, k, rho=momentplane.DEFAULT_RHO, tau=momentplane.DEFAULT_TAU) -> str:
-    """Zone of one point: ``classify_zones`` of one-point arrays."""
-    (z,) = classify_zones([s], [k], rho, tau)
+    """Zone of one point: ``zones`` of one-point arrays."""
+    (z,) = zones([s], [k], rho, tau)
     return z
+
+
+def plane_point(values) -> tuple[float, float]:
+    """(skewness^2, kurtosis) of one whole sample, from ``moments``."""
+    m = moments(values)
+    return m.skewness.item() ** 2, m.kurtosis.item()
 
 
 class TestToPlane:
@@ -113,10 +127,10 @@ class TestWeibullLandmark:
 
     def test_rayleigh_against_monte_carlo(self):
         x = np.random.default_rng(1).weibull(2.0, 1_000_000)
-        m = moments(x)
+        got_s, got_k = plane_point(x)
         s, k = weibull_landmark(2.0)
-        assert m.skewness**2 == pytest.approx(s, abs=0.01)
-        assert m.kurtosis == pytest.approx(k, abs=0.05)
+        assert got_s == pytest.approx(s, abs=0.01)
+        assert got_k == pytest.approx(k, abs=0.05)
 
     def test_skew_zero_shape_by_bisection(self):
         # oracle: bisection root of g1(c) = 0 between 3 and 4
@@ -156,26 +170,22 @@ class TestClassifyZone:
         assert zone(0.0, 3.0) == "normal_vicinity"
 
     def test_uniform_draws(self):
-        m = moments(np.random.default_rng(0).uniform(0, 1, 10_000))
-        assert zone(m.skewness**2, m.kurtosis) == "uniform_vicinity"
+        assert zone(*plane_point(np.random.default_rng(0).uniform(0, 1, 10_000))) == "uniform_vicinity"
 
     def test_beta22_windows(self):
         # population landmark (0, 15/7) sits inside the beta zone
         assert zone(0.0, 15.0 / 7.0) == "beta_zone"
         rng = np.random.default_rng(2024)
-        samples = [moments(rng.beta(2, 2, 10_000)) for _ in range(100)]
-        zones = classify_zones([m.skewness**2 for m in samples], [m.kurtosis for m in samples])
-        assert zones.count("beta_zone") >= 90
+        s, k = zip(*(plane_point(rng.beta(2, 2, 10_000)) for _ in range(100)))
+        assert zones(s, k).count("beta_zone") >= 90
 
     def test_exponential_reads_as_gamma(self):
-        m = moments(np.random.default_rng(5).exponential(1.0, 10_000))
-        s = m.skewness**2
-        assert math.hypot(s - 4.0, m.kurtosis - 9.0) < 0.1
-        assert zone(s, m.kurtosis) == "gamma_line"
+        s, k = plane_point(np.random.default_rng(5).exponential(1.0, 10_000))
+        assert math.hypot(s - 4.0, k - 9.0) < 0.1
+        assert zone(s, k) == "gamma_line"
 
     def test_rayleigh_reads_as_weibull(self):
-        m = moments(np.random.default_rng(1).weibull(2.0, 10_000))
-        assert zone(m.skewness**2, m.kurtosis) == "weibull_band"
+        assert zone(*plane_point(np.random.default_rng(1).weibull(2.0, 10_000))) == "weibull_band"
 
     def test_infeasible_and_other(self):
         assert zone(1.0, 1.0) == "infeasible"
@@ -252,7 +262,7 @@ class TestClassifyZones:
         pts, rho, tau = case
         s, k = (np.array(c) for c in zip(*pts))
         with mock.patch.object(momentplane, "POINT_BLOCK", block):
-            got = classify_zones(s, k, rho, tau)
+            got = zones(s, k, rho, tau)
         assert got == [reference_zone(a, b, rho, tau) for a, b in pts]
         assert [zone(a, b, rho, tau) for a, b in pts] == got
 
@@ -267,7 +277,7 @@ class TestClassifyZones:
     def test_every_zone_in_one_call(self):
         pts = [(1.0, 1.0), (0.0, 3.0), (0.0, 1.8), (4.0, 9.0), weibull_landmark(2.0), (0.0, 15.0 / 7.0), (0.5, 6.0)]
         s, k = (np.array(c) for c in zip(*pts))
-        assert classify_zones(s, k) == [
+        assert zones(s, k) == [
             "infeasible",
             "normal_vicinity",
             "uniform_vicinity",
@@ -276,7 +286,7 @@ class TestClassifyZones:
             "beta_zone",
             "other",
         ]
-        assert classify_zones(np.empty(0), np.empty(0)) == []
+        assert zones(np.empty(0), np.empty(0)) == []
 
 
 class TestMetricSeries:
@@ -329,7 +339,7 @@ def reference_doc(windows, rho, tau, cloud) -> dict:
     entries = []
     if cloud is not None:
         for mean, std, g, k in zip(cloud.mean.tolist(), cloud.std.tolist(), cloud.skewness.tolist(), cloud.kurtosis.tolist()):
-            entries.append({"s": g * g, "k": k, "mean": mean, "std": std, "skewness": g, "kurtosis": k})
+            entries.append({"s": g * g, "k": k, "mean": mean, "std": std, "skewness": g})
     landmarks = {
         "normal": [0.0, 3.0],
         "uniform": [0.0, 1.8],

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,6 @@ from loadlens.ingest import Channel
 from loadlens.stats import (
     DEGENERACY_EPS,
     MomentColumns,
-    Moments,
     WindowTable,
     bootstrap,
     moments,
@@ -38,7 +38,23 @@ def naive_moments(values):
     return mean, math.sqrt(m2), m3 / m2**1.5, m4 / (m2 * m2)
 
 
-def reference_moments(arr) -> Moments:
+@dataclass(frozen=True)
+class MomentRow:
+    """One sample's moments in Python floats: the per-sample record of these
+    tests' references, and one row of a moment table."""
+
+    n: int
+    mean: float
+    std: float
+    skewness: float
+    kurtosis: float
+
+    @property
+    def degenerate(self) -> bool:
+        return math.isnan(self.skewness)
+
+
+def reference_moments(arr) -> MomentRow:
     """One 1-D sample at a time, as before the block kernel: the bitwise
     reference for every kernel caller."""
     n = arr.size
@@ -49,22 +65,28 @@ def reference_moments(arr) -> Moments:
     m3 = float((d2 * d).mean())
     m4 = float((d2 * d2).mean())
     if m2 < DEGENERACY_EPS * (1.0 + mean * mean):
-        return Moments(n, mean, math.sqrt(m2), math.nan, math.nan)
-    return Moments(n, mean, math.sqrt(m2), m3 / m2**1.5, m4 / (m2 * m2))
+        return MomentRow(n, mean, math.sqrt(m2), math.nan, math.nan)
+    return MomentRow(n, mean, math.sqrt(m2), m3 / m2**1.5, m4 / (m2 * m2))
 
 
 def reference_windows(values, t_ms, window, stride):
-    """(start, t_start_ms, t_end_ms, Moments) of each window, one at a time."""
+    """(start, t_start_ms, t_end_ms, MomentRow) of each window, one at a time."""
     return [
         (start, int(t_ms[start]), int(t_ms[start + window - 1]), reference_moments(values[start : start + window]))
         for start in range(0, len(values) - window + 1, stride)
     ]
 
 
-def table_rows(table) -> list[Moments]:
-    """The rows of a moment table as Moments, for the per-sample references."""
+def table_rows(table) -> list[MomentRow]:
+    """The rows of a moment table, for the per-sample references."""
     cols = (table.mean, table.std, table.skewness, table.kurtosis)
-    return [Moments(table.n, *row) for row in zip(*(c.tolist() for c in cols))]
+    return [MomentRow(table.n, *row) for row in zip(*(c.tolist() for c in cols))]
+
+
+def moments_row(values) -> MomentRow:
+    """The one row of ``moments(values)``."""
+    (m,) = table_rows(moments(values))
+    return m
 
 
 def reference_bootstrap(arr, B, seed, block_values):
@@ -87,7 +109,7 @@ def reference_bootstrap(arr, B, seed, block_values):
     return points, redraws
 
 
-def bits(m: Moments) -> tuple:
+def bits(m: MomentRow) -> tuple:
     """Every field of m, floats by their exact bits (NaN equals NaN)."""
     return (m.n,) + tuple(float.hex(v) for v in (m.mean, m.std, m.skewness, m.kurtosis))
 
@@ -103,7 +125,10 @@ def series_of(values):
 
 class TestMoments:
     def test_one_to_five(self):
-        m = moments([1, 2, 3, 4, 5])
+        table = moments([1, 2, 3, 4, 5])
+        assert isinstance(table, MomentColumns) and len(table) == 1
+        assert table.degenerate.tolist() == [False]
+        m = moments_row([1, 2, 3, 4, 5])
         assert m.n == 5
         assert m.mean == 3.0
         assert m.std == math.sqrt(2.0)
@@ -112,7 +137,7 @@ class TestMoments:
         assert m.kurtosis == pytest.approx(1.7, abs=1e-15)
 
     def test_constant_sample_degenerate(self):
-        m = moments([4.2, 4.2, 4.2, 4.2])
+        m = moments_row([4.2, 4.2, 4.2, 4.2])
         assert m.degenerate
         assert math.isnan(m.skewness) and math.isnan(m.kurtosis)
         assert m.n == 4 and m.mean == pytest.approx(4.2, rel=1e-15) and m.std < 1e-15
@@ -128,7 +153,7 @@ class TestMoments:
         # features.extract_features reads mean and std of a degenerate accel
         # channel from moments(); they must be the bits numpy gives.
         x = level + jitter * np.random.default_rng(seed).standard_normal(n)
-        m = moments(x)
+        m = moments_row(x)
         assert m.degenerate
         assert float.hex(m.mean) == float.hex(float(x.mean()))
         assert float.hex(m.std) == float.hex(float(x.std()))
@@ -143,7 +168,7 @@ class TestMoments:
 
     def test_normal_draws_kurtosis(self):
         x = np.random.default_rng(42).standard_normal(100_000)
-        m = moments(x)
+        m = moments_row(x)
         assert abs(m.kurtosis - 3.0) < 0.1
         assert abs(m.skewness) < 0.05
 
@@ -151,7 +176,7 @@ class TestMoments:
         for _ in range(50):
             n = int(rng.integers(4, 500))
             x = rng.normal(rng.uniform(-10, 10), rng.uniform(0.1, 5), n)
-            m = moments(x)
+            m = moments_row(x)
             mean, std, skew, kurt = naive_moments([float(v) for v in x])
             assert m.mean == pytest.approx(mean, rel=1e-9)
             assert m.std == pytest.approx(std, rel=1e-9)
@@ -167,8 +192,8 @@ class TestMoments:
     def test_affine_invariance(self, values, a, b):
         arr = np.asarray(values)
         assume(arr.std() > 1e-3 * (1 + abs(arr.mean())))
-        base = moments(arr)
-        scaled = moments(a * arr + b)
+        base = moments_row(arr)
+        scaled = moments_row(a * arr + b)
         assert scaled.skewness == pytest.approx(base.skewness, abs=1e-9 * (1 + abs(base.skewness)))
         assert scaled.kurtosis == pytest.approx(base.kurtosis, abs=1e-9 * (1 + base.kurtosis))
         assert scaled.mean == pytest.approx(a * base.mean + b, rel=1e-9, abs=1e-9)
@@ -179,8 +204,8 @@ class TestMoments:
     def test_sign_flip_and_pearson_inequality(self, values):
         arr = np.asarray(values)
         assume(arr.std() > 1e-3 * (1 + abs(arr.mean())))
-        m = moments(arr)
-        flipped = moments(-arr)
+        m = moments_row(arr)
+        flipped = moments_row(-arr)
         assert flipped.skewness == pytest.approx(-m.skewness, abs=1e-9 * (1 + abs(m.skewness)))
         assert flipped.kurtosis == pytest.approx(m.kurtosis, rel=1e-9)
         assert m.kurtosis >= m.skewness**2 + 1.0 - 1e-12
@@ -232,7 +257,7 @@ class TestSlidingWindows:
         for start, t0, t1, m in zip(wins.start.tolist(), wins.t_start_ms, wins.t_end_ms, table_rows(wins)):
             assert t0 == 10 * start
             assert t1 == 10 * (start + wins.n - 1)
-            assert m == moments(values[start : start + 10])
+            assert m == moments_row(values[start : start + 10])
 
     def test_columns_are_typed_and_read_only(self, rng):
         wins = sliding_windows(series_of(rng.normal(0, 1, 50)), window=8, stride=3)
@@ -269,11 +294,11 @@ class TestKernelBits:
             x = rng.integers(0, 3, (3, n)).astype(float)
         rows = table_rows(MomentColumns(n, *stats._block_moments(x)))
         assert [bits(m) for m in rows] == [bits(reference_moments(x[i].copy())) for i in range(3)]
-        assert bits(moments(x[0])) == bits(rows[0])
+        assert bits(moments_row(x[0])) == bits(rows[0])
 
     def test_long_rows_past_the_buffer_size(self):
         x = np.random.default_rng(1).lognormal(0.0, 1.5, 70_001)
-        assert bits(moments(x)) == bits(reference_moments(x))
+        assert bits(moments_row(x)) == bits(reference_moments(x))
 
 
 class TestMomentOverflow:
@@ -292,7 +317,7 @@ class TestMomentOverflow:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_large_values_below_the_limit_are_finite(self):
-        m = moments(self.BIG * 1e-5)
+        m = moments_row(self.BIG * 1e-5)
         assert all(math.isfinite(v) for v in (m.mean, m.std, m.skewness, m.kurtosis))
 
 
@@ -420,21 +445,11 @@ class TestWindowCsv:
         write_windows_csv(path, wins)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == [
-            "start_index",
-            "t_start_ms",
-            "t_end_ms",
-            "n",
-            "mean",
-            "std",
-            "skewness",
-            "kurtosis",
-            "degenerate",
-        ]
+        assert rows[0] == ["start_index", "t_start_ms", "t_end_ms", "mean", "std", "skewness", "kurtosis"]
         assert len(rows) == 3
-        assert rows[1][-1] == "false" and rows[2][-1] == "true"
-        assert rows[2][6] == "" and rows[2][7] == ""
-        assert float(rows[1][4]) == wins.mean[0]
+        assert rows[1][5] != "" and rows[1][6] != ""
+        assert rows[2][5] == "" and rows[2][6] == ""
+        assert float(rows[1][3]) == wins.mean[0]
 
     @pytest.mark.parametrize("chunk", [1, 4, 5, ingest.CHUNK_ROWS])
     def test_table_spanning_several_chunks(self, tmp_path, rng, chunk):
@@ -446,7 +461,7 @@ class TestWindowCsv:
         w = csv.writer(ref)
         w.writerow(stats.WINDOW_CSV_HEADER)
         for start, t0, t1, m in zip(wins.start.tolist(), wins.t_start_ms.tolist(), wins.t_end_ms.tolist(), table_rows(wins)):
-            shape = ["", "", "true"] if m.degenerate else [repr(m.skewness), repr(m.kurtosis), "false"]
-            w.writerow([start, t0, t1, m.n, repr(m.mean), repr(m.std)] + shape)
+            shape = ["", ""] if m.degenerate else [repr(m.skewness), repr(m.kurtosis)]
+            w.writerow([start, t0, t1, repr(m.mean), repr(m.std)] + shape)
         assert wins.degenerate.sum() > 0
         assert (tmp_path / "w.csv").read_bytes() == ref.getvalue().encode()
