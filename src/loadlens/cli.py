@@ -315,8 +315,10 @@ def _count(text: str) -> int:
 #: form per result" records), ``synth sessions --n``,
 #: ``train --hidden`` (the fit's memory and time grow with the square of
 #: the width) and ``train --epochs`` (100 times the benchmark's 1,000; on
-#: the same machine about 28 s for 120 rows and the default layers, and
-#: 5 MB each of report and loss curve, which hold 2 (epochs + 1) losses).
+#: the same machine about 25 s for 120 rows and the default layers, and
+#: 5 MB each of report and loss curve, which hold 2 (epochs + 1) losses, as
+#: the CHANGES.md line "Fit and score the network in fewer numpy calls"
+#: records).
 #: Larger requests fail here, not in a huge allocation or a run of hours.
 MAX_BOOTSTRAP = 100_000
 MAX_EPOCHS = 100_000
@@ -412,7 +414,7 @@ def build_parser() -> _Parser:
         p.add_argument("--features", required=True)
         p.add_argument("--model", choices=["lrm", "dnn"], required=True)
         p.add_argument("--preset", choices=sorted(PRESETS), default="all")
-        epochs = f"training epochs, >= 1 and at most {MAX_EPOCHS:,} (about 30 s and 10 MB of report and loss curve for 120 rows)"
+        epochs = f"training epochs, >= 1 and at most {MAX_EPOCHS:,}"
         p.add_argument("--epochs", type=_at_most(MAX_EPOCHS), default=DnnConfig.epochs, help=epochs)
         p.add_argument("--lr", type=float, default=DnnConfig.lr)
         p.add_argument("--batch", type=int, default=DnnConfig.batch)

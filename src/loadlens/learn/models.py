@@ -10,9 +10,20 @@ flat vector and writes each batch gradient into views of a second one, so an
 update is two whole-vector operations. Every element operation is the one of
 the textbook per-batch update (forward trace, backpropagated MSE gradient,
 ``W - lr * dW`` per layer), so the fitted layers and both loss curves match
-that update bit for bit. ``_FlatNet.forward`` is the one forward pass: the
-gradient's trace, the per-epoch losses and ``NetworkModel.predict`` all run
-it.
+that update bit for bit.
+
+A fit does those operations in few numpy calls. Each epoch gathers its
+permuted rows with ``take`` into one fixed buffer; the batches are slices of
+it, and their ``out=`` buffers and the transposed views the gradient needs
+are built once per fit. The per-epoch train and validation losses run every
+``_LOSS_BLOCK`` epochs on the stacked parameter snapshots of those epochs:
+one matmul per layer over a (K, fan_in, fan_out) stack, and one row
+reduction per loss. The stacking rule: stack, do not flatten. A stacked
+``np.matmul`` computes each slice bit for bit as the 2-D call on that slice;
+one 2-D product over the rows of all slices may round differently, because
+BLAS blocks a longer product differently. ``_forward`` is the one forward
+pass: the gradient's trace, the stacked loss passes, ``NetworkModel.predict``
+and the stacked copies of ``evaluate.permutation_importance`` all run it.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +73,7 @@ class Standardizer:
         zero = self.stds < STD_FLOOR
         scale = np.where(zero, 1.0, self.stds)
         out = (X - self.means) / scale
-        out[:, zero] = 0.0
+        out[..., zero] = 0.0
         return out
 
 
@@ -153,12 +165,71 @@ def init_layers(sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     return layers
 
 
+#: Epochs whose losses one stacked pass computes, from the parameter
+#: snapshots of those epochs. No loss depends on it; it sets the memory of
+#: the snapshots and loss buffers: 31 KB per epoch, 0.25 MB in all, for the
+#: default layers on the benchmark's 84 train and 18 validation rows of 12
+#: features.
+_LOSS_BLOCK = 8
+
+
+def _forward(a, layers, acts) -> np.ndarray:
+    """Network output for the rows of ``a``: rectified-linear hidden layers
+    and a linear output layer, computed into ``acts`` (one buffer per layer);
+    the output is a view into the last buffer.
+
+    Either ``a`` or the layers may carry a leading stack axis: ``a`` of
+    shape (K, n, fan_in) stacks K row sets, layers of shapes
+    (K, fan_in, fan_out) and (K, 1, fan_out) stack K parameter sets, and
+    the output has shape (K, n). Each slice of the output has the bits of
+    the pass over that slice alone (see the stacking rule of the module
+    docstring).
+    """
+    *hidden, (W, b) = layers
+    for (Wh, bh), z in zip(hidden, acts):
+        np.matmul(a, Wh, z)
+        np.add(z, bh, z)
+        np.maximum(z, 0.0, out=z)
+        a = z
+    z = acts[-1]
+    np.matmul(a, W, z)
+    np.add(z, b, z)
+    return z[..., 0]
+
+
+def _views(flat, layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views with the shapes of ``layers`` into the last axis of
+    ``flat``. A leading stack axis of ``flat`` leads every view, and each
+    bias then gets a unit row axis, (K, 1, fan_out), to broadcast over the
+    rows of a stacked pass."""
+    lead = flat.shape[:-1]
+    views, at = [], 0
+    for W, _ in layers:
+        (fan_in, fan_out), end = W.shape, at + W.size
+        b = flat[..., end : end + fan_out]
+        views.append((flat[..., at:end].reshape(lead + (fan_in, fan_out)), b[..., None, :] if lead else b))
+        at = end + fan_out
+    return views
+
+
+class _Batch(NamedTuple):
+    """One mini-batch's rows and the ``out=`` buffers and views of its
+    gradient, built once per fit (see ``_FlatNet.batch``)."""
+
+    X: np.ndarray
+    y: np.ndarray
+    acts: list
+    delta: np.ndarray
+    resid: np.ndarray
+    scale: float
+    back: list
+
+
 class _FlatNet:
     """Layers as views into one flat parameter vector ``P``, and the
     gradients of a mini-batch as the same views into one flat vector ``G``.
 
-    ``forward`` runs the layers through ``out=`` buffers cached per row
-    count. ``gradient`` takes its trace from ``forward`` and writes the
+    ``gradient`` takes its trace from ``_forward`` and writes the
     backpropagated gradient of the batch MSE into ``G`` with the element
     operations of a textbook per-batch update (forward trace,
     ``(2/n) * resid``, ``delta @ W.T`` times the 0/1 mask of active units),
@@ -168,21 +239,13 @@ class _FlatNet:
     def __init__(self, layers):
         self.P = np.concatenate([np.concatenate([W.ravel(), b]) for W, b in layers])
         self.G = np.empty_like(self.P)
-        self.layers = self._views(self.P, layers)
-        self.grads = self._views(self.G, layers)
+        self.layers = _views(self.P, layers)
+        self.grads = _views(self.G, layers)
         self._buffers: dict[int, tuple] = {}
 
-    @staticmethod
-    def _views(flat, layers):
-        views, at = [], 0
-        for W, b in layers:
-            (fan_in, fan_out), end = W.shape, at + W.size
-            views.append((flat[at:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
-            at = end + fan_out
-        return views
-
     def _work(self, n: int) -> tuple:
-        """Activation, delta and mask buffers for a pass over ``n`` rows."""
+        """Activation, delta and mask buffers for a pass over ``n`` rows,
+        shared by the batches of ``n`` rows."""
         work = self._buffers.get(n)
         if work is None:
             widths = [W.shape[1] for W, _ in self.layers]
@@ -192,40 +255,53 @@ class _FlatNet:
             work = self._buffers[n] = (acts, deltas, masks)
         return work
 
-    def forward(self, X) -> np.ndarray:
-        """Network output for the rows of ``X``, shape (n,): rectified-linear
-        hidden layers and a linear output layer. The activations stay in the
-        buffers of ``len(X)`` rows, and the output is a view into the last
-        one, valid until the next pass over as many rows."""
-        acts = self._work(len(X))[0]
-        last = len(self.layers) - 1
-        a = X
-        for i, (W, b) in enumerate(self.layers):
-            z = acts[i]
-            np.matmul(a, W, out=z)
-            np.add(z, b, out=z)
-            if i < last:
-                np.maximum(z, 0.0, out=z)
-            a = z
-        return a[:, 0]
-
-    def gradient(self, X, y) -> None:
-        """Write the gradient of mean((forward(X) - y)**2) into ``G``."""
+    def batch(self, X, y) -> _Batch:
+        """The gradient plan of the rows ``X, y``. It holds views, not
+        copies: refilling ``X`` and ``y`` in place changes the batch."""
         acts, deltas, masks = self._work(len(y))
-        last = len(self.layers) - 1
-        d = deltas[last]
-        np.subtract(self.forward(X), y, out=d[:, 0])
-        np.multiply(2.0 / len(y), d, out=d)
-        for i in range(last, -1, -1):
+        ins = [X] + acts[:-1]
+        back = []
+        for i in range(len(self.layers) - 1, -1, -1):
             dW, db = self.grads[i]
-            np.matmul((acts[i - 1] if i else X).T, d, out=dW)
-            np.add.reduce(d, axis=0, out=db)
-            if i:
-                prev, mask = deltas[i - 1], masks[i - 1]
-                np.matmul(d, self.layers[i][0].T, out=prev)
-                np.greater(acts[i - 1], 0.0, out=mask)
-                np.multiply(prev, mask, out=prev)
-                d = prev
+            down = (self.layers[i][0].T, deltas[i - 1], acts[i - 1], masks[i - 1]) if i else (None,) * 4
+            back.append((ins[i].T, deltas[i], dW, db) + down)
+        return _Batch(X, y, acts, deltas[-1], deltas[-1][:, 0], 2.0 / len(y), back)
+
+    def gradient(self, batch: _Batch) -> None:
+        """Write the gradient of mean((forward(X) - y)**2) into ``G``."""
+        np.subtract(_forward(batch.X, self.layers, batch.acts), batch.y, batch.resid)
+        np.multiply(batch.scale, batch.delta, batch.delta)
+        for aT, d, dW, db, WT, prev, a, mask in batch.back:
+            np.matmul(aT, d, dW)
+            np.add.reduce(d, 0, None, db)
+            if WT is not None:
+                np.matmul(d, WT, prev)
+                np.greater(a, 0.0, mask)
+                np.multiply(prev, mask, prev)
+
+
+class _LossPass:
+    """The MSE on fixed rows ``X, y`` of the first m parameter sets of a
+    stack (layers as ``_views`` of a (K, P.size) array), in one stacked
+    forward pass; each loss has the bits of ``mean((forward(X) - y)**2)``
+    for its parameter set alone, since numpy reduces each row of the
+    squared residuals with the pairwise summation of a 1-D array."""
+
+    def __init__(self, X, y, stacked):
+        k, n = len(stacked[0][0]), len(y)
+        self.X, self.y, self.layers = X, y, stacked
+        self.acts = [np.empty((k, n, W.shape[-1])) for W, _ in stacked]
+        self.sq = np.empty((k, n))
+        self.loss = np.empty(k)
+
+    def __call__(self, m: int) -> list[float]:
+        layers = [(W[:m], b[:m]) for W, b in self.layers]
+        sq, loss = self.sq[:m], self.loss[:m]
+        np.subtract(_forward(self.X, layers, [a[:m] for a in self.acts]), self.y, sq)
+        np.multiply(sq, sq, sq)
+        np.add.reduce(sq, 1, None, loss)
+        np.divide(loss, len(self.y), loss)
+        return loss.tolist()
 
 
 @dataclass(frozen=True)
@@ -241,7 +317,8 @@ class NetworkModel:
         return "dnn"
 
     def predict(self, X) -> np.ndarray:
-        return _FlatNet(self.layers).forward(self.standardizer.transform(_as_matrix(X)))
+        Z = self.standardizer.transform(_as_matrix(X))
+        return _forward(Z, self.layers, [np.empty(Z.shape[:-1] + W.shape[1:]) for W, _ in self.layers])
 
 
 def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig = DnnConfig()):
@@ -263,34 +340,44 @@ def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig 
     rng = np.random.default_rng(config.seed)
     sizes = (Zt.shape[1],) + tuple(config.hidden) + (1,)
     net = _FlatNet(init_layers(sizes, rng))
-    step = np.empty_like(net.P)
-
-    def mse(X, y) -> float:
-        r = net.forward(X) - y
-        return float((r * r).mean())
-
-    def record(train_losses, val_losses, epoch):
-        tl = mse(Zt, y_train)
-        vl = mse(Zv, yv) if Zv is not None else float("nan")
-        if not np.isfinite(tl) or (Zv is not None and not np.isfinite(vl)):
-            raise NonFiniteLoss(epoch, tl if not np.isfinite(tl) else vl, config.lr)
-        train_losses.append(tl)
-        val_losses.append(vl)
-
+    P, G, lr = net.P, net.G, config.lr
+    step = np.empty_like(P)
+    n = len(y_train)
+    # each epoch gathers its permuted rows into Xo, yo, which the batches view
+    Xo, yo = np.empty_like(Zt), np.empty_like(y_train)
+    batches = [net.batch(Xo[s : s + config.batch], yo[s : s + config.batch]) for s in range(0, n, config.batch)]
+    snapshots = np.empty((_LOSS_BLOCK, P.size))
+    stacked = _views(snapshots, net.layers)
+    train_pass = _LossPass(Zt, y_train, stacked)
+    val_pass = _LossPass(Zv, yv, stacked) if Zv is not None else None
     train_losses: list[float] = []
     val_losses: list[float] = []
-    n = len(y_train)
+
+    def record(first: int, m: int) -> None:
+        """Losses of the epochs first .. first + m - 1, from the snapshots."""
+        tl = train_pass(m)
+        vl = val_pass(m) if val_pass is not None else [math.nan] * m
+        for epoch, t, v in zip(range(first, first + m), tl, vl):
+            if not math.isfinite(t) or (val_pass is not None and not math.isfinite(v)):
+                raise NonFiniteLoss(epoch, t if not math.isfinite(t) else v, lr)
+        train_losses.extend(tl)
+        val_losses.extend(vl)
+
     # a diverging fit overflows before record() sees the non-finite loss
     with np.errstate(over="ignore", invalid="ignore"):
-        record(train_losses, val_losses, 0)
-        for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(n)
-            Xo, yo = Zt[order], y_train[order]
-            for start in range(0, n, config.batch):
-                net.gradient(Xo[start : start + config.batch], yo[start : start + config.batch])
-                np.multiply(config.lr, net.G, out=step)
-                np.subtract(net.P, step, out=net.P)
-            record(train_losses, val_losses, epoch)
+        for epoch in range(config.epochs + 1):
+            if epoch:
+                order = rng.permutation(n)
+                Zt.take(order, 0, Xo, "clip")
+                y_train.take(order, 0, yo, "clip")
+                for batch in batches:
+                    net.gradient(batch)
+                    np.multiply(lr, G, step)
+                    np.subtract(P, step, P)
+            slot = epoch % _LOSS_BLOCK
+            snapshots[slot] = P
+            if slot == _LOSS_BLOCK - 1 or epoch == config.epochs:
+                record(epoch - slot, slot + 1)
 
     model = NetworkModel(features=tuple(feature_names), standardizer=std, layers=net.layers)
     return model, train_losses, val_losses

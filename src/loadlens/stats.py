@@ -113,8 +113,9 @@ def _block_moments(blk: np.ndarray) -> list[np.ndarray]:
         d = blk - mean[:, None]
         d2 = d * d
         m2 = d2.mean(axis=1)
-        m3 = (d2 * d).mean(axis=1)
-        m4 = (d2 * d2).mean(axis=1)
+        # the third and fourth powers overwrite d and d2: two temporaries per block, not four
+        m3 = np.multiply(d2, d, out=d).mean(axis=1)
+        m4 = np.multiply(d2, d2, out=d2).mean(axis=1)
         ok = ~(m2 < DEGENERACY_EPS * (1.0 + mean * mean))
     if not (np.isfinite(m2).all() and np.isfinite(m3).all() and np.isfinite(m4).all()):
         raise MomentOverflow("central moments overflow float64: values lie more than about 1e77 from their mean")

@@ -10,12 +10,12 @@ recording are out of reach by construction, so tests anchor to these
 generator properties instead: ``tests/test_claims.py`` checks the paper's
 hypothesis 2 on them.
 
-``gen_rr`` floors each interval at 1.0 ms (``max(..., 1.0)``): a beat whose
-mean, noise and skew terms sum below 1 ms is written as a 1 ms beat, which
-keeps every rr file valid (rr_ms > 0) but not physiological. The floor
-fires under the heaviest loads: ``synth sessions --n 40 --seed 1`` writes 82
-such beats among 721,763, so 32 of 40 skiing and 5 of 40 running sessions
-read an ``mhr_bpm`` of 60,000.
+``gen_rr`` floors each interval at 1.0 ms: a beat whose mean, noise and skew
+terms sum below 1 ms is written as a 1 ms beat, which keeps every rr file
+valid (rr_ms > 0) but not physiological. The floor fires under the heaviest
+loads: ``synth sessions --n 40 --seed 1`` writes 82 such beats among
+721,763, so 32 of 40 skiing and 5 of 40 running sessions read an ``mhr_bpm``
+of 60,000.
 """
 
 from __future__ import annotations
@@ -127,43 +127,69 @@ def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> Channel:
     the generated rr values."""
     rng = np.random.default_rng(config.seed)
     noise = _noise_pairs(rng)
-    ts: list[int] = []
     rrs: list[float] = []
-    # Per-beat hot loop with per-segment constants hoisted into locals. Each
-    # float expression must keep its operation order: the written rr files
-    # are pinned byte for byte.
+    append = rrs.append
+    # One per-beat loop per phase, with per-segment constants hoisted into
+    # locals. Each float expression must keep its operation order: the
+    # written rr files are pinned byte for byte. A segment that ends before
+    # the current time draws no beat and leaves ``mean`` as it was.
     exp = math.exp
     base = config.baseline_rr_ms
     noise_ms = NOISE_REST_MS
     t_cum = 0.0
     mean = base
     for seg in protocol.segments:
-        phase = seg.phase
         seg_start = t_cum
         seg_end = seg_start + seg.duration_s * 1000.0
+        if not t_cum < seg_end:
+            continue
         seg_len = seg_end - seg_start
         entry_mean = mean
-        target = base - seg.intensity * LOAD_DROP_MS
-        load_skew = -SKEW_SCALE_LOAD * seg.intensity
-        recovery_skew = SKEW_SCALE_LOAD * seg.intensity
-        while t_cum < seg_end:
-            dt_s = (t_cum - seg_start) / 1000.0
-            if phase == REST:
-                mean = base
-                s_amt = 0.0
-            elif phase == LOAD:
+        if seg.phase == REST:
+            mean = base
+            # at rest the skew term is 0.0 * b, a signed zero, which leaves a sum with base > 0 unchanged
+            for z, b in noise:
+                rr = base + noise_ms * z
+                if rr < 1.0:
+                    rr = 1.0
+                append(rr)
+                t_cum += rr
+                if not t_cum < seg_end:
+                    break
+        elif seg.phase == LOAD:
+            target = base - seg.intensity * LOAD_DROP_MS
+            load_skew = -SKEW_SCALE_LOAD * seg.intensity
+            for z, b in noise:
+                dt_s = (t_cum - seg_start) / 1000.0
                 mean = target + (entry_mean - target) * exp(-dt_s / LOAD_ONSET_TAU_S)
                 s_amt = load_skew * ((t_cum - seg_start) / seg_len)
-            else:  # recovery
+                rr = mean + noise_ms * z + s_amt * b
+                if rr < 1.0:
+                    rr = 1.0
+                append(rr)
+                t_cum += rr
+                if not t_cum < seg_end:
+                    break
+        else:  # recovery
+            recovery_skew = SKEW_SCALE_LOAD * seg.intensity
+            for z, b in noise:
+                dt_s = (t_cum - seg_start) / 1000.0
                 decay = exp(-dt_s / RECOVERY_TAU_S)
                 mean = base + (entry_mean - base) * decay
                 s_amt = recovery_skew * decay
-            z, b = next(noise)
-            rr = max(mean + noise_ms * z + s_amt * b, 1.0)
-            ts.append(round(t_cum))
-            rrs.append(rr)
-            t_cum += rr
-    return Channel(np.array(ts, dtype=np.int64), np.array(rrs))
+                rr = mean + noise_ms * z + s_amt * b
+                if rr < 1.0:
+                    rr = 1.0
+                append(rr)
+                t_cum += rr
+                if not t_cum < seg_end:
+                    break
+    rr = np.array(rrs)
+    # each beat's time is the sum of the rr values before it: cumsum adds
+    # left to right as t_cum did, and rint rounds half to even as round() does
+    t = np.zeros(len(rr))
+    np.cumsum(rr[:-1], out=t[1:])
+    return Channel(np.rint(t).astype(np.int64), rr)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
-from loadlens.errors import EmptyEvalSet
+from loadlens.errors import EmptyEvalSet, MomentOverflow
 from loadlens.learn.data import PRESETS, build_xy
-from loadlens.learn.evaluate import evaluate_xy, permutation_importance, run_training
-from loadlens.learn.models import DnnConfig, fit_lrm_xy
+from loadlens.learn.evaluate import IMPORTANCE_REPEATS, evaluate_xy, permutation_importance, run_training
+from loadlens.learn.models import DnnConfig, LinearModel, Standardizer, fit_dnn_xy, fit_lrm_xy
 from tests.conftest import make_rows
 
 
@@ -72,6 +75,14 @@ class TestEvaluate:
         with pytest.raises(EmptyEvalSet):
             evaluate_xy(ConstantModel(1.0), np.zeros((0, 2)), np.zeros(0))
 
+    def test_metrics_have_the_bits_of_np_mean(self, rng):
+        X = rng.normal(0, 1, (37, 3))
+        y = rng.normal(0, 1, 37)
+        model = fit_lrm_xy(X, y, ["a", "b", "c"])
+        resid = model.predict(X) - y
+        ev = evaluate_xy(model, X, y)
+        assert (ev.mae, ev.mrd) == (float(np.abs(resid).mean()), float((resid * resid).mean()))
+
     def test_row_level(self, rng):
         rows = make_rows(rng.normal(70, 5, (12, 2)), [i % 3 for i in range(12)], ["ahr", "mhr"])
         ev = evaluate_xy(ConstantModel(1.0), *build_xy(rows, PRESETS["hr"])[:2])
@@ -130,6 +141,86 @@ class TestPermutationImportance:
         a = permutation_importance(model, X, zeros, seed=3)
         b = permutation_importance(model, X, zeros, seed=3)
         assert a == b
+
+
+def reference_importance(model, X, y, seed):
+    """Permutation importance by the per-copy loop: each shuffled copy is
+    scored alone by ``evaluate_xy``, in the draw order of
+    ``permutation_importance``."""
+    X = np.asarray(X, dtype=float)
+    rng = np.random.default_rng(seed)
+    baseline = evaluate_xy(model, X, y).mrd
+    p = X.shape[1]
+    raw = np.zeros(p)
+    for j in range(p):
+        deltas = []
+        for _ in range(IMPORTANCE_REPEATS):
+            Xp = X.copy()
+            Xp[:, j] = Xp[rng.permutation(len(Xp)), j]
+            deltas.append(evaluate_xy(model, Xp, y).mrd - baseline)
+        raw[j] = max(0.0, float(np.mean(deltas)))
+    total = raw.sum()
+    if total == 0.0:
+        warnings.warn("all permutation importances are zero; reporting uniform weights")
+        raw = np.full(p, 1.0 / p)
+        total = 1.0
+    return list(zip(model.features, (raw / total).tolist()))
+
+
+class TestPermutationImportanceMatchesPerCopyLoop:
+    """The stacked scoring of each column's shuffled copies gives the bits of
+    scoring every copy alone."""
+
+    NAMES = ["ahr", "mhr", "acc_std", "metric1"]
+
+    def _model(self, kind, X, y):
+        if kind == "dnn":
+            return fit_dnn_xy(X, y, None, None, self.NAMES, DnnConfig(hidden=(8, 4), epochs=20, seed=1))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a constant column makes OLS take its ridge fallback
+            return fit_lrm_xy(X, y, self.NAMES)
+
+    @pytest.mark.parametrize("kind", ["lrm", "dnn"])
+    @pytest.mark.parametrize("case", ["varied", "zero_variance", "all_zero"])
+    def test_importances_are_bitwise_equal(self, rng, kind, case):
+        y, y_eval = (np.arange(40) % 3).astype(float), (np.arange(17) % 3).astype(float)
+        X = rng.normal(0, 1, (40, 4)) + y[:, None] * [1.0, 2.0, 0.0, -3.0]
+        X_eval = rng.normal(0, 1, (17, 4)) + y_eval[:, None] * [1.0, 2.0, 0.0, -3.0]
+        if case == "zero_variance":
+            # the standardizer maps a column constant in training to 0, whatever its shuffle
+            X[:, 1] = 4.0
+        if case == "all_zero":
+            # no shuffle of a constant column changes a row, so every raw delta is 0
+            X_eval[:] = X_eval[0]
+        model = self._model(kind, X, y)
+        for seed in (0, 7):
+            zero = pytest.warns(UserWarning, match="all permutation importances are zero")
+            with zero if case == "all_zero" else contextlib.nullcontext():
+                expected = reference_importance(model, X_eval, y_eval, seed)
+            with zero if case == "all_zero" else contextlib.nullcontext():
+                got = permutation_importance(model, X_eval, y_eval, seed)
+            assert [name for name, _ in got] == self.NAMES
+            assert np.array([v for _, v in got]).tobytes() == np.array([v for _, v in expected]).tobytes()
+            if case == "zero_variance":
+                assert got[1][1] == 0.0
+
+    def test_overflowing_copy_raises_the_per_copy_message(self):
+        """Baseline predictions cancel exactly; a shuffled copy does not, and
+        its squared error overflows."""
+        x = np.arange(-6.0, 6.0)
+        model = LinearModel(
+            features=("ahr", "mhr"),
+            standardizer=Standardizer(means=np.zeros(2), stds=np.ones(2)),
+            weights=np.array([2.0**600, 2.0**600]),
+            intercept=0.0,
+        )
+        X, y = np.column_stack([x, -x]), np.zeros(12)
+        with pytest.raises(MomentOverflow) as expected:
+            reference_importance(model, X, y, seed=3)
+        with pytest.raises(MomentOverflow) as got:
+            permutation_importance(model, X, y, seed=3)
+        assert str(got.value) == str(expected.value)
+        assert "MRD inf" in str(got.value)
 
 
 class TestRunTraining:

@@ -15,11 +15,14 @@ from loadlens.errors import (
     TooFewRows,
     UnknownLabel,
 )
+from loadlens.learn import models
 from loadlens.learn.data import PRESETS, build_xy, decode_prediction, encode_target, split
 from loadlens.learn.models import (
     DnnConfig,
     Standardizer,
+    _LOSS_BLOCK,
     _FlatNet,
+    _forward,
     fit_dnn_xy,
     fit_lrm_xy,
     init_layers,
@@ -215,6 +218,18 @@ class TestFitDnn:
         assert train_losses[-1] < train_losses[0] / 5
         assert np.isfinite(val_losses).all()
 
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_outputs_do_not_depend_on_the_loss_block(self, rng, monkeypatch, block):
+        X, X_val = rng.normal(0, 1, (30, 3)), rng.normal(0, 1, (9, 3))
+        y, y_val = rng.normal(0, 1, 30), rng.normal(0, 1, 9)
+        cfg = DnnConfig(hidden=(5, 4), epochs=10, batch=7, seed=2)
+        m1, t1, v1 = fit_dnn_xy(X, y, X_val, y_val, list("abc"), cfg)
+        monkeypatch.setattr(models, "_LOSS_BLOCK", block)
+        m2, t2, v2 = fit_dnn_xy(X, y, X_val, y_val, list("abc"), cfg)
+        assert np.array(t1 + v1).tobytes() == np.array(t2 + v2).tobytes()
+        for (W1, b1), (W2, b2) in zip(m1.layers, m2.layers):
+            assert W1.tobytes() == W2.tobytes() and b1.tobytes() == b2.tobytes()
+
     def test_determinism(self, rng):
         X = rng.normal(0, 1, (50, 4))
         y = rng.normal(0, 1, 50)
@@ -256,7 +271,7 @@ class TestGradients:
         X = rng.normal(0, 1, (8, 4))
         y = rng.normal(0, 1, 8)
         net = _FlatNet(init_layers((4, 6, 5, 1), rng))
-        net.gradient(X, y)
+        net.gradient(net.batch(X, y))
         grads = net.G.copy()
         h = 1e-5
         for j in range(net.P.size):
@@ -282,9 +297,10 @@ class TestGradients:
             assert (vW == W).all() and (vb == b).all()
             assert all(np.shares_memory(v, net.P) for v in (vW, vb))
             assert all(np.shares_memory(g, net.G) for g in (gW, gb))
-        out = net.forward(X)
+        batch = net.batch(X, rng.normal(0, 1, 7))
+        out = _forward(X, net.layers, batch.acts)
         assert out.shape == (7,) and out.tobytes() == _reference_forward_trace(layers, X)[0][-1][:, 0].tobytes()
-        net.gradient(X, rng.normal(0, 1, 7))
+        net.gradient(batch)
         assert np.isfinite(net.G).all()
         hidden = net._work(7)[0][0]
         assert hidden.shape == (7, 4) and (hidden >= 0).all()
@@ -356,7 +372,8 @@ def _fit_cases(draw):
     n = draw(st.integers(20, 70))
     config = DnnConfig(
         hidden=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))),
-        epochs=draw(st.integers(1, 4)),
+        # up to three loss blocks, so a fit records losses from several stacked passes
+        epochs=draw(st.integers(1, 3 * _LOSS_BLOCK)),
         lr=draw(st.sampled_from([0.001, 0.01, 0.1])),
         batch=draw(st.integers(1, n + 5)),
         seed=draw(st.integers(0, 2**63 - 1)),
@@ -368,6 +385,8 @@ class TestFlatStepMatchesPerBatchUpdate:
     @settings(deadline=None)
     @given(_fit_cases())
     @example((20, 5, False, 1, DnnConfig(hidden=(7,), epochs=2, lr=0.1, batch=1, seed=1)))  # diverges at epoch 2
+    # diverges at epoch 11, inside the second loss block
+    @example((20, 2, True, 0, DnnConfig(hidden=(7,), epochs=17, lr=0.2, batch=1, seed=0)))
     def test_layers_and_losses_are_bitwise_equal(self, case):
         n, p, with_val, data_seed, config = case
         data = np.random.default_rng(data_seed)
