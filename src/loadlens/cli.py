@@ -91,30 +91,31 @@ def cmd_plane(args) -> dict:
 
 
 def _session_features(task):
-    """Parse one session's channel files and extract its feature row;
-    returns the row and the digests of the two files."""
+    """Parse one session's channel files and extract its features; returns
+    their values in ``ALL_FEATURES`` order and the digests of the two files."""
     from . import features, ingest
 
     meta, accel_path, rr_path = task
     digests = {}
     accel = ingest.accel_magnitude(ingest.parse_accel_csv(accel_path, digests))
     rr = ingest.parse_rr_csv(rr_path, digests)
-    return features.extract_features(meta, accel, rr), digests
+    return list(features.extract_features(meta, accel, rr).values()), digests
 
 
 def cmd_features(args) -> dict:
-    from .features import write_features_csv
+    from .features import FeatureTable, write_features_csv
     from .ingest import _map_sessions, parse_sessions_csv, resolve_channel_path
 
     # forked workers start with the modules loaded here: load what extraction imports
     from . import momentplane, stats  # noqa: F401
 
+    metas = parse_sessions_csv(args.sessions)
     tasks = [
         (meta, resolve_channel_path(args.sessions, meta.accel_file), resolve_channel_path(args.sessions, meta.rr_file))
-        for meta in parse_sessions_csv(args.sessions)
+        for meta in metas
     ]
-    rows, session_digests = zip(*_map_sessions(_session_features, tasks))
-    write_features_csv(args.out, rows)
+    values, session_digests = zip(*_map_sessions(_session_features, tasks))
+    write_features_csv(args.out, FeatureTable([m.session_id for m in metas], [m.activity for m in metas], values))
     inputs = [args.sessions] + [path for _, accel_path, rr_path in tasks for path in (accel_path, rr_path)]
     digests = {path: sha256 for d in session_digests for path, sha256 in d.items()}
     return {"config": {}, "inputs": inputs, "digests": digests}
@@ -138,10 +139,9 @@ def _parse_columns(text: str) -> tuple[str, ...]:
 def cmd_correlate(args) -> dict:
     from .features import ALL_FEATURES, correlation_matrix, read_features_csv, write_correlation_csv
 
-    rows = read_features_csv(args.features)
+    table = read_features_csv(args.features)
     columns = ALL_FEATURES if args.columns is None else _parse_columns(args.columns)
-    corr = correlation_matrix(rows, columns)
-    write_correlation_csv(args.out, corr)
+    write_correlation_csv(args.out, columns, correlation_matrix(table, columns))
     return {"config": {"columns": list(columns)}, "inputs": [args.features]}
 
 
@@ -149,9 +149,8 @@ def cmd_cluster(args) -> dict:
     from .features import read_features_csv
     from .learn import cluster, data, models
 
-    rows = read_features_csv(args.features)
     columns = _parse_columns(args.columns)
-    X, _, kept_rows = data.build_xy(rows, columns)
+    X, _, kept = data.build_xy(read_features_csv(args.features), columns)
     std = models.Standardizer.fit(X)
     result = cluster.kmeans(std.transform(X), k=args.k, seed=args.seed, feature_names=columns)
     doc = {
@@ -163,8 +162,8 @@ def cmd_cluster(args) -> dict:
         "centroids": (result.centroids * std.stds + std.means).tolist(),
         "intensity_labels": {str(c): v for c, v in result.intensity_labels.items()},
         "assignments": [
-            {"session_id": r.session_id, "activity": r.activity, "cluster": int(c)}
-            for r, c in zip(kept_rows, result.assignments)
+            {"session_id": session_id, "activity": activity, "cluster": c}
+            for session_id, activity, c in zip(kept.session_id, kept.activity, result.assignments.tolist())
         ],
     }
     _write_json(args.out, doc)
@@ -184,8 +183,7 @@ def cmd_train(args) -> dict:
         batch=args.batch,
         seed=args.seed,
     )
-    rows = read_features_csv(args.features)
-    model, report = evaluate.run_training(rows, args.model, args.preset, config)
+    model, report = evaluate.run_training(read_features_csv(args.features), args.model, args.preset, config)
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.join(args.out_dir, f"{args.model}_{args.preset}")
     model_path, report_path, losses_path = f"{stem}.model.json", f"{stem}.report.json", f"{stem}.losses.csv"
@@ -206,9 +204,8 @@ def cmd_predict(args) -> dict:
     from .learn import data, models
 
     model = models.load_model(args.model)
-    rows = read_features_csv(args.features)
-    X, y, kept = data.build_xy(rows, model.features)
-    if not kept:
+    X, y, kept = data.build_xy(read_features_csv(args.features), model.features)
+    if not len(y):
         raise ParseError(f"{args.features}: no row has every model feature ({', '.join(model.features)})")
     with np.errstate(over="ignore", invalid="ignore"):
         yhat = model.predict(X)
@@ -216,8 +213,8 @@ def cmd_predict(args) -> dict:
         raise NumericError(f"{args.model}: the model predicts a value that is not a finite float64")
     header = ("session_id", "activity", "y_true", "y_pred", "predicted_activity")
     body = (
-        (r.session_id, r.activity, yt, yp, DEFAULT_ACTIVITIES[data.decode_prediction(yp)])
-        for r, yt, yp in zip(kept, y.tolist(), yhat.tolist())
+        (session_id, activity, yt, yp, DEFAULT_ACTIVITIES[data.decode_prediction(yp)])
+        for session_id, activity, yt, yp in zip(kept.session_id, kept.activity, y.tolist(), yhat.tolist())
     )
     _write_csv(args.out, header, body, lineterminator="\n")
     config = {"model_features": list(model.features), "kind": model.kind}
@@ -283,7 +280,8 @@ def _positive_float(text: str) -> float:
 
 
 #: Longest ``synth accel --duration`` in seconds: one day, 4.32 M rows at 50 Hz
-#: (285 MB of CSV). Longer requests fail here, not in a huge allocation.
+#: (290 MB of CSV, as the CHANGES.md line "One columnar form for per-session
+#: features" records). Longer requests fail here, not in a huge allocation.
 MAX_ACCEL_DURATION_S = 86_400.0
 
 
@@ -312,7 +310,9 @@ def _count(text: str) -> int:
 
 #: Largest sizes of ``plane --bootstrap`` (about 2 s and 16 MB of
 #: ``plane.json`` on a 2-vCPU x86-64 machine, as the CHANGES.md line "One
-#: form per result" records), ``synth sessions --n``,
+#: form per result" records), ``synth sessions --n`` (3,000 sessions, about
+#: 1 GB of CSV, as the CHANGES.md line "One way into a ``Channel``"
+#: records),
 #: ``train --hidden`` (the fit's memory and time grow with the square of
 #: the width) and ``train --epochs`` (100 times the benchmark's 1,000; on
 #: the same machine about 25 s for 120 rows and the default layers, and
@@ -419,7 +419,7 @@ def build_parser() -> _Parser:
         p.add_argument("--lr", type=float, default=DnnConfig.lr)
         p.add_argument("--batch", type=int, default=DnnConfig.batch)
         widths = f"comma-separated layer widths (default: {','.join(map(str, DnnConfig.hidden))}), {HIDDEN_LIMIT}"
-        p.add_argument("--hidden", type=_hidden, default=DnnConfig.hidden, help=f"{widths} (about 460 k weights)")
+        p.add_argument("--hidden", type=_hidden, default=DnnConfig.hidden, help=widths)
         _add_seed(p)
         p.add_argument("--out-dir", required=True)
         p.set_defaults(fn=cmd_train)
@@ -431,7 +431,7 @@ def build_parser() -> _Parser:
         p.set_defaults(fn=cmd_predict)
 
     def synth_sessions(p):
-        n = f"sessions per class, at most {MAX_SESSIONS_PER_CLASS:,} (3,000 sessions, about 1 GB of CSV)"
+        n = f"sessions per class, at most {MAX_SESSIONS_PER_CLASS:,}"
         p.add_argument("--n", type=_at_most(MAX_SESSIONS_PER_CLASS), required=True, help=n)
         _add_seed(p)
         p.add_argument("--out-dir", required=True)

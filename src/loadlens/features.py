@@ -1,4 +1,4 @@
-"""Per-session objective/subjective feature vectors and correlation analysis.
+"""Per-session objective/subjective features and correlation analysis.
 
 Objective parameters describe the workload itself (distance, duration,
 velocity, pace, metricD = pace^2); subjective parameters describe the body's
@@ -9,6 +9,11 @@ Units are fixed: km, minutes, km/h, min/km. AHR/MHR are computed from the
 unrounded instantaneous rate 60000/rr_ms; rounding first would throw away
 the extra significant digits the millisecond heartbeat provides.
 
+The features of many sessions have one form, a ``FeatureTable``: their
+ids and activities, and one float64 matrix of their features in
+``ALL_FEATURES`` order. ``features.csv`` holds one table, and a split is a
+table of some of its rows.
+
 Missing values are carried as NaN in memory and as empty cells in CSV;
 every other value is a finite float.
 """
@@ -16,37 +21,17 @@ every other value is a finite float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFile, MalformedRow, MissingChannel, MomentOverflow, TooFewRows, UnknownLabel
-from .ingest import DEFAULT_ACTIVITIES, Channel, SessionMeta, _parse_float, _read_rows
+from .errors import EmptyFile, MissingChannel, MomentOverflow, TooFewRows
+from .ingest import Channel, SessionMeta, _check_session_key, _parse_float, _read_rows
 from .manifest import _write_csv
 
 
-@dataclass(frozen=True)
-class SessionFeatures:
-    """One session's feature vector; NaN marks an undefined feature."""
-
-    session_id: str
-    activity: str
-    distance_km: float
-    duration_min: float
-    velocity_kmh: float
-    pace_min_per_km: float
-    metricD: float
-    ahr_bpm: float
-    mhr_bpm: float
-    acc_mean: float
-    acc_std: float
-    acc_skewness: float
-    acc_kurtosis: float
-    metric1: float
-    metric2: float
-
-
-#: Canonical feature name -> SessionFeatures attribute.
+#: Canonical feature name -> features.csv column, in the order of the
+#: columns of ``FeatureTable.values``.
 FEATURE_COLUMNS: dict[str, str] = {
     "distance": "distance_km",
     "duration": "duration_min",
@@ -65,25 +50,46 @@ FEATURE_COLUMNS: dict[str, str] = {
 
 ALL_FEATURES = tuple(FEATURE_COLUMNS)
 
-FEATURES_CSV_HEADER = tuple(f.name for f in dc_fields(SessionFeatures))
+FEATURES_CSV_HEADER = ("session_id", "activity", *FEATURE_COLUMNS.values())
 
 
-def feature_matrix(rows: list[SessionFeatures], names) -> np.ndarray:
-    """(n_rows, n_features) matrix of the features named in ``names``
-    (keys of ``FEATURE_COLUMNS``), NaN for missing; shape (0, n_features)
-    for no rows."""
-    attrs = [FEATURE_COLUMNS[n] for n in names]
-    values = [[getattr(r, a) for a in attrs] for r in rows]
-    return np.array(values, dtype=float).reshape(len(rows), len(attrs))
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Per-session features, one row per session: ``session_id`` and
+    ``activity`` (tuples of str), and ``values``, a read-only float64
+    (n, 13) matrix in ``ALL_FEATURES`` order, NaN marking a missing value."""
+
+    session_id: tuple[str, ...]
+    activity: tuple[str, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        ids, activity = tuple(self.session_id), tuple(self.activity)
+        values = np.ascontiguousarray(self.values, dtype=np.float64).view()
+        shape = (len(ids), len(ALL_FEATURES))
+        if len(activity) != len(ids) or values.shape != shape:
+            raise ValueError(f"expected {len(ids)} activities and {shape} values, got {len(activity)} and {values.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "session_id", ids)
+        object.__setattr__(self, "activity", activity)
+        object.__setattr__(self, "values", values)
+
+    def columns(self, names) -> np.ndarray:
+        """(n, len(names)) matrix of the features named in ``names``; an
+        unknown name raises ValueError."""
+        return self.values[:, [ALL_FEATURES.index(name) for name in names]]
+
+    def take(self, rows) -> FeatureTable:
+        """The table of the rows at the indices ``rows``, in their order; an
+        index may repeat."""
+        rows = [int(i) for i in rows]
+        return FeatureTable([self.session_id[i] for i in rows], [self.activity[i] for i in rows], self.values[rows])
 
 
-def extract_features(
-    meta: SessionMeta,
-    accel: Channel,
-    rr: Channel,
-) -> SessionFeatures:
-    """Build the session feature vector from its channels: the accel
-    magnitude series and the rr series.
+def extract_features(meta: SessionMeta, accel: Channel, rr: Channel) -> dict[str, float]:
+    """The session's features, keyed by the names of ``ALL_FEATURES`` in
+    their order, from its channels: the accel magnitude series and the rr
+    series.
 
     Pace-derived features are NaN when distance is zero. A degenerate
     channel (numerically constant accel or rr) does not fail the session:
@@ -113,53 +119,25 @@ def extract_features(
         if not all(map(math.isfinite, (velocity, pace, metric_d))):
             raise MomentOverflow("velocity, pace or metricD overflows float64: duration_min / distance_km is out of range")
     else:
-        velocity = math.nan
-        pace = math.nan
-        metric_d = math.nan
+        velocity = pace = metric_d = math.nan
 
     with np.errstate(over="ignore"):
         hr = 60000.0 / rr.values
-        ahr = float(hr.mean())
+        ahr = hr.mean()
     if not math.isfinite(ahr):
         raise MomentOverflow("heart rate 60000/rr_ms overflows float64: an rr_ms lies too close to 0")
-    mhr = float(hr.max())
 
-    # .item() of each one-row column: repr spells an np.float64 field
-    # "np.float64(...)", which would change features.csv
     acc_m = moments(accel.values)
-
     m1 = m2 = math.nan
     if len(rr) >= 4:
         rr_m = moments(rr.values)
         if not rr_m.degenerate[0]:
-            g, k = rr_m.skewness.item(), rr_m.kurtosis.item()
+            g, k = rr_m.skewness[0], rr_m.kurtosis[0]
             m1, m2 = metric1(g * g, k), metric2(g * g, k)
 
-    return SessionFeatures(
-        session_id=meta.session_id,
-        activity=meta.activity,
-        distance_km=meta.distance_km,
-        duration_min=meta.duration_min,
-        velocity_kmh=velocity,
-        pace_min_per_km=pace,
-        metricD=metric_d,
-        ahr_bpm=ahr,
-        mhr_bpm=mhr,
-        acc_mean=acc_m.mean.item(),
-        acc_std=acc_m.std.item(),
-        acc_skewness=acc_m.skewness.item(),
-        acc_kurtosis=acc_m.kurtosis.item(),
-        metric1=m1,
-        metric2=m2,
-    )
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Pearson correlations with pairwise deletion; NaN marks undefined entries."""
-
-    feature_names: tuple[str, ...]
-    r: np.ndarray
+    values = (meta.distance_km, meta.duration_min, velocity, pace, metric_d, ahr, hr.max())
+    values += (acc_m.mean[0], acc_m.std[0], acc_m.skewness[0], acc_m.kurtosis[0], m1, m2)
+    return dict(zip(ALL_FEATURES, values))
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -172,18 +150,18 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((xd * yd).sum() / (sx * sy))
 
 
-def correlation_matrix(rows: list[SessionFeatures], features=ALL_FEATURES) -> CorrelationMatrix:
-    """Pearson r per feature pair over the rows where both values are present.
+def correlation_matrix(table: FeatureTable, features=ALL_FEATURES) -> np.ndarray:
+    """Pearson r of each pair of ``features``, a (p, p) matrix, over the
+    rows where both values are present.
 
     Pairs with fewer than 3 complete rows, and zero-variance features (their
     whole row/column, diagonal included), come back NaN. A feature whose
     squared deviations overflow float64 raises MomentOverflow.
     """
-    if len(rows) < 3:
-        raise TooFewRows(f"correlation needs >= 3 rows, got {len(rows)}")
-    names = tuple(features)
-    X = feature_matrix(rows, names)
-    p = len(names)
+    if len(table.session_id) < 3:
+        raise TooFewRows(f"correlation needs >= 3 rows, got {len(table.session_id)}")
+    X = table.columns(features)
+    p = X.shape[1]
     r = np.full((p, p), math.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(p):
@@ -202,40 +180,40 @@ def correlation_matrix(rows: list[SessionFeatures], features=ALL_FEATURES) -> Co
                 rij = _pearson(X[mask, i], X[mask, j])
                 r[i, j] = rij
                 r[j, i] = rij
-    return CorrelationMatrix(feature_names=names, r=r)
+    return r
 
 
 def _fmt(v: float) -> str:
-    return "" if (isinstance(v, float) and math.isnan(v)) else repr(v)
+    return "" if math.isnan(v) else repr(v)
 
 
-def write_features_csv(path, rows: list[SessionFeatures]) -> None:
-    body = ([r.session_id, r.activity] + [_fmt(getattr(r, name)) for name in FEATURES_CSV_HEADER[2:]] for r in rows)
-    _write_csv(path, FEATURES_CSV_HEADER, body)
+def write_features_csv(path, table: FeatureTable) -> None:
+    rows = zip(table.session_id, table.activity, table.values.tolist())
+    _write_csv(path, FEATURES_CSV_HEADER, ([i, a, *map(_fmt, values)] for i, a, values in rows))
 
 
-def read_features_csv(path) -> list[SessionFeatures]:
+def read_features_csv(path) -> FeatureTable:
     """Read features.csv back; empty cells become NaN, and a cell that is
     not a finite float, or a repeated ``session_id``, raises MalformedRow.
     Row numbers in errors count non-blank data rows from 1, as for the
     channel files."""
-    rows: list[SessionFeatures] = []
+    ids: list[str] = []
+    activity: list[str] = []
+    values: list[list[float]] = []
     seen: set[str] = set()
     for row, fields in _read_rows(path, FEATURES_CSV_HEADER):
-        if fields[0] in seen:
-            raise MalformedRow(row, f"duplicate session_id {fields[0]!r}")
-        seen.add(fields[0])
-        if fields[1] not in DEFAULT_ACTIVITIES:
-            raise UnknownLabel(fields[1])
+        _check_session_key(row, fields[0], fields[1], seen)
+        ids.append(fields[0])
+        activity.append(fields[1])
         cells = zip(FEATURES_CSV_HEADER[2:], fields[2:])
-        values = [math.nan if text == "" else _parse_float(text, row, name) for name, text in cells]
-        rows.append(SessionFeatures(fields[0], fields[1], *values))
-    if not rows:
+        values.append([math.nan if text == "" else _parse_float(text, row, name) for name, text in cells])
+    if not ids:
         raise EmptyFile(f"{path}: no data rows")
-    return rows
+    return FeatureTable(ids, activity, values)
 
 
-def write_correlation_csv(path, corr: CorrelationMatrix) -> None:
-    """Square matrix with a header row and a leading name column; NaN as empty."""
-    body = ([name] + [_fmt(float(v)) for v in corr.r[i]] for i, name in enumerate(corr.feature_names))
-    _write_csv(path, ("feature",) + corr.feature_names, body)
+def write_correlation_csv(path, names, r: np.ndarray) -> None:
+    """The (p, p) matrix ``r`` of the features ``names``, with a header row
+    and a leading name column; NaN as empty."""
+    body = ([name, *map(_fmt, row)] for name, row in zip(names, r.tolist()))
+    _write_csv(path, ("feature", *names), body)

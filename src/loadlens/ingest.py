@@ -50,7 +50,8 @@ reads; ``accel_magnitude`` adds its 8 B per row. Reading the whole text
 first would hold the text too: parsing the 11.9 MB file of an hour of 50 Hz
 accel samples peaks at 38.5 MB of RSS in a fresh process by blocks, 94 MB
 through ``np.loadtxt`` over the decoded text and 73 MB over its
-``splitlines()``.
+``splitlines()``, as the CHANGES.md line "Channel files read in fixed row
+blocks and hashed on the way" records.
 
 Files are written through the output sink in ``loadlens.manifest``.
 """
@@ -103,7 +104,8 @@ _RR_DTYPE = np.dtype([("t", "<i8"), ("v", "<f8")])
 #: table writers convert, format and write at a time, so their memory does
 #: not grow with the table. Larger blocks parse and write no faster, and
 #: 8,192 rows of window lines add about 1 MB to the peak of an accel
-#: ``moments`` run.
+#: ``moments`` run, as the CHANGES.md line "One model of each concept"
+#: records.
 CHUNK_ROWS = 2048
 
 
@@ -306,8 +308,10 @@ def _loadtxt_reads_like_python(data: bytes) -> bool:
 #: Bytes that ``_scan`` reads at a time. Smaller reads hash and count no
 #: faster. Freeing a 1 MB read buffer also raises glibc's mmap threshold, so
 #: the 0.6 MB temporaries of the window kernel in ``stats`` come from the
-#: heap; after 64 KB reads they were mapped afresh for every block (21,000
-#: page faults and 2x the time for 13,000 windows).
+#: heap; after 64 KB reads they were mapped afresh for every block (about
+#: 21,000 page faults and twice the time for the ``plane`` input's windows,
+#: as the CHANGES.md line "Channel files read in fixed row blocks and hashed
+#: on the way" records).
 _SCAN_BYTES = 1 << 20
 
 
@@ -389,6 +393,17 @@ def parse_rr_csv(path, digests: dict | None = None) -> Channel:
     return _parse_channel(path, RR_HEADER, _RR_DTYPE, rr=True, digests=digests)
 
 
+def _check_session_key(row: int, session_id: str, activity: str, seen: set[str]) -> None:
+    """Check one row of ``sessions.csv`` or ``features.csv``: a repeated
+    ``session_id`` (one in ``seen``, to which it is added) raises
+    MalformedRow, then an unknown activity raises UnknownLabel."""
+    if session_id in seen:
+        raise MalformedRow(row, f"duplicate session_id {session_id!r}")
+    seen.add(session_id)
+    if activity not in DEFAULT_ACTIVITIES:
+        raise UnknownLabel(activity)
+
+
 def parse_sessions_csv(path) -> list[SessionMeta]:
     """Parse the session registry CSV.
 
@@ -398,13 +413,8 @@ def parse_sessions_csv(path) -> list[SessionMeta]:
     metas: list[SessionMeta] = []
     seen: set[str] = set()
     for row, fields in _read_rows(path, SESSIONS_HEADER):
-        session_id = fields[0].strip()
-        if session_id in seen:
-            raise MalformedRow(row, f"duplicate session_id {session_id!r}")
-        seen.add(session_id)
-        activity = fields[1].strip()
-        if activity not in DEFAULT_ACTIVITIES:
-            raise UnknownLabel(activity)
+        session_id, activity = fields[0].strip(), fields[1].strip()
+        _check_session_key(row, session_id, activity, seen)
         distance = _parse_float(fields[2], row, "distance_km")
         duration = _parse_float(fields[3], row, "duration_min")
         if distance < 0:

@@ -65,7 +65,8 @@ def kmeans(points, k: int, seed: int, feature_names=()) -> ClusterResult:
     if X.ndim == 1:
         X = X[:, None]
     # Distinct rows as a set of row tuples, where 0.0 == -0.0 as in
-    # np.unique(X, axis=0); that call would import numpy.ma (about 17 ms).
+    # np.unique(X, axis=0); that call would import numpy.ma (about 17 ms, as
+    # the CHANGES.md line "One code path per computation" records).
     if len(set(map(tuple, X.tolist()))) < k:
         raise TooFewDistinctPoints(f"need >= {k} distinct points")
     rng = np.random.default_rng(seed)

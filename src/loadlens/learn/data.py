@@ -1,11 +1,12 @@
-"""Feature presets, target encoding, and the train/validation/prediction split."""
+"""Feature presets, target encoding, and the train/validation/prediction
+split of a ``FeatureTable`` into three tables of its rows."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import TooFewRows, UnknownLabel
-from ..features import SessionFeatures, feature_matrix
+from ..features import FeatureTable
 from ..ingest import DEFAULT_ACTIVITIES
 
 
@@ -48,17 +49,16 @@ def decode_prediction(y: float) -> int:
     return min(max(round(y), 0), len(DEFAULT_ACTIVITIES) - 1)
 
 
-def build_xy(rows: list[SessionFeatures], columns):
-    """Design matrix + encoded targets; rows with a missing selected feature
-    are dropped.
+def build_xy(table: FeatureTable, columns):
+    """Design matrix of the features ``columns`` and encoded targets; rows
+    with a missing selected feature are dropped.
 
-    Returns (X, y, kept_rows).
+    Returns (X, y, kept), ``kept`` the table of the rows kept.
     """
-    X = feature_matrix(rows, columns)
-    y = np.array([encode_target(r.activity) for r in rows])
+    X = table.columns(columns)
+    y = np.array([encode_target(a) for a in table.activity], dtype=float)
     keep = np.isfinite(X).all(axis=1)
-    kept = [r for r, k in zip(rows, keep) if k]
-    return X[keep], y[keep], kept
+    return X[keep], y[keep], table.take(np.flatnonzero(keep))
 
 
 def _cuts(n: int) -> tuple[int, int]:
@@ -67,34 +67,25 @@ def _cuts(n: int) -> tuple[int, int]:
     return i1, i2
 
 
-def split(rows: list[SessionFeatures], seed: int = 0):
+def split(table: FeatureTable, seed: int = 0):
     """Seeded shuffle + contiguous cut into (train, validation, prediction)
-    by ``SPLIT_FRACTIONS``.
+    tables by ``SPLIT_FRACTIONS``.
 
     Stratified by activity whenever every class present has >= 3 rows, which
     keeps each split's class counts within one of proportional.
     """
-    if len(rows) < 10:
-        raise TooFewRows(f"split needs >= 10 rows, got {len(rows)}")
+    n = len(table.session_id)
+    if n < 10:
+        raise TooFewRows(f"split needs >= 10 rows, got {n}")
     rng = np.random.default_rng(seed)
-
-    by_label: dict[str, list[int]] = {}
-    for i, r in enumerate(rows):
-        by_label.setdefault(r.activity, []).append(i)
-    stratified = all(len(v) >= 3 for v in by_label.values())
-
+    activity = np.array(table.activity)
+    groups = [np.flatnonzero(activity == label) for label in sorted(set(table.activity))]
+    if not all(len(idx) >= 3 for idx in groups):
+        groups = [np.arange(n)]
     parts: tuple[list[int], list[int], list[int]] = ([], [], [])
-    if stratified:
-        for label in sorted(by_label):
-            idx = np.array(by_label[label])
-            idx = idx[rng.permutation(len(idx))]
-            i1, i2 = _cuts(len(idx))
-            parts[0].extend(idx[:i1].tolist())
-            parts[1].extend(idx[i1:i2].tolist())
-            parts[2].extend(idx[i2:].tolist())
-    else:
-        idx = rng.permutation(len(rows))
-        i1, i2 = _cuts(len(rows))
-        parts = (idx[:i1].tolist(), idx[i1:i2].tolist(), idx[i2:].tolist())
-
-    return tuple([rows[i] for i in part] for part in parts)
+    for idx in groups:
+        idx = idx[rng.permutation(len(idx))]
+        i1, i2 = _cuts(len(idx))
+        for part, rows in zip(parts, (idx[:i1], idx[i1:i2], idx[i2:])):
+            part.extend(rows.tolist())
+    return tuple(table.take(part) for part in parts)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyEvalSet, MomentOverflow
-from ..features import SessionFeatures
+from ..features import FeatureTable
 from ..ingest import DEFAULT_ACTIVITIES
 from .data import PRESETS, build_xy, decode_prediction, split
 from .models import DnnConfig, fit_dnn_xy, fit_lrm_xy
@@ -62,6 +62,14 @@ def _errors(model, X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return yhat, mae, mrd
 
 
+def _rows_to_evaluate(y) -> np.ndarray:
+    """The targets of a split as a float array; no rows raise EmptyEvalSet."""
+    y = np.asarray(y, dtype=float)
+    if len(y) == 0:
+        raise EmptyEvalSet("no rows to evaluate (rows with a missing feature are dropped)")
+    return y
+
+
 def evaluate_xy(model, X, y) -> EvalMetrics:
     """Error metrics and confusion matrix of a fitted model on one split.
 
@@ -69,9 +77,7 @@ def evaluate_xy(model, X, y) -> EvalMetrics:
     the training range squares past the largest float) raises
     ``MomentOverflow``.
     """
-    y = np.asarray(y, dtype=float)
-    if len(y) == 0:
-        raise EmptyEvalSet("no rows to evaluate (rows with a missing feature are dropped)")
+    y = _rows_to_evaluate(y)
     yhat, mae, mrd = _errors(model, X, y)
     n_classes = len(DEFAULT_ACTIVITIES)
     confusion = np.zeros((n_classes, n_classes), dtype=int)
@@ -115,18 +121,21 @@ def permutation_importance(model, X, y, seed: int = 0) -> list[tuple[str, float]
     return list(zip(model.features, (raw / total).tolist()))
 
 
-def run_training(rows: list[SessionFeatures], model_kind: str, preset: str, config: DnnConfig = DnnConfig()):
+def run_training(table: FeatureTable, model_kind: str, preset: str, config: DnnConfig = DnnConfig()):
     """Split, fit, and evaluate one model; returns (model, report), the
     report a dict of the loss curves, split metrics and importances. The
     split, the DNN fit and the importances all draw from ``config.seed``.
 
     Each split's design matrix is built once; rows with a missing selected
-    feature are dropped. The confusion matrix and accuracy are reported on
-    the prediction split; importances on the validation split (empty when
-    it is too small to permute meaningfully).
+    feature are dropped, and an empty validation or prediction split raises
+    EmptyEvalSet before the fit. The confusion matrix and accuracy are
+    reported on the prediction split; importances on the validation split
+    (empty when it is too small to permute meaningfully).
     """
     columns = PRESETS[preset]
-    train, val, pred = (build_xy(part, columns)[:2] for part in split(rows, seed=config.seed))
+    train, val, pred = (build_xy(part, columns)[:2] for part in split(table, seed=config.seed))
+    for _, y in (val, pred):
+        _rows_to_evaluate(y)
     if model_kind == "lrm":
         model = fit_lrm_xy(*train, columns)
         train_losses: list[float] = []

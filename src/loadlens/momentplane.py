@@ -128,7 +128,8 @@ def _polyline_distances(s: np.ndarray, k: np.ndarray, curve: np.ndarray) -> np.n
 def _metric_columns(s: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``metric1`` and ``metric2`` of each point (s[i], k[i]), NaN for a NaN
     coordinate. Taken by ``math.hypot`` point by point: ``np.hypot``
-    differs from it in the last bit for about 0.5% of points."""
+    differs from it in the last bit for about 0.5% of points (ROADMAP,
+    "Measured and parked")."""
     s, k = s.tolist(), k.tolist()
     return np.fromiter(map(metric1, s, k), float, len(s)), np.fromiter(map(metric2, s, k), float, len(s))
 

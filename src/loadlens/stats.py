@@ -19,7 +19,7 @@ sample as its own 1-D array and finishing in Python floats: numpy reduces a
 row with the pairwise summation it applies to a 1-D array, and its sqrt,
 products, divisions and comparisons are correctly rounded like Python's.
 Only ``m2**1.5`` is taken by Python's float power, value by value, because
-numpy's power differs from it in the last bit for about 5% of values.
+numpy's power differs from it in the last bit for some values.
 
 Degeneracy has one signal: a sample whose variance is numerically zero
 relative to its mean gets NaN skewness and kurtosis, which ``degenerate``

@@ -15,7 +15,7 @@ terms sum below 1 ms is written as a 1 ms beat, which keeps every rr file
 valid (rr_ms > 0) but not physiological. The floor fires under the heaviest
 loads: ``synth sessions --n 40 --seed 1`` writes 82 such beats among
 721,763, so 32 of 40 skiing and 5 of 40 running sessions read an ``mhr_bpm``
-of 60,000.
+of 60,000, as the CHANGES.md FOUND line on this floor counts.
 """
 
 from __future__ import annotations
@@ -265,34 +265,15 @@ def session_protocol(duration_min: float, intensity: float) -> Protocol:
     )
 
 
-def _write_session(task) -> None:
-    """Generate one session's rr and accel channels and write their files."""
-    protocol, rr_config, accel_class, accel_config, rr_path, accel_path = task
-    rr = gen_rr(protocol, rr_config)
-    accel = gen_accel(accel_class, TREMOR_DURATION_S, accel_config)
-    write_rr_csv(rr_path, rr)
-    write_accel_csv(accel_path, accel)
-
-
-def gen_sessions(n_per_class: int, seed: int, out_dir) -> list[SessionMeta]:
-    """Write a full synthetic dataset: sessions.csv plus one accel and one rr
-    file per session.
-
-    Each session uses a generator derived from (seed, session index), so
-    sessions are independent and the whole dataset is reproducible
-    bit-for-bit. The sessions' parameters are drawn here in session order;
-    their channels are generated and written in parallel over the available
-    CPUs, and no output byte depends on how many there are.
-    """
-    if n_per_class < 1:
-        raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
-    os.makedirs(out_dir, exist_ok=True)
-    metas: list[SessionMeta] = []
-    tasks = []
-    idx = 0
+def _draw_sessions(n_per_class: int, seed: int) -> list[tuple[SessionMeta, Protocol, GenConfig, str, GenConfig]]:
+    """The parameters of each session of ``gen_sessions``, in session
+    order: its ``SessionMeta``, its heartbeat protocol and generator
+    config, and its accel class and generator config. Session i draws them
+    from ``np.random.default_rng([seed, i])``."""
+    sessions = []
     for activity, spec in SESSION_CLASSES.items():
         for j in range(n_per_class):
-            rng = np.random.default_rng([seed, idx])
+            rng = np.random.default_rng([seed, len(sessions)])
             pace = float(rng.uniform(*spec.pace_range))
             distance = float(rng.uniform(*spec.distance_range))
             duration = pace * distance
@@ -301,23 +282,40 @@ def gen_sessions(n_per_class: int, seed: int, out_dir) -> list[SessionMeta]:
             accel_seed = int(rng.integers(2**31))
 
             session_id = f"{activity}{j:03d}"
-            rr_file = f"{session_id}_rr.csv"
-            accel_file = f"{session_id}_accel.csv"
-
-            tasks.append(
+            sessions.append(
                 (
+                    SessionMeta(session_id, activity, distance, duration, f"{session_id}_accel.csv", f"{session_id}_rr.csv"),
                     session_protocol(duration, spec.intensity),
                     GenConfig(seed=rr_seed, baseline_rr_ms=baseline),
                     spec.accel_class,
                     GenConfig(seed=accel_seed),
-                    os.path.join(out_dir, rr_file),
-                    os.path.join(out_dir, accel_file),
                 )
             )
-            metas.append(
-                SessionMeta(session_id, activity, distance, duration, accel_file, rr_file)
-            )
-            idx += 1
-    _map_sessions(_write_session, tasks)
+    return sessions
+
+
+def _write_session(task) -> None:
+    """Generate one session's rr and accel channels and write their files."""
+    (meta, protocol, rr_config, accel_class, accel_config), out_dir = task
+    write_rr_csv(os.path.join(out_dir, meta.rr_file), gen_rr(protocol, rr_config))
+    write_accel_csv(os.path.join(out_dir, meta.accel_file), gen_accel(accel_class, TREMOR_DURATION_S, accel_config))
+
+
+def gen_sessions(n_per_class: int, seed: int, out_dir) -> list[SessionMeta]:
+    """Write a full synthetic dataset: sessions.csv plus one accel and one rr
+    file per session.
+
+    Each session uses a generator derived from (seed, session index), so
+    sessions are independent and the whole dataset is reproducible
+    bit-for-bit. The sessions' parameters are drawn first, in session order;
+    their channels are generated and written in parallel over the available
+    CPUs, and no output byte depends on how many there are.
+    """
+    if n_per_class < 1:
+        raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
+    os.makedirs(out_dir, exist_ok=True)
+    sessions = _draw_sessions(n_per_class, seed)
+    _map_sessions(_write_session, [(session, out_dir) for session in sessions])
+    metas = [meta for meta, *_ in sessions]
     write_sessions_csv(os.path.join(out_dir, "sessions.csv"), metas)
     return metas

@@ -1,28 +1,24 @@
 import numpy as np
 import pytest
 
-from loadlens.features import FEATURE_COLUMNS, SessionFeatures
+from loadlens.features import ALL_FEATURES, FeatureTable
 from loadlens.ingest import DEFAULT_ACTIVITIES
 
 
-def make_rows(X, codes, columns):
-    """Fabricate SessionFeatures rows with the given values in `columns`.
+def make_rows(X, codes, columns) -> FeatureTable:
+    """Fabricate a feature table with the given values in `columns`.
 
-    Unselected features are filled with 0.0; activities come from the
-    default registry by integer code.
+    Unselected features are filled with 0.0; session ids are ``s0000``,
+    ``s0001``, ...; activities come from the default registry by integer
+    code.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    rows = []
-    for i, (vals, code) in enumerate(zip(X, codes)):
-        kwargs = {attr: 0.0 for attr in FEATURE_COLUMNS.values()}
-        kwargs["session_id"] = f"s{i:04d}"
-        kwargs["activity"] = DEFAULT_ACTIVITIES[int(code)]
-        for name, v in zip(columns, vals):
-            kwargs[FEATURE_COLUMNS[name]] = float(v)
-        rows.append(SessionFeatures(**kwargs))
-    return rows
+    values = np.zeros((len(X), len(ALL_FEATURES)))
+    values[:, [ALL_FEATURES.index(name) for name in columns]] = X
+    ids = [f"s{i:04d}" for i in range(len(X))]
+    return FeatureTable(ids, [DEFAULT_ACTIVITIES[int(code)] for code in codes], values)
 
 
 @pytest.fixture

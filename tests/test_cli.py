@@ -17,7 +17,7 @@ import loadlens
 from loadlens import cli, ingest, manifest
 from loadlens.cli import main
 from loadlens.errors import ConfigError, MalformedRow, NonMonotonicTime, ParseError
-from loadlens.features import write_features_csv
+from loadlens.features import ALL_FEATURES, FeatureTable, write_features_csv
 from loadlens.learn.data import split
 from loadlens.manifest import TIMESTAMP_KEY
 from tests.conftest import make_rows
@@ -375,6 +375,14 @@ class TestInputDigests:
         assert fallbacks == [str(rr)] * 2
 
 
+def with_feature(table, ids, name: str, value: float) -> FeatureTable:
+    """``table`` with the feature ``name`` set to ``value`` in the rows of
+    the session ids ``ids``."""
+    values = table.values.copy()
+    values[[table.session_id.index(i) for i in ids], ALL_FEATURES.index(name)] = value
+    return FeatureTable(table.session_id, table.activity, values)
+
+
 @pytest.fixture
 def features_csv(tmp_path):
     """A valid features.csv of 30 rows, enough for every command."""
@@ -560,10 +568,8 @@ class TestExitCodes:
         no RuntimeWarning escapes (the test run turns one into an error)."""
         rng = np.random.default_rng(3)
         rows = make_rows(rng.normal(70, 5, (30, 2)), [i % 3 for i in range(30)], ["ahr", "mhr"])
-        far = split(rows, seed=0)[2][0]
-        rows = [dataclasses.replace(r, ahr_bpm=1e308) if r is far else r for r in rows]
         features = tmp_path / "features.csv"
-        write_features_csv(features, rows)
+        write_features_csv(features, with_feature(rows, split(rows, seed=0)[2].session_id[:1], "ahr", 1e308))
         out = tmp_path / "models"
         argv = ["train", "--features", str(features), "--model", model, "--preset", "hr", "--epochs", "5"]
         assert main([*argv, "--out-dir", str(out)]) == 4
@@ -841,12 +847,32 @@ class TestExitCodes:
         assert "EmptyEvalSet" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("part", [1, 2], ids=["validation", "prediction"])
+    def test_empty_split_is_refused_before_the_fit(self, tmp_path, capsys, monkeypatch, part):
+        """Every row of one split lacks ``ahr``, so ``build_xy`` drops them
+        all: the run stops before a fit of up to ``MAX_EPOCHS`` epochs."""
+        from loadlens.learn import evaluate
+
+        def no_fit(*args):
+            raise AssertionError("fit_dnn_xy ran")
+
+        monkeypatch.setattr(evaluate, "fit_dnn_xy", no_fit)
+        rng = np.random.default_rng(3)
+        rows = make_rows(rng.normal(70, 5, (36, 2)), [i % 3 for i in range(36)], ["ahr", "mhr"])
+        features = tmp_path / "features.csv"
+        write_features_csv(features, with_feature(rows, split(rows, seed=0)[part].session_id, "ahr", np.nan))
+        out = tmp_path / "models"
+        argv = ["train", "--features", str(features), "--model", "dnn", "--preset", "hr", "--epochs", "100000"]
+        assert main([*argv, "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == "error: EmptyEvalSet: no rows to evaluate (rows with a missing feature are dropped)\n"
+        assert not out.exists()
+
 
 class TestPredict:
     def test_rows_are_csv_with_plain_floats(self, tmp_path):
         rng = np.random.default_rng(8)
         rows = make_rows(rng.normal(70, 5, (30, 2)), [i % 3 for i in range(30)], ["ahr", "mhr"])
-        rows[0] = dataclasses.replace(rows[0], session_id='run "a", day 2')
+        rows = FeatureTable(('run "a", day 2', *rows.session_id[1:]), rows.activity, rows.values)
         features = tmp_path / "features.csv"
         write_features_csv(features, rows)
         models = tmp_path / "models"
@@ -859,7 +885,7 @@ class TestPredict:
         assert "np." not in text and "\r" not in text
         table = list(csv.reader(text.splitlines()))
         assert table[0] == ["session_id", "activity", "y_true", "y_pred", "predicted_activity"]
-        assert [r[0] for r in table[1:]] == [r.session_id for r in rows]
+        assert [r[0] for r in table[1:]] == list(rows.session_id)
         assert all(len(r) == 5 for r in table)
         assert [float(r[2]) for r in table[1:]] == [float(i % 3) for i in range(30)]
         for r in table[1:]:

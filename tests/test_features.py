@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +10,9 @@ from loadlens.cli import main
 from loadlens.errors import MalformedRow, MissingChannel, MomentOverflow, TooFewRows
 from loadlens.features import (
     ALL_FEATURES,
+    FeatureTable,
     correlation_matrix,
     extract_features,
-    feature_matrix,
     read_features_csv,
     write_correlation_csv,
     write_features_csv,
@@ -36,25 +35,26 @@ class TestExtractFeatures:
     def test_pace_arithmetic(self, rng):
         meta = SessionMeta("s1", "walking", 5.0, 30.0)
         fv = extract_features(meta, series(rng.normal(9.8, 1, 50)), rr_list(800 + rng.normal(0, 20, 40)))
-        assert fv.velocity_kmh == 10.0
-        assert fv.pace_min_per_km == 6.0
-        assert fv.metricD == 36.0
+        assert tuple(fv) == ALL_FEATURES
+        assert fv["velocity"] == 10.0
+        assert fv["pace"] == 6.0
+        assert fv["metricD"] == 36.0
 
     def test_constant_channels_flag_missing(self):
         meta = SessionMeta("s1", "walking", 5.0, 30.0)
         fv = extract_features(meta, series([9.81] * 50), rr_list([800.0] * 40))
-        assert fv.ahr_bpm == 75.0 and fv.mhr_bpm == 75.0
-        assert fv.acc_mean == 9.81 and fv.acc_std == 0.0
-        assert math.isnan(fv.acc_skewness) and math.isnan(fv.acc_kurtosis)
-        assert math.isnan(fv.metric1) and math.isnan(fv.metric2)
+        assert fv["ahr"] == 75.0 and fv["mhr"] == 75.0
+        assert fv["acc_mean"] == 9.81 and fv["acc_std"] == 0.0
+        assert math.isnan(fv["acc_skewness"]) and math.isnan(fv["acc_kurtosis"])
+        assert math.isnan(fv["metric1"]) and math.isnan(fv["metric2"])
 
     def test_zero_distance_marks_pace_missing(self, rng):
         meta = SessionMeta("s1", "walking", 0.0, 30.0)
         fv = extract_features(meta, series(rng.normal(9.8, 1, 50)), rr_list(800 + rng.normal(0, 20, 40)))
-        assert math.isnan(fv.velocity_kmh)
-        assert math.isnan(fv.pace_min_per_km)
-        assert math.isnan(fv.metricD)
-        assert fv.ahr_bpm > 0
+        assert math.isnan(fv["velocity"])
+        assert math.isnan(fv["pace"])
+        assert math.isnan(fv["metricD"])
+        assert fv["ahr"] > 0
 
     def test_missing_channels(self, rng):
         meta = SessionMeta("s1", "walking", 5.0, 30.0)
@@ -95,28 +95,28 @@ class TestExtractFeatures:
         fv = extract_features(meta, accel_magnitude(accel_samples), rr_samples)
 
         hr = 60000.0 / np.array(rr_samples.values.tolist())
-        assert fv.ahr_bpm == pytest.approx(hr.mean(), rel=1e-9)
-        assert fv.mhr_bpm == pytest.approx(hr.max(), rel=1e-9)
+        assert fv["ahr"] == pytest.approx(hr.mean(), rel=1e-9)
+        assert fv["mhr"] == pytest.approx(hr.max(), rel=1e-9)
 
         mag = np.sqrt(np.array([ax**2 + ay**2 + az**2 for ax, ay, az in accel_samples.values.tolist()]))
         d = mag - mag.mean()
         m2 = (d**2).mean()
-        assert fv.acc_mean == pytest.approx(mag.mean(), rel=1e-9)
-        assert fv.acc_std == pytest.approx(math.sqrt(m2), rel=1e-9)
-        assert fv.acc_skewness == pytest.approx((d**3).mean() / m2**1.5, rel=1e-9)
-        assert fv.acc_kurtosis == pytest.approx((d**4).mean() / m2**2, rel=1e-9)
+        assert fv["acc_mean"] == pytest.approx(mag.mean(), rel=1e-9)
+        assert fv["acc_std"] == pytest.approx(math.sqrt(m2), rel=1e-9)
+        assert fv["acc_skewness"] == pytest.approx((d**3).mean() / m2**1.5, rel=1e-9)
+        assert fv["acc_kurtosis"] == pytest.approx((d**4).mean() / m2**2, rel=1e-9)
 
         rr = np.array(rr_samples.values.tolist())
         dr = rr - rr.mean()
         r2 = (dr**2).mean()
         s_coord = ((dr**3).mean() / r2**1.5) ** 2
         k_coord = (dr**4).mean() / r2**2
-        assert fv.metric1 == pytest.approx(math.hypot(s_coord, k_coord - 3.0), rel=1e-9)
-        assert fv.metric2 == pytest.approx(math.hypot(s_coord, k_coord - 1.8), rel=1e-9)
+        assert fv["metric1"] == pytest.approx(math.hypot(s_coord, k_coord - 3.0), rel=1e-9)
+        assert fv["metric2"] == pytest.approx(math.hypot(s_coord, k_coord - 1.8), rel=1e-9)
 
-        assert fv.velocity_kmh == pytest.approx(60.0 * 8.0 / 44.0, rel=1e-12)
-        assert fv.pace_min_per_km == pytest.approx(44.0 / 8.0, rel=1e-12)
-        assert fv.metricD == pytest.approx((44.0 / 8.0) ** 2, rel=1e-12)
+        assert fv["velocity"] == pytest.approx(60.0 * 8.0 / 44.0, rel=1e-12)
+        assert fv["pace"] == pytest.approx(44.0 / 8.0, rel=1e-12)
+        assert fv["metricD"] == pytest.approx((44.0 / 8.0) ** 2, rel=1e-12)
 
     def test_order_invariance_after_time_sort(self, rng):
         meta = SessionMeta("s1", "walking", 5.0, 30.0)
@@ -127,22 +127,17 @@ class TestExtractFeatures:
         assert a == b
 
 
-def r_of(corr, a: str, b: str) -> float:
-    """The correlation of features ``a`` and ``b`` in ``corr``."""
-    return float(corr.r[corr.feature_names.index(a), corr.feature_names.index(b)])
-
-
 class TestCorrelationMatrix:
     def test_self_correlation(self, rng):
         rows = make_rows(rng.normal(0, 1, (20, 2)), [0] * 20, ["ahr", "mhr"])
-        corr = correlation_matrix(rows, ["ahr", "mhr"])
-        assert r_of(corr, "ahr", "ahr") == 1.0
+        r = correlation_matrix(rows, ["ahr", "mhr"])
+        assert r[0, 0] == 1.0
 
     def test_perfect_anticorrelation(self, rng):
         x = rng.normal(0, 1, 30)
         rows = make_rows(np.column_stack([x, -3 * x + 7]), [0] * 30, ["ahr", "mhr"])
-        corr = correlation_matrix(rows, ["ahr", "mhr"])
-        assert r_of(corr, "ahr", "mhr") == pytest.approx(-1.0, abs=1e-12)
+        r = correlation_matrix(rows, ["ahr", "mhr"])
+        assert r[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_constructed_distance_duration_link(self, rng):
         # oracle: duration built from distance * class pace + noise, with the
@@ -153,24 +148,24 @@ class TestCorrelationMatrix:
         distance = rng.uniform(lo, hi)
         duration = distance * pace_class + rng.normal(0, 3, 200)
         rows = make_rows(np.column_stack([distance, duration]), [0] * 200, ["distance", "duration"])
-        corr = correlation_matrix(rows, ["distance", "duration"])
-        assert r_of(corr, "distance", "duration") > 0.8
+        r = correlation_matrix(rows, ["distance", "duration"])
+        assert r[0, 1] > 0.8
 
     def test_zero_variance_marks_row_and_diagonal(self, rng):
         X = np.column_stack([rng.normal(0, 1, 10), np.full(10, 2.5)])
         rows = make_rows(X, [0] * 10, ["ahr", "mhr"])
-        corr = correlation_matrix(rows, ["ahr", "mhr"])
-        assert math.isnan(r_of(corr, "mhr", "mhr"))
-        assert math.isnan(r_of(corr, "ahr", "mhr"))
-        assert r_of(corr, "ahr", "ahr") == 1.0
+        r = correlation_matrix(rows, ["ahr", "mhr"])
+        assert math.isnan(r[1, 1])
+        assert math.isnan(r[0, 1])
+        assert r[0, 0] == 1.0
 
     def test_pairwise_deletion(self, rng):
         X = rng.normal(0, 1, (10, 2))
         X[:8, 0] = np.nan  # only 2 complete pairs -> undefined
         rows = make_rows(X, [0] * 10, ["ahr", "mhr"])
-        corr = correlation_matrix(rows, ["ahr", "mhr"])
-        assert math.isnan(r_of(corr, "ahr", "mhr"))
-        assert r_of(corr, "mhr", "mhr") == 1.0
+        r = correlation_matrix(rows, ["ahr", "mhr"])
+        assert math.isnan(r[0, 1])
+        assert r[1, 1] == 1.0
 
     def test_too_few_rows(self, rng):
         rows = make_rows(rng.normal(0, 1, (2, 2)), [0, 0], ["ahr", "mhr"])
@@ -191,12 +186,11 @@ class TestCorrelationMatrix:
         X[:, 1] += X[:, 0]
         small = correlation_matrix(make_rows(X, [0] * 30, ["ahr", "mhr"]), ["ahr", "mhr"])
         large = correlation_matrix(make_rows(X * 1e150, [0] * 30, ["ahr", "mhr"]), ["ahr", "mhr"])
-        assert r_of(large, "ahr", "mhr") == pytest.approx(r_of(small, "ahr", "mhr"), rel=1e-12)
+        assert large[0, 1] == pytest.approx(small[0, 1], rel=1e-12)
 
     def test_symmetry_and_bounds(self, rng):
         rows = make_rows(rng.normal(0, 1, (40, 4)), [0] * 40, ["ahr", "mhr", "acc_std", "metric1"])
-        corr = correlation_matrix(rows, ["ahr", "mhr", "acc_std", "metric1"])
-        r = corr.r
+        r = correlation_matrix(rows, ["ahr", "mhr", "acc_std", "metric1"])
         assert np.allclose(r, r.T, equal_nan=True)
         finite = np.isfinite(r)
         assert (np.abs(r[finite]) <= 1 + 1e-12).all()
@@ -213,42 +207,36 @@ class TestCorrelationMatrix:
         y = gen.normal(0, 1, 25) + 0.5 * x
         assume(x.std() > 1e-6 and y.std() > 1e-6)
         rows0 = make_rows(np.column_stack([x, y]), [0] * 25, ["ahr", "mhr"])
-        base = r_of(correlation_matrix(rows0, ["ahr", "mhr"]), "ahr", "mhr")
+        base = correlation_matrix(rows0, ["ahr", "mhr"])[0, 1]
         scale = -a if flip else a
         rows1 = make_rows(np.column_stack([scale * x + b, y]), [0] * 25, ["ahr", "mhr"])
-        transformed = r_of(correlation_matrix(rows1, ["ahr", "mhr"]), "ahr", "mhr")
+        transformed = correlation_matrix(rows1, ["ahr", "mhr"])[0, 1]
         expected = -base if flip else base
         assert transformed == pytest.approx(expected, abs=1e-9)
 
 
 class TestFeatureCsv:
     def test_roundtrip_with_missing(self, rng, tmp_path):
-        rows = make_rows(rng.normal(5, 2, (4, len(ALL_FEATURES))), [0, 1, 2, 0], ALL_FEATURES)
+        values = rng.normal(5, 2, (4, len(ALL_FEATURES)))
         # puncture one value to exercise the missing marker
-        rows[1] = dataclasses.replace(rows[1], metric1=math.nan)
+        values[1, ALL_FEATURES.index("metric1")] = math.nan
         # ids that csv.writer must quote: a comma, a quote, line breaks
         ids = ("run 1, hill", 'say "hi"', "two\r\nlines", "cr\rlf\n")
-        rows = [dataclasses.replace(r, session_id=i) for r, i in zip(rows, ids)]
+        table = FeatureTable(ids, ("walking", "running", "skiing", "walking"), values)
         path = tmp_path / "features.csv"
-        write_features_csv(path, rows)
+        write_features_csv(path, table)
         back = read_features_csv(path)
-        assert len(back) == 4
-        for a, b in zip(rows, back):
-            for f in dataclasses.fields(a):
-                va, vb = getattr(a, f.name), getattr(b, f.name)
-                if isinstance(va, float) and math.isnan(va):
-                    assert math.isnan(vb)
-                else:
-                    assert va == vb
+        assert (back.session_id, back.activity) == (table.session_id, table.activity)
+        assert back.values.tobytes() == table.values.tobytes()
         # predict carries the ids through to predict.csv
         model = LinearModel(("ahr",), Standardizer(np.zeros(1), np.ones(1)), np.ones(1), 0.0)
         save_model(model, tmp_path / "model.json")
         out = tmp_path / "predict.csv"
         assert main(["predict", "--model", str(tmp_path / "model.json"), "--features", str(path), "--out", str(out)]) == 0
         with open(out, newline="", encoding="utf-8") as fh:
-            header, *table = csv.reader(fh)
+            header, *rows = csv.reader(fh)
         assert header[0] == "session_id"
-        assert [r[0] for r in table] == list(ids)
+        assert [r[0] for r in rows] == list(ids)
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
     def test_non_finite_cell_is_malformed(self, rng, tmp_path, cell):
@@ -266,29 +254,57 @@ class TestFeatureCsv:
     def test_repeated_session_id_is_malformed(self, rng, tmp_path):
         rows = make_rows(rng.normal(5, 2, (4, 2)), [0, 1, 2, 0], ["velocity", "ahr"])
         path = tmp_path / "features.csv"
-        write_features_csv(path, rows + rows[2:3])
+        write_features_csv(path, rows.take([0, 1, 2, 3, 2]))
         with pytest.raises(MalformedRow, match="^data row 5: duplicate session_id 's0002'$"):
             read_features_csv(path)
 
     def test_correlation_csv_roundtrip(self, tmp_path, rng):
         rows = make_rows(rng.normal(0, 1, (12, 3)), [0] * 12, ["ahr", "mhr", "acc_std"])
-        corr = correlation_matrix(rows, ["ahr", "mhr", "acc_std"])
+        names = ("ahr", "mhr", "acc_std")
+        r = correlation_matrix(rows, names)
         p = tmp_path / "corr.csv"
-        write_correlation_csv(p, corr)
+        write_correlation_csv(p, names, r)
         with open(p, newline="", encoding="utf-8") as fh:
             header, *table = csv.reader(fh)
-        assert header == ["feature", *corr.feature_names]
-        assert [r[0] for r in table] == list(corr.feature_names)
-        back = np.array([[math.nan if t == "" else float(t) for t in r[1:]] for r in table])
-        assert back.tobytes() == corr.r.tobytes()
+        assert header == ["feature", *names]
+        assert [row[0] for row in table] == list(names)
+        back = np.array([[math.nan if t == "" else float(t) for t in row[1:]] for row in table])
+        assert back.tobytes() == r.tobytes()
 
-    def test_feature_matrix_lookup(self, rng):
-        rows = make_rows([[1.0, 2.0]], [0], ["ahr", "mhr"])
-        X = feature_matrix(rows, ["mhr", "ahr"])
-        assert X.tolist() == [[2.0, 1.0]]
-        with pytest.raises(KeyError):
-            feature_matrix(rows, ["nope"])
 
-    def test_feature_matrix_of_no_rows(self):
-        assert feature_matrix([], ["mhr", "ahr"]).shape == (0, 2)
-        assert feature_matrix([], ()).shape == (0, 0)
+class TestFeatureTable:
+    def test_columns_by_name(self):
+        table = make_rows([[1.0, 2.0]], [0], ["ahr", "mhr"])
+        assert table.columns(["mhr", "ahr"]).tolist() == [[2.0, 1.0]]
+        with pytest.raises(ValueError):
+            table.columns(["nope"])
+
+    def test_columns_of_no_rows(self):
+        table = make_rows(np.zeros((0, 2)), [], ["ahr", "mhr"])
+        assert table.columns(["mhr", "ahr"]).shape == (0, 2)
+        assert table.columns(()).shape == (0, 0)
+
+    def test_take_keeps_order_and_repeats(self, rng):
+        table = make_rows(rng.normal(0, 1, (4, 2)), [0, 1, 2, 0], ["ahr", "mhr"])
+        part = table.take([2, 0, 2])
+        assert part.session_id == ("s0002", "s0000", "s0002")
+        assert part.activity == ("skiing", "walking", "skiing")
+        assert part.values.tobytes() == table.values[[2, 0, 2]].tobytes()
+        assert table.take([]).values.shape == (0, len(ALL_FEATURES))
+
+    def test_values_are_read_only(self):
+        values = np.zeros((1, len(ALL_FEATURES)))
+        table = FeatureTable(["a"], ["walking"], values)
+        with pytest.raises(ValueError):
+            table.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.take([0]).values[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "ids,activity,shape",
+        [(["a", "b"], ["walking"], (2, 13)), (["a"], ["walking"], (2, 13)), (["a"], ["walking"], (1, 12))],
+        ids=["activity", "rows", "columns"],
+    )
+    def test_unequal_lengths_are_rejected(self, ids, activity, shape):
+        with pytest.raises(ValueError, match="expected"):
+            FeatureTable(ids, activity, np.zeros(shape))

@@ -686,20 +686,20 @@ class TestHeartRate:
 
     def test_exact_divisions(self):
         f = self.features([800.0, 1000.0])
-        assert (f.ahr_bpm, f.mhr_bpm) == (67.5, 75.0)
+        assert (f["ahr"], f["mhr"]) == (67.5, 75.0)
 
     def test_typical_value_against_long_division(self):
         # oracle: decimal long division, frozen to double precision
         expected = float(Decimal(60000) / Decimal("812.3"))
         f = self.features([812.3])
-        assert f.ahr_bpm == pytest.approx(expected, abs=1e-12)
-        assert 73.86 < f.ahr_bpm < 73.87
+        assert f["ahr"] == pytest.approx(expected, abs=1e-12)
+        assert 73.86 < f["ahr"] < 73.87
 
     def test_round_half_to_even(self):
         # a watch display would round 74.5 bpm half to even (74); the
         # features keep the unrounded rate
         f = self.features([60000.0 / 74.5])
-        assert f.mhr_bpm == pytest.approx(74.5, abs=1e-12)
+        assert f["mhr"] == pytest.approx(74.5, abs=1e-12)
 
     def test_non_positive(self, tmp_path):
         # no heart rate is computed from rr <= 0: parsing rejects the row
@@ -711,4 +711,4 @@ class TestHeartRate:
     @given(st.floats(20.0, 250.0, allow_nan=False))
     @settings(max_examples=200)
     def test_round_trip(self, h):
-        assert self.features([60000.0 / h]).mhr_bpm == pytest.approx(h, abs=1e-9)
+        assert self.features([60000.0 / h])["mhr"] == pytest.approx(h, abs=1e-9)

@@ -93,14 +93,12 @@ class TestSplit:
 
     def test_sizes_100(self, rng):
         train, val, pred = split(self._rows(100, rng), seed=1)
-        assert (len(train), len(val), len(pred)) == (70, 15, 15)
+        assert (len(train.session_id), len(val.session_id), len(pred.session_id)) == (70, 15, 15)
 
     def test_same_seed_identical(self, rng):
         rows = self._rows(60, rng)
-        a = split(rows, seed=9)
-        b = split(rows, seed=9)
+        a, b, c = ([part.session_id for part in split(rows, seed=s)] for s in (9, 9, 10))
         assert a == b
-        c = split(rows, seed=10)
         assert a != c
 
     def test_stratified_within_one_of_proportional(self, rng):
@@ -108,14 +106,16 @@ class TestSplit:
         train, val, pred = split(rows, seed=4)
         for part, frac in ((train, 0.7), (val, 0.15), (pred, 0.15)):
             for label in ("walking", "running", "skiing"):
-                count = sum(r.activity == label for r in part)
+                count = part.activity.count(label)
                 assert abs(count - frac * 33) <= 1
 
     def test_no_overlap_and_complete(self, rng):
         rows = self._rows(50, rng)
         train, val, pred = split(rows, seed=2)
-        ids = [r.session_id for r in train + val + pred]
-        assert sorted(ids) == sorted(r.session_id for r in rows)
+        ids = train.session_id + val.session_id + pred.session_id
+        assert sorted(ids) == sorted(rows.session_id)
+        for part in (train, val, pred):
+            assert part.values.tobytes() == rows.values[[rows.session_id.index(i) for i in part.session_id]].tobytes()
         assert len(set(ids)) == 50
 
     def test_too_few(self, rng):
@@ -187,10 +187,13 @@ class TestFitLrm:
 
     def test_row_level_api(self, rng):
         X = rng.normal(70, 10, (40, 2))
+        X[[3, 17], 1] = np.nan
         codes = [i % 3 for i in range(40)]
         rows = make_rows(X, codes, ["ahr", "mhr"])
         Xr, y, kept = build_xy(rows, PRESETS["hr"])
-        assert kept == rows and y.tolist() == [float(c) for c in codes]
+        keep = [i for i in range(40) if i not in (3, 17)]
+        assert kept.session_id == tuple(rows.session_id[i] for i in keep)
+        assert Xr.tobytes() == X[keep].tobytes() and y.tolist() == [float(codes[i]) for i in keep]
         model = fit_lrm_xy(Xr, y, PRESETS["hr"])
         assert model.features == ("ahr", "mhr")
         assert len(model.weights) == 2
