@@ -15,8 +15,11 @@ Each output file appears whole or not at all (``manifest._write_text``).
 
 A command imports only the modules it runs, when it runs, and its
 arguments are added to the parser only then; ``report`` runs without numpy.
-``synth sessions`` and ``features`` spread their sessions over worker
-processes, one per available CPU; no output byte depends on how many.
+Work is spread over forked processes, one per available CPU
+(``manifest._fork_map``): ``synth sessions`` and ``features`` their
+sessions; ``moments``, ``plane`` and ``synth`` the long channel files they
+read or write and their many windows; ``plane`` its bootstrap cloud. No
+output byte depends on how many.
 
 Exit codes: 0 ok, 2 input error, 3 configuration error, 4 numeric failure;
 ``loadlens.errors`` holds the table of error bases and their codes.
@@ -25,6 +28,7 @@ Exit codes: 0 ok, 2 input error, 3 configuration error, 4 numeric failure;
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import itertools
 import math
@@ -84,7 +88,7 @@ def cmd_plane(args) -> dict:
     cloud = None
     if args.bootstrap > 0:
         last = int(windows.start[-1])
-        cloud = stats.bootstrap(rr.values[last : last + windows.n], args.bootstrap, args.seed)
+        cloud = functools.partial(stats.bootstrap, rr.values[last : last + windows.n], args.bootstrap, args.seed)
     momentplane.export_plane(args.out, windows, args.rho, args.tau, cloud)
     config = {"window": args.window, "stride": args.stride, "bootstrap": args.bootstrap}
     return {"config": {**config, "rho": args.rho, "tau": args.tau}, "inputs": [args.input], "digests": digests}
@@ -104,7 +108,8 @@ def _session_features(task):
 
 def cmd_features(args) -> dict:
     from .features import FeatureTable, write_features_csv
-    from .ingest import _map_sessions, parse_sessions_csv, resolve_channel_path
+    from .ingest import parse_sessions_csv, resolve_channel_path
+    from .manifest import _fork_map
 
     # forked workers start with the modules loaded here: load what extraction imports
     from . import momentplane, stats  # noqa: F401
@@ -114,7 +119,7 @@ def cmd_features(args) -> dict:
         (meta, resolve_channel_path(args.sessions, meta.accel_file), resolve_channel_path(args.sessions, meta.rr_file))
         for meta in metas
     ]
-    values, session_digests = zip(*_map_sessions(_session_features, tasks))
+    values, session_digests = zip(*_fork_map(_session_features, tasks))
     write_features_csv(args.out, FeatureTable([m.session_id for m in metas], [m.activity for m in metas], values))
     inputs = [args.sessions] + [path for _, accel_path, rr_path in tasks for path in (accel_path, rr_path)]
     digests = {path: sha256 for d in session_digests for path, sha256 in d.items()}

@@ -23,29 +23,36 @@ these invariants, so no consumer re-checks them; the channel readers and
 ``accel_magnitude`` build their channels through it too. Both arrays are
 read-only views.
 
-A channel file is read in two passes, whatever its length:
+A channel file is read in two passes:
 
 1. ``_scan`` reads its bytes 1 MB at a time into a sha256 (the digest the
-   manifest records), a count of ``\\n`` bytes, and a check that
+   manifest records), counts of ``\\n`` bytes every 64 KB, and a check that
    ``np.loadtxt`` reads every field as ``int()``/``float()`` do.
-2. ``_read_body`` parses the body ``CHUNK_ROWS`` lines at a time with
-   ``np.loadtxt`` into columns preallocated from that count, which
-   ``Channel`` takes without a copy.
+2. ``_read_body`` parses the body, every line after the header line,
+   ``CHUNK_ROWS`` lines at a time with ``np.loadtxt`` into columns
+   preallocated from the newline count, which ``Channel`` takes without a
+   copy. A body of at least ``SPLIT_ROWS`` newlines per CPU is cut at about
+   equal byte offsets into one range of lines per CPU; the counts of the
+   scan place each range's first row, and ``manifest._fork_map`` parses the
+   ranges in parallel, each in its own process, into columns in shared
+   memory.
 
 The reader makes one decision: safe bytes are read in blocks into a
 ``Channel``, and anything else goes to the field-by-field parser
 ``_parse_rows``, which reads the file again and raises the error of its
 first faulty row. Anything else is a file whose check fails, a block that
-does not parse, lines ending in a bare ``\\r`` that outgrow the columns, an
-empty body, an rr value <= 0, or columns the constructor rejects (a
-non-finite value, a t_ms below 0 or not increasing). A quote character
-fails every field that holds it (``TestLoadtxtContract`` in
+does not parse (a bare ``\\r`` within a line fails it), a range but the
+last whose lines are not all rows (a blank line), rows that outgrow the
+columns, an empty body, an rr value <= 0, or columns the constructor
+rejects (a non-finite value, a t_ms below 0 or not increasing). A quote
+character fails every field that holds it (``TestLoadtxtContract`` in
 ``tests/test_ingest.py`` pins that), so a file with quotes takes the failure
-route as well. So ``_parse_rows`` is the one place that builds a
-channel-file error, and no check depends on where the blocks fall.
+route as well, whichever range the quote falls in. So ``_parse_rows`` is
+the one place that builds a channel-file error, and no check depends on
+where the blocks or ranges fall.
 
 The columnar read holds the columns (32 B per accel row, 16 B per rr row)
-and one block of lines (about 0.6 MB), after a scan that holds two 1 MB
+and one block of lines in each process, after a scan that holds two 1 MB
 reads; ``accel_magnitude`` adds its 8 B per row. Reading the whole text
 first would hold the text too: parsing the 11.9 MB file of an hour of 50 Hz
 accel samples peaks at 38.5 MB of RSS in a fresh process by blocks, 94 MB
@@ -64,6 +71,7 @@ import csv
 import hashlib
 import itertools
 import math
+import mmap
 import os
 import warnings
 from dataclasses import dataclass
@@ -107,6 +115,15 @@ _RR_DTYPE = np.dtype([("t", "<i8"), ("v", "<f8")])
 #: ``moments`` run, as the CHANGES.md line "One model of each concept"
 #: records.
 CHUNK_ROWS = 2048
+
+#: Rows each process must get for a channel read, a table write or the
+#: moments of many windows (``stats._columns``) to be split over processes
+#: (``manifest._fork_map``). A split costs about 4 ms of forking and
+#: reaping, and two processes ran a parse or a write only 1.2 to 1.8 times
+#: as fast as one on a 2-vCPU machine; split, the 13,000-row rr file and
+#: window table of a 2-hour session ran no faster, so they stay in one
+#: process (as the CHANGES.md line "Both CPUs for one large file" records).
+SPLIT_ROWS = 8192
 
 
 def _first_fault(t_ms: np.ndarray, values: np.ndarray) -> str | None:
@@ -314,61 +331,123 @@ def _loadtxt_reads_like_python(data: bytes) -> bool:
 #: on the way" records).
 _SCAN_BYTES = 1 << 20
 
+#: Bytes between the newline counts ``_scan`` records (``marks``), from
+#: which ``_line_start`` finds where a range of lines starts: a read of less
+#: than this finds it, and adds nothing to the peak memory of a parse.
+_MARK_BYTES = 1 << 16
+
 
 def _scan(path):
     """One pass over the bytes of ``path``, ``_SCAN_BYTES`` at a time.
 
-    Returns ``(sha256, newlines, loadtxt_safe)``: the file's hex digest; the
-    count of ``\\n`` bytes, which bounds the data rows unless a line ends in
-    a bare ``\\r``; and whether ``_loadtxt_reads_like_python`` holds for the
-    file after an optional BOM.
+    Returns ``(sha256, marks, loadtxt_safe)``: the file's hex digest; the
+    count of ``\\n`` bytes before each multiple of ``_MARK_BYTES`` up to
+    the end, so ``marks[-1]``, the file's count, bounds the data rows unless
+    a line ends in a bare ``\\r``; and whether ``_loadtxt_reads_like_python``
+    holds for the file after an optional BOM.
     """
     digest = hashlib.sha256()
-    newlines = 0
+    marks = [0]
     with open(path, "rb") as fh:
         chunk = fh.read(_SCAN_BYTES)
         safe = _loadtxt_reads_like_python(chunk.removeprefix(codecs.BOM_UTF8))
         while chunk:
             digest.update(chunk)
-            newlines += chunk.count(b"\n")
+            for i in range(0, len(chunk), _MARK_BYTES):
+                marks.append(marks[-1] + chunk.count(b"\n", i, i + _MARK_BYTES))
             chunk = fh.read(_SCAN_BYTES)
             safe = safe and _loadtxt_reads_like_python(chunk)
-    return digest.hexdigest(), newlines, safe
+    return digest.hexdigest(), marks, safe
 
 
-def _read_body(fh, rows: int, dtype):
-    """Columnar read of the channel body left in ``fh``,
-    ``CHUNK_ROWS`` lines at a time, into columns preallocated for ``rows``
-    rows. Returns ``(t_ms, values)``, contiguous slices of those
-    columns, or None when ``np.loadtxt`` fails on any block or the body
-    holds more than ``rows`` rows."""
-    t = np.empty(rows, dtype=np.int64)
-    values = np.empty((rows, *dtype["v"].shape))
-    n = 0
-    with warnings.catch_warnings():
+def _empty(shape: tuple, dtype, shared: bool) -> np.ndarray:
+    """``np.empty(shape, dtype)``, in memory that forked children share
+    when ``shared``: what a ``manifest._fork_map`` task writes there, its
+    caller sees."""
+    if not shared:
+        return np.empty(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize), dtype).reshape(shape)
+
+
+def _line_start(fh, marks, target: int) -> tuple[int, int]:
+    """``(offset, lines)`` of the first line of the binary file ``fh`` that
+    starts at or after byte ``target`` (>= 1): its byte offset, or the file's
+    length when there is none, and the count of ``\\n`` bytes before it,
+    found from the ``_scan`` ``marks`` and a read of less than
+    ``_MARK_BYTES``."""
+    base = (target - 1) // _MARK_BYTES * _MARK_BYTES
+    fh.seek(base)
+    lines = marks[base // _MARK_BYTES] + fh.read(target - 1 - base).count(b"\n")
+    rest = fh.readline()
+    return target - 1 + len(rest), lines + rest.endswith(b"\n")
+
+
+def _read_lines(path, offset: int, row: int, count: int | None, dtype, t, values) -> int | None:
+    """Parse ``count`` lines of ``path`` (every line to its end when None)
+    from byte ``offset``, ``CHUNK_ROWS`` lines at a time with
+    ``np.loadtxt``, into the columns ``t`` and ``values`` from row ``row``
+    on. Returns the rows parsed, or None when a block does not parse or the
+    rows outgrow the columns. A bare ``\\r`` within a line fails its block."""
+    i = row
+    with open(path, "rb") as fh, warnings.catch_warnings():
         # A block of blank lines warns; an empty body is the caller's EmptyFile.
         warnings.simplefilter("ignore", UserWarning)
-        while lines := list(itertools.islice(fh, CHUNK_ROWS)):
+        fh.seek(offset)
+        lines = itertools.islice(fh, count)
+        while block := list(itertools.islice(lines, CHUNK_ROWS)):
             try:
-                block = np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+                parsed = np.loadtxt(block, delimiter=",", comments=None, dtype=dtype, ndmin=1)
             except ValueError:
                 return None
-            if n + len(block) > rows:
+            if i + len(parsed) > len(t):
                 return None
-            t[n : n + len(block)] = block["t"]
-            values[n : n + len(block)] = block["v"]
-            n += len(block)
+            t[i : i + len(parsed)] = parsed["t"]
+            values[i : i + len(parsed)] = parsed["v"]
+            i += len(parsed)
+    return i - row
+
+
+def _read_body(path, marks, dtype):
+    """Columnar read of the channel body, every line after the first, into
+    columns preallocated for the file's ``marks[-1]`` newlines.
+
+    A body of at least ``SPLIT_ROWS`` newlines per worker
+    (``manifest._worker_count``) is cut at about equal byte offsets into
+    one range of lines per worker, and ``manifest._fork_map`` parses each
+    range (``_read_lines``) in its own process straight into columns in
+    shared memory. Returns ``(t_ms, values)``, contiguous slices of the
+    columns, or None when the file holds no newline, a range fails, or a
+    range but the last has fewer rows than lines (a blank line)."""
+    rows = marks[-1]
+    if not rows:
+        return None
+    workers = manifest._worker_count(rows // SPLIT_ROWS)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        starts = [_line_start(fh, marks, max(1, size * k // workers)) for k in range(workers)]
+    # a range that would start at the end is dropped, so the one before it
+    # reads the last line, which may have no line end
+    starts = starts[:1] + [start for start in starts[1:] if start[0] < size]
+    # two arrays, not one record array: accel_magnitude keeps t_ms and frees the axes
+    t = _empty((rows,), np.int64, shared=len(starts) > 1)
+    values = _empty((rows, *dtype["v"].shape), np.float64, shared=len(starts) > 1)
+    ends = [lines for _, lines in starts[1:]] + [None]
+    ranges = [(offset, lines - 1, None if end is None else end - lines) for (offset, lines), end in zip(starts, ends)]
+    parsed = manifest._fork_map(lambda r: _read_lines(path, *r, dtype, t, values), ranges)
+    if None in parsed or any(n != count for n, (_, _, count) in zip(parsed[:-1], ranges)):
+        return None
+    n = ranges[-1][1] + parsed[-1]
     return t[:n], values[:n]
 
 
 def _parse_channel(path, header, dtype, rr: bool, digests) -> Channel:
-    sha256, newlines, loadtxt_safe = _scan(path)
+    sha256, marks, loadtxt_safe = _scan(path)
     if digests is not None:
         digests[str(path)] = sha256
     if loadtxt_safe:
         with _open_csv(path) as fh:
             _read_header(fh, path, header)
-            body = _read_body(fh, newlines, dtype)
+        body = _read_body(path, marks, dtype)
         if body is not None and len(body[0]) and not (rr and body[1].min() <= 0):
             with contextlib.suppress(ValueError):
                 return Channel(*body)
@@ -432,12 +511,21 @@ def parse_sessions_csv(path) -> list[SessionMeta]:
 def _write_table(path, header, lines, *columns) -> None:
     """Write a numeric CSV table: the header, then the rows of ``columns``
     (equal-length sequences) ``CHUNK_ROWS`` at a time, each block
-    formatted by ``lines(*block_columns)`` into ``\r\n``-ended lines."""
-    blocks = (
-        "".join(lines(*(col[i : i + CHUNK_ROWS] for col in columns)))
-        for i in range(0, len(columns[0]), CHUNK_ROWS)
-    )
-    manifest._write_text(path, itertools.chain([",".join(header) + "\r\n"], blocks))
+    formatted by ``lines(*block_columns)`` into ``\r\n``-ended lines. The
+    blocks are cut into one section per worker (``manifest._worker_count``),
+    which ``manifest._write_text`` writes in parallel."""
+    blocks = -(-len(columns[0]) // CHUNK_ROWS)
+    workers = manifest._worker_count(len(columns[0]) // SPLIT_ROWS)
+    cuts = [blocks * k // workers * CHUNK_ROWS for k in range(workers + 1)]
+
+    def section(lo, hi):
+        return (
+            "".join(lines(*(col[i : i + CHUNK_ROWS] for col in columns)))
+            for i in range(lo, hi, CHUNK_ROWS)
+        )
+
+    sections = [section(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    manifest._write_text(path, itertools.chain([",".join(header) + "\r\n"], sections[0]), *sections[1:])
 
 
 def _accel_lines(t_ms: np.ndarray, values: np.ndarray) -> list[str]:
@@ -495,30 +583,3 @@ def resolve_channel_path(sessions_path, channel_file: str) -> str:
     if os.path.isabs(channel_file):
         return channel_file
     return os.path.join(os.path.dirname(os.path.abspath(sessions_path)), channel_file)
-
-
-def _worker_count(n_sessions: int) -> int:
-    """Worker processes for ``n_sessions`` sessions: one per CPU this process
-    may run on, and no more than there are sessions."""
-    return min(len(os.sched_getaffinity(0)), n_sessions)
-
-
-def _map_sessions(fn, tasks: list) -> list:
-    """``[fn(task) for task in tasks]``, computed in worker processes.
-
-    Sessions share no state, so any worker may run any task; the results
-    come back in task order. When tasks fail, the error of the first failing
-    one in task order is raised, as a loop over the tasks would raise it,
-    though later tasks may have run. ``fn`` must be a module-level function:
-    workers receive it, the tasks and the results pickled.
-
-    The workers are forked, so they start with every module the parent
-    imported instead of importing numpy and loadlens again. The pool forks
-    them before it starts its own management thread.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(_worker_count(len(tasks)), mp_context=context) as pool:
-        return list(pool.map(fn, tasks))

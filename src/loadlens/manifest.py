@@ -24,29 +24,42 @@ again by ``sha256_file`` when the manifest is written.
 Every output file is opened in one place, ``_write_text``, which writes text
 parts as UTF-8 with line ends as given, to a temporary file beside the
 target that replaces it only after the last part: an interrupted or failed
-write leaves the earlier target, or none, never a cut file.
-``ingest._write_table`` feeds it the numeric tables (accel, rr, windows) as
-f-string lines; ``_write_csv`` the tables that hold text (sessions,
-features, correlations, predictions, loss curves) through ``csv.writer``,
-which quotes text cells; ``_write_json`` every JSON file but ``plane.json``,
-which ``momentplane.export_plane`` streams from templates. ``_read_json`` is
-the one JSON reader. Floats are written by ``repr``, so a write -> parse
-round trip is bit-exact. CSV lines end in ``\\r\\n``, but those of
-``predict.csv`` and ``*.losses.csv`` in ``\\n``, as in JSON files. Both CSV
-writers stay: f-strings cannot quote text, and ``csv.writer`` is slower on
-numeric tables (timed on 180,000 accel rows and 35,941 window rows, as the
-CHANGES.md line "Fit and score the network in fewer numpy calls" records).
+write leaves the earlier target, or none, never a cut file. It takes the
+text in ordered sections: the calling process writes the first, and forked
+children write the later ones to part files beside the temporary file, which
+are appended in order before the rename. ``ingest._write_table`` feeds it
+the numeric tables (accel, rr, windows) as f-string lines, cut into one
+section per CPU at ``ingest.CHUNK_ROWS`` boundaries; ``_write_csv`` the
+tables that hold text (sessions, features, correlations, predictions, loss
+curves) through ``csv.writer``, which quotes text cells; ``_write_json``
+every JSON file but ``plane.json``, which ``momentplane.export_plane``
+streams from templates, its bootstrap cloud in a section of its own.
+``_read_json`` is the one JSON reader. Floats are written by ``repr``, so a
+write -> parse round trip is bit-exact. CSV lines end in ``\\r\\n``, but
+those of ``predict.csv`` and ``*.losses.csv`` in ``\\n``, as in JSON files.
+Both CSV writers stay: f-strings cannot quote text, and ``csv.writer`` is
+slower on numeric tables (timed on 180,000 accel rows and 35,941 window
+rows, as the CHANGES.md line "Fit and score the network in fewer numpy
+calls" records).
 The sink needs only the standard library, so ``report``, which only copies
 JSON, runs without numpy.
+
+``_fork_map`` is the one way work is spread over processes: the sessions
+of ``synth sessions`` and ``features``, the line ranges of a long channel
+read, the kernel blocks of many windows, the sections of a write. It forks one child per CPU but one and runs
+a share of the tasks in the calling process; a call made inside a task
+runs in that task's process, so per-session tasks never fork again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
 import json
 import os
+import shutil
 from datetime import datetime, timezone
 from types import SimpleNamespace
 
@@ -59,30 +72,153 @@ MANIFEST_SUFFIX = ".manifest.json"
 TIMESTAMP_KEY = "created_utc"
 
 
-def _write_text(path, parts) -> None:
-    """Write the text ``parts``, an iterable consumed as it is written, to
-    ``path``; the one place where an output file is opened.
+#: True while ``_fork_map`` runs tasks, in the calling process and in the
+#: children it forked.
+_busy = False
 
-    The parts go to a temporary file beside the file ``path`` names
+
+def _worker_count(n_tasks: int) -> int:
+    """Processes to run ``n_tasks`` tasks in: one per CPU this process may
+    run on and no more than there are tasks, or this one alone while
+    ``_fork_map`` tasks already run."""
+    return 1 if _busy else min(len(os.sched_getaffinity(0)), max(n_tasks, 1))
+
+
+def _fork_map(fn, tasks: list) -> list:
+    """``[fn(task) for task in tasks]``, run in ``_worker_count`` processes.
+
+    The calling process runs tasks 0, w, 2w ... of w processes, and each of
+    w - 1 forked children runs tasks k, k + w ...; each stops at its first
+    failing task. The results come back in task order. When tasks fail, the
+    error of the first failing one in task order is raised, as the loop
+    would raise it, though later tasks may have run. A child sends its
+    results, or its error, pickled through a pipe and leaves by
+    ``os._exit``; every child is reaped before the call returns or raises.
+
+    Children start with the caller's memory, modules and open files, so
+    ``fn`` may be a closure, but what a task changes in memory stays in its
+    process: it returns its result or writes it to a file or to shared
+    memory. A call made while tasks run, in the caller or in a child, runs
+    its tasks in its own process, so tasks never fork again.
+    """
+    global _busy
+    workers = _worker_count(len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    import pickle
+    import signal
+
+    def share(k):
+        """``(results, None)``, or ``(None, (task index, error))`` at the first
+        failing task of share ``k``."""
+        done = []
+        for i in range(k, len(tasks), workers):
+            try:
+                done.append(fn(tasks[i]))
+            except Exception as e:
+                return None, (i, e)
+        return done, None
+
+    children, shares = [], {}
+    _busy = True
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        data = pickle.dumps(share(k))
+                    except Exception as e:
+                        data = pickle.dumps((None, (k, e)))
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((k, pid, open(r, "rb")))
+        shares[0] = share(0)
+        while children:
+            k, pid, pipe = children[0]
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            pipe.close()
+            if data:
+                shares[k] = pickle.loads(data)
+            else:
+                code = os.waitstatus_to_exitcode(status)
+                shares[k] = None, (k, ChildProcessError(f"worker process {pid} exited with code {code} and no result"))
+    finally:
+        _busy = False
+        for _, pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares.values() if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(tasks)
+    for k, (done, _) in shares.items():
+        results[k::workers] = done
+    return results
+
+
+def _write_text(path, *sections) -> None:
+    """Write the text ``sections``, iterables of text parts consumed as they
+    are written, one after another to ``path``; the one place where an
+    output file is opened.
+
+    The text goes to a temporary file beside the file ``path`` names
     (through any symlink), which ``os.replace`` moves onto it after the last
-    part. A raise removes the temporary file, and an OSError about it names
+    section. The calling process writes the first section there while
+    ``_fork_map`` children write the later ones to part files beside it,
+    which it then appends in order. A raise, in any section, removes the
+    temporary and part files, and an OSError about one of them names
     ``path``. So a write leaves the whole new file or the earlier one, with
     the file mode and the messages of ``open(path, "w")``. A ``path`` that
     exists but is not a regular file, such as ``/dev/null``, is written in
-    place.
+    place, every section by the calling process in order.
     """
     target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp" if os.path.isfile(target) or not os.path.exists(target) else target
+    stem = f"{target}.{os.getpid()}"
+    tmp = f"{stem}.tmp" if os.path.isfile(target) or not os.path.exists(target) else target
+    forked = tmp != target and _worker_count(len(sections)) > 1
+    parts = [f"{stem}.{i}.part" for i in range(1, len(sections))] if forked else []
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(parts)
+            if forked:
+
+                def write(i):
+                    if i == 0:
+                        fh.writelines(sections[0])
+                        return
+                    with open(parts[i - 1], "w", newline="", encoding="utf-8") as out:
+                        out.writelines(sections[i])
+
+                _fork_map(write, list(range(len(sections))))
+                fh.flush()
+                for part in parts:
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer)
+            else:
+                for section in sections:
+                    fh.writelines(section)
         os.replace(tmp, target)
     except BaseException as e:
         if tmp != target and os.path.exists(tmp):
             os.remove(tmp)
-        if isinstance(e, OSError) and e.filename == tmp != target:
+        if isinstance(e, OSError) and tmp != target and e.filename in (tmp, *parts):
             raise type(e)(e.errno, e.strerror, os.fspath(path)) from None
         raise
+    finally:
+        for part in parts:
+            if os.path.exists(part):
+                os.remove(part)
 
 
 def _write_json(path, doc, sort_keys: bool = False) -> None:

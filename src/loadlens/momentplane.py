@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
@@ -201,17 +202,9 @@ def _json_list(item, *columns):
     yield "\n ]"
 
 
-def export_plane(
-    path, windows: WindowTable, rho: float = DEFAULT_RHO, tau: float = DEFAULT_TAU, cloud: MomentColumns | None = None
-) -> None:
-    """Write the plot-ready plane export: landmarks, one point per window
-    with its zone and metrics, and the optional bootstrap cloud.
-
-    Degenerate windows appear with null coordinates as the missing-value
-    marker so consumers keep the full time axis. The bytes are those of
-    ``manifest._write_json(path, doc)``; points and cloud entries are
-    streamed from fixed templates, so the text is never held whole.
-    """
+def _points_text(windows: WindowTable, rho: float, tau: float):
+    """Text parts of ``plane.json`` up to its "bootstrap_cloud" value: the
+    landmarks, and one point per window with its zone and metrics."""
     s, k = windows.skewness * windows.skewness, windows.kurtosis
     m1, m2 = _metric_columns(s, k)
     ok = ~windows.degenerate
@@ -225,11 +218,40 @@ def export_plane(
         "weibull_curve": weibull_curve(),
     }
     head = json.dumps({"landmarks": landmarks, "rho": rho, "tau": tau}, indent=1)
-    c = MomentColumns(0, [], [], [], []) if cloud is None else cloud
-    manifest._write_text(path, itertools.chain(
-        [head.removesuffix("\n}") + ',\n "points": '],
-        _json_list(_point, windows.t_mid_ms, s, k, zones, m1, m2),
-        [',\n "bootstrap_cloud": '],
-        _json_list(_cloud_entry, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness),
-        ['\n}\n'],
-    ))
+    yield head.removesuffix("\n}") + ',\n "points": '
+    yield from _json_list(_point, windows.t_mid_ms, s, k, zones, m1, m2)
+    yield ',\n "bootstrap_cloud": '
+
+
+def _cloud_text(cloud):
+    """Text parts of ``plane.json`` from its "bootstrap_cloud" value on:
+    the cloud ``cloud()`` returns, or an empty one when ``cloud`` is None."""
+    c = MomentColumns(0, [], [], [], []) if cloud is None else cloud()
+    yield from _json_list(_cloud_entry, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness)
+    yield "\n}\n"
+
+
+def export_plane(
+    path,
+    windows: WindowTable,
+    rho: float = DEFAULT_RHO,
+    tau: float = DEFAULT_TAU,
+    cloud: Callable[[], MomentColumns] | None = None,
+) -> None:
+    """Write the plot-ready plane export: landmarks, one point per window
+    with its zone and metrics, and the optional bootstrap cloud, which the
+    function ``cloud`` returns.
+
+    Degenerate windows appear with null coordinates as the missing-value
+    marker so consumers keep the full time axis. The bytes are those of
+    ``manifest._write_json(path, doc)``; points and cloud entries are
+    streamed from fixed templates, so the text is never held whole. With a
+    cloud, the text is written in two sections of ``manifest._write_text``:
+    this process classifies and writes the points while a forked child
+    calls ``cloud`` and writes the cloud, and an error raised by ``cloud``
+    leaves no file.
+    """
+    sections = [_points_text(windows, rho, tau), _cloud_text(cloud)]
+    if cloud is None:
+        sections = [itertools.chain(*sections)]
+    manifest._write_text(path, *sections)

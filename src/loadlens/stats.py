@@ -14,11 +14,12 @@ Moments have one form, a table of columns with one row per sample:
 its contiguous last axis. Blocks hold at most ``BLOCK_VALUES`` values (256
 rows of the default window, about 0.6 MB per float64 temporary) and fill
 preallocated columns, so memory grows by a few numbers per window or
-resample, not by an object. Results are bit-identical to reducing each
-sample as its own 1-D array and finishing in Python floats: numpy reduces a
-row with the pairwise summation it applies to a 1-D array, and its sqrt,
-products, divisions and comparisons are correctly rounded like Python's.
-Only ``m2**1.5`` is taken by Python's float power, value by value, because
+resample, not by an object; many windows are spread over processes
+(``_columns``). Results are bit-identical to reducing each sample as its
+own 1-D array and finishing in Python floats: numpy reduces a row with the
+pairwise summation it applies to a 1-D array, and its sqrt, products,
+divisions and comparisons are correctly rounded like Python's. Only
+``m2**1.5`` is taken by Python's float power, value by value, because
 numpy's power differs from it in the last bit for some values.
 
 Degeneracy has one signal: a sample whose variance is numerically zero
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ingest, manifest
 from .errors import ConfigError, MomentOverflow, SeriesTooShort
 from .ingest import Channel, _write_table
 
@@ -130,13 +132,21 @@ def _block_moments(blk: np.ndarray) -> list[np.ndarray]:
 def _columns(count: int, n: int, block) -> list[np.ndarray]:
     """Moment columns of ``count`` samples of n values, filled by kernel
     blocks: ``block(rows)`` returns the columns of the samples in the slice
-    ``rows``."""
-    cols = [np.empty(count) for _ in range(4)]
+    ``rows``. With at least ``ingest.SPLIT_ROWS`` samples per worker, each
+    worker (``manifest._fork_map``) fills one run of blocks, in shared
+    memory."""
     step = max(1, BLOCK_VALUES // n)
-    for b in range(0, count, step):
-        rows = slice(b, min(b + step, count))
-        for col, part in zip(cols, block(rows)):
-            col[rows] = part
+    starts = range(0, count, step)
+    workers = manifest._worker_count(count // ingest.SPLIT_ROWS)
+    cols = [ingest._empty((count,), np.float64, shared=workers > 1) for _ in range(4)]
+
+    def fill(run):
+        for b in run:
+            rows = slice(b, min(b + step, count))
+            for col, part in zip(cols, block(rows)):
+                col[rows] = part
+
+    manifest._fork_map(fill, [starts[len(starts) * k // workers : len(starts) * (k + 1) // workers] for k in range(workers)])
     return cols
 
 

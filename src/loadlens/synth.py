@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import manifest
 from .errors import ConfigError
 from .ingest import (
     Channel,
     SessionMeta,
-    _map_sessions,
     write_accel_csv,
     write_rr_csv,
     write_sessions_csv,
@@ -315,7 +315,7 @@ def gen_sessions(n_per_class: int, seed: int, out_dir) -> list[SessionMeta]:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
     os.makedirs(out_dir, exist_ok=True)
     sessions = _draw_sessions(n_per_class, seed)
-    _map_sessions(_write_session, [(session, out_dir) for session in sessions])
+    manifest._fork_map(_write_session, [(session, out_dir) for session in sessions])
     metas = [meta for meta, *_ in sessions]
     write_sessions_csv(os.path.join(out_dir, "sessions.csv"), metas)
     return metas

@@ -24,7 +24,8 @@ import pytest
 import loadlens
 from loadlens import synth
 from loadlens.features import FeatureTable, extract_features
-from loadlens.ingest import _map_sessions, accel_magnitude
+from loadlens.ingest import accel_magnitude
+from loadlens.manifest import _fork_map
 from loadlens.learn.data import PRESETS, build_xy, split
 from loadlens.learn.evaluate import evaluate_xy
 from loadlens.learn.models import fit_lrm_xy
@@ -109,7 +110,7 @@ def h1() -> list[dict[str, float]]:
     the accuracy of the subjective columns and of all columns. The
     sessions of every seed are generated in one pass of worker processes."""
     drawn = [synth._draw_sessions(H1_SESSIONS_PER_CLASS, seed) for seed in H1_SEEDS]
-    values = iter(_map_sessions(session_features, [session for sessions in drawn for session in sessions]))
+    values = iter(_fork_map(session_features, [session for sessions in drawn for session in sessions]))
     results = []
     for seed, sessions in zip(H1_SEEDS, drawn):
         metas = [meta for meta, *_ in sessions]

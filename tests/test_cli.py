@@ -141,16 +141,94 @@ def replace_line(path, i, text) -> None:
     path.write_bytes(b"\r\n".join(lines))
 
 
+@pytest.fixture(scope="module")
+def worker_inputs(tmp_path_factory):
+    """An rr file of 4,500 beats and an accel file of 4,500 rows: channels
+    of three ``CHUNK_ROWS`` blocks, whose stride-1 window tables span two
+    blocks and more."""
+    root = tmp_path_factory.mktemp("worker_inputs")
+    rng = np.random.default_rng(11)
+    rr = rng.uniform(600.0, 1000.0, 4_500)
+    ingest.write_rr_csv(root / "rr.csv", ingest.Channel(np.cumsum(rr.astype(int)), rr))
+    assert main(["synth", "accel", "--class", "active", "--duration", "90", "--seed", "1", "--out", str(root / "accel.csv")]) == 0
+    return root
+
+
+#: Commands whose processes split their work, as argv lists from the input
+#: and output directories.
+WORKER_RUNS = {
+    "sessions": lambda inp, out: [
+        ["synth", "sessions", "--n", "2", "--seed", "0", "--out-dir", f"{out}/data"],
+        ["features", "--sessions", f"{out}/data/sessions.csv", "--out", f"{out}/features.csv"],
+    ],
+    "moments rr": lambda inp, out: [["moments", "--input", f"{inp}/rr.csv", "--channel", "rr", "--stride", "1", "--out", f"{out}/w.csv"]],
+    "moments accel": lambda inp, out: [
+        ["moments", "--input", f"{inp}/accel.csv", "--channel", "accel", "--stride", "1", "--out", f"{out}/w.csv"]
+    ],
+    "moments accel --center": lambda inp, out: [
+        ["moments", "--input", f"{inp}/accel.csv", "--channel", "accel", "--center", "--stride", "1", "--out", f"{out}/w.csv"]
+    ],
+    "plane --bootstrap": lambda inp, out: [
+        ["plane", "--input", f"{inp}/rr.csv", "--stride", "1", "--bootstrap", "3000", "--seed", "3", "--out", f"{out}/plane.json"]
+    ],
+}
+
+
+def run_outputs(argvs, root) -> dict[str, str | None]:
+    """Run each argv; the sha256 of every file under ``root``, None for
+    manifests, whose timestamps differ between runs."""
+    root.mkdir()
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    return {
+        os.path.relpath(os.path.join(d, f), root).replace(os.sep, "/"): None if f.endswith(manifest.MANIFEST_SUFFIX) else sha256(os.path.join(d, f))
+        for d, _, files in os.walk(root)
+        for f in files
+    }
+
+
+@pytest.fixture(scope="module")
+def serial_outputs(worker_inputs, tmp_path_factory):
+    """The files of a ``WORKER_RUNS`` command run in one process, the
+    ``_worker_count`` while tasks run, computed once per command."""
+    outputs = {}
+
+    def of(command):
+        if command not in outputs:
+            root = tmp_path_factory.mktemp("serial") / "out"
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(manifest, "_busy", True)
+                outputs[command] = run_outputs(WORKER_RUNS[command](worker_inputs, root), root)
+        return outputs[command]
+
+    return of
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestSessionWorkers:
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch, workers):
-        monkeypatch.setattr(ingest, "_worker_count", lambda n_sessions: workers)
-        data = tmp_path / "data"
-        assert main(["synth", "sessions", "--n", "2", "--seed", "0", "--out-dir", str(data)]) == 0
-        assert main(["features", "--sessions", str(data / "sessions.csv"), "--out", str(tmp_path / "features.csv")]) == 0
-        for rel, digest in GOLDEN_SHA256.items():
-            if rel.startswith("data/") or rel == "features.csv":
-                assert sha256(tmp_path / rel) == digest, rel
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("command", sorted(WORKER_RUNS))
+    def test_worker_count_does_not_change_output(self, worker_inputs, serial_outputs, tmp_path, monkeypatch, command, workers):
+        """Each worker count writes the bytes, and only the files, of the
+        serial run; the sessions also match their pinned digests. Above one
+        worker, the command forks: with 1,024 rows per process, the
+        channels and window tables are split."""
+        serial = serial_outputs(command)
+        monkeypatch.setattr(ingest, "SPLIT_ROWS", 1024)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda fork=os.fork: forks.append(1) or fork())
+        assert run_outputs(WORKER_RUNS[command](worker_inputs, tmp_path / "out"), tmp_path / "out") == serial
+        assert bool(forks) == (workers > 1)
+        assert_no_child_left()
+        if command == "sessions":
+            for rel, digest in GOLDEN_SHA256.items():
+                if rel.startswith("data/") or rel == "features.csv":
+                    assert serial[rel] == digest, rel
 
     @pytest.mark.parametrize("lower", ["rr", "accel"])
     def test_lowest_failing_session_error_wins(self, tmp_path, capsys, lower):
@@ -176,8 +254,9 @@ class TestSessionWorkers:
         assert not out.exists()
 
     def test_importing_the_cli_loads_no_pool_module(self):
-        """Nor ``logging``: warnings go through ``warnings.warn``."""
-        code = "import sys, loadlens.cli; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing', 'logging'))))"
+        """Nor ``logging``: warnings go through ``warnings.warn``. Nor does
+        running a command (``TestCommandImports``)."""
+        code = f"import sys, loadlens.cli; print(sorted(m for m in sys.modules if m.startswith({POOL_MODULES})))"
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__))}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -294,13 +373,13 @@ class TestGoldenLearn:
 class TestOutputSink:
     def test_every_output_goes_through_the_sink(self, tmp_path, monkeypatch):
         """Each file the learn commands and ``plane`` write is written once,
-        by ``manifest._write_text``."""
+        by ``manifest._write_text``, whatever its sections."""
         written = []
         sink = manifest._write_text
 
-        def recording(path, parts):
+        def recording(path, *sections):
             written.append(os.path.relpath(path, tmp_path).replace(os.sep, "/"))
-            sink(path, parts)
+            sink(path, *sections)
 
         monkeypatch.setattr(manifest, "_write_text", recording)
         run_learn(str(tmp_path / "learn"))
@@ -312,31 +391,78 @@ class TestOutputSink:
         ]
         assert sorted(written) == sorted(on_disk)
 
-    def test_a_failed_write_leaves_the_old_file(self, tmp_path):
-        """A parts iterator that raises half-way leaves the earlier target's
-        bytes and no other file; a written file has the mode ``open`` gives,
-        and a symlink stays a symlink."""
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        """A parts iterator that raises half-way, in the calling process or
+        in a forked child, leaves the earlier target's bytes and no other
+        file, and its error is raised; a written file has the mode ``open``
+        gives, and a symlink stays a symlink."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         (tmp_path / "plain.csv").open("w").close()
         target = tmp_path / "out.csv"
         manifest._write_text(target, ["old\n"])
         assert target.stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
         (tmp_path / "link.csv").symlink_to(target)
-        manifest._write_text(tmp_path / "link.csv", ["linked\n"])
-        assert (tmp_path / "link.csv").is_symlink() and target.read_bytes() == b"linked\n"
+        manifest._write_text(tmp_path / "link.csv", ["linked\n"], ["in a child\n"])
+        assert (tmp_path / "link.csv").is_symlink() and target.read_bytes() == b"linked\nin a child\n"
         manifest._write_text(target, ["old\n"])
 
         def parts():
             yield "new\n"
             raise OSError(28, "No space left on device")
 
-        with pytest.raises(OSError, match="No space"):
-            manifest._write_text(target, parts())
-        assert target.read_bytes() == b"old\n"
-        assert sorted(os.listdir(tmp_path)) == ["link.csv", "out.csv", "plain.csv"]
+        for sections in ([parts()], [["a\n"], parts(), ["c\n"]], [["a\n"], ["b\n"], parts()]):
+            with pytest.raises(OSError, match="No space"):
+                manifest._write_text(target, *sections)
+            assert target.read_bytes() == b"old\n"
+            assert sorted(os.listdir(tmp_path)) == ["link.csv", "out.csv", "plain.csv"]
+            assert_no_child_left()
         missing = tmp_path / "no_dir" / "out.csv"
         with pytest.raises(FileNotFoundError) as ei:
-            manifest._write_text(missing, ["new\n"])
+            manifest._write_text(missing, ["new\n"], ["in a child\n"])
         assert str(ei.value) == f"[Errno 2] No such file or directory: '{missing}'"
+
+    def test_a_file_that_is_not_regular_is_written_in_place_by_the_caller(self, monkeypatch):
+        """The sections of a write to ``/dev/null`` run in the calling
+        process, in order."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        ran = []
+
+        def section(i):
+            ran.append((i, os.getpid()))
+            yield f"{i}\n"
+
+        manifest._write_text(os.devnull, section(0), section(1), section(2))
+        assert ran == [(0, os.getpid()), (1, os.getpid()), (2, os.getpid())]
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_errors_and_children(self, monkeypatch, workers):
+        """Results in task order; the first failing task's error, whichever
+        process ran it; a call inside a task runs where it is called; a
+        child that leaves without a result is an error; no child is left."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda fork=os.fork: forks.append(1) or fork())
+        caller = os.getpid()
+
+        def task(i):
+            if i in (1, 4):
+                raise MalformedRow(i, "task failed")
+            if i == 7 and os.getpid() != caller:
+                os._exit(3)
+            return i * i, manifest._fork_map(abs, [-1, -2])
+
+        assert manifest._fork_map(task, [0, 2, 3, 5, 6]) == [(i * i, [1, 2]) for i in (0, 2, 3, 5, 6)]
+        assert len(forks) == workers - 1
+        with pytest.raises(MalformedRow) as ei:
+            manifest._fork_map(task, list(range(7)))
+        assert ei.value.row == 1
+        assert_no_child_left()
+        if workers > 1:
+            with pytest.raises(ChildProcessError, match="exited with code 3 and no result"):
+                manifest._fork_map(task, [0, 7])
+            assert_no_child_left()
 
 
 class TestInputDigests:
@@ -371,8 +497,8 @@ class TestInputDigests:
         for entry in inputs:
             assert entry["sha256"] == sha256(entry["path"]), entry["path"]
         assert hashed == [str(data / "sessions.csv")]
-        # features parses in worker processes, which this list does not see
-        assert fallbacks == [str(rr)] * 2
+        # the calling process of ``_fork_map`` runs the first session itself
+        assert fallbacks == [str(rr)] * 3
 
 
 def with_feature(table, ids, name: str, value: float) -> FeatureTable:
@@ -623,8 +749,20 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, "-m", "loadlens.cli", *argv], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ConfigError: cannot bootstrap")
-        assert not out.exists()
-        assert not (tmp_path / "plane.json.manifest.json").exists()
+        assert os.listdir(tmp_path) == ["rr.csv"]
+
+    def test_degenerate_bootstrap_in_a_forked_section_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        """The cloud's section raises in a forked child while the points are
+        written: no output, temporary or part file and no manifest is left,
+        and no child."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rr = np.r_[np.random.default_rng(2).uniform(600.0, 1000.0, 1_000), np.full(300, 800.0)]
+        ingest.write_rr_csv(tmp_path / "rr.csv", ingest.Channel(np.cumsum(rr.astype(int)), rr))
+        argv = ["plane", "--input", str(tmp_path / "rr.csv"), "--stride", "1", "--bootstrap", "50", "--out", str(tmp_path / "p.json")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ConfigError: cannot bootstrap")
+        assert os.listdir(tmp_path) == ["rr.csv"]
+        assert_no_child_left()
 
     def test_overflowing_velocity_is_numeric_error(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -948,9 +1086,13 @@ COMMAND_MODULES = {
     "synth accel": {"ingest", "synth"},
 }
 
+#: Modules of process pools and logging, which no command loads.
+POOL_MODULES = ("concurrent", "multiprocessing", "logging")
+
 #: Runs one command in a fresh interpreter and prints its exit code, whether
-#: numpy, ``numpy.random`` and ``numpy.ma`` are loaded, and the loaded ``loadlens`` modules. With ``--serial``,
-#: ``_map_sessions`` runs its tasks in this process and also prints the
+#: numpy, ``numpy.random`` and ``numpy.ma`` are loaded, the loaded
+#: ``loadlens`` modules and the loaded ``POOL_MODULES``. With ``--serial``,
+#: ``manifest._fork_map`` runs its tasks in this process and also prints the
 #: modules that running them loaded: the modules a forked worker would lack.
 #: Commands that draw no random numbers, so they must not load
 #: ``numpy.random``: it adds about 2 MB of RSS and 12 ms to a process, and a
@@ -958,21 +1100,22 @@ COMMAND_MODULES = {
 #: command loads ``numpy.ma`` (about 17 ms; ``np.unique`` with ``axis`` loads it).
 NO_RANDOM = ("moments", "features", "correlate", "plane")
 
-PROBE = """
+PROBE = f"""
 import json, sys
 from loadlens import cli
 fresh = []
 if sys.argv[1] == "--serial":
-    from loadlens import ingest
+    from loadlens import manifest
     def serial(fn, tasks):
         before = set(sys.modules)
         results = [fn(task) for task in tasks]
         fresh.extend(sorted(set(sys.modules) - before))
         return results
-    ingest._map_sessions = serial
+    manifest._fork_map = serial
 code = cli.main(sys.argv[2:])
 loaded = ["numpy" in sys.modules, "numpy.random" in sys.modules, "numpy.ma" in sys.modules]
-print(json.dumps([code, *loaded, sorted(m for m in sys.modules if m.startswith("loadlens")), fresh]))
+pool = sorted(m for m in sys.modules if m.startswith({POOL_MODULES!r}))
+print(json.dumps([code, *loaded, sorted(m for m in sys.modules if m.startswith("loadlens")), pool, fresh]))
 """
 
 
@@ -1009,28 +1152,30 @@ def command_argv(command: str, inputs, out) -> list[str]:
     return [*command.split(), *argv]
 
 
-def probe(mode: str, argv) -> tuple[bool, bool, bool, set[str], list[str]]:
+def probe(mode: str, argv) -> tuple[bool, bool, bool, set[str], list[str], list[str]]:
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__))}
     proc = subprocess.run([sys.executable, "-c", PROBE, mode, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, numpy_loaded, random_loaded, ma_loaded, modules, fresh = json.loads(proc.stdout)
+    code, numpy_loaded, random_loaded, ma_loaded, modules, pool, fresh = json.loads(proc.stdout)
     assert code == 0, proc.stderr
-    return numpy_loaded, random_loaded, ma_loaded, {m.removeprefix("loadlens.") for m in modules}, fresh
+    return numpy_loaded, random_loaded, ma_loaded, {m.removeprefix("loadlens.") for m in modules}, pool, fresh
 
 
 class TestCommandImports:
     @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
     def test_each_command_loads_only_its_modules(self, command_inputs, tmp_path, command):
-        numpy_loaded, random_loaded, ma_loaded, modules, _ = probe("-", command_argv(command, command_inputs, tmp_path))
+        numpy_loaded, random_loaded, ma_loaded, modules, pool, _ = probe("-", command_argv(command, command_inputs, tmp_path))
         assert modules == {"loadlens", "cli", "errors", "manifest"} | COMMAND_MODULES[command]
         assert numpy_loaded == (command != "report")
         assert not ma_loaded
+        assert pool == []
         if command in NO_RANDOM:
             assert not random_loaded
 
     def test_plane_loads_numpy_random_for_a_bootstrap(self, command_inputs, tmp_path):
-        """The probe sees ``numpy.random`` where a command does load it."""
-        _, random_loaded, *_ = probe("-", [*command_argv("plane", command_inputs, tmp_path), "--bootstrap", "5"])
+        """The probe sees ``numpy.random`` where a command does load it. The
+        bootstrap runs in a forked child, so the probe runs it serially."""
+        _, random_loaded, *_ = probe("--serial", [*command_argv("plane", command_inputs, tmp_path), "--bootstrap", "5"])
         assert random_loaded
 
     @pytest.mark.parametrize("command", ["features", "synth sessions"])

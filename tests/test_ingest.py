@@ -471,8 +471,8 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("n", [3, 7])
     def test_no_final_line_end(self, end, n):
-        """A bare ``\\r`` line end is not counted as a row: the columns
-        overflow, and the field-by-field parser reads the file."""
+        """A bare ``\\r`` line end fails the block that holds it, and the
+        field-by-field parser reads the file."""
         ch = _parse_text(parse_rr_csv, "t_ms,rr_ms" + end + end.join(_rr_row(10 * i, f"{800 + i}.5") for i in range(n)))
         assert ch.t_ms.tolist() == [10 * i for i in range(n)]
         assert ch.values.tolist() == [800.5 + i for i in range(n)]
@@ -539,6 +539,97 @@ class TestBlockBoundaries:
         assert str(ei.value) == "data row 4: bad t_ms '30\"'"
 
 
+def _read_in(workers, parse, path):
+    """``parse(path)`` with ``workers`` CPUs, and whether it forked: the
+    channel, or the class, row and message of the error it raised."""
+    forks = []
+    with (
+        mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(workers))),
+        mock.patch.object(os, "fork", lambda fork=os.fork: forks.append(1) or fork()),
+    ):
+        try:
+            result = parse(path)
+        except (MalformedRow, NonMonotonicTime, InvalidRr, EmptyFile) as e:
+            result = (type(e), getattr(e, "row", None), str(e))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return result, bool(forks)
+
+
+def _assert_same_read(a, b):
+    if isinstance(a, Channel):
+        assert_same_channel(a, b)
+    else:
+        assert a == b
+
+
+class TestSplitRead:
+    """A body of at least ``SPLIT_ROWS`` lines per process is parsed in one
+    range of lines per process; whatever a range holds, the file reads as
+    it reads in one process, and no child is left."""
+
+    @pytest.mark.parametrize("fault", ["malformed", "non_monotonic", "blank", "bare_cr"])
+    def test_a_fault_in_the_last_section(self, tmp_path, monkeypatch, fault):
+        """Three blocks, one per process at three workers."""
+        monkeypatch.setattr(ingest, "SPLIT_ROWS", ingest.CHUNK_ROWS)
+        n = 3 * ingest.CHUNK_ROWS + 10
+        lines = [_accel_row(20 * i, repr(0.25 * i)) for i in range(n)]
+        i = n - 5
+        if fault == "malformed":
+            lines[i] = _accel_row(20 * i, "x")
+        elif fault == "non_monotonic":
+            lines[i] = _accel_row(20 * (i - 2))
+        elif fault == "blank":
+            lines[i] = "\r\n" + lines[i]
+        else:
+            lines[i] += "\r" + lines.pop(i + 1)
+        path = _write(tmp_path / "a.csv", "t_ms,ax,ay,az\r\n" + "".join(line + "\r\n" for line in lines))
+        serial, forked = _read_in(1, parse_accel_csv, path)
+        assert not forked
+        if fault in ("malformed", "non_monotonic"):
+            assert serial[:2] == ({"malformed": MalformedRow, "non_monotonic": NonMonotonicTime}[fault], i + 1)
+        else:
+            assert len(serial) == n
+        for workers in (2, 3):
+            split, forked = _read_in(workers, parse_accel_csv, path)
+            assert forked
+            _assert_same_read(split, serial)
+
+    def test_a_cut_in_an_unterminated_last_line(self, tmp_path, monkeypatch):
+        """The second range would start at the end of the file: the first
+        range reads the long last line, which has no line end."""
+        monkeypatch.setattr(ingest, "SPLIT_ROWS", 1)
+        path = _write(tmp_path / "r.csv", "t_ms,rr_ms\n0,800.5\n10,8" + "0" * 200 + ".5")
+        serial, _ = _read_in(1, parse_rr_csv, path)
+        assert serial.t_ms.tolist() == [0, 10]
+        _assert_same_read(_read_in(2, parse_rr_csv, path)[0], serial)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(_FORMATS)), st.integers(2, 14), st.sampled_from([1, 3]), st.integers(2, 3), st.data())
+    def test_any_body_reads_as_in_one_process(self, fmt, n, block, workers, data):
+        """Each line may be faulty, quoted, follow a blank line or end in a
+        bare ``\\r``; ranges of one line and more are cut anywhere."""
+        header, parse, row_text = _FORMATS[fmt]
+        width = 3 if fmt == "accel" else 1
+        text = header + "\n"
+        for i in range(n):
+            fields = row_text(10 * i, [1.5 + i] * width).split(",")
+            kind = data.draw(st.sampled_from(["plain"] * 4 + ["fault", "quote", "blank", "bare_cr"]))
+            if kind == "fault":
+                faults = [f for f in sorted(_FAULTS) if fmt in _FAULTS[f] and (i or f != "non_monotonic_t")]
+                fields = _inject(data.draw(st.sampled_from(faults)), fields, 10 * (i - 1), data)
+            elif kind == "quote":
+                fields[0] = f'"{fields[0]}"'
+            text += ("\n" if kind == "blank" else "") + ",".join(fields) + ("\r" if kind == "bare_cr" else "\n")
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(ingest, "SPLIT_ROWS", 1), mock.patch.object(ingest, "CHUNK_ROWS", block):
+            path = os.path.join(d, "ch.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            serial, _ = _read_in(1, parse, path)
+            split, _ = _read_in(workers, parse, path)
+        _assert_same_read(split, serial)
+
+
 class TestBoundedMemory:
     """numpy registers its buffers with tracemalloc, so these peaks repeat
     exactly."""
@@ -586,18 +677,25 @@ class TestLoadtxtContract:
 
     def test_islice_parses_k_lines_and_leaves_the_rest(self, tmp_path):
         path = _write(tmp_path / "r.csv", "t_ms,rr_ms\r\n" + self.BODY)
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, "rb") as fh:
             next(fh)
             head = np.loadtxt(itertools.islice(fh, 3), **_LOADTXT)
-            assert next(fh) == "20,802.5\r\n"
+            assert next(fh) == b"20,802.5\r\n"
         assert head.tolist() == self.ROWS[:2]
 
     @pytest.mark.parametrize("end", ["\r\n", "\n", "\r"])
     def test_lines_read_as_the_file_reads(self, tmp_path, end):
-        """Each line end reads as the file reads it."""
+        """The reader's lines, split at ``\\n`` only, read as the text file
+        reads with either ``\\n`` line end. With bare ``\\r`` line ends the
+        body is one line, and its block fails instead of losing or merging
+        rows."""
         path = _write(tmp_path / "r.csv", self.BODY.replace("\r\n", end))
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             lines = list(fh)
+        if end == "\r":
+            with pytest.raises(ValueError):
+                np.loadtxt(lines, **_LOADTXT)
+            return
         with open(path, newline="", encoding="utf-8") as fh:
             whole = np.loadtxt(fh, **_LOADTXT)
         assert np.loadtxt(lines, **_LOADTXT).tolist() == whole.tolist() == self.ROWS

@@ -312,8 +312,7 @@ class TestMetricSeries:
 class TestExportPlane:
     def test_structure_and_json(self, rng):
         wins = table(window_at(1000), window_at(2000, degenerate=True))
-        cloud = bootstrap(rng.normal(0, 1, 64), B=5, seed=1)
-        back = plane_doc(wins, cloud=cloud)
+        back = plane_doc(wins, cloud=lambda: bootstrap(rng.normal(0, 1, 64), B=5, seed=1))
         assert set(back) == {"landmarks", "rho", "tau", "points", "bootstrap_cloud"}
         assert back["landmarks"]["normal"] == [0.0, 3.0]
         assert back["landmarks"]["uniform"] == [0.0, 1.8]
@@ -324,6 +323,18 @@ class TestExportPlane:
         assert back["points"][0]["metric2"] == 1.2
         assert back["points"][1]["s"] is None and back["points"][1]["zone"] is None
         assert len(back["bootstrap_cloud"]) == 5
+
+    def test_the_cloud_is_computed_beside_the_points(self, rng, monkeypatch):
+        """With two CPUs a forked child, not the caller, calls ``cloud``."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        caller = os.getpid()
+
+        def cloud():
+            if os.getpid() == caller:
+                raise AssertionError("the cloud was computed by the caller")
+            return bootstrap(rng.normal(0, 1, 64), B=5, seed=1)
+
+        assert len(plane_doc(table(window_at(1000)), cloud=cloud)["bootstrap_cloud"]) == 5
 
 
 def reference_doc(windows, rho, tau, cloud) -> dict:
@@ -392,10 +403,14 @@ class TestPlaneTemplates:
     @given(plane_inputs(), st.sampled_from([0.3, 1e-4, 1e16]), st.sampled_from([0.15, 2.5]), st.sampled_from([1, 3, ingest.CHUNK_ROWS]))
     @settings(max_examples=200, deadline=None)
     def test_bytes_equal_json_dumps(self, case, rho, tau, block):
+        """Written by one process: the bytes do not depend on the worker
+        count (``tests/test_cli.py::TestSessionWorkers``), and a fork per
+        example would double the test's time."""
         windows, cloud = case
-        with tempfile.TemporaryDirectory() as d, mock.patch.object(ingest, "CHUNK_ROWS", block):
+        one_cpu = mock.patch.object(os, "sched_getaffinity", lambda pid: {0})
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(ingest, "CHUNK_ROWS", block), one_cpu:
             path = os.path.join(d, "plane.json")
-            export_plane(path, windows, rho, tau, cloud)
+            export_plane(path, windows, rho, tau, None if cloud is None else lambda: cloud)
             with open(path, "rb") as fh:
                 got = fh.read()
         want = json.dumps(reference_doc(windows, rho, tau, cloud), indent=1) + "\n"
