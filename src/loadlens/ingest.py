@@ -40,16 +40,17 @@ A channel file is read in two passes:
 The reader makes one decision: safe bytes are read in blocks into a
 ``Channel``, and anything else goes to the field-by-field parser
 ``_parse_rows``, which reads the file again and raises the error of its
-first faulty row. Anything else is a file whose check fails, a block that
-does not parse (a bare ``\\r`` within a line fails it), a range but the
-last whose lines are not all rows (a blank line), rows that outgrow the
-columns, an empty body, an rr value <= 0, or columns the constructor
-rejects (a non-finite value, a t_ms below 0 or not increasing). A quote
-character fails every field that holds it (``TestLoadtxtContract`` in
-``tests/test_ingest.py`` pins that), so a file with quotes takes the failure
-route as well, whichever range the quote falls in. So ``_parse_rows`` is
-the one place that builds a channel-file error, and no check depends on
-where the blocks or ranges fall.
+first faulty row. Anything else is a file whose check fails, a header
+line ended by a bare ``\\r`` (the blocks split lines at ``\\n`` only), a
+block that does not parse (a bare ``\\r`` within a line fails it), a range
+but the last whose lines are not all rows (a blank line), rows that
+outgrow the columns, an empty body, an rr value <= 0, or columns the
+constructor rejects (a non-finite value, a t_ms below 0 or not
+increasing). A quote character fails every field that holds it
+(``TestLoadtxtContract`` in ``tests/test_ingest.py`` pins that), so a file
+with quotes takes the failure route as well, whichever range the quote
+falls in. So ``_parse_rows`` is the one place that builds a channel-file
+error, and no check depends on where the blocks or ranges fall.
 
 The columnar read holds the columns (32 B per accel row, 16 B per rr row)
 and one block of lines in each process, after a scan that holds two 1 MB
@@ -416,13 +417,17 @@ def _read_body(path, marks, dtype):
     one range of lines per worker, and ``manifest._fork_map`` parses each
     range (``_read_lines``) in its own process straight into columns in
     shared memory. Returns ``(t_ms, values)``, contiguous slices of the
-    columns, or None when the file holds no newline, a range fails, or a
-    range but the last has fewer rows than lines (a blank line)."""
+    columns, or None when the file holds no newline, its first line holds
+    a bare ``\\r`` (the header ended there), a range fails, or a range but
+    the last has fewer rows than lines (a blank line)."""
     rows = marks[-1]
     if not rows:
         return None
     workers = manifest._worker_count(rows // SPLIT_ROWS)
     with open(path, "rb") as fh:
+        # the header was read as text, where a bare \r ends a line too
+        if b"\r" in fh.readline().removesuffix(b"\n").removesuffix(b"\r"):
+            return None
         size = os.fstat(fh.fileno()).st_size
         starts = [_line_start(fh, marks, max(1, size * k // workers)) for k in range(workers)]
     # a range that would start at the end is dropped, so the one before it

@@ -46,9 +46,10 @@ JSON, runs without numpy.
 
 ``_fork_map`` is the one way work is spread over processes: the sessions
 of ``synth sessions`` and ``features``, the line ranges of a long channel
-read, the kernel blocks of many windows, the sections of a write. It forks one child per CPU but one and runs
-a share of the tasks in the calling process; a call made inside a task
-runs in that task's process, so per-session tasks never fork again.
+read, the kernel blocks of many windows, the sections of a write. It forks
+one child per CPU but one and runs a share of the tasks in the calling
+process; a call made inside a task runs in that task's process, so
+per-session tasks never fork again.
 """
 
 from __future__ import annotations
@@ -176,38 +177,33 @@ def _write_text(path, *sections) -> None:
     The text goes to a temporary file beside the file ``path`` names
     (through any symlink), which ``os.replace`` moves onto it after the last
     section. The calling process writes the first section there while
-    ``_fork_map`` children write the later ones to part files beside it,
-    which it then appends in order. A raise, in any section, removes the
-    temporary and part files, and an OSError about one of them names
-    ``path``. So a write leaves the whole new file or the earlier one, with
-    the file mode and the messages of ``open(path, "w")``. A ``path`` that
-    exists but is not a regular file, such as ``/dev/null``, is written in
-    place, every section by the calling process in order.
+    ``_fork_map`` writes the later ones, in children as it shares them out,
+    to part files beside it, which are then appended in order. A raise, in
+    any section, removes the temporary and part files, and an OSError about
+    one of them names ``path``. So a write leaves the whole new file or the
+    earlier one, with the file mode and the messages of ``open(path, "w")``.
+    With one worker (``_worker_count``) the calling process writes every
+    section there in order; a ``path`` that exists but is not a regular
+    file, such as ``/dev/null``, it writes so in place.
     """
     target = os.path.realpath(path)
     stem = f"{target}.{os.getpid()}"
     tmp = f"{stem}.tmp" if os.path.isfile(target) or not os.path.exists(target) else target
-    forked = tmp != target and _worker_count(len(sections)) > 1
-    parts = [f"{stem}.{i}.part" for i in range(1, len(sections))] if forked else []
+    if tmp == target or _worker_count(len(sections)) == 1:
+        sections = (itertools.chain(*sections),)
+    parts = [f"{stem}.{i}.part" for i in range(1, len(sections))]
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            if forked:
 
-                def write(i):
-                    if i == 0:
-                        fh.writelines(sections[0])
-                        return
-                    with open(parts[i - 1], "w", newline="", encoding="utf-8") as out:
-                        out.writelines(sections[i])
+            def write(i):
+                with open(parts[i - 1], "w", newline="", encoding="utf-8") if i else contextlib.nullcontext(fh) as out:
+                    out.writelines(sections[i])
 
-                _fork_map(write, list(range(len(sections))))
-                fh.flush()
-                for part in parts:
-                    with open(part, "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer)
-            else:
-                for section in sections:
-                    fh.writelines(section)
+            _fork_map(write, list(range(len(sections))))
+            fh.flush()
+            for part in parts:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
         os.replace(tmp, target)
     except BaseException as e:
         if tmp != target and os.path.exists(tmp):

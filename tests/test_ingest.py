@@ -5,6 +5,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from decimal import Decimal
@@ -477,6 +479,14 @@ class TestBlockBoundaries:
         assert ch.t_ms.tolist() == [10 * i for i in range(n)]
         assert ch.values.tolist() == [800.5 + i for i in range(n)]
 
+    @pytest.mark.parametrize("head, end", [(h, e) for h in ("\n", "\r\n", "\r") for e in ("\n", "\r\n", "\r") if h != e])
+    def test_a_header_line_end_unlike_the_body(self, head, end):
+        """The header is read as text, where a bare ``\\r`` ends a line too;
+        the first data row is read wherever the header ends."""
+        ch = _parse_text(parse_rr_csv, "t_ms,rr_ms" + head + "".join(_rr_row(10 * i, f"{800 + i}.5") + end for i in range(7)))
+        assert ch.t_ms.tolist() == [10 * i for i in range(7)]
+        assert ch.values.tolist() == [800.5 + i for i in range(7)]
+
     @pytest.mark.parametrize("fmt", ["accel", "rr"])
     @pytest.mark.parametrize(
         "last, first", [(a, b) for a, b in itertools.product([None, *_BOUNDARY_FAULTS], repeat=2) if a or b]
@@ -607,11 +617,12 @@ class TestSplitRead:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(_FORMATS)), st.integers(2, 14), st.sampled_from([1, 3]), st.integers(2, 3), st.data())
     def test_any_body_reads_as_in_one_process(self, fmt, n, block, workers, data):
-        """Each line may be faulty, quoted, follow a blank line or end in a
-        bare ``\\r``; ranges of one line and more are cut anywhere."""
+        """The header and each line may end in a bare ``\\r``, and each line
+        may be faulty, quoted or follow a blank line; ranges of one line and
+        more are cut anywhere."""
         header, parse, row_text = _FORMATS[fmt]
         width = 3 if fmt == "accel" else 1
-        text = header + "\n"
+        text = header + data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
         for i in range(n):
             fields = row_text(10 * i, [1.5 + i] * width).split(",")
             kind = data.draw(st.sampled_from(["plain"] * 4 + ["fault", "quote", "blank", "bare_cr"]))
@@ -632,7 +643,13 @@ class TestSplitRead:
 
 class TestBoundedMemory:
     """numpy registers its buffers with tracemalloc, so these peaks repeat
-    exactly."""
+    exactly. tracemalloc sees only this process, so it parses on one CPU,
+    in one process; a split parse is bounded by the peak RSS of fresh
+    processes."""
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     #: Two scan reads alive at once, or one block's lines and parse buffers
     #: (0.58 MiB measured with 2,048-row blocks at 100,000 and 200,000 rows).
@@ -654,6 +671,38 @@ class TestBoundedMemory:
         ch, peak = self.traced_peak(parse_accel_csv, tmp_path / "a.csv")
         assert len(ch) == n
         assert peak <= ch.t_ms.nbytes + ch.values.nbytes + self.ALLOWANCE
+
+    #: Parses ``argv[1]`` with ``argv[2]`` CPUs; prints the forks made, and
+    #: the peak RSS in KiB of this process (VmHWM: ``ru_maxrss`` would start
+    #: from the peak of the process that started it) and of its largest child.
+    RSS_PROBE = """
+import os, resource, sys
+from loadlens import ingest
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+ingest.parse_accel_csv(sys.argv[1])
+with open("/proc/self/status") as fh:
+    hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(len(forks), hwm, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+    def test_a_split_parse_peaks_as_one_process_does(self, tmp_path):
+        """The ranges go straight into the caller's columns: split over two
+        processes, no process peaks 1 MiB above the one-process parse, in
+        fresh processes (100,000 rows: 3.2 MB of columns)."""
+        n = 100_000
+        write_accel_csv(tmp_path / "a.csv", Channel(np.arange(n) * 20, np.random.default_rng(n).normal(0, 3, (n, 3))))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ingest.__file__))}
+        forks, peaks = {}, {}
+        for cpus in (1, 2):
+            argv = [sys.executable, "-c", self.RSS_PROBE, str(tmp_path / "a.csv"), str(cpus)]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            forks[cpus], *rss = map(int, proc.stdout.split())
+            peaks[cpus] = max(rss)
+        assert forks == {1: 0, 2: 1}
+        assert peaks[2] <= peaks[1] + 1024
 
     def test_centred_magnitude_needs_at_most_two_outputs(self):
         n = 100_000
