@@ -27,30 +27,32 @@ A channel file is read in two passes:
 
 1. ``_scan`` reads its bytes 1 MB at a time into a sha256 (the digest the
    manifest records), counts of ``\\n`` bytes every 64 KB, and a check that
-   ``np.loadtxt`` reads every field as ``int()``/``float()`` do.
-2. ``_read_body`` parses the body, every line after the header line,
-   ``CHUNK_ROWS`` lines at a time with ``np.loadtxt`` into columns
-   preallocated from the newline count, which ``Channel`` takes without a
-   copy. A body of at least ``SPLIT_ROWS`` newlines per CPU is cut at about
-   equal byte offsets into one range of lines per CPU; the counts of the
-   scan place each range's first row, and ``manifest._fork_map`` parses the
-   ranges in parallel, each in its own process, into columns in shared
-   memory.
+   ``np.loadtxt`` reads every field as ``int()``/``float()`` do. It checks
+   the header line too, and returns the byte offset where the body starts.
+2. ``_read_body`` parses the body from that offset, ``CHUNK_ROWS`` lines at
+   a time with ``np.loadtxt`` into columns preallocated from the newline
+   count, which ``Channel`` takes without a copy. ``manifest._runs`` cuts
+   a long body at about equal byte offsets into one range of lines per
+   CPU; the counts of the scan place each range's first row, and
+   ``manifest._fork_map`` parses the ranges in parallel, each in its own
+   process, into columns in shared memory.
 
 The reader makes one decision: safe bytes are read in blocks into a
 ``Channel``, and anything else goes to the field-by-field parser
 ``_parse_rows``, which reads the file again and raises the error of its
-first faulty row. Anything else is a file whose check fails, a header
-line ended by a bare ``\\r`` (the blocks split lines at ``\\n`` only), a
-block that does not parse (a bare ``\\r`` within a line fails it), a range
-but the last whose lines are not all rows (a blank line), rows that
-outgrow the columns, an empty body, an rr value <= 0, or columns the
-constructor rejects (a non-finite value, a t_ms below 0 or not
-increasing). A quote character fails every field that holds it
-(``TestLoadtxtContract`` in ``tests/test_ingest.py`` pins that), so a file
-with quotes takes the failure route as well, whichever range the quote
-falls in. So ``_parse_rows`` is the one place that builds a channel-file
-error, and no check depends on where the blocks or ranges fall.
+first faulty row. Anything else is a file whose check fails, a header line
+the scan cannot match (quoted, longer than the csv module's field limit,
+or with a ``\\r`` anywhere but just before its ``\\n``: the scan ends
+lines at ``\\n`` only, the csv module at a bare ``\\r`` too), a block that
+does not parse (a bare ``\\r`` within a line fails it), a range but the
+last whose lines are not all rows (a blank line), rows that outgrow the
+columns, an empty body, an rr value <= 0, or columns the constructor
+rejects (a non-finite value, a t_ms below 0 or not increasing). A quote
+character fails every field that holds it (``TestLoadtxtContract`` in
+``tests/test_ingest.py`` pins that), so a file with quotes takes the
+failure route as well, whichever range the quote falls in. So
+``_parse_rows`` is the one place that builds a channel-file error, and no
+check depends on where the blocks or ranges fall.
 
 The columnar read holds the columns (32 B per accel row, 16 B per rr row)
 and one block of lines in each process, after a scan that holds two 1 MB
@@ -116,15 +118,6 @@ _RR_DTYPE = np.dtype([("t", "<i8"), ("v", "<f8")])
 #: ``moments`` run, as the CHANGES.md line "One model of each concept"
 #: records.
 CHUNK_ROWS = 2048
-
-#: Rows each process must get for a channel read, a table write or the
-#: moments of many windows (``stats._columns``) to be split over processes
-#: (``manifest._fork_map``). A split costs about 4 ms of forking and
-#: reaping, and two processes ran a parse or a write only 1.2 to 1.8 times
-#: as fast as one on a 2-vCPU machine; split, the 13,000-row rr file and
-#: window table of a 2-hour session ran no faster, so they stay in one
-#: process (as the CHANGES.md line "Both CPUs for one large file" records).
-SPLIT_ROWS = 8192
 
 
 def _first_fault(t_ms: np.ndarray, values: np.ndarray) -> str | None:
@@ -249,41 +242,29 @@ def _parse_rr(text: str, row: int) -> float:
     return rr
 
 
-@contextlib.contextmanager
-def _open_csv(path):
-    """Open a CSV file for reading. Bytes that are not UTF-8, and cells
-    longer than the csv module's field limit, raise ParseError naming the
-    file."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            yield fh
-    except (UnicodeDecodeError, csv.Error) as e:
-        raise ParseError(f"{path}: {e}") from None
-
-
-def _read_header(fh, path, expected_header) -> None:
-    """Consume and check the header row, leaving ``fh`` at the first data line."""
-    try:
-        header = next(csv.reader(fh))
-    except StopIteration:
-        raise EmptyFile(f"{path}: empty file") from None
-    if tuple(h.strip() for h in header) != expected_header:
-        raise MalformedRow(0, f"expected header {','.join(expected_header)}")
-
-
 def _read_rows(path, expected_header):
     """Yield (data_row_index, fields) after validating the header; row
-    indices count non-blank data rows from 1."""
-    with _open_csv(path) as fh:
-        _read_header(fh, path, expected_header)
-        row = 0
-        for fields in csv.reader(fh):
-            if not fields:
-                continue
-            row += 1
-            if len(fields) != len(expected_header):
-                raise MalformedRow(row, f"expected {len(expected_header)} fields")
-            yield row, fields
+    indices count non-blank data rows from 1. Bytes that are not UTF-8, and
+    cells longer than the csv module's field limit, raise ParseError naming
+    the file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyFile(f"{path}: empty file")
+            if tuple(h.strip() for h in header) != expected_header:
+                raise MalformedRow(0, f"expected header {','.join(expected_header)}")
+            row = 0
+            for fields in reader:
+                if not fields:
+                    continue
+                row += 1
+                if len(fields) != len(expected_header):
+                    raise MalformedRow(row, f"expected {len(expected_header)} fields")
+                yield row, fields
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def _parse_rows(path, header, rr: bool) -> Channel:
@@ -338,19 +319,28 @@ _SCAN_BYTES = 1 << 20
 _MARK_BYTES = 1 << 16
 
 
-def _scan(path):
+def _scan(path, header):
     """One pass over the bytes of ``path``, ``_SCAN_BYTES`` at a time.
 
-    Returns ``(sha256, marks, loadtxt_safe)``: the file's hex digest; the
-    count of ``\\n`` bytes before each multiple of ``_MARK_BYTES`` up to
-    the end, so ``marks[-1]``, the file's count, bounds the data rows unless
-    a line ends in a bare ``\\r``; and whether ``_loadtxt_reads_like_python``
-    holds for the file after an optional BOM.
+    Returns ``(sha256, marks, body)``: the file's hex digest; the count of
+    ``\\n`` bytes before each multiple of ``_MARK_BYTES`` up to the end, so
+    ``marks[-1]``, the file's count, bounds the data rows unless a line ends
+    in a bare ``\\r``; and the byte offset after the header line, the
+    first line ended by ``\\n``. That offset is None unless the line, past
+    an optional BOM and less a ``\\r`` before its ``\\n``, holds no
+    ``\\r`` and at most ``csv.field_size_limit()`` bytes, its
+    comma-separated fields, stripped, are ``header``, and
+    ``_loadtxt_reads_like_python`` holds for the file after the BOM.
     """
     digest = hashlib.sha256()
     marks = [0]
     with open(path, "rb") as fh:
         chunk = fh.read(_SCAN_BYTES)
+        end = chunk.find(b"\n") + 1
+        line = chunk[:end].removeprefix(codecs.BOM_UTF8).removesuffix(b"\n").removesuffix(b"\r")
+        fields = [f.strip() for f in line.split(b",")]
+        # the csv module reads a longer line only if no field exceeds its limit
+        matched = end and len(line) <= csv.field_size_limit() and b"\r" not in line and fields == [h.encode() for h in header]
         safe = _loadtxt_reads_like_python(chunk.removeprefix(codecs.BOM_UTF8))
         while chunk:
             digest.update(chunk)
@@ -358,7 +348,7 @@ def _scan(path):
                 marks.append(marks[-1] + chunk.count(b"\n", i, i + _MARK_BYTES))
             chunk = fh.read(_SCAN_BYTES)
             safe = safe and _loadtxt_reads_like_python(chunk)
-    return digest.hexdigest(), marks, safe
+    return digest.hexdigest(), marks, end if matched and safe else None
 
 
 def _empty(shape: tuple, dtype, shared: bool) -> np.ndarray:
@@ -408,28 +398,20 @@ def _read_lines(path, offset: int, row: int, count: int | None, dtype, t, values
     return i - row
 
 
-def _read_body(path, marks, dtype):
-    """Columnar read of the channel body, every line after the first, into
-    columns preallocated for the file's ``marks[-1]`` newlines.
+def _read_body(path, marks, body: int, dtype):
+    """Columnar read of the channel body, the lines from byte ``body`` on,
+    into columns preallocated for the file's ``marks[-1]`` newlines.
 
-    A body of at least ``SPLIT_ROWS`` newlines per worker
-    (``manifest._worker_count``) is cut at about equal byte offsets into
-    one range of lines per worker, and ``manifest._fork_map`` parses each
-    range (``_read_lines``) in its own process straight into columns in
-    shared memory. Returns ``(t_ms, values)``, contiguous slices of the
-    columns, or None when the file holds no newline, its first line holds
-    a bare ``\\r`` (the header ended there), a range fails, or a range but
-    the last has fewer rows than lines (a blank line)."""
+    ``manifest._runs`` cuts the body's bytes into one run per worker, and
+    ``manifest._fork_map`` parses the lines that start in each run
+    (``_read_lines``) in its own process straight into columns in shared
+    memory. Returns ``(t_ms, values)``, contiguous slices of the columns,
+    or None when a range fails or a range but the last has fewer rows than
+    lines (a blank line)."""
     rows = marks[-1]
-    if not rows:
-        return None
-    workers = manifest._worker_count(rows // SPLIT_ROWS)
     with open(path, "rb") as fh:
-        # the header was read as text, where a bare \r ends a line too
-        if b"\r" in fh.readline().removesuffix(b"\n").removesuffix(b"\r"):
-            return None
         size = os.fstat(fh.fileno()).st_size
-        starts = [_line_start(fh, marks, max(1, size * k // workers)) for k in range(workers)]
+        starts = [_line_start(fh, marks, run.start) for run in manifest._runs(range(body, size), rows)]
     # a range that would start at the end is dropped, so the one before it
     # reads the last line, which may have no line end
     starts = starts[:1] + [start for start in starts[1:] if start[0] < size]
@@ -446,16 +428,14 @@ def _read_body(path, marks, dtype):
 
 
 def _parse_channel(path, header, dtype, rr: bool, digests) -> Channel:
-    sha256, marks, loadtxt_safe = _scan(path)
+    sha256, marks, body = _scan(path, header)
     if digests is not None:
         digests[str(path)] = sha256
-    if loadtxt_safe:
-        with _open_csv(path) as fh:
-            _read_header(fh, path, header)
-        body = _read_body(path, marks, dtype)
-        if body is not None and len(body[0]) and not (rr and body[1].min() <= 0):
+    if body is not None:
+        columns = _read_body(path, marks, body, dtype)
+        if columns is not None and len(columns[0]) and not (rr and columns[1].min() <= 0):
             with contextlib.suppress(ValueError):
-                return Channel(*body)
+                return Channel(*columns)
     return _parse_rows(path, header, rr)
 
 
@@ -517,19 +497,13 @@ def _write_table(path, header, lines, *columns) -> None:
     """Write a numeric CSV table: the header, then the rows of ``columns``
     (equal-length sequences) ``CHUNK_ROWS`` at a time, each block
     formatted by ``lines(*block_columns)`` into ``\r\n``-ended lines. The
-    blocks are cut into one section per worker (``manifest._worker_count``),
-    which ``manifest._write_text`` writes in parallel."""
-    blocks = -(-len(columns[0]) // CHUNK_ROWS)
-    workers = manifest._worker_count(len(columns[0]) // SPLIT_ROWS)
-    cuts = [blocks * k // workers * CHUNK_ROWS for k in range(workers + 1)]
-
-    def section(lo, hi):
-        return (
-            "".join(lines(*(col[i : i + CHUNK_ROWS] for col in columns)))
-            for i in range(lo, hi, CHUNK_ROWS)
-        )
-
-    sections = [section(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    blocks are cut into one section per worker (``manifest._runs``), which
+    ``manifest._write_text`` writes in parallel."""
+    n = len(columns[0])
+    sections = [
+        ("".join(lines(*(col[i : i + CHUNK_ROWS] for col in columns))) for i in run)
+        for run in manifest._runs(range(0, n, CHUNK_ROWS), n)
+    ]
     manifest._write_text(path, itertools.chain([",".join(header) + "\r\n"], sections[0]), *sections[1:])
 
 

@@ -49,7 +49,9 @@ of ``synth sessions`` and ``features``, the line ranges of a long channel
 read, the kernel blocks of many windows, the sections of a write. It forks
 one child per CPU but one and runs a share of the tasks in the calling
 process; a call made inside a task runs in that task's process, so
-per-session tasks never fork again.
+per-session tasks never fork again. ``_runs`` is the one split rule: it cuts
+one large piece of work (a channel body, a table write, many windows) into
+one run per worker once each gets ``SPLIT_ROWS`` rows, else one run.
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ MANIFEST_SUFFIX = ".manifest.json"
 TIMESTAMP_KEY = "created_utc"
 
 
+#: Rows each process must get for a channel read, a table write or the
+#: moments of many windows to be split over processes (``_runs``). A split
+#: costs about 4 ms of forking and reaping, and two processes ran a parse or
+#: a write only 1.2 to 1.8 times as fast as one on a 2-vCPU machine; split,
+#: the 13,000-row rr file and window table of a 2-hour session ran no
+#: faster, so they stay in one process (as the CHANGES.md line "Both CPUs
+#: for one large file" records).
+SPLIT_ROWS = 8192
+
 #: True while ``_fork_map`` runs tasks, in the calling process and in the
 #: children it forked.
 _busy = False
@@ -83,6 +94,14 @@ def _worker_count(n_tasks: int) -> int:
     run on and no more than there are tasks, or this one alone while
     ``_fork_map`` tasks already run."""
     return 1 if _busy else min(len(os.sched_getaffinity(0)), max(n_tasks, 1))
+
+
+def _runs(items, rows: int) -> list:
+    """The sequence ``items`` cut into ``_worker_count(rows // SPLIT_ROWS)``
+    contiguous runs, in order and about equal in length, for work of
+    ``rows`` rows (table rows, file lines or windows)."""
+    workers = _worker_count(rows // SPLIT_ROWS)
+    return [items[len(items) * k // workers : len(items) * (k + 1) // workers] for k in range(workers)]
 
 
 def _fork_map(fn, tasks: list) -> list:

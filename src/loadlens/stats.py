@@ -132,13 +132,12 @@ def _block_moments(blk: np.ndarray) -> list[np.ndarray]:
 def _columns(count: int, n: int, block) -> list[np.ndarray]:
     """Moment columns of ``count`` samples of n values, filled by kernel
     blocks: ``block(rows)`` returns the columns of the samples in the slice
-    ``rows``. With at least ``ingest.SPLIT_ROWS`` samples per worker, each
-    worker (``manifest._fork_map``) fills one run of blocks, in shared
-    memory."""
+    ``rows``. The blocks are cut into one run per worker
+    (``manifest._runs``), and each worker (``manifest._fork_map``) fills
+    its run, in shared memory when there are several."""
     step = max(1, BLOCK_VALUES // n)
-    starts = range(0, count, step)
-    workers = manifest._worker_count(count // ingest.SPLIT_ROWS)
-    cols = [ingest._empty((count,), np.float64, shared=workers > 1) for _ in range(4)]
+    runs = manifest._runs(range(0, count, step), count)
+    cols = [ingest._empty((count,), np.float64, shared=len(runs) > 1) for _ in range(4)]
 
     def fill(run):
         for b in run:
@@ -146,7 +145,7 @@ def _columns(count: int, n: int, block) -> list[np.ndarray]:
             for col, part in zip(cols, block(rows)):
                 col[rows] = part
 
-    manifest._fork_map(fill, [starts[len(starts) * k // workers : len(starts) * (k + 1) // workers] for k in range(workers)])
+    manifest._fork_map(fill, runs)
     return cols
 
 

@@ -124,15 +124,24 @@ def _noise_pairs(rng):
 
 def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> Channel:
     """Generate heartbeat intervals for a protocol; timestamps accumulate
-    the generated rr values."""
+    the generated rr values.
+
+    One per-beat loop serves every phase: ``dt`` ms into a segment of
+    ``seg_len`` ms, ``decay = exp(-(dt / 1000.0) / tau)``, the mean is
+    ``target + (entry - target) * decay`` and the skew amount
+    ``ramp * (dt / seg_len) + tail * decay``; a phase sets only these five
+    terms. Rest sets ``entry = target = base`` and both skew factors to 0.0,
+    so its extra terms are signed zeros, which leave a nonzero sum as it
+    was (a zero sum is floored to 1.0 either way): a rest beat stays
+    ``base + noise`` bit for bit.
+    """
     rng = np.random.default_rng(config.seed)
     noise = _noise_pairs(rng)
     rrs: list[float] = []
     append = rrs.append
-    # One per-beat loop per phase, with per-segment constants hoisted into
-    # locals. Each float expression must keep its operation order: the
-    # written rr files are pinned byte for byte. A segment that ends before
-    # the current time draws no beat and leaves ``mean`` as it was.
+    # Each float expression must keep its operation order: the written rr
+    # files are pinned byte for byte. A segment that ends before the current
+    # time draws no beat and leaves ``mean`` as it was.
     exp = math.exp
     base = config.baseline_rr_ms
     noise_ms = NOISE_REST_MS
@@ -144,46 +153,24 @@ def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> Channel:
         if not t_cum < seg_end:
             continue
         seg_len = seg_end - seg_start
-        entry_mean = mean
         if seg.phase == REST:
-            mean = base
-            # at rest the skew term is 0.0 * b, a signed zero, which leaves a sum with base > 0 unchanged
-            for z, b in noise:
-                rr = base + noise_ms * z
-                if rr < 1.0:
-                    rr = 1.0
-                append(rr)
-                t_cum += rr
-                if not t_cum < seg_end:
-                    break
+            entry, target, tau, ramp, tail = base, base, RECOVERY_TAU_S, 0.0, 0.0
         elif seg.phase == LOAD:
             target = base - seg.intensity * LOAD_DROP_MS
-            load_skew = -SKEW_SCALE_LOAD * seg.intensity
-            for z, b in noise:
-                dt_s = (t_cum - seg_start) / 1000.0
-                mean = target + (entry_mean - target) * exp(-dt_s / LOAD_ONSET_TAU_S)
-                s_amt = load_skew * ((t_cum - seg_start) / seg_len)
-                rr = mean + noise_ms * z + s_amt * b
-                if rr < 1.0:
-                    rr = 1.0
-                append(rr)
-                t_cum += rr
-                if not t_cum < seg_end:
-                    break
+            entry, tau, ramp, tail = mean, LOAD_ONSET_TAU_S, -SKEW_SCALE_LOAD * seg.intensity, 0.0
         else:  # recovery
-            recovery_skew = SKEW_SCALE_LOAD * seg.intensity
-            for z, b in noise:
-                dt_s = (t_cum - seg_start) / 1000.0
-                decay = exp(-dt_s / RECOVERY_TAU_S)
-                mean = base + (entry_mean - base) * decay
-                s_amt = recovery_skew * decay
-                rr = mean + noise_ms * z + s_amt * b
-                if rr < 1.0:
-                    rr = 1.0
-                append(rr)
-                t_cum += rr
-                if not t_cum < seg_end:
-                    break
+            entry, target, tau, ramp, tail = mean, base, RECOVERY_TAU_S, 0.0, SKEW_SCALE_LOAD * seg.intensity
+        for z, b in noise:
+            dt = t_cum - seg_start
+            decay = exp(-(dt / 1000.0) / tau)
+            mean = target + (entry - target) * decay
+            rr = mean + noise_ms * z + (ramp * (dt / seg_len) + tail * decay) * b
+            if rr < 1.0:
+                rr = 1.0
+            append(rr)
+            t_cum += rr
+            if not t_cum < seg_end:
+                break
     rr = np.array(rrs)
     # each beat's time is the sum of the rr values before it: cumsum adds
     # left to right as t_cum did, and rint rounds half to even as round() does

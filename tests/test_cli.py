@@ -218,7 +218,7 @@ class TestSessionWorkers:
         worker, the command forks: with 1,024 rows per process, the
         channels and window tables are split."""
         serial = serial_outputs(command)
-        monkeypatch.setattr(ingest, "SPLIT_ROWS", 1024)
+        monkeypatch.setattr(manifest, "SPLIT_ROWS", 1024)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
         forks = []
         monkeypatch.setattr(os, "fork", lambda fork=os.fork: forks.append(1) or fork())
@@ -463,6 +463,24 @@ class TestForkMap:
             with pytest.raises(ChildProcessError, match="exited with code 3 and no result"):
                 manifest._fork_map(task, [0, 7])
             assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_runs_cut_work_into_one_run_per_worker(self, monkeypatch, workers):
+        """``_runs`` cuts a sequence into contiguous slices that hold every
+        item in order and differ in length by at most one: one per worker
+        once each gets ``SPLIT_ROWS`` rows, else one, and one while
+        ``_fork_map`` tasks run."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        split = manifest.SPLIT_ROWS
+        for items in (range(0), range(1), range(3, 40, 3), list("abcdefg"), range(0, 100_000, 2048)):
+            for rows in (0, 1, split - 1, split, 2 * split - 1, 2 * split, 3 * split, 10 * split):
+                runs = manifest._runs(items, rows)
+                assert len(runs) == min(workers, max(1, rows // split))
+                assert all(type(run) is type(items) for run in runs)
+                assert [item for run in runs for item in run] == list(items)
+                assert max(map(len, runs)) - min(map(len, runs)) <= 1
+        monkeypatch.setattr(manifest, "_busy", True)
+        assert manifest._runs(range(100), 10 * split) == [range(100)]
 
 
 class TestInputDigests:

@@ -22,6 +22,7 @@ from loadlens.errors import (
     InvalidRr,
     MalformedRow,
     NonMonotonicTime,
+    ParseError,
     UnknownLabel,
 )
 from loadlens import ingest, manifest
@@ -444,6 +445,34 @@ class TestChannelCsvProperties:
         ch = parse_rr_csv(_write(tmp_path / "b.csv", "\ufefft_ms,rr_ms\r\n0,800.0\r\n"))
         assert ch.values.tolist() == [800.0]
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("t_ms,\rrr_ms\n0,800.5\n10,801.5\n", (MalformedRow, 0, "data row 0: expected header t_ms,rr_ms")),
+            ("t_ms,rr_ms\r\r\n0,800.5\n10,801.5\n", ([0, 10], [800.5, 801.5])),
+            ('"t_ms","rr_ms"\n0,800.5\n10,801.5\n', ([0, 10], [800.5, 801.5])),
+            (" t_ms , rr_ms \n0,800.5\n", ([0], [800.5])),
+            ("t_ms" + " " * 131_068 + ",rr_ms\n0,800.5\n", ([0], [800.5])),
+            ("t_ms" + " " * 131_069 + ",rr_ms\n0,800.5\n", (ParseError, None, "{path}: field larger than field limit (131072)")),
+        ],
+        ids=["cr_in_line", "cr_cr_lf", "quoted", "spaced", "field_at_csv_limit", "field_beyond_csv_limit"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_header_line_reads_as_the_csv_module_reads_it(self, tmp_path, monkeypatch, text, expected, workers):
+        """The byte scan takes a header line only where the csv module reads
+        the same names from it: a ``\\r`` anywhere but just before the
+        ``\\n``, quotes, or a field longer than the csv module's limit send
+        the file to the field-by-field parser. In one process or split, each
+        file gives its columns or its error."""
+        monkeypatch.setattr(manifest, "SPLIT_ROWS", 1)
+        path = _write(tmp_path / "h.csv", text)
+        result, _ = _read_in(workers, parse_rr_csv, path)
+        if isinstance(result, Channel):
+            result = (result.t_ms.tolist(), result.values.tolist())
+        if len(expected) == 3:
+            expected = (*expected[:2], expected[2].format(path=path))
+        assert result == expected
+
 
 def _rr_row(t, value="800.5"):
     return f"{t},{value}"
@@ -559,7 +588,7 @@ def _read_in(workers, parse, path):
     ):
         try:
             result = parse(path)
-        except (MalformedRow, NonMonotonicTime, InvalidRr, EmptyFile) as e:
+        except ParseError as e:
             result = (type(e), getattr(e, "row", None), str(e))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -581,7 +610,7 @@ class TestSplitRead:
     @pytest.mark.parametrize("fault", ["malformed", "non_monotonic", "blank", "bare_cr"])
     def test_a_fault_in_the_last_section(self, tmp_path, monkeypatch, fault):
         """Three blocks, one per process at three workers."""
-        monkeypatch.setattr(ingest, "SPLIT_ROWS", ingest.CHUNK_ROWS)
+        monkeypatch.setattr(manifest, "SPLIT_ROWS", ingest.CHUNK_ROWS)
         n = 3 * ingest.CHUNK_ROWS + 10
         lines = [_accel_row(20 * i, repr(0.25 * i)) for i in range(n)]
         i = n - 5
@@ -608,7 +637,7 @@ class TestSplitRead:
     def test_a_cut_in_an_unterminated_last_line(self, tmp_path, monkeypatch):
         """The second range would start at the end of the file: the first
         range reads the long last line, which has no line end."""
-        monkeypatch.setattr(ingest, "SPLIT_ROWS", 1)
+        monkeypatch.setattr(manifest, "SPLIT_ROWS", 1)
         path = _write(tmp_path / "r.csv", "t_ms,rr_ms\n0,800.5\n10,8" + "0" * 200 + ".5")
         serial, _ = _read_in(1, parse_rr_csv, path)
         assert serial.t_ms.tolist() == [0, 10]
@@ -632,7 +661,7 @@ class TestSplitRead:
             elif kind == "quote":
                 fields[0] = f'"{fields[0]}"'
             text += ("\n" if kind == "blank" else "") + ",".join(fields) + ("\r" if kind == "bare_cr" else "\n")
-        with tempfile.TemporaryDirectory() as d, mock.patch.object(ingest, "SPLIT_ROWS", 1), mock.patch.object(ingest, "CHUNK_ROWS", block):
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(manifest, "SPLIT_ROWS", 1), mock.patch.object(ingest, "CHUNK_ROWS", block):
             path = os.path.join(d, "ch.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

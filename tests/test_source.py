@@ -55,3 +55,19 @@ def test_every_public_function_and_class_is_used_by_src():
         if not any(ref == name and owner != (module, name) for ref, owner in refs)
     ]
     assert unused == []
+
+
+def test_only_manifest_decides_how_work_is_split():
+    """No module but ``manifest`` names ``SPLIT_ROWS`` or ``_worker_count``,
+    in code or in an import: the others cut a large piece of work with
+    ``manifest._runs`` and hand tasks to ``manifest._fork_map``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module == "manifest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in ("SPLIT_ROWS", "_worker_count"):
+                found.append(f"{module}: {name}")
+    assert found == []
