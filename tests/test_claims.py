@@ -16,7 +16,15 @@ from the normal landmark. Each phase of a protocol gets the median
 ``metric1`` of the windows whose midpoint falls in it; load must read above
 recovery, and recovery above rest. The protocols are those of
 ``synth.PROTOCOL_PRESETS``; nothing here tunes the generator.
+
+Each claim has a null control, a test input without the effect, on which
+the claim's test must fail; the nulls are built here, not in ``synth``.
+For H2 it is the staircase at load and recovery intensity 0. For H1 it is
+the feature table with its activity labels permuted across sessions, split
+and fitted as the claim's test does.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -35,12 +43,19 @@ from loadlens.stats import sliding_windows
 WINDOW = 300
 STRIDE = 30
 SEEDS = range(20)
+#: H2 holds when load reads above recovery on at least 19 of the 20 seeds,
+#: and recovery above rest on all 20.
+LOAD_ABOVE_RECOVERY = 19
+RECOVERY_ABOVE_REST = 20
+STAIRCASE = synth.PROTOCOL_PRESETS["staircase"]
+#: The H2 null: the staircase at load and recovery intensity 0, rest in all
+#: but name.
+NULL_STAIRCASE = synth.Protocol(tuple(dataclasses.replace(seg, intensity=0.0) for seg in STAIRCASE.segments))
 
 
-def phase_medians(preset: str, seed: int) -> dict[str, float]:
+def phase_medians(protocol: synth.Protocol, seed: int) -> dict[str, float]:
     """Median ``metric1`` per phase of one generated recording; a phase no
     window midpoint falls in is absent."""
-    protocol = synth.PROTOCOL_PRESETS[preset]
     windows = sliding_windows(synth.gen_rr(protocol, synth.GenConfig(seed=seed)), WINDOW, STRIDE)
     ok = ~windows.degenerate
     t_mid = windows.t_mid_ms[ok]
@@ -58,22 +73,41 @@ def phase_medians(preset: str, seed: int) -> dict[str, float]:
 
 @pytest.fixture(scope="module")
 def staircase():
-    return [phase_medians("staircase", seed) for seed in SEEDS]
+    return [phase_medians(STAIRCASE, seed) for seed in SEEDS]
 
 
 @pytest.fixture(scope="module")
 def rest():
-    return [phase_medians("rest", seed) for seed in SEEDS]
+    return [phase_medians(synth.PROTOCOL_PRESETS["rest"], seed) for seed in SEEDS]
+
+
+@pytest.fixture(scope="module")
+def null_staircase():
+    return [phase_medians(NULL_STAIRCASE, seed) for seed in SEEDS]
+
+
+def load_above_recovery(staircase) -> int:
+    return sum(m[synth.LOAD] > m[synth.RECOVERY] for m in staircase)
+
+
+def recovery_above_rest(staircase, rest) -> int:
+    return sum(s[synth.RECOVERY] > r[synth.REST] for s, r in zip(staircase, rest))
 
 
 def test_load_reads_above_recovery(staircase):
-    above = sum(m[synth.LOAD] > m[synth.RECOVERY] for m in staircase)
-    assert above >= 19
+    assert load_above_recovery(staircase) >= LOAD_ABOVE_RECOVERY
 
 
 def test_recovery_reads_above_rest(staircase, rest):
-    above = sum(s[synth.RECOVERY] > r[synth.REST] for s, r in zip(staircase, rest))
-    assert above == 20
+    assert recovery_above_rest(staircase, rest) >= RECOVERY_ABOVE_REST
+
+
+def test_h2_fails_without_load(null_staircase, rest):
+    """The H2 null: on the staircase at intensity 0 neither H2 criterion
+    holds, so load reads above recovery on fewer than 19 of the 20 seeds
+    and recovery above rest on fewer than 20."""
+    assert load_above_recovery(null_staircase) < LOAD_ABOVE_RECOVERY
+    assert recovery_above_rest(null_staircase, rest) < RECOVERY_ABOVE_REST
 
 
 def test_no_window_centres_in_the_staircase_rest(staircase):
@@ -84,6 +118,7 @@ def test_no_window_centres_in_the_staircase_rest(staircase):
 
 H1_SEEDS = range(4)
 H1_SESSIONS_PER_CLASS = 40
+H1_PERMUTATIONS = 99
 #: The columns the ``features`` docstring calls subjective, less ``acc_mean``
 #: (the mean magnitude, about gravity).
 SUBJECTIVE = ("ahr", "mhr", "acc_std", "acc_skewness", "acc_kurtosis", "metric1", "metric2")
@@ -104,11 +139,21 @@ def accuracy(train: FeatureTable, pred: FeatureTable, columns) -> float:
     return evaluate_xy(model, *build_xy(pred, columns)[:2]).accuracy
 
 
+def permuted(table: FeatureTable, rng) -> FeatureTable:
+    """``table`` with its activity labels permuted across sessions."""
+    return FeatureTable(table.session_id, [table.activity[i] for i in rng.permutation(len(table.activity))], table.values)
+
+
 @pytest.fixture(scope="module")
 def h1() -> list[dict[str, float]]:
-    """Per data seed: the majority-class share of the prediction split, and
-    the accuracy of the subjective columns and of all columns. The
-    sessions of every seed are generated in one pass of worker processes."""
+    """Per data seed: the majority-class share of the prediction split, the
+    accuracy of the subjective columns and of all columns, and the
+    permutation p-value of the subjective accuracy: with ``H1_PERMUTATIONS``
+    label permutations drawn from ``np.random.default_rng(seed)``, each
+    split and fitted as the data is, p is one plus the number of them whose
+    subjective accuracy reaches the data's, over one plus their number
+    (Ojala and Garriga 2010, JMLR 11). The sessions of every seed are
+    generated in one pass of worker processes."""
     drawn = [synth._draw_sessions(H1_SESSIONS_PER_CLASS, seed) for seed in H1_SEEDS]
     values = iter(_fork_map(session_features, [session for sessions in drawn for session in sessions]))
     results = []
@@ -118,8 +163,16 @@ def h1() -> list[dict[str, float]]:
         table = FeatureTable([m.session_id for m in metas], [m.activity for m in metas], rows)
         train, _, pred = split(table, seed=seed)
         baseline = max(map(pred.activity.count, pred.activity)) / len(pred.activity)
+        subjective = accuracy(train, pred, SUBJECTIVE)
+        rng = np.random.default_rng(seed)
+        null = [accuracy(*split(permuted(table, rng), seed=seed)[::2], SUBJECTIVE) for _ in range(H1_PERMUTATIONS)]
         results.append(
-            {"baseline": baseline, "subjective": accuracy(train, pred, SUBJECTIVE), "all": accuracy(train, pred, PRESETS["all"])}
+            {
+                "baseline": baseline,
+                "subjective": subjective,
+                "all": accuracy(train, pred, PRESETS["all"]),
+                "p": (1 + sum(a >= subjective for a in null)) / (1 + H1_PERMUTATIONS),
+            }
         )
     return results
 
@@ -131,6 +184,13 @@ def test_subjective_parameters_classify_activity(h1):
     assert all(r["all"] >= r["subjective"] for r in h1)
 
 
+def test_subjective_accuracy_beats_permuted_labels(h1):
+    """The H1 null: on every seed, the subjective columns classify the
+    data better than they classify its label permutations, at p <= 0.05,
+    so at most 4 of the 99 permutations reach the data's accuracy."""
+    assert all(r["p"] <= 0.05 for r in h1)
+
+
 def claims_table() -> list[dict[str, str]]:
     """The rows of the claims table in the package docstring, each a dict
     from column name to cell text."""
@@ -139,7 +199,7 @@ def claims_table() -> list[dict[str, str]]:
     return [dict(zip(header, row)) for row in rows]
 
 
-def test_claims_table_names_these_tests_and_what_they_measure(staircase, rest, h1):
+def test_claims_table_names_these_tests_and_what_they_measure(staircase, rest, null_staircase, h1):
     """Each row of the table names a test of this module, or none, and its
     "measured" cell is what the fixtures compute."""
     load = [m[synth.LOAD] for m in staircase]
@@ -150,13 +210,14 @@ def test_claims_table_names_these_tests_and_what_they_measure(staircase, rest, h
         above = sum(h > lo for h, lo in zip(high, low))
         return f"{above} of {len(SEEDS)} seeds; over seeds, medians {np.median(high):.2f} against {np.median(low):.2f}"
 
-    rest_s = next(seg.duration_s for seg in synth.PROTOCOL_PRESETS["staircase"].segments if seg.phase == synth.REST)
+    rest_s = next(seg.duration_s for seg in STAIRCASE.segments if seg.phase == synth.REST)
     centred = sum(synth.REST in m for m in staircase)
     def classified(key):
         scores = [r[key] for r in h1]
         return f"min {min(scores):.3f}, median {np.median(scores):.3f}"
 
     above = sum(r["subjective"] > r["baseline"] for r in h1)
+    p_values = ", ".join(f"{r['p']:.2f}" for r in h1)
     baseline = ", ".join(sorted({f"{r['baseline']:.3f}" for r in h1}))
     measured = {
         "test_load_reads_above_recovery": compared(load, recovery),
@@ -164,9 +225,19 @@ def test_claims_table_names_these_tests_and_what_they_measure(staircase, rest, h
         "test_no_window_centres_in_the_staircase_rest": (
             f"no window centred in the {rest_s:g} s rest" if not centred else f"windows centred in the rest on {centred} seeds"
         ),
+        "test_h2_fails_without_load": (
+            f"load above recovery on {load_above_recovery(null_staircase)} of {len(SEEDS)} seeds, recovery above rest on"
+            f" {recovery_above_rest(null_staircase, rest)} of {len(SEEDS)}; over seeds, medians"
+            f" {np.median([m[synth.LOAD] for m in null_staircase]):.2f}, {np.median([m[synth.RECOVERY] for m in null_staircase]):.2f}"
+            f" and {np.median(at_rest):.2f}"
+        ),
         "test_subjective_parameters_classify_activity": (
             f"subjective only: {classified('subjective')}, above the {baseline} baseline on {above} of {len(h1)} seeds;"
             f" all: {classified('all')}"
+        ),
+        "test_subjective_accuracy_beats_permuted_labels": (
+            f"p = {p_values} on seeds {H1_SEEDS[0]}-{H1_SEEDS[-1]},"
+            f" each against {H1_PERMUTATIONS} label permutations"
         ),
     }
     rows = claims_table()
