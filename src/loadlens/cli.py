@@ -285,8 +285,8 @@ def _positive_float(text: str) -> float:
 
 
 #: Longest ``synth accel --duration`` in seconds: one day, 4.32 M rows at 50 Hz
-#: (290 MB of CSV, as the CHANGES.md line "One columnar form for per-session
-#: features" records). Longer requests fail here, not in a huge allocation.
+#: (125 MB of CSV, as the CHANGES.md line "Synthetic channels at sensor
+#: resolution" records). Longer requests fail here, not in a huge allocation.
 MAX_ACCEL_DURATION_S = 86_400.0
 
 

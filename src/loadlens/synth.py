@@ -10,12 +10,22 @@ recording are out of reach by construction, so tests anchor to these
 generator properties instead: ``tests/test_claims.py`` checks the paper's
 hypothesis 2 on them.
 
-``gen_rr`` floors each interval at 1.0 ms: a beat whose mean, noise and skew
-terms sum below 1 ms is written as a 1 ms beat, which keeps every rr file
-valid (rr_ms > 0) but not physiological. The floor fires under the heaviest
-loads: ``synth sessions --n 40 --seed 1`` writes 82 such beats among
-721,763, so 32 of 40 skiing and 5 of 40 running sessions read an ``mhr_bpm``
-of 60,000, as the CHANGES.md FOUND line on this floor counts.
+Both channels are written at sensor resolution. ``gen_rr`` rounds each
+beat to a whole ms (half to even) and then floors it at 1 ms, and each
+beat's ``t_ms`` is the exact integer sum of the rr values before it: HRV
+practice records RR at a few ms (the ESC/NASPE Task Force, Circulation
+1996, 93(5), asks for ECG sampled at 250-500 Hz, 2-4 ms), so the 1 ms grid
+drops nothing a heart-rate sensor measures. ``gen_accel`` rounds each axis
+to 0.001 m/s^2 with ``np.round(x, 3)``, so each value is the double nearest
+k/1000 and its ``repr`` has at most 3 decimals: a 16-bit +-8 g
+accelerometer resolves about 2.4e-3 m/s^2.
+
+The 1 ms floor keeps every rr file valid (rr_ms > 0) but not
+physiological: a beat whose mean, noise and skew terms round below 1 ms is
+written as a 1 ms beat. It fires under the heaviest loads: on ``synth
+sessions --n 40 --seed 1`` it fires on 82 of 721,762 beats, so 32 of 40
+skiing and 5 of 40 running sessions read an ``mhr_bpm`` of 60,000, as the
+CHANGES.md line "Synthetic channels at sensor resolution" counts.
 """
 
 from __future__ import annotations
@@ -79,8 +89,8 @@ class Protocol:
         for seg in self.segments:
             if seg.phase not in PHASES:
                 raise ValueError(f"unknown phase {seg.phase!r}")
-            if not seg.duration_s > 0:
-                raise ValueError(f"segment duration must be > 0, got {seg.duration_s}")
+            if not (math.isfinite(seg.duration_s) and seg.duration_s > 0):
+                raise ValueError(f"segment duration must be finite and > 0, got {seg.duration_s}")
             if not 0.0 <= seg.intensity <= 1.0:
                 raise ValueError(f"intensity must be in [0, 1], got {seg.intensity}")
 
@@ -106,8 +116,8 @@ class GenConfig:
     baseline_rr_ms: float = 850.0
 
     def __post_init__(self):
-        if not self.baseline_rr_ms > LOAD_DROP_MS:
-            raise ValueError(f"baseline_rr_ms must be > {LOAD_DROP_MS}, got {self.baseline_rr_ms}")
+        if not (math.isfinite(self.baseline_rr_ms) and self.baseline_rr_ms > LOAD_DROP_MS):
+            raise ValueError(f"baseline_rr_ms must be finite and > {LOAD_DROP_MS}, got {self.baseline_rr_ms}")
 
 
 def _noise_pairs(rng):
@@ -118,7 +128,7 @@ def _noise_pairs(rng):
     """
     while True:
         z = rng.standard_normal(_NOISE_BLOCK)
-        b = (np.exp(rng.standard_normal(_NOISE_BLOCK)) - _LN_MEAN) / _LN_STD
+        b = (rng.lognormal(size=_NOISE_BLOCK) - _LN_MEAN) / _LN_STD
         yield from zip(z.tolist(), b.tolist())
 
 
@@ -132,20 +142,21 @@ def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> Channel:
     ``ramp * (dt / seg_len) + tail * decay``; a phase sets only these five
     terms. Rest sets ``entry = target = base`` and both skew factors to 0.0,
     so its extra terms are signed zeros, which leave a nonzero sum as it
-    was (a zero sum is floored to 1.0 either way): a rest beat stays
-    ``base + noise`` bit for bit.
+    was (a zero sum is floored to 1 either way): a rest beat stays
+    ``base + noise`` bit for bit before it is rounded to a whole ms.
     """
     rng = np.random.default_rng(config.seed)
     noise = _noise_pairs(rng)
-    rrs: list[float] = []
+    rrs: list[int] = []
     append = rrs.append
-    # Each float expression must keep its operation order: the written rr
+    # Each float expression must keep its operation order: a change of one
+    # ulp can move a beat across a rounding boundary, and the written rr
     # files are pinned byte for byte. A segment that ends before the current
     # time draws no beat and leaves ``mean`` as it was.
     exp = math.exp
     base = config.baseline_rr_ms
     noise_ms = NOISE_REST_MS
-    t_cum = 0.0
+    t_cum = 0
     mean = base
     for seg in protocol.segments:
         seg_start = t_cum
@@ -164,19 +175,17 @@ def gen_rr(protocol: Protocol, config: GenConfig = GenConfig()) -> Channel:
             dt = t_cum - seg_start
             decay = exp(-(dt / 1000.0) / tau)
             mean = target + (entry - target) * decay
-            rr = mean + noise_ms * z + (ramp * (dt / seg_len) + tail * decay) * b
-            if rr < 1.0:
-                rr = 1.0
+            rr = round(mean + noise_ms * z + (ramp * (dt / seg_len) + tail * decay) * b)
+            if rr < 1:
+                rr = 1
             append(rr)
             t_cum += rr
             if not t_cum < seg_end:
                 break
-    rr = np.array(rrs)
-    # each beat's time is the sum of the rr values before it: cumsum adds
-    # left to right as t_cum did, and rint rounds half to even as round() does
-    t = np.zeros(len(rr))
+    rr = np.array(rrs, dtype=np.int64)
+    t = np.zeros(len(rr), dtype=np.int64)
     np.cumsum(rr[:-1], out=t[1:])
-    return Channel(np.rint(t).astype(np.int64), rr)
+    return Channel(t, rr)
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ ACCEL_CLASSES: dict[str, _AccelClass] = {
 
 def gen_accel(activity_class: str, duration_s: float, config: GenConfig = GenConfig()) -> Channel:
     """50 Hz tri-axial trace: white noise around gravity on z, plus a
-    periodic gait proxy for the active class."""
+    periodic gait proxy for the active class, rounded to 0.001 m/s^2."""
     try:
         spec = ACCEL_CLASSES[activity_class]
     except KeyError:
@@ -210,6 +219,7 @@ def gen_accel(activity_class: str, duration_s: float, config: GenConfig = GenCon
     if spec.gait_amp:
         az = az + spec.gait_amp * np.sin(2.0 * math.pi * spec.gait_hz * t_s)
     noise[:, 2] = az
+    np.round(noise, 3, out=noise)
     return Channel(np.arange(n, dtype=np.int64) * (1000 // ACCEL_HZ), noise)
 
 

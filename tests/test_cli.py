@@ -27,31 +27,35 @@ from tests.conftest import make_rows
 #: channels; any change here is a change of output bytes.
 #: ``accel_windows.csv`` was re-pinned when the window table dropped its
 #: ``n`` and ``degenerate`` columns; its other cells are unchanged.
+#: Every channel file, ``features.csv`` and ``accel_windows.csv`` were
+#: re-pinned when ``synth`` came to write rr on a whole-ms grid and accel
+#: on a 0.001 m/s^2 grid; ``sessions.csv`` is unchanged.
 GOLDEN_SHA256 = {
-    "data/running000_accel.csv": "29ac54ebdfb461fc768e1639f2d3184f1a1658ccd55f58d83a806920563d7e83",
-    "data/running000_rr.csv": "44e94971b6ce2c8500528e715873ae83caead032aa7af6700f6fa8bbef3f5726",
-    "data/running001_accel.csv": "56d2551b465662660625c6c6480c9bd9bdba52eb89c93dd2c7c12463518f7f77",
-    "data/running001_rr.csv": "86ad3e41808a6f670be0020c57cc639f4eab4057a4fc8c5cedd14497ea6341f7",
+    "data/running000_accel.csv": "047331f92458ea7f8e66abe47834c955f041eef0c02117470f527b4996f16d41",
+    "data/running000_rr.csv": "9a723b34c578ccd6f61d9933a8e676aa0e76b1a6b1648f0a5832533d19792170",
+    "data/running001_accel.csv": "844abd5b31565b949b30dad972d6a87ce5a3976f6e9e9508a91c10ee0133ee28",
+    "data/running001_rr.csv": "a26ec7270376cf02dd4bb2563d386bacd3fb8543364b4b9adb9501cebad49883",
     "data/sessions.csv": "e414fe671499733eeab71c54f0a3d1ab7fa2b8dee347a6882da3f3b486c870fe",
-    "data/skiing000_accel.csv": "f9f265f7e1f18e502b95519ff1691f44e942fc86e70fb2c40d87c6901908186c",
-    "data/skiing000_rr.csv": "e442d706714ec1ce91219cd11475666e4cadcaf84624370be0608373069c2ae4",
-    "data/skiing001_accel.csv": "377958f026465c92e3ee348ca73aecd57571e07eeb84524b901d594f1b6f2b12",
-    "data/skiing001_rr.csv": "e650cb23d176edeb3975a3e9ecc5b48c375cb6fdb25772db4391557e497f28aa",
-    "data/walking000_accel.csv": "be265d32f018303021172bc3ee98131bb3af5e2dd94eae883610912ce7ce3d84",
-    "data/walking000_rr.csv": "289249992be37a4e6d5ef1ac1c303bde719c942d8e1daf1a8675ed06634c96cd",
-    "data/walking001_accel.csv": "b2434aaa2e39d21ff640af354c1034fe25f3c1648c9e44bf303ca86b5518b08e",
-    "data/walking001_rr.csv": "45f9f0cc9e80c2796c44c5ecdcba8bdb0ec033c75ba2f00543de9be63390b005",
-    "features.csv": "6edb84d21cec7595e737e8ec23d606e34ec192d9f540f50b8e6d9dd4e46e704d",
-    "accel_windows.csv": "86cf3c25aca43cbf77b0cae25e8d032368228563b3d79206d9aba887135172cb",
+    "data/skiing000_accel.csv": "3b18918ad03d2f37af0344c0c19c6ec392253fbc973ff900c5d6f3443723ca94",
+    "data/skiing000_rr.csv": "15549a8dfdc7eda21ccc1bf653b5b6adeb6056fd6e717a371219e534ef012cd0",
+    "data/skiing001_accel.csv": "68a0455e06b61cb1634912f8a2616f668467b6470c78a3478be8f7dd4a937d7a",
+    "data/skiing001_rr.csv": "9eef842cf29e218e87fbae9a98fbde82ab67fc283343aea80994a1a5099d1e63",
+    "data/walking000_accel.csv": "5b49f37a484be4976434ede21847d1d9df89f1c9ec5dddffcb60a10e95ba07ce",
+    "data/walking000_rr.csv": "e5101558a54449be9eabccd468888a356742f53dc8ac835e394345358a303ef4",
+    "data/walking001_accel.csv": "58345bd0a8e94cc34bc94b31c733d842e56c27a06bf466c9be35fb8fa20abaa6",
+    "data/walking001_rr.csv": "f4c75b68dd4aa2c5f3fee2c6b0a4de4f9147476848696dea6dab1fee7431df9e",
+    "features.csv": "d0e638aa8a89aff809c1a862e5587363aa4b1241720ce8b5b69f1fafde0db496",
+    "accel_windows.csv": "333004dcd04763515770311cd85925a14c14f33695a95ee659a0909469058be9",
 }
 
 #: sha256 of ``json.dumps(portable_manifest(...), sort_keys=True)`` of each
 #: manifest of the golden pipeline, as written when each command still
-#: wrote its own manifest.
+#: wrote its own manifest. The two that record their inputs' digests were
+#: re-pinned with the channel files above.
 MANIFESTS = {
     "data/run.manifest.json": "18f0ca9c6b9c543ae4900e3270343bf4a09346f39c49eae37c89383d8449b1f6",
-    "features.csv.manifest.json": "8f1e3f780713a643b28a4feb7cb801d3206135bf1610169f7228574e6cf485a8",
-    "accel_windows.csv.manifest.json": "29c42fa18b2e63500a2490ee3d1151a5a7d7b69c02031b1c889eaac9c906ccf1",
+    "features.csv.manifest.json": "12b3c44c565ef3dbb0237fc1671e880b46830943c2e314ddf260dc444d0cdbc9",
+    "accel_windows.csv.manifest.json": "819a08ae53ec3c39e83994f53c3f3df7edf987b3b5b03334dda3e1efa6089534",
 }
 
 #: sha256 of the plane export and the RR window table of a synthetic
@@ -61,11 +65,12 @@ MANIFESTS = {
 #: the always-empty ``phase_marks`` key was dropped; its points are
 #: unchanged. Both files were re-pinned again when the cloud entries dropped
 #: ``kurtosis`` (equal to ``k``) and the window table its ``n`` and
-#: ``degenerate`` columns; no remaining value changed.
+#: ``degenerate`` columns; no remaining value changed. All three were
+#: re-pinned when ``synth`` came to write rr on a whole-ms grid.
 PLANE_GOLDEN_SHA256 = {
-    "rr.csv": "7e911e241b5ed1e6846db641e3e3ee8d42b6cb0fb527a24d2a76929792481523",
-    "plane.json": "2bb237dc4fa02a258a8b4a3cdc768c1e9522f22d553ee94958edbb081f6a3bfe",
-    "windows.csv": "f1939b38dfc9d9aac9e59f10321d6833fa47319847731c6a876ef0a1ca59956f",
+    "rr.csv": "d2e4c6521430c80c5593575df139528a720f285f178e611bb19a6d748dc9d792",
+    "plane.json": "caf5c43b855eaa92b50fa45382fd9895ed073ce6316b135fc2f5e7436d9af117",
+    "windows.csv": "d35d5d5cfbccc6b065d8ac8eb981d07e5c51b7add7bddbe8b43a3f0d1632cf44",
 }
 
 #: The same for a hand-made RR file whose constant stretch yields 31
