@@ -188,17 +188,18 @@ def cmd_train(args) -> dict:
         batch=args.batch,
         seed=args.seed,
     )
-    model, report = evaluate.run_training(read_features_csv(args.features), args.model, args.preset, config)
+    model, report, losses = evaluate.run_training(read_features_csv(args.features), args.model, args.preset, config)
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.join(args.out_dir, f"{args.model}_{args.preset}")
     model_path, report_path, losses_path = f"{stem}.model.json", f"{stem}.report.json", f"{stem}.losses.csv"
     models.save_model(model, model_path)
-    config_echo = {"model": args.model, "preset": args.preset, **asdict(config)}
-    _write_json(report_path, {**report, "config": config_echo})
-    losses = zip(itertools.count(), report["train_loss"], report["val_loss"])
-    _write_csv(losses_path, ("epoch", "train_loss", "val_loss"), losses, lineterminator="\n")
-    outputs = [model_path, report_path, losses_path]
-    return {"config": config_echo, "inputs": [args.features], "outputs": outputs, "stem": stem}
+    _write_json(report_path, report)
+    outputs = [model_path, report_path]
+    if losses:
+        _write_csv(losses_path, ("epoch", "train_loss", "val_loss"), zip(itertools.count(), *losses), lineterminator="\n")
+        outputs.append(losses_path)
+    run_config = {"model": args.model, "preset": args.preset, **asdict(config)}
+    return {"config": run_config, "inputs": [args.features], "outputs": outputs, "stem": stem}
 
 
 def cmd_predict(args) -> dict:
@@ -216,10 +217,10 @@ def cmd_predict(args) -> dict:
         yhat = model.predict(X)
     if not np.isfinite(yhat).all():
         raise NumericError(f"{args.model}: the model predicts a value that is not a finite float64")
-    header = ("session_id", "activity", "y_true", "y_pred", "predicted_activity")
+    header = ("session_id", "activity", "y_pred", "predicted_activity")
     body = (
-        (session_id, activity, yt, yp, DEFAULT_ACTIVITIES[data.decode_prediction(yp)])
-        for session_id, activity, yt, yp in zip(kept.session_id, kept.activity, y.tolist(), yhat.tolist())
+        (session_id, activity, yp, DEFAULT_ACTIVITIES[data.decode_prediction(yp)])
+        for session_id, activity, yp in zip(kept.session_id, kept.activity, yhat.tolist())
     )
     _write_csv(args.out, header, body, lineterminator="\n")
     config = {"model_features": list(model.features), "kind": model.kind}
@@ -320,10 +321,10 @@ def _count(text: str) -> int:
 #: records),
 #: ``train --hidden`` (the fit's memory and time grow with the square of
 #: the width) and ``train --epochs`` (100 times the benchmark's 1,000; on
-#: the same machine about 25 s for 120 rows and the default layers, and
-#: 5 MB each of report and loss curve, which hold 2 (epochs + 1) losses, as
-#: the CHANGES.md line "Fit and score the network in fewer numpy calls"
-#: records).
+#: the same machine about 25 s for 120 rows and the default layers, as the
+#: CHANGES.md line "Fit and score the network in fewer numpy calls"
+#: records, and a 44 MB peak with its 4.9 MB loss curve, as the CHANGES.md
+#: line "One value, one place in the learn outputs" records).
 #: Larger requests fail here, not in a huge allocation or a run of hours.
 MAX_BOOTSTRAP = 100_000
 MAX_EPOCHS = 100_000

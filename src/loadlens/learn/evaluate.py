@@ -13,7 +13,7 @@ copy's MRD has the bits of scoring that copy alone, and no confusion matrix
 is built for it.
 
 ``run_training`` returns its report as the JSON document that ``train``
-writes, less the ``"config"`` echo the command adds.
+writes, and a network's loss curves beside it, not in it.
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ def permutation_importance(model, X, y, seed: int = 0) -> list[tuple[str, float]
 
 
 def run_training(table: FeatureTable, model_kind: str, preset: str, config: DnnConfig = DnnConfig()):
-    """Split, fit, and evaluate one model; returns (model, report), the
-    report a dict of the loss curves, split metrics and importances. The
+    """Split, fit, and evaluate one model; returns (model, report, losses),
+    the report a dict of the split metrics and importances, and losses a
+    ``dnn``'s train and validation loss curves, None for an ``lrm``. The
     split, the DNN fit and the importances all draw from ``config.seed``.
 
     Each split's design matrix is built once; rows with a missing selected
@@ -137,11 +138,9 @@ def run_training(table: FeatureTable, model_kind: str, preset: str, config: DnnC
     for _, y in (val, pred):
         _rows_to_evaluate(y)
     if model_kind == "lrm":
-        model = fit_lrm_xy(*train, columns)
-        train_losses: list[float] = []
-        val_losses: list[float] = []
+        model, losses = fit_lrm_xy(*train, columns), None
     elif model_kind == "dnn":
-        model, train_losses, val_losses = fit_dnn_xy(*train, *val, columns, config)
+        model, *losses = fit_dnn_xy(*train, *val, columns, config)
     else:
         raise ValueError(f"unknown model kind {model_kind!r}; use 'lrm' or 'dnn'")
     ev_val = evaluate_xy(model, *val)
@@ -153,8 +152,6 @@ def run_training(table: FeatureTable, model_kind: str, preset: str, config: DnnC
     return model, {
         "model": model_kind,
         "preset": preset,
-        "train_loss": train_losses,
-        "val_loss": val_losses,
         "mae_val": ev_val.mae,
         "mrd_val": ev_val.mrd,
         "mae_pred": ev_pred.mae,
@@ -163,4 +160,4 @@ def run_training(table: FeatureTable, model_kind: str, preset: str, config: DnnC
         "accuracy": ev_pred.accuracy,
         "accuracy_val": ev_val.accuracy,
         "importances": [[name, v] for name, v in importances],
-    }
+    }, losses

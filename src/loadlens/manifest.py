@@ -36,7 +36,7 @@ every JSON file but ``plane.json``, which ``momentplane.export_plane``
 streams from templates, its bootstrap cloud in a section of its own.
 ``_read_json`` is the one JSON reader. Floats are written by ``repr``, so a
 write -> parse round trip is bit-exact. CSV lines end in ``\\r\\n``, but
-those of ``predict.csv`` and ``*.losses.csv`` in ``\\n``, as in JSON files.
+those of ``predict.csv`` and ``dnn_*.losses.csv`` in ``\\n``, as in JSON files.
 Both CSV writers stay: f-strings cannot quote text, and ``csv.writer`` is
 slower on numeric tables (timed on 180,000 accel rows and 35,941 window
 rows, as the CHANGES.md line "Fit and score the network in fewer numpy

@@ -54,12 +54,14 @@ ACCEL_HZ = 50
 
 #: Heartbeat shape: the mean rr drop at full intensity and the time constant
 #: of the heart's response at load onset, the rest noise std, the skew
-#: amplitude at full intensity, and the recovery's time constant.
+#: amplitude at full intensity, and the recovery's time constant. A resting
+#: mean rr lies above the drop and at most 2,000 ms, a heart rate of 30 bpm.
 LOAD_DROP_MS = 350.0
 LOAD_ONSET_TAU_S = 45.0
 NOISE_REST_MS = 25.0
 SKEW_SCALE_LOAD = 60.0
 RECOVERY_TAU_S = 90.0
+MAX_BASELINE_RR_MS = 2000.0
 
 #: Skewed-noise building block: standard lognormal rescaled to zero mean and
 #: unit variance. The heavy right tail displaces window kurtosis early in a
@@ -116,8 +118,8 @@ class GenConfig:
     baseline_rr_ms: float = 850.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.baseline_rr_ms) and self.baseline_rr_ms > LOAD_DROP_MS):
-            raise ValueError(f"baseline_rr_ms must be finite and > {LOAD_DROP_MS}, got {self.baseline_rr_ms}")
+        if not LOAD_DROP_MS < self.baseline_rr_ms <= MAX_BASELINE_RR_MS:
+            raise ValueError(f"baseline_rr_ms {self.baseline_rr_ms} is not in ({LOAD_DROP_MS}, {MAX_BASELINE_RR_MS}] ms")
 
 
 def _noise_pairs(rng):

@@ -308,26 +308,28 @@ class TestGoldenPlane:
 #: split's arrays once. ``predict.csv`` is pinned as written since its rows
 #: go through ``csv.writer`` with plain floats. ``cluster.json`` was
 #: re-pinned when its assignments dropped ``intensity``, which equals
-#: ``intensity_labels[cluster]``.
+#: ``intensity_labels[cluster]``. The two ``*.report.json`` and ``predict.csv``
+#: were re-pinned when the reports dropped their loss curves and ``config``
+#: and ``predict.csv`` its ``y_true``, and an ``lrm`` run stopped writing a
+#: header-only ``losses.csv``.
 LEARN_GOLDEN_SHA256 = {
     "features.csv": "62e20dcd0366907f25cf222fdb81e6ba79a3df4897f2fc1e624aa386ab69c11d",
     "models/lrm_all.model.json": "145e8932cac8cd2e320f45f1e6ce9cad11a671afd889c615d0938e8814195bc3",
-    "models/lrm_all.report.json": "cba864f1a74f9c980ecbfa2a314833f3285ec37d98ad096f1b396150e5d3963e",
-    "models/lrm_all.losses.csv": "8f9b0d82b82b8da872ca302b25b509399103ef644276b99498436128336070dc",
+    "models/lrm_all.report.json": "a9a2bf3ba9e8a5038876f38a1f8e44b740a78f2fd2586ce06cd985608a8cc25d",
     "models/dnn_all.model.json": "574235a2c83e1d7349107de28a53e00e89e1ed75c862cd2526c45bdad9db3a04",
-    "models/dnn_all.report.json": "da644caa088583037b5ce28d2d46e3b026e2dcd14d61db6a9d3b968d31e42ea0",
+    "models/dnn_all.report.json": "87a05acd875bc6570aa04b18d1c74e622ccdc9af2116843ab0da355fcb219dc0",
     "models/dnn_all.losses.csv": "61dc2d5f7993d62d8569e676d70570ad36759febbfd24a969e58e9a5d1f4b905",
     "report.json": "b46b0922f6d81921fab624acd74ae7a84bfb42fd8a4aa65c2c416381e6ec8466",
     "cluster.json": "0482e0816a24c27a4e0e825c1c9b847283c366e14466ee26f4b347043810d245",
     "correlation.csv": "49d25737fd001bc4e0c9797365d5c23ada28aa7c62296a2339083ed3836d0c07",
-    "predict.csv": "95582a658d24e5cf21f4e2af806c4ab319d086675e8ab744895920ea48b4956b",
+    "predict.csv": "3f0ce9ff403ec22271bac93199f26692256d7cfab701d7fd6f06a20abe7c9120",
 }
 
 #: The same as ``MANIFESTS`` for the learn commands.
 LEARN_MANIFESTS = {
-    "models/lrm_all.manifest.json": "71b44016779c974317320a87a85a17c006892a332f79bc92375449a78d8485ac",
+    "models/lrm_all.manifest.json": "63b440f1ababc71ee0a15c55ea4be1a23bc78e9fd818a1106cc74d79483d1314",
     "models/dnn_all.manifest.json": "d475918168a19dfc2a9ae2d187e19598fe46081d8f9508346ad6d295eab2aba9",
-    "report.json.manifest.json": "a01159e83b62c0164bfb4010292b7f162eb575779716b6187bdf0dcb7fe8f4e9",
+    "report.json.manifest.json": "81bc1b1b57b95b46fbe0bd3855c05244d16ac7361f4a1cd339071b924d478bb3",
     "cluster.json.manifest.json": "238863d3c5792c2f8339657bcadd4ab8dec67d81807a05696e535abe6d3a5b7b",
     "correlation.csv.manifest.json": "6b178d18e483d3328a6065cc82e109936523ae3aef3772f288f08918f0fc8424",
     "predict.csv.manifest.json": "7ff1548008f1cb715149017a81661e7cde7d1f5f44b9dc94cd4ff66a48a038ae",
@@ -373,6 +375,12 @@ class TestGoldenLearn:
             assert sha256(first / rel) == digest, rel
             assert sha256(second / rel) == digest, rel
         assert_manifests(LEARN_MANIFESTS, first, second)
+        # each value in one place: loss curves only in losses.csv, config only in the manifest
+        for model in ("lrm", "dnn"):
+            report = json.loads((first / f"models/{model}_all.report.json").read_text(encoding="utf-8"))
+            assert not {"train_loss", "val_loss", "config"} & set(report), model
+        outputs = json.loads((first / "models/lrm_all.manifest.json").read_text(encoding="utf-8"))["outputs"]
+        assert [os.path.basename(path) for path in outputs] == ["lrm_all.model.json", "lrm_all.report.json"]
 
 
 class TestOutputSink:
@@ -1045,12 +1053,12 @@ class TestPredict:
         text = out.read_text(encoding="utf-8")
         assert "np." not in text and "\r" not in text
         table = list(csv.reader(text.splitlines()))
-        assert table[0] == ["session_id", "activity", "y_true", "y_pred", "predicted_activity"]
+        assert table[0] == ["session_id", "activity", "y_pred", "predicted_activity"]
         assert [r[0] for r in table[1:]] == list(rows.session_id)
-        assert all(len(r) == 5 for r in table)
-        assert [float(r[2]) for r in table[1:]] == [float(i % 3) for i in range(30)]
+        assert all(len(r) == 4 for r in table)
+        assert [r[1] for r in table[1:]] == [("walking", "running", "skiing")[i % 3] for i in range(30)]
         for r in table[1:]:
-            assert r[4] == ("walking", "running", "skiing")[min(max(round(float(r[3])), 0), 2)]
+            assert r[3] == ("walking", "running", "skiing")[min(max(round(float(r[2])), 0), 2)]
 
 
 class TestReport:

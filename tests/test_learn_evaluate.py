@@ -231,18 +231,18 @@ class TestRunTraining:
         return make_rows(np.column_stack([ahr, mhr]), codes, ["ahr", "mhr"])
 
     def test_lrm_report(self, rng):
-        model, rep = run_training(self._rows(rng), "lrm", "hr")
+        model, rep, losses = run_training(self._rows(rng), "lrm", "hr")
         assert rep["model"] == "lrm" and rep["preset"] == "hr"
-        assert rep["train_loss"] == [] and rep["val_loss"] == []
+        assert losses is None
         assert rep["accuracy"] > 0.8
         assert sum(map(sum, rep["confusion"])) == 18  # 15% prediction split of 120
         assert sum(v for _, v in rep["importances"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_dnn_report(self, rng):
         cfg = DnnConfig(epochs=60, seed=4)
-        model, rep = run_training(self._rows(rng), "dnn", "hr", cfg)
-        assert len(rep["train_loss"]) == 61
-        assert rep["train_loss"][-1] < rep["train_loss"][0]
+        model, rep, (train_loss, val_loss) = run_training(self._rows(rng), "dnn", "hr", cfg)
+        assert len(train_loss) == len(val_loss) == 61
+        assert train_loss[-1] < train_loss[0]
         assert rep["accuracy"] > 0.8
         assert rep["model"] == "dnn" and len(rep["confusion"]) == 3
 

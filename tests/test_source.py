@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import loadlens
 
@@ -71,3 +72,28 @@ def test_only_manifest_decides_how_work_is_split():
             if name in ("SPLIT_ROWS", "_worker_count"):
                 found.append(f"{module}: {name}")
     assert found == []
+
+
+def changes_pointers(text: str) -> list[str]:
+    """The title of each ``CHANGES.md line "..."`` pointer in a source file,
+    its lines joined with their indentation and ``#:``/``#`` comment markers
+    dropped, so that a title may wrap across comment or docstring lines."""
+    joined = " ".join(re.sub(r"^\s*(#:?)?", "", line) for line in text.splitlines())
+    joined = re.sub(r"\s+", " ", joined).replace("``", "`")
+    pointers = re.findall(r'CHANGES\.md line "([^"]+)"', joined)
+    assert len(pointers) == joined.count("CHANGES.md line"), "a pointer without a quoted title"
+    return pointers
+
+
+def test_every_changes_pointer_names_an_entry():
+    """Each title that a ``CHANGES.md line "..."`` pointer in src quotes
+    starts a line of CHANGES.md, after the ``- `` of a list entry."""
+    changes = (pathlib.Path(__file__).resolve().parents[1] / "CHANGES.md").read_text(encoding="utf-8")
+    entries = [line.removeprefix("- ") for line in changes.splitlines()]
+    found = [
+        (path.name, title)
+        for path in sorted(SRC.rglob("*.py"))
+        for title in changes_pointers(path.read_text(encoding="utf-8"))
+    ]
+    assert found
+    assert [(name, title) for name, title in found if not any(e.startswith(title) for e in entries)] == []
