@@ -321,10 +321,10 @@ def _count(text: str) -> int:
 #: records),
 #: ``train --hidden`` (the fit's memory and time grow with the square of
 #: the width) and ``train --epochs`` (100 times the benchmark's 1,000; on
-#: the same machine about 25 s for 120 rows and the default layers, as the
-#: CHANGES.md line "Fit and score the network in fewer numpy calls"
-#: records, and a 44 MB peak with its 4.9 MB loss curve, as the CHANGES.md
-#: line "One value, one place in the learn outputs" records).
+#: the same machine about 21 s for 120 rows and the default layers, as the
+#: CHANGES.md line "One pass shape for the network" records, and a 44 MB
+#: peak with its 4.9 MB loss curve, as the CHANGES.md line "One value, one
+#: place in the learn outputs" records).
 #: Larger requests fail here, not in a huge allocation or a run of hours.
 MAX_BOOTSTRAP = 100_000
 MAX_EPOCHS = 100_000

@@ -5,12 +5,9 @@ Gaussian-deviance convention. Class decisions come from rounding the
 regression output, which is what reconciles regression-style error metrics
 with a confusion-matrix accuracy.
 
-``permutation_importance`` scores the ``IMPORTANCE_REPEATS`` shuffled copies
-of one column as one stack of copies, in one prediction: the model's forward
-pass broadcasts over the leading copy axis (stack, do not flatten: see
-``models``), and each copy's MAE and MRD come from a row reduction. Each
-copy's MRD has the bits of scoring that copy alone, and no confusion matrix
-is built for it.
+``permutation_importance`` scores each of the ``IMPORTANCE_REPEATS``
+shuffled copies of one column alone, by its MRD; no confusion matrix is
+built for a copy.
 
 ``run_training`` returns its report as the JSON document that ``train``
 writes, and a network's loss curves beside it, not in it.
@@ -45,20 +42,16 @@ class EvalMetrics:
 IMPORTANCE_REPEATS = 10
 
 
-def _errors(model, X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prediction, MAE and MRD of a fitted model on the rows of ``X``; when
-    ``X`` stacks copies of a split on a leading axis, one MAE and MRD per
-    copy. Each comes from a row reduction with the bits of ``np.mean`` over
-    that copy alone. The first copy whose MAE or MRD is not a finite
-    float64 raises ``MomentOverflow``."""
+def _errors(model, X, y) -> tuple[np.ndarray, float, float]:
+    """Prediction, MAE and MRD of a fitted model on the rows of ``X``. An
+    MAE or MRD that is not a finite float64 raises ``MomentOverflow``."""
     with np.errstate(over="ignore", invalid="ignore"):
         yhat = model.predict(X)
         resid = yhat - y
-        mae = np.add.reduce(np.abs(resid), -1) / len(y)
-        mrd = np.add.reduce(resid * resid, -1) / len(y)
-    for a, d in zip(np.ravel(mae).tolist(), np.ravel(mrd).tolist()):
-        if not (math.isfinite(a) and math.isfinite(d)):
-            raise MomentOverflow(f"the prediction error is not a finite float64 (MAE {a!r}, MRD {d!r})")
+        mae = float(np.abs(resid).mean())
+        mrd = float((resid * resid).mean())
+    if not (math.isfinite(mae) and math.isfinite(mrd)):
+        raise MomentOverflow(f"the prediction error is not a finite float64 (MAE {mae!r}, MRD {mrd!r})")
     return yhat, mae, mrd
 
 
@@ -84,7 +77,7 @@ def evaluate_xy(model, X, y) -> EvalMetrics:
     for t, p in zip(y, yhat):
         confusion[int(t), decode_prediction(float(p))] += 1
     accuracy = float(np.trace(confusion) / confusion.sum())
-    return EvalMetrics(mae=float(mae), mrd=float(mrd), confusion=confusion, accuracy=accuracy)
+    return EvalMetrics(mae=mae, mrd=mrd, confusion=confusion, accuracy=accuracy)
 
 
 def permutation_importance(model, X, y, seed: int = 0) -> list[tuple[str, float]]:
@@ -94,9 +87,6 @@ def permutation_importance(model, X, y, seed: int = 0) -> list[tuple[str, float]
     Negative raw deltas are floored at 0; if every feature comes out 0 the
     importances fall back to uniform (with a warning), since nothing can be
     ranked.
-
-    ``model.predict`` must broadcast over a leading axis of ``X``: the
-    shuffled copies of one column are scored as one stack.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -105,14 +95,15 @@ def permutation_importance(model, X, y, seed: int = 0) -> list[tuple[str, float]
     rng = np.random.default_rng(seed)
     baseline = _errors(model, X, y)[2]
     n, p = X.shape
-    copies = np.empty((IMPORTANCE_REPEATS, n, p))
+    copy = np.empty_like(X)
     raw = np.zeros(p)
     for j in range(p):
-        copies[...] = X
-        for copy in copies:
+        copy[...] = X
+        deltas = []
+        for _ in range(IMPORTANCE_REPEATS):
             copy[:, j] = X[rng.permutation(n), j]
-        deltas = _errors(model, copies, y)[2] - baseline
-        raw[j] = max(0.0, float(deltas.mean()))
+            deltas.append(_errors(model, copy, y)[2] - baseline)
+        raw[j] = max(0.0, float(np.mean(deltas)))
     total = raw.sum()
     if total == 0.0:
         warnings.warn("all permutation importances are zero; reporting uniform weights")

@@ -15,15 +15,10 @@ that update bit for bit.
 A fit does those operations in few numpy calls. Each epoch gathers its
 permuted rows with ``take`` into one fixed buffer; the batches are slices of
 it, and their ``out=`` buffers and the transposed views the gradient needs
-are built once per fit. The per-epoch train and validation losses run every
-``_LOSS_BLOCK`` epochs on the stacked parameter snapshots of those epochs:
-one matmul per layer over a (K, fan_in, fan_out) stack, and one row
-reduction per loss. The stacking rule: stack, do not flatten. A stacked
-``np.matmul`` computes each slice bit for bit as the 2-D call on that slice;
-one 2-D product over the rows of all slices may round differently, because
-BLAS blocks a longer product differently. ``_forward`` is the one forward
-pass: the gradient's trace, the stacked loss passes, ``NetworkModel.predict``
-and the stacked copies of ``evaluate.permutation_importance`` all run it.
+are built once per fit. After each epoch, the train and validation losses
+run one pass over their rows, in buffers built once per fit. ``_forward``
+is the one forward pass: the gradient's trace, the loss passes and
+``NetworkModel.predict`` all run it, always over 2-D rows.
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ class Standardizer:
         zero = self.stds < STD_FLOOR
         scale = np.where(zero, 1.0, self.stds)
         out = (X - self.means) / scale
-        out[..., zero] = 0.0
+        out[:, zero] = 0.0
         return out
 
 
@@ -165,25 +160,11 @@ def init_layers(sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     return layers
 
 
-#: Epochs whose losses one stacked pass computes, from the parameter
-#: snapshots of those epochs. No loss depends on it; it sets the memory of
-#: the snapshots and loss buffers: 31 KB per epoch, 0.25 MB in all, for the
-#: default layers on the benchmark's 84 train and 18 validation rows of 12
-#: features.
-_LOSS_BLOCK = 8
-
-
 def _forward(a, layers, acts) -> np.ndarray:
     """Network output for the rows of ``a``: rectified-linear hidden layers
     and a linear output layer, computed into ``acts`` (one buffer per layer);
-    the output is a view into the last buffer.
-
-    Either ``a`` or the layers may carry a leading stack axis: ``a`` of
-    shape (K, n, fan_in) stacks K row sets, layers of shapes
-    (K, fan_in, fan_out) and (K, 1, fan_out) stack K parameter sets, and
-    the output has shape (K, n). Each slice of the output has the bits of
-    the pass over that slice alone (see the stacking rule of the module
-    docstring).
+    the output is a view into the last buffer. ``a`` holds 2-D rows,
+    (n, fan_in), each buffer is (n, fan_out), and the output is (n,).
     """
     *hidden, (W, b) = layers
     for (Wh, bh), z in zip(hidden, acts):
@@ -194,21 +175,16 @@ def _forward(a, layers, acts) -> np.ndarray:
     z = acts[-1]
     np.matmul(a, W, z)
     np.add(z, b, z)
-    return z[..., 0]
+    return z[:, 0]
 
 
 def _views(flat, layers) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(W, b) views with the shapes of ``layers`` into the last axis of
-    ``flat``. A leading stack axis of ``flat`` leads every view, and each
-    bias then gets a unit row axis, (K, 1, fan_out), to broadcast over the
-    rows of a stacked pass."""
-    lead = flat.shape[:-1]
+    """(W, b) views with the shapes of ``layers`` into the 1-D ``flat``."""
     views, at = [], 0
     for W, _ in layers:
-        (fan_in, fan_out), end = W.shape, at + W.size
-        b = flat[..., end : end + fan_out]
-        views.append((flat[..., at:end].reshape(lead + (fan_in, fan_out)), b[..., None, :] if lead else b))
-        at = end + fan_out
+        end = at + W.size
+        views.append((flat[at:end].reshape(W.shape), flat[end : end + W.shape[1]]))
+        at = end + W.shape[1]
     return views
 
 
@@ -245,7 +221,7 @@ class _FlatNet:
 
     def _work(self, n: int) -> tuple:
         """Activation, delta and mask buffers for a pass over ``n`` rows,
-        shared by the batches of ``n`` rows."""
+        shared by the batches and loss passes of ``n`` rows."""
         work = self._buffers.get(n)
         if work is None:
             widths = [W.shape[1] for W, _ in self.layers]
@@ -267,6 +243,15 @@ class _FlatNet:
             back.append((ins[i].T, deltas[i], dW, db) + down)
         return _Batch(X, y, acts, deltas[-1], deltas[-1][:, 0], 2.0 / len(y), back)
 
+    def mse(self, X, y) -> float:
+        """mean((forward(X) - y)**2), in the activation and output-delta
+        buffers of ``len(y)`` rows."""
+        acts, deltas, _ = self._work(len(y))
+        sq = deltas[-1][:, 0]
+        np.subtract(_forward(X, self.layers, acts), y, sq)
+        np.multiply(sq, sq, sq)
+        return float(np.add.reduce(sq)) / len(y)
+
     def gradient(self, batch: _Batch) -> None:
         """Write the gradient of mean((forward(X) - y)**2) into ``G``."""
         np.subtract(_forward(batch.X, self.layers, batch.acts), batch.y, batch.resid)
@@ -278,30 +263,6 @@ class _FlatNet:
                 np.matmul(d, WT, prev)
                 np.greater(a, 0.0, mask)
                 np.multiply(prev, mask, prev)
-
-
-class _LossPass:
-    """The MSE on fixed rows ``X, y`` of the first m parameter sets of a
-    stack (layers as ``_views`` of a (K, P.size) array), in one stacked
-    forward pass; each loss has the bits of ``mean((forward(X) - y)**2)``
-    for its parameter set alone, since numpy reduces each row of the
-    squared residuals with the pairwise summation of a 1-D array."""
-
-    def __init__(self, X, y, stacked):
-        k, n = len(stacked[0][0]), len(y)
-        self.X, self.y, self.layers = X, y, stacked
-        self.acts = [np.empty((k, n, W.shape[-1])) for W, _ in stacked]
-        self.sq = np.empty((k, n))
-        self.loss = np.empty(k)
-
-    def __call__(self, m: int) -> list[float]:
-        layers = [(W[:m], b[:m]) for W, b in self.layers]
-        sq, loss = self.sq[:m], self.loss[:m]
-        np.subtract(_forward(self.X, layers, [a[:m] for a in self.acts]), self.y, sq)
-        np.multiply(sq, sq, sq)
-        np.add.reduce(sq, 1, None, loss)
-        np.divide(loss, len(self.y), loss)
-        return loss.tolist()
 
 
 @dataclass(frozen=True)
@@ -318,7 +279,7 @@ class NetworkModel:
 
     def predict(self, X) -> np.ndarray:
         Z = self.standardizer.transform(_as_matrix(X))
-        return _forward(Z, self.layers, [np.empty(Z.shape[:-1] + W.shape[1:]) for W, _ in self.layers])
+        return _forward(Z, self.layers, [np.empty((len(Z), W.shape[1])) for W, _ in self.layers])
 
 
 def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig = DnnConfig()):
@@ -346,24 +307,10 @@ def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig 
     # each epoch gathers its permuted rows into Xo, yo, which the batches view
     Xo, yo = np.empty_like(Zt), np.empty_like(y_train)
     batches = [net.batch(Xo[s : s + config.batch], yo[s : s + config.batch]) for s in range(0, n, config.batch)]
-    snapshots = np.empty((_LOSS_BLOCK, P.size))
-    stacked = _views(snapshots, net.layers)
-    train_pass = _LossPass(Zt, y_train, stacked)
-    val_pass = _LossPass(Zv, yv, stacked) if Zv is not None else None
     train_losses: list[float] = []
     val_losses: list[float] = []
 
-    def record(first: int, m: int) -> None:
-        """Losses of the epochs first .. first + m - 1, from the snapshots."""
-        tl = train_pass(m)
-        vl = val_pass(m) if val_pass is not None else [math.nan] * m
-        for epoch, t, v in zip(range(first, first + m), tl, vl):
-            if not math.isfinite(t) or (val_pass is not None and not math.isfinite(v)):
-                raise NonFiniteLoss(epoch, t if not math.isfinite(t) else v, lr)
-        train_losses.extend(tl)
-        val_losses.extend(vl)
-
-    # a diverging fit overflows before record() sees the non-finite loss
+    # a diverging fit overflows before its loss is checked
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs + 1):
             if epoch:
@@ -374,10 +321,12 @@ def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig 
                     net.gradient(batch)
                     np.multiply(lr, G, step)
                     np.subtract(P, step, P)
-            slot = epoch % _LOSS_BLOCK
-            snapshots[slot] = P
-            if slot == _LOSS_BLOCK - 1 or epoch == config.epochs:
-                record(epoch - slot, slot + 1)
+            t = net.mse(Zt, y_train)
+            v = net.mse(Zv, yv) if Zv is not None else math.nan
+            if not math.isfinite(t) or (Zv is not None and not math.isfinite(v)):
+                raise NonFiniteLoss(epoch, t if not math.isfinite(t) else v, lr)
+            train_losses.append(t)
+            val_losses.append(v)
 
     model = NetworkModel(features=tuple(feature_names), standardizer=std, layers=net.layers)
     return model, train_losses, val_losses
@@ -433,8 +382,9 @@ def load_model(path):
 
     A file that is not UTF-8 JSON, or a document that lacks a key, names an
     unknown kind or a feature outside ``features.ALL_FEATURES``, holds a
-    negative std, or holds arrays whose sizes disagree with the feature list
-    or with each other raises ParseError.
+    negative std or an ``lrm.ridge_fallback`` that is not a JSON bool, or
+    holds arrays whose sizes disagree with the feature list or with each
+    other raises ParseError.
     """
     doc = _read_json(path, "model")
     kind = _key(doc, "kind", "")
@@ -458,12 +408,15 @@ def load_model(path):
         lrm = _key(doc, "lrm", "")
         weights = _floats(_key(lrm, "w", "lrm."), "lrm.w", 1)
         _check_len(weights, nf, "lrm.w")
+        ridge = _key(lrm, "ridge_fallback", "lrm.")
+        if not isinstance(ridge, bool):
+            raise ParseError(f"model: lrm.ridge_fallback must be true or false, got {ridge!r}")
         return LinearModel(
             features=tuple(features),
             standardizer=std,
             weights=weights,
             intercept=float(_floats(_key(lrm, "b", "lrm."), "lrm.b", 0)),
-            ridge_fallback=bool(lrm.get("ridge_fallback", False)),
+            ridge_fallback=ridge,
         )
     if kind == "dnn":
         layer_docs = _key(_key(doc, "dnn", ""), "layers", "dnn.")

@@ -8,7 +8,7 @@ windows away from the landmark; during recovery the mean relaxes back
 exponentially with a positive, decaying skew. Exact figures from any real
 recording are out of reach by construction, so tests anchor to these
 generator properties instead: ``tests/test_claims.py`` checks the paper's
-hypothesis 2 on them.
+hypotheses 1 and 2 on them, each beside a null control that must fail it.
 
 Both channels are written at sensor resolution. ``gen_rr`` rounds each
 beat to a whole ms (half to even) and then floors it at 1 ms, and each

@@ -168,8 +168,9 @@ def reference_importance(model, X, y, seed):
 
 
 class TestPermutationImportanceMatchesPerCopyLoop:
-    """The stacked scoring of each column's shuffled copies gives the bits of
-    scoring every copy alone."""
+    """Scoring each shuffled copy through the MRD alone gives the bits of
+    the ``evaluate_xy`` loop, which also builds each copy's confusion
+    matrix."""
 
     NAMES = ["ahr", "mhr", "acc_std", "metric1"]
 

@@ -15,12 +15,10 @@ from loadlens.errors import (
     TooFewRows,
     UnknownLabel,
 )
-from loadlens.learn import models
 from loadlens.learn.data import PRESETS, build_xy, decode_prediction, encode_target, split
 from loadlens.learn.models import (
     DnnConfig,
     Standardizer,
-    _LOSS_BLOCK,
     _FlatNet,
     _forward,
     fit_dnn_xy,
@@ -221,18 +219,6 @@ class TestFitDnn:
         assert train_losses[-1] < train_losses[0] / 5
         assert np.isfinite(val_losses).all()
 
-    @pytest.mark.parametrize("block", [1, 3])
-    def test_outputs_do_not_depend_on_the_loss_block(self, rng, monkeypatch, block):
-        X, X_val = rng.normal(0, 1, (30, 3)), rng.normal(0, 1, (9, 3))
-        y, y_val = rng.normal(0, 1, 30), rng.normal(0, 1, 9)
-        cfg = DnnConfig(hidden=(5, 4), epochs=10, batch=7, seed=2)
-        m1, t1, v1 = fit_dnn_xy(X, y, X_val, y_val, list("abc"), cfg)
-        monkeypatch.setattr(models, "_LOSS_BLOCK", block)
-        m2, t2, v2 = fit_dnn_xy(X, y, X_val, y_val, list("abc"), cfg)
-        assert np.array(t1 + v1).tobytes() == np.array(t2 + v2).tobytes()
-        for (W1, b1), (W2, b2) in zip(m1.layers, m2.layers):
-            assert W1.tobytes() == W2.tobytes() and b1.tobytes() == b2.tobytes()
-
     def test_determinism(self, rng):
         X = rng.normal(0, 1, (50, 4))
         y = rng.normal(0, 1, 50)
@@ -375,8 +361,7 @@ def _fit_cases(draw):
     n = draw(st.integers(20, 70))
     config = DnnConfig(
         hidden=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))),
-        # up to three loss blocks, so a fit records losses from several stacked passes
-        epochs=draw(st.integers(1, 3 * _LOSS_BLOCK)),
+        epochs=draw(st.integers(1, 24)),
         lr=draw(st.sampled_from([0.001, 0.01, 0.1])),
         batch=draw(st.integers(1, n + 5)),
         seed=draw(st.integers(0, 2**63 - 1)),
@@ -388,7 +373,7 @@ class TestFlatStepMatchesPerBatchUpdate:
     @settings(deadline=None)
     @given(_fit_cases())
     @example((20, 5, False, 1, DnnConfig(hidden=(7,), epochs=2, lr=0.1, batch=1, seed=1)))  # diverges at epoch 2
-    # diverges at epoch 11, inside the second loss block
+    # diverges at epoch 11, six epochs before the last, so the fit stops there
     @example((20, 2, True, 0, DnnConfig(hidden=(7,), epochs=17, lr=0.2, batch=1, seed=0)))
     def test_layers_and_losses_are_bitwise_equal(self, case):
         n, p, with_val, data_seed, config = case
@@ -474,11 +459,20 @@ class TestLoadModelSchema:
         with pytest.raises(ParseError, match="missing key"):
             load_doc(tmp_path, doc)
 
-    @pytest.mark.parametrize("path", [("standardizer", "stds"), ("lrm", "w"), ("lrm", "b")])
+    @pytest.mark.parametrize(
+        "path", [("standardizer", "stds"), ("lrm", "w"), ("lrm", "b"), ("lrm", "ridge_fallback")]
+    )
     def test_missing_nested_key(self, tmp_path, path):
         doc = saved_doc(tmp_path, "lrm")
         del doc[path[0]][path[1]]
         with pytest.raises(ParseError, match="missing key"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("value", ["false", 1])
+    def test_ridge_fallback_is_a_bool(self, tmp_path, value):
+        doc = saved_doc(tmp_path, "lrm")
+        doc["lrm"]["ridge_fallback"] = value
+        with pytest.raises(ParseError, match="lrm.ridge_fallback must be true or false"):
             load_doc(tmp_path, doc)
 
     def test_missing_layer_key(self, tmp_path):
