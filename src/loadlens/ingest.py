@@ -97,6 +97,10 @@ DEFAULT_ACTIVITIES = ("walking", "running", "skiing")
 
 ACCEL_HEADER = ("t_ms", "ax", "ay", "az")
 RR_HEADER = ("t_ms", "rr_ms")
+
+#: Row templates of the channel files (``_rows``), read back bit-exact.
+ACCEL_ROW = "%r,%r,%r,%r\r\n"
+RR_ROW = "%r,%r\r\n"
 SESSIONS_HEADER = (
     "session_id",
     "activity",
@@ -493,35 +497,43 @@ def parse_sessions_csv(path) -> list[SessionMeta]:
     return metas
 
 
-def _write_table(path, header, lines, *columns) -> None:
+def _rows(template: str, columns, blocks, sep: str = "", null: str | None = None):
+    """The rows of ``columns`` (equal-length 1-D arrays) as text, one part
+    per ``CHUNK_ROWS`` block starting at each index of ``blocks``: one ``%``
+    of the block's cells, in row order, into ``template`` per row, rows
+    joined by ``sep`` (also before each block but the table's first). A row
+    with a NaN cell takes the ``null`` template, which consumes the cells it
+    leaves out with ``%.0s``. The one place that spells a table row."""
+    width = len(columns)
+    floats = [col for col in columns if col.dtype.kind == "f"] if null is not None else []
+    for i in blocks:
+        block = [col[i : i + CHUNK_ROWS].tolist() for col in columns]
+        cells = [None] * (len(block[0]) * width)
+        for j, col in enumerate(block):
+            cells[j::width] = col
+        rows = [template] * len(block[0])
+        if floats:
+            for r in np.flatnonzero(np.isnan([col[i : i + CHUNK_ROWS] for col in floats]).any(axis=0)).tolist():
+                rows[r] = null
+        yield (sep if i else "") + sep.join(rows) % tuple(cells)
+
+
+def _write_table(path, header, template, *columns, null: str | None = None) -> None:
     """Write a numeric CSV table: the header, then the rows of ``columns``
-    (equal-length sequences) ``CHUNK_ROWS`` at a time, each block
-    formatted by ``lines(*block_columns)`` into ``\r\n``-ended lines. The
-    blocks are cut into one section per worker (``manifest._runs``), which
+    as ``_rows`` spells them with ``template`` and ``null``. The blocks are
+    cut into one section per worker (``manifest._runs``), which
     ``manifest._write_text`` writes in parallel."""
     n = len(columns[0])
-    sections = [
-        ("".join(lines(*(col[i : i + CHUNK_ROWS] for col in columns))) for i in run)
-        for run in manifest._runs(range(0, n, CHUNK_ROWS), n)
-    ]
+    sections = [_rows(template, columns, run, null=null) for run in manifest._runs(range(0, n, CHUNK_ROWS), n)]
     manifest._write_text(path, itertools.chain([",".join(header) + "\r\n"], sections[0]), *sections[1:])
 
 
-def _accel_lines(t_ms: np.ndarray, values: np.ndarray) -> list[str]:
-    rows = zip(t_ms.tolist(), *values.T.tolist())
-    return [f"{t},{x!r},{y!r},{z!r}\r\n" for t, x, y, z in rows]
-
-
-def _rr_lines(t_ms: np.ndarray, values: np.ndarray) -> list[str]:
-    return [f"{t},{rr!r}\r\n" for t, rr in zip(t_ms.tolist(), values.tolist())]
-
-
 def write_accel_csv(path, samples: Channel) -> None:
-    _write_table(path, ACCEL_HEADER, _accel_lines, samples.t_ms, samples.values)
+    _write_table(path, ACCEL_HEADER, ACCEL_ROW, samples.t_ms, *samples.values.T)
 
 
 def write_rr_csv(path, samples: Channel) -> None:
-    _write_table(path, RR_HEADER, _rr_lines, samples.t_ms, samples.values)
+    _write_table(path, RR_HEADER, RR_ROW, samples.t_ms, samples.values)
 
 
 def write_sessions_csv(path, metas: list[SessionMeta]) -> None:

@@ -28,16 +28,16 @@ write leaves the earlier target, or none, never a cut file. It takes the
 text in ordered sections: the calling process writes the first, and forked
 children write the later ones to part files beside the temporary file, which
 are appended in order before the rename. ``ingest._write_table`` feeds it
-the numeric tables (accel, rr, windows) as f-string lines, cut into one
-section per CPU at ``ingest.CHUNK_ROWS`` boundaries; ``_write_csv`` the
-tables that hold text (sessions, features, correlations, predictions, loss
-curves) through ``csv.writer``, which quotes text cells; ``_write_json``
-every JSON file but ``plane.json``, which ``momentplane.export_plane``
-streams from templates, its bootstrap cloud in a section of its own.
-``_read_json`` is the one JSON reader. Floats are written by ``repr``, so a
+the numeric tables (accel, rr, windows), cut into one section per CPU at
+``ingest.CHUNK_ROWS`` boundaries, and ``momentplane.export_plane`` streams
+``plane.json`` from templates, its bootstrap cloud in a section of its own;
+``ingest._rows`` spells the rows of both from row templates. ``_write_csv``
+writes the tables that hold text (sessions, features, correlations,
+predictions, loss curves) through ``csv.writer``, which quotes text cells;
+``_write_json`` every other JSON file. ``_read_json`` is the one JSON reader. Floats are written by ``repr``, so a
 write -> parse round trip is bit-exact. CSV lines end in ``\\r\\n``, but
 those of ``predict.csv`` and ``dnn_*.losses.csv`` in ``\\n``, as in JSON files.
-Both CSV writers stay: f-strings cannot quote text, and ``csv.writer`` is
+Both CSV writers stay: a row template cannot quote text, and ``csv.writer`` is
 slower on numeric tables (timed on 180,000 accel rows and 35,941 window
 rows, as the CHANGES.md line "Fit and score the network in fewer numpy
 calls" records).

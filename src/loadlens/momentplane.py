@@ -161,44 +161,24 @@ def zone_indices(s, k, m1, m2, rho: float, tau: float) -> np.ndarray:
     return np.select(hits, range(len(hits)), default=len(hits))
 
 
-_NULL_POINT = (
-    '  {\n   "t_mid_ms": %d,\n   "s": null,\n   "k": null,\n'
-    '   "zone": null,\n   "metric1": null,\n   "metric2": null\n  }'
-)
+#: Members of "points" and "bootstrap_cloud" as ``manifest._write_json``
+#: spells them (``repr`` is json's spelling of a finite float); a degenerate
+#: window's point holds nulls. The cloud's ``skewness`` keeps the sign that
+#: its ``s`` loses.
+_POINT = '  {\n   "t_mid_ms": %r,\n   "s": %r,\n   "k": %r,\n   "zone": "%s",\n   "metric1": %r,\n   "metric2": %r\n  }'
+_NULL_POINT = '  {\n   "t_mid_ms": %r,\n   "s": null%.0s,\n   "k": null%.0s,\n   "zone": null%.0s,\n   "metric1": null%.0s,\n   "metric2": null%.0s\n  }'
+_CLOUD_ENTRY = '  {\n   "s": %r,\n   "k": %r,\n   "mean": %r,\n   "std": %r,\n   "skewness": %r\n  }'
 
 
-def _point(t: int, s: float, k: float, zone: str | None, m1: float, m2: float) -> str:
-    """One member of "points" as ``manifest._write_json`` spells it; only
-    finite floats reach it, and ``repr`` is json's spelling of those."""
-    if zone is None:
-        return _NULL_POINT % t
-    return (
-        f'  {{\n   "t_mid_ms": {t},\n   "s": {s!r},\n   "k": {k!r},\n   "zone": "{zone}",\n'
-        f'   "metric1": {m1!r},\n   "metric2": {m2!r}\n  }}'
-    )
-
-
-def _cloud_entry(s: float, k: float, mean: float, std: float, skewness: float) -> str:
-    """One member of "bootstrap_cloud", as ``_point`` spells a point. The
-    kurtosis is ``k``; ``skewness`` keeps the sign that ``s`` loses."""
-    return (
-        f'  {{\n   "s": {s!r},\n   "k": {k!r},\n   "mean": {mean!r},\n   "std": {std!r},\n'
-        f'   "skewness": {skewness!r}\n  }}'
-    )
-
-
-def _json_list(item, *columns):
-    """Text parts of a list at depth 1 of the indent=1 document:
-    ``item(*row)`` for each row of ``columns``, formatted
-    ``ingest.CHUNK_ROWS`` rows at a time."""
+def _json_list(template, *columns, null=None):
+    """Text parts of a list at depth 1 of the indent=1 document, its
+    members spelled by ``ingest._rows``."""
     n = len(columns[0])
     if not n:
         yield "[]"
         return
     yield "[\n"
-    for i in range(0, n, ingest.CHUNK_ROWS):
-        block = (col[i : i + ingest.CHUNK_ROWS].tolist() for col in columns)
-        yield (",\n" if i else "") + ",\n".join(map(item, *block))
+    yield from ingest._rows(template, columns, range(0, n, ingest.CHUNK_ROWS), ",\n", null)
     yield "\n ]"
 
 
@@ -208,8 +188,8 @@ def _points_text(windows: WindowTable, rho: float, tau: float):
     s, k = windows.skewness * windows.skewness, windows.kurtosis
     m1, m2 = _metric_columns(s, k)
     ok = ~windows.degenerate
-    zones = np.full(len(windows), None, dtype=object)
-    zones[ok] = [ZONES[i] for i in zone_indices(s[ok], k[ok], m1[ok], m2[ok], rho, tau).tolist()]
+    zones = np.zeros(len(windows), dtype=np.intp)
+    zones[ok] = zone_indices(s[ok], k[ok], m1[ok], m2[ok], rho, tau)
     landmarks = {
         "normal": NORMAL_LANDMARK,
         "uniform": UNIFORM_LANDMARK,
@@ -219,7 +199,7 @@ def _points_text(windows: WindowTable, rho: float, tau: float):
     }
     head = json.dumps({"landmarks": landmarks, "rho": rho, "tau": tau}, indent=1)
     yield head.removesuffix("\n}") + ',\n "points": '
-    yield from _json_list(_point, windows.t_mid_ms, s, k, zones, m1, m2)
+    yield from _json_list(_POINT, windows.t_mid_ms, s, k, np.asarray(ZONES)[zones], m1, m2, null=_NULL_POINT)
     yield ',\n "bootstrap_cloud": '
 
 
@@ -227,7 +207,7 @@ def _cloud_text(cloud):
     """Text parts of ``plane.json`` from its "bootstrap_cloud" value on:
     the cloud ``cloud()`` returns, or an empty one when ``cloud`` is None."""
     c = MomentColumns(0, [], [], [], []) if cloud is None else cloud()
-    yield from _json_list(_cloud_entry, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness)
+    yield from _json_list(_CLOUD_ENTRY, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness)
     yield "\n}\n"
 
 
@@ -244,8 +224,9 @@ def export_plane(
 
     Degenerate windows appear with null coordinates as the missing-value
     marker so consumers keep the full time axis. The bytes are those of
-    ``manifest._write_json(path, doc)``; points and cloud entries are
-    streamed from fixed templates, so the text is never held whole. With a
+    ``manifest._write_json(path, doc)``; points and cloud entries stream
+    from the templates ``_POINT``, ``_NULL_POINT`` and ``_CLOUD_ENTRY``
+    through ``ingest._rows``, so the text is never held whole. With a
     cloud, the text is written in two sections of ``manifest._write_text``:
     this process classifies and writes the points while a forked child
     calls ``cloud`` and writes the cloud, and an error raised by ``cloud``

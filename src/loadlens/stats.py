@@ -63,6 +63,9 @@ DEFAULT_STRIDE = 30
 BLOCK_VALUES = 256 * DEFAULT_WINDOW
 
 WINDOW_CSV_HEADER = ("start_index", "t_start_ms", "t_end_ms", "mean", "std", "skewness", "kurtosis")
+#: Row templates of ``windows.csv`` (``ingest._rows``), the second for a degenerate window.
+WINDOW_CSV_ROW = "%r,%r,%r,%r,%r,%r,%r\r\n"
+WINDOW_CSV_NULL_ROW = "%r,%r,%r,%r,%r,%.0s,%.0s\r\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,14 +226,6 @@ def bootstrap(values, B: int, seed: int) -> MomentColumns:
     return MomentColumns(n, *_columns(B, n, block))
 
 
-def _window_lines(*columns: np.ndarray) -> list[str]:
-    lines = []
-    for a, b, c, m, s, g, k in zip(*(col.tolist() for col in columns)):
-        tail = "," if math.isnan(g) else f"{g!r},{k!r}"
-        lines.append(f"{a},{b},{c},{m!r},{s!r},{tail}\r\n")
-    return lines
-
-
 def write_windows_csv(path, windows: WindowTable) -> None:
     """Window CSV export. Empty skewness and kurtosis cells, the missing-value
     marker of ``features.csv`` too, mark a degenerate window. The window
@@ -241,4 +236,4 @@ def write_windows_csv(path, windows: WindowTable) -> None:
     """
     w = windows
     columns = (w.start, w.t_start_ms, w.t_end_ms, w.mean, w.std, w.skewness, w.kurtosis)
-    _write_table(path, WINDOW_CSV_HEADER, _window_lines, *columns)
+    _write_table(path, WINDOW_CSV_HEADER, WINDOW_CSV_ROW, *columns, null=WINDOW_CSV_NULL_ROW)

@@ -74,6 +74,21 @@ def test_only_manifest_decides_how_work_is_split():
     assert found == []
 
 
+def test_only_rows_spells_a_table_row():
+    """No f-string in src ends in ``\\r\\n``: the rows of the accel, rr and
+    window tables are spelled by row templates through ``ingest._rows``, the
+    one place that spells a row of a streamed table."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.JoinedStr) and node.values:
+                last = node.values[-1]
+                if isinstance(last, ast.Constant) and last.value.endswith("\r\n"):
+                    found.append(f"{module}: line {node.lineno}")
+    assert found == []
+
+
 def changes_pointers(text: str) -> list[str]:
     """The title of each ``CHANGES.md line "..."`` pointer in a source file,
     its lines joined with their indentation and ``#:``/``#`` comment markers
