@@ -86,10 +86,12 @@ def weibull_landmark(c: float) -> tuple[float, float]:
 @lru_cache(maxsize=1)
 def weibull_curve() -> tuple[tuple[float, float], ...]:
     """The Weibull family's plane curve: ``weibull_landmark`` on a
-    200-point log grid of shapes, computed once per process."""
+    200-point log grid of shapes, computed once per process. The shapes
+    are taken by ``math.exp``: numpy's array ``exp`` differs between CPU
+    dispatch levels (ROADMAP item 5)."""
     lo, hi = WEIBULL_SHAPE_RANGE
-    shapes = np.exp(np.linspace(math.log(lo), math.log(hi), WEIBULL_GRID_SIZE))
-    return tuple(weibull_landmark(float(c)) for c in shapes)
+    shapes = np.linspace(math.log(lo), math.log(hi), WEIBULL_GRID_SIZE).tolist()
+    return tuple(map(weibull_landmark, map(math.exp, shapes)))
 
 
 def metric1(s: float, k: float) -> float:

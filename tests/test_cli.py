@@ -67,9 +67,11 @@ MANIFESTS = {
 #: ``kurtosis`` (equal to ``k``) and the window table its ``n`` and
 #: ``degenerate`` columns; no remaining value changed. All three were
 #: re-pinned when ``synth`` came to write rr on a whole-ms grid.
+#: ``plane.json`` was re-pinned, here and below, when the Weibull curve's
+#: shapes came to be taken by ``math.exp``, as on an AVX2-only CPU.
 PLANE_GOLDEN_SHA256 = {
     "rr.csv": "d2e4c6521430c80c5593575df139528a720f285f178e611bb19a6d748dc9d792",
-    "plane.json": "caf5c43b855eaa92b50fa45382fd9895ed073ce6316b135fc2f5e7436d9af117",
+    "plane.json": "77c7bde135f4b47a7734e193dbfb19b7777bc224e5ea4c479d571fcd87416ce6",
     "windows.csv": "d35d5d5cfbccc6b065d8ac8eb981d07e5c51b7add7bddbe8b43a3f0d1632cf44",
 }
 
@@ -77,7 +79,7 @@ PLANE_GOLDEN_SHA256 = {
 #: degenerate windows (null plane points, empty CSV cells).
 FLAT_GOLDEN_SHA256 = {
     "rr.csv": "a52b016d33f0fcabd0c00e6059c31f987dd9488e7d028a0bba8ace7475b06612",
-    "plane.json": "092094a8a310c10b336910a730d1ae95bf56366f31c8d210a2b1e4ae21f61d77",
+    "plane.json": "7f9f8a1530713a5020abbd4924effc164154b6f69bb48f1dbab6e4e82101990d",
     "windows.csv": "0bf5044772c40a28e97a1af21e67024dbb8df6049b77270d2a73a9ad54e42169",
 }
 
@@ -301,6 +303,29 @@ class TestGoldenPlane:
         run_plane(str(tmp_path), "20", "50")
         for rel, digest in FLAT_GOLDEN_SHA256.items():
             assert sha256(tmp_path / rel) == digest, rel
+
+    def test_plane_bytes_do_not_depend_on_numpy_dispatch(self, tmp_path):
+        """``plane`` in a child process whose numpy dispatches as on an
+        AVX2-only x86-64 CPU writes the bytes of a run with default
+        dispatch (ROADMAP item 5): numpy's array ``exp`` differs between
+        the two on some values, so the Weibull curve must not use it."""
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        disabled = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+        if not any(__cpu_features__.get(feature) for feature in disabled):
+            pytest.skip(f"this CPU has none of {', '.join(disabled)}: default dispatch already runs at the AVX2 level")
+        assert main(["synth", "rr", "--preset", "staircase", "--seed", "3", "--out", str(tmp_path / "rr.csv")]) == 0
+        argv = ["plane", "--input", str(tmp_path / "rr.csv"), "--stride", "1", "--bootstrap", "200", "--seed", "3", "--out"]
+        assert main([*argv, str(tmp_path / "default.json")]) == 0
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__)),
+            "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+        }
+        cmd = [sys.executable, "-m", "loadlens.cli", *argv, str(tmp_path / "avx2.json")]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert sha256(tmp_path / "avx2.json") == sha256(tmp_path / "default.json")
 
 
 #: sha256 of every output of the learn commands on fabricated features, as
