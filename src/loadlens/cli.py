@@ -196,7 +196,7 @@ def cmd_train(args) -> dict:
     _write_json(report_path, report)
     outputs = [model_path, report_path]
     if losses:
-        _write_csv(losses_path, ("epoch", "train_loss", "val_loss"), zip(itertools.count(), *losses), lineterminator="\n")
+        _write_csv(losses_path, ("epoch", "train_loss", "val_loss"), zip(itertools.count(), *losses))
         outputs.append(losses_path)
     run_config = {"model": args.model, "preset": args.preset, **asdict(config)}
     return {"config": run_config, "inputs": [args.features], "outputs": outputs, "stem": stem}
@@ -222,7 +222,7 @@ def cmd_predict(args) -> dict:
         (session_id, activity, yp, DEFAULT_ACTIVITIES[data.decode_prediction(yp)])
         for session_id, activity, yp in zip(kept.session_id, kept.activity, yhat.tolist())
     )
-    _write_csv(args.out, header, body, lineterminator="\n")
+    _write_csv(args.out, header, body)
     config = {"model_features": list(model.features), "kind": model.kind}
     return {"config": config, "inputs": [args.model, args.features]}
 

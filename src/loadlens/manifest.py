@@ -34,9 +34,9 @@ the numeric tables (accel, rr, windows), cut into one section per CPU at
 ``ingest._rows`` spells the rows of both from row templates. ``_write_csv``
 writes the tables that hold text (sessions, features, correlations,
 predictions, loss curves) through ``csv.writer``, which quotes text cells;
-``_write_json`` every other JSON file. ``_read_json`` is the one JSON reader. Floats are written by ``repr``, so a
-write -> parse round trip is bit-exact. CSV lines end in ``\\r\\n``, but
-those of ``predict.csv`` and ``dnn_*.losses.csv`` in ``\\n``, as in JSON files.
+``_write_json`` every other JSON file. ``_read_json`` is the one JSON reader.
+Floats are written by ``repr``, so a write -> parse round trip is
+bit-exact. CSV lines end in ``\\r\\n``.
 Both CSV writers stay: a row template cannot quote text, and ``csv.writer`` is
 slower on numeric tables (timed on 180,000 accel rows and 35,941 window
 rows, as the CHANGES.md line "Fit and score the network in fewer numpy
@@ -251,10 +251,10 @@ def _read_json(path, what: str):
         raise ParseError(f"{path}: not a JSON {what} ({e})") from None
 
 
-def _write_csv(path, header, rows, lineterminator: str = "\r\n") -> None:
+def _write_csv(path, header, rows) -> None:
     """Write the ``header`` row and then ``rows`` through ``csv.writer``,
     whose ``writerow`` returns what its file's ``write`` returns: the line."""
-    writerow = csv.writer(SimpleNamespace(write=str), lineterminator=lineterminator).writerow
+    writerow = csv.writer(SimpleNamespace(write=str)).writerow
     _write_text(path, itertools.chain([writerow(header)], map(writerow, rows)))
 
 

@@ -336,18 +336,20 @@ class TestGoldenPlane:
 #: ``intensity_labels[cluster]``. The two ``*.report.json`` and ``predict.csv``
 #: were re-pinned when the reports dropped their loss curves and ``config``
 #: and ``predict.csv`` its ``y_true``, and an ``lrm`` run stopped writing a
-#: header-only ``losses.csv``.
+#: header-only ``losses.csv``. ``predict.csv`` and ``dnn_all.losses.csv``
+#: were re-pinned when their lines came to end in ``\r\n``, as every
+#: other CSV's do; no cell changed.
 LEARN_GOLDEN_SHA256 = {
     "features.csv": "62e20dcd0366907f25cf222fdb81e6ba79a3df4897f2fc1e624aa386ab69c11d",
     "models/lrm_all.model.json": "145e8932cac8cd2e320f45f1e6ce9cad11a671afd889c615d0938e8814195bc3",
     "models/lrm_all.report.json": "a9a2bf3ba9e8a5038876f38a1f8e44b740a78f2fd2586ce06cd985608a8cc25d",
     "models/dnn_all.model.json": "574235a2c83e1d7349107de28a53e00e89e1ed75c862cd2526c45bdad9db3a04",
     "models/dnn_all.report.json": "87a05acd875bc6570aa04b18d1c74e622ccdc9af2116843ab0da355fcb219dc0",
-    "models/dnn_all.losses.csv": "61dc2d5f7993d62d8569e676d70570ad36759febbfd24a969e58e9a5d1f4b905",
+    "models/dnn_all.losses.csv": "6fe8022b6312e3d8aed4ce4390e7abfbb1458f0911597b960645c0b8406557e5",
     "report.json": "b46b0922f6d81921fab624acd74ae7a84bfb42fd8a4aa65c2c416381e6ec8466",
     "cluster.json": "0482e0816a24c27a4e0e825c1c9b847283c366e14466ee26f4b347043810d245",
     "correlation.csv": "49d25737fd001bc4e0c9797365d5c23ada28aa7c62296a2339083ed3836d0c07",
-    "predict.csv": "3f0ce9ff403ec22271bac93199f26692256d7cfab701d7fd6f06a20abe7c9120",
+    "predict.csv": "d1113f689521ef3576e331d3c5cf1f72ac11c130fa468f0e758817ae3f653cde",
 }
 
 #: The same as ``MANIFESTS`` for the learn commands.
@@ -873,12 +875,12 @@ class TestExitCodes:
         """``train`` fails on its last output, the loss curve, after the
         model and the report are written: no manifest marks the run."""
 
-        def failing(path, header, rows, lineterminator):
+        def failing(path, header, rows):
             def rows_then_fault():
                 yield next(iter(rows))
                 raise OSError(28, "No space left on device")
 
-            write_csv(path, header, rows_then_fault(), lineterminator)
+            write_csv(path, header, rows_then_fault())
 
         write_csv = cli._write_csv
         monkeypatch.setattr(cli, "_write_csv", failing)
