@@ -323,8 +323,8 @@ def _count(text: str) -> int:
 #: the width) and ``train --epochs`` (100 times the benchmark's 1,000; on
 #: the same machine about 21 s for 120 rows and the default layers, as the
 #: CHANGES.md line "One pass shape for the network" records, and a 44 MB
-#: peak with its 4.9 MB loss curve, as the CHANGES.md line "One value, one
-#: place in the learn outputs" records).
+#: peak with its 5.0 MB loss curve, as the CHANGES.md line "One row speller
+#: for every streamed table" records).
 #: Larger requests fail here, not in a huge allocation or a run of hours.
 MAX_BOOTSTRAP = 100_000
 MAX_EPOCHS = 100_000
