@@ -13,12 +13,12 @@ the textbook per-batch update (forward trace, backpropagated MSE gradient,
 that update bit for bit.
 
 A fit does those operations in few numpy calls. Each epoch gathers its
-permuted rows with ``take`` into one fixed buffer; the batches are slices of
-it, and their ``out=`` buffers and the transposed views the gradient needs
-are built once per fit. After each epoch, the train and validation losses
-run one pass over their rows, in buffers built once per fit. ``_forward``
-is the one forward pass: the gradient's trace, the loss passes and
-``NetworkModel.predict`` all run it, always over 2-D rows.
+permuted rows with ``take`` into one fixed buffer, and the batches are
+slices of it. After each epoch, the train and validation losses run one
+pass over their rows. A batch and a loss pass of n rows share one set of
+``out=`` buffers, built once per fit. ``_forward`` is the one forward pass:
+the gradient's trace, the loss passes and ``NetworkModel.predict`` all run
+it, always over 2-D rows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -188,19 +187,6 @@ def _views(flat, layers) -> list[tuple[np.ndarray, np.ndarray]]:
     return views
 
 
-class _Batch(NamedTuple):
-    """One mini-batch's rows and the ``out=`` buffers and views of its
-    gradient, built once per fit (see ``_FlatNet.batch``)."""
-
-    X: np.ndarray
-    y: np.ndarray
-    acts: list
-    delta: np.ndarray
-    resid: np.ndarray
-    scale: float
-    back: list
-
-
 class _FlatNet:
     """Layers as views into one flat parameter vector ``P``, and the
     gradients of a mini-batch as the same views into one flat vector ``G``.
@@ -209,7 +195,8 @@ class _FlatNet:
     backpropagated gradient of the batch MSE into ``G`` with the element
     operations of a textbook per-batch update (forward trace,
     ``(2/n) * resid``, ``delta @ W.T`` times the 0/1 mask of active units),
-    so ``P -= lr * G`` reproduces the per-layer update bit for bit.
+    so ``P -= lr * G`` reproduces the per-layer update bit for bit. A batch
+    and a loss pass of n rows share one set of buffers (``_work``).
     """
 
     def __init__(self, layers):
@@ -231,18 +218,6 @@ class _FlatNet:
             work = self._buffers[n] = (acts, deltas, masks)
         return work
 
-    def batch(self, X, y) -> _Batch:
-        """The gradient plan of the rows ``X, y``. It holds views, not
-        copies: refilling ``X`` and ``y`` in place changes the batch."""
-        acts, deltas, masks = self._work(len(y))
-        ins = [X] + acts[:-1]
-        back = []
-        for i in range(len(self.layers) - 1, -1, -1):
-            dW, db = self.grads[i]
-            down = (self.layers[i][0].T, deltas[i - 1], acts[i - 1], masks[i - 1]) if i else (None,) * 4
-            back.append((ins[i].T, deltas[i], dW, db) + down)
-        return _Batch(X, y, acts, deltas[-1], deltas[-1][:, 0], 2.0 / len(y), back)
-
     def mse(self, X, y) -> float:
         """mean((forward(X) - y)**2), in the activation and output-delta
         buffers of ``len(y)`` rows."""
@@ -252,17 +227,22 @@ class _FlatNet:
         np.multiply(sq, sq, sq)
         return float(np.add.reduce(sq)) / len(y)
 
-    def gradient(self, batch: _Batch) -> None:
-        """Write the gradient of mean((forward(X) - y)**2) into ``G``."""
-        np.subtract(_forward(batch.X, self.layers, batch.acts), batch.y, batch.resid)
-        np.multiply(batch.scale, batch.delta, batch.delta)
-        for aT, d, dW, db, WT, prev, a, mask in batch.back:
-            np.matmul(aT, d, dW)
-            np.add.reduce(d, 0, None, db)
-            if WT is not None:
-                np.matmul(d, WT, prev)
-                np.greater(a, 0.0, mask)
-                np.multiply(prev, mask, prev)
+    def gradient(self, X, y) -> None:
+        """Write the gradient of mean((forward(X) - y)**2) into ``G``,
+        backpropagated from the output layer down in the buffers of
+        ``len(y)`` rows."""
+        acts, deltas, masks = self._work(len(y))
+        ins = [X] + acts[:-1]
+        np.subtract(_forward(X, self.layers, acts), y, deltas[-1][:, 0])
+        np.multiply(2.0 / len(y), deltas[-1], deltas[-1])
+        for i in range(len(self.layers) - 1, -1, -1):
+            dW, db = self.grads[i]
+            np.matmul(ins[i].T, deltas[i], dW)
+            np.add.reduce(deltas[i], 0, None, db)
+            if i:
+                np.matmul(deltas[i], self.layers[i][0].T, deltas[i - 1])
+                np.greater(acts[i - 1], 0.0, masks[i - 1])
+                np.multiply(deltas[i - 1], masks[i - 1], deltas[i - 1])
 
 
 @dataclass(frozen=True)
@@ -306,7 +286,7 @@ def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig 
     n = len(y_train)
     # each epoch gathers its permuted rows into Xo, yo, which the batches view
     Xo, yo = np.empty_like(Zt), np.empty_like(y_train)
-    batches = [net.batch(Xo[s : s + config.batch], yo[s : s + config.batch]) for s in range(0, n, config.batch)]
+    batches = [(Xo[s : s + config.batch], yo[s : s + config.batch]) for s in range(0, n, config.batch)]
     train_losses: list[float] = []
     val_losses: list[float] = []
 
@@ -317,8 +297,8 @@ def fit_dnn_xy(X_train, y_train, X_val, y_val, feature_names, config: DnnConfig 
                 order = rng.permutation(n)
                 Zt.take(order, 0, Xo, "clip")
                 y_train.take(order, 0, yo, "clip")
-                for batch in batches:
-                    net.gradient(batch)
+                for X, y in batches:
+                    net.gradient(X, y)
                     np.multiply(lr, G, step)
                     np.subtract(P, step, P)
             t = net.mse(Zt, y_train)

@@ -260,7 +260,7 @@ class TestGradients:
         X = rng.normal(0, 1, (8, 4))
         y = rng.normal(0, 1, 8)
         net = _FlatNet(init_layers((4, 6, 5, 1), rng))
-        net.gradient(net.batch(X, y))
+        net.gradient(X, y)
         grads = net.G.copy()
         h = 1e-5
         for j in range(net.P.size):
@@ -286,10 +286,9 @@ class TestGradients:
             assert (vW == W).all() and (vb == b).all()
             assert all(np.shares_memory(v, net.P) for v in (vW, vb))
             assert all(np.shares_memory(g, net.G) for g in (gW, gb))
-        batch = net.batch(X, rng.normal(0, 1, 7))
-        out = _forward(X, net.layers, batch.acts)
+        out = _forward(X, net.layers, net._work(7)[0])
         assert out.shape == (7,) and out.tobytes() == _reference_forward_trace(layers, X)[0][-1][:, 0].tobytes()
-        net.gradient(batch)
+        net.gradient(X, rng.normal(0, 1, 7))
         assert np.isfinite(net.G).all()
         hidden = net._work(7)[0][0]
         assert hidden.shape == (7, 4) and (hidden >= 0).all()
@@ -375,6 +374,10 @@ class TestFlatStepMatchesPerBatchUpdate:
     @example((20, 5, False, 1, DnnConfig(hidden=(7,), epochs=2, lr=0.1, batch=1, seed=1)))  # diverges at epoch 2
     # diverges at epoch 11, six epochs before the last, so the fit stops there
     @example((20, 2, True, 0, DnnConfig(hidden=(7,), epochs=17, lr=0.2, batch=1, seed=0)))
+    # one batch of all 20 rows, in the buffers of the training loss
+    @example((20, 3, False, 2, DnnConfig(hidden=(5,), epochs=3, lr=0.1, batch=25, seed=4)))
+    # batches of 9 rows, in the buffers of the 9-row validation loss
+    @example((20, 4, True, 3, DnnConfig(hidden=(6, 5), epochs=4, lr=0.01, batch=9, seed=2)))
     def test_layers_and_losses_are_bitwise_equal(self, case):
         n, p, with_val, data_seed, config = case
         data = np.random.default_rng(data_seed)
