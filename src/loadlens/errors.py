@@ -12,8 +12,10 @@ base               exit  raised for
 ``NumericError``   4     a computation whose result is not a finite number
 =================  ====  ==================================================
 
-An ``OSError`` (a missing or unreadable file) also exits 2. Any other
-exception escaping a command is a bug and ends in a traceback.
+An ``OSError`` (a missing or unreadable file) also exits 2. A worker
+process that dies, or leaves a result that cannot be read, raises
+``ChildProcessError``, which is an ``OSError``. Any other exception
+escaping a command is a bug and ends in a traceback.
 """
 
 import functools

@@ -114,6 +114,8 @@ def _fork_map(fn, tasks: list) -> list:
     would raise it, though later tasks may have run. A child sends its
     results, or its error, pickled through a pipe and leaves by
     ``os._exit``; every child is reaped before the call returns or raises.
+    A child that dies, or leaves a result that cannot be read, fails its
+    tasks with ``ChildProcessError``.
 
     Children start with the caller's memory, modules and open files, so
     ``fn`` may be a closure, but what a task changes in memory stays in its
@@ -167,9 +169,10 @@ def _fork_map(fn, tasks: list) -> list:
             status = os.waitpid(pid, 0)[1]
             children.pop(0)
             pipe.close()
-            if data:
+            try:
                 shares[k] = pickle.loads(data)
-            else:
+            # a child cut while it writes leaves a truncated pickle, or none
+            except (EOFError, pickle.UnpicklingError):
                 code = os.waitstatus_to_exitcode(status)
                 shares[k] = None, (k, ChildProcessError(f"worker process {pid} exited with code {code} and no result"))
     finally:

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -502,6 +503,15 @@ class TestForkMap:
             with pytest.raises(ChildProcessError, match="exited with code 3 and no result"):
                 manifest._fork_map(task, [0, 7])
             assert_no_child_left()
+
+    def test_a_truncated_result_is_a_worker_error(self, monkeypatch):
+        """A child cut while it writes its pipe leaves a truncated pickle,
+        which fails as a child that leaves no result; no child is left."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(pickle, "dumps", lambda obj, dumps=pickle.dumps: dumps(obj)[:-1])
+        with pytest.raises(ChildProcessError, match="exited with code 0 and no result"):
+            manifest._fork_map(abs, [-1, -2])
+        assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_runs_cut_work_into_one_run_per_worker(self, monkeypatch, workers):
