@@ -26,7 +26,7 @@ read-only views.
 A channel file is read in two passes:
 
 1. ``_scan`` reads its bytes 1 MB at a time into a sha256 (the digest the
-   manifest records), counts of ``\\n`` bytes every 64 KB, and a check that
+   manifest records), a count of ``\\n`` bytes per read, and a check that
    ``np.loadtxt`` reads every field as ``int()``/``float()`` do. It checks
    the header line too, and returns the byte offset where the body starts.
 2. ``_read_body`` parses the body from that offset, ``CHUNK_ROWS`` lines at
@@ -317,17 +317,12 @@ def _loadtxt_reads_like_python(data: bytes) -> bool:
 #: on the way" records).
 _SCAN_BYTES = 1 << 20
 
-#: Bytes between the newline counts ``_scan`` records (``marks``), from
-#: which ``_line_start`` finds where a range of lines starts: a read of less
-#: than this finds it, and adds nothing to the peak memory of a parse.
-_MARK_BYTES = 1 << 16
-
 
 def _scan(path, header):
     """One pass over the bytes of ``path``, ``_SCAN_BYTES`` at a time.
 
     Returns ``(sha256, marks, body)``: the file's hex digest; the count of
-    ``\\n`` bytes before each multiple of ``_MARK_BYTES`` up to the end, so
+    ``\\n`` bytes before each multiple of ``_SCAN_BYTES`` up to the end, so
     ``marks[-1]``, the file's count, bounds the data rows unless a line ends
     in a bare ``\\r``; and the byte offset after the header line, the
     first line ended by ``\\n``. That offset is None unless the line, past
@@ -348,8 +343,7 @@ def _scan(path, header):
         safe = _loadtxt_reads_like_python(chunk.removeprefix(codecs.BOM_UTF8))
         while chunk:
             digest.update(chunk)
-            for i in range(0, len(chunk), _MARK_BYTES):
-                marks.append(marks[-1] + chunk.count(b"\n", i, i + _MARK_BYTES))
+            marks.append(marks[-1] + chunk.count(b"\n"))
             chunk = fh.read(_SCAN_BYTES)
             safe = safe and _loadtxt_reads_like_python(chunk)
     return digest.hexdigest(), marks, end if matched and safe else None
@@ -369,10 +363,11 @@ def _line_start(fh, marks, target: int) -> tuple[int, int]:
     starts at or after byte ``target`` (>= 1): its byte offset, or the file's
     length when there is none, and the count of ``\\n`` bytes before it,
     found from the ``_scan`` ``marks`` and a read of less than
-    ``_MARK_BYTES``."""
-    base = (target - 1) // _MARK_BYTES * _MARK_BYTES
+    ``_SCAN_BYTES``. The read comes before the columns exist, so it stays
+    under the two reads the scan holds at once."""
+    base = (target - 1) // _SCAN_BYTES * _SCAN_BYTES
     fh.seek(base)
-    lines = marks[base // _MARK_BYTES] + fh.read(target - 1 - base).count(b"\n")
+    lines = marks[base // _SCAN_BYTES] + fh.read(target - 1 - base).count(b"\n")
     rest = fh.readline()
     return target - 1 + len(rest), lines + rest.endswith(b"\n")
 

@@ -648,7 +648,8 @@ class TestSplitRead:
     def test_any_body_reads_as_in_one_process(self, fmt, n, block, workers, data):
         """The header and each line may end in a bare ``\\r``, and each line
         may be faulty, quoted or follow a blank line; ranges of one line and
-        more are cut anywhere."""
+        more are cut anywhere, and the scan's newline counts are taken every
+        64 bytes or every ``_SCAN_BYTES``."""
         header, parse, row_text = _FORMATS[fmt]
         width = 3 if fmt == "accel" else 1
         text = header + data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
@@ -661,7 +662,8 @@ class TestSplitRead:
             elif kind == "quote":
                 fields[0] = f'"{fields[0]}"'
             text += ("\n" if kind == "blank" else "") + ",".join(fields) + ("\r" if kind == "bare_cr" else "\n")
-        with tempfile.TemporaryDirectory() as d, mock.patch.object(manifest, "SPLIT_ROWS", 1), mock.patch.object(ingest, "CHUNK_ROWS", block):
+        scan = data.draw(st.sampled_from([64, ingest._SCAN_BYTES]))
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(manifest, "SPLIT_ROWS", 1), mock.patch.object(ingest, "CHUNK_ROWS", block), mock.patch.object(ingest, "_SCAN_BYTES", scan):
             path = os.path.join(d, "ch.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
