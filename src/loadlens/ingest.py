@@ -97,10 +97,6 @@ DEFAULT_ACTIVITIES = ("walking", "running", "skiing")
 
 ACCEL_HEADER = ("t_ms", "ax", "ay", "az")
 RR_HEADER = ("t_ms", "rr_ms")
-
-#: Row templates of the channel files (``_rows``), read back bit-exact.
-ACCEL_ROW = "%r,%r,%r,%r\r\n"
-RR_ROW = "%r,%r\r\n"
 SESSIONS_HEADER = (
     "session_id",
     "activity",
@@ -492,43 +488,45 @@ def parse_sessions_csv(path) -> list[SessionMeta]:
     return metas
 
 
-def _rows(template: str, columns, blocks, sep: str = "", null: str | None = None):
+def _rows(template: str, columns, blocks, sep: str = "", missing: str = ""):
     """The rows of ``columns`` (equal-length 1-D arrays) as text, one part
     per ``CHUNK_ROWS`` block starting at each index of ``blocks``: one ``%``
     of the block's cells, in row order, into ``template`` per row, rows
-    joined by ``sep`` (also before each block but the table's first). A row
-    with a NaN cell takes the ``null`` template, which consumes the cells it
-    leaves out with ``%.0s``. The one place that spells a table row."""
+    joined by ``sep`` (also before each block but the table's first). Each
+    cell is spelled by ``str``, which for Python ints and floats is
+    ``repr``, so a float is read back bit-exact; a NaN cell of a float
+    column is spelled ``missing``. The one place that spells a table row."""
     width = len(columns)
-    floats = [col for col in columns if col.dtype.kind == "f"] if null is not None else []
     for i in blocks:
-        block = [col[i : i + CHUNK_ROWS].tolist() for col in columns]
-        cells = [None] * (len(block[0]) * width)
-        for j, col in enumerate(block):
-            cells[j::width] = col
-        rows = [template] * len(block[0])
-        if floats:
-            for r in np.flatnonzero(np.isnan([col[i : i + CHUNK_ROWS] for col in floats]).any(axis=0)).tolist():
-                rows[r] = null
-        yield (sep if i else "") + sep.join(rows) % tuple(cells)
+        rows = len(columns[0][i : i + CHUNK_ROWS])
+        cells = [None] * (rows * width)
+        for j, col in enumerate(columns):
+            part = col[i : i + CHUNK_ROWS]
+            cells[j::width] = part.tolist()
+            if part.dtype.kind == "f":
+                for r in np.flatnonzero(np.isnan(part)).tolist():
+                    cells[r * width + j] = missing
+        yield (sep if i else "") + sep.join([template] * rows) % tuple(cells)
 
 
-def _write_table(path, header, template, *columns, null: str | None = None) -> None:
-    """Write a numeric CSV table: the header, then the rows of ``columns``
-    as ``_rows`` spells them with ``template`` and ``null``. The blocks are
-    cut into one section per worker (``manifest._runs``), which
-    ``manifest._write_text`` writes in parallel."""
+def _write_table(path, header, *columns) -> None:
+    """Write a numeric CSV table: the ``header`` row, then the rows of
+    ``columns`` as ``_rows`` spells them into a template of one ``%s`` cell
+    per header name, so a NaN is an empty cell. The blocks are cut into one
+    section per worker (``manifest._runs``), which ``manifest._write_text``
+    writes in parallel."""
     n = len(columns[0])
-    sections = [_rows(template, columns, run, null=null) for run in manifest._runs(range(0, n, CHUNK_ROWS), n)]
+    template = ",".join(["%s"] * len(header)) + "\r\n"
+    sections = [_rows(template, columns, run) for run in manifest._runs(range(0, n, CHUNK_ROWS), n)]
     manifest._write_text(path, itertools.chain([",".join(header) + "\r\n"], sections[0]), *sections[1:])
 
 
 def write_accel_csv(path, samples: Channel) -> None:
-    _write_table(path, ACCEL_HEADER, ACCEL_ROW, samples.t_ms, *samples.values.T)
+    _write_table(path, ACCEL_HEADER, samples.t_ms, *samples.values.T)
 
 
 def write_rr_csv(path, samples: Channel) -> None:
-    _write_table(path, RR_HEADER, RR_ROW, samples.t_ms, samples.values)
+    _write_table(path, RR_HEADER, samples.t_ms, samples.values)
 
 
 def write_sessions_csv(path, metas: list[SessionMeta]) -> None:

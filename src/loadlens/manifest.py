@@ -30,8 +30,10 @@ children write the later ones to part files beside the temporary file, which
 are appended in order before the rename. ``ingest._write_table`` feeds it
 the numeric tables (accel, rr, windows), cut into one section per CPU at
 ``ingest.CHUNK_ROWS`` boundaries, and ``momentplane.export_plane`` streams
-``plane.json`` from templates, its bootstrap cloud in a section of its own;
-``ingest._rows`` spells the rows of both from row templates. ``_write_csv``
+``plane.json``, its bootstrap cloud in a section of its own. ``ingest._rows``
+spells the rows of both into a template built from the table's names: one
+cell per header name (``_write_table``), one member per key
+(``momentplane._json_list``); a NaN is an empty cell or null. ``_write_csv``
 writes the tables that hold text (sessions, features, correlations,
 predictions, loss curves) through ``csv.writer``, which quotes text cells;
 ``_write_json`` every other JSON file. ``_read_json`` is the one JSON reader.

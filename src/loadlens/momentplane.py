@@ -163,24 +163,18 @@ def zone_indices(s, k, m1, m2, rho: float, tau: float) -> np.ndarray:
     return np.select(hits, range(len(hits)), default=len(hits))
 
 
-#: Members of "points" and "bootstrap_cloud" as ``manifest._write_json``
-#: spells them (``repr`` is json's spelling of a finite float); a degenerate
-#: window's point holds nulls. The cloud's ``skewness`` keeps the sign that
-#: its ``s`` loses.
-_POINT = '  {\n   "t_mid_ms": %r,\n   "s": %r,\n   "k": %r,\n   "zone": "%s",\n   "metric1": %r,\n   "metric2": %r\n  }'
-_NULL_POINT = '  {\n   "t_mid_ms": %r,\n   "s": null%.0s,\n   "k": null%.0s,\n   "zone": null%.0s,\n   "metric1": null%.0s,\n   "metric2": null%.0s\n  }'
-_CLOUD_ENTRY = '  {\n   "s": %r,\n   "k": %r,\n   "mean": %r,\n   "std": %r,\n   "skewness": %r\n  }'
-
-
-def _json_list(template, *columns, null=None):
-    """Text parts of a list at depth 1 of the indent=1 document, its
-    members spelled by ``ingest._rows``."""
+def _json_list(keys, *columns):
+    """Text parts of a list at depth 1 of the indent=1 document: one
+    object per row of ``columns``, its members named by ``keys``, in the
+    bytes of ``manifest._write_json``. ``ingest._rows`` spells the values
+    (``repr`` is json's spelling of a finite float) and a NaN as null."""
     n = len(columns[0])
     if not n:
         yield "[]"
         return
+    members = ",\n".join(f"   {json.dumps(key)}: %s" for key in keys)
     yield "[\n"
-    yield from ingest._rows(template, columns, range(0, n, ingest.CHUNK_ROWS), ",\n", null)
+    yield from ingest._rows("  {\n" + members + "\n  }", columns, range(0, n, ingest.CHUNK_ROWS), ",\n", "null")
     yield "\n ]"
 
 
@@ -190,8 +184,10 @@ def _points_text(windows: WindowTable, rho: float, tau: float):
     s, k = windows.skewness * windows.skewness, windows.kurtosis
     m1, m2 = _metric_columns(s, k)
     ok = ~windows.degenerate
-    zones = np.zeros(len(windows), dtype=np.intp)
+    zones = np.full(len(windows), len(ZONES))
     zones[ok] = zone_indices(s[ok], k[ok], m1[ok], m2[ok], rho, tau)
+    # zones spelled as JSON values; a degenerate window keeps index len(ZONES), spelled null
+    zone_text = np.array([json.dumps(zone) for zone in ZONES] + ["null"])[zones]
     landmarks = {
         "normal": NORMAL_LANDMARK,
         "uniform": UNIFORM_LANDMARK,
@@ -201,7 +197,7 @@ def _points_text(windows: WindowTable, rho: float, tau: float):
     }
     head = json.dumps({"landmarks": landmarks, "rho": rho, "tau": tau}, indent=1)
     yield head.removesuffix("\n}") + ',\n "points": '
-    yield from _json_list(_POINT, windows.t_mid_ms, s, k, np.asarray(ZONES)[zones], m1, m2, null=_NULL_POINT)
+    yield from _json_list(("t_mid_ms", "s", "k", "zone", "metric1", "metric2"), windows.t_mid_ms, s, k, zone_text, m1, m2)
     yield ',\n "bootstrap_cloud": '
 
 
@@ -209,7 +205,8 @@ def _cloud_text(cloud):
     """Text parts of ``plane.json`` from its "bootstrap_cloud" value on:
     the cloud ``cloud()`` returns, or an empty one when ``cloud`` is None."""
     c = MomentColumns(0, [], [], [], []) if cloud is None else cloud()
-    yield from _json_list(_CLOUD_ENTRY, c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness)
+    # the signed skewness keeps the sign that s, its square, loses
+    yield from _json_list(("s", "k", "mean", "std", "skewness"), c.skewness * c.skewness, c.kurtosis, c.mean, c.std, c.skewness)
     yield "\n}\n"
 
 
@@ -224,15 +221,15 @@ def export_plane(
     with its zone and metrics, and the optional bootstrap cloud, which the
     function ``cloud`` returns.
 
-    Degenerate windows appear with null coordinates as the missing-value
-    marker so consumers keep the full time axis. The bytes are those of
-    ``manifest._write_json(path, doc)``; points and cloud entries stream
-    from the templates ``_POINT``, ``_NULL_POINT`` and ``_CLOUD_ENTRY``
-    through ``ingest._rows``, so the text is never held whole. With a
-    cloud, the text is written in two sections of ``manifest._write_text``:
-    this process classifies and writes the points while a forked child
-    calls ``cloud`` and writes the cloud, and an error raised by ``cloud``
-    leaves no file.
+    Degenerate windows appear with null coordinates, zone and metrics as
+    the missing-value marker so consumers keep the full time axis. The
+    bytes are those of ``manifest._write_json(path, doc)``; points and
+    cloud entries stream through ``_json_list``, which builds their
+    template from the tuple of their keys, so the text is never held
+    whole. With a cloud, the text is written in two
+    sections of ``manifest._write_text``: this process classifies and
+    writes the points while a forked child calls ``cloud`` and writes the
+    cloud, and an error raised by ``cloud`` leaves no file.
     """
     sections = [_points_text(windows, rho, tau), _cloud_text(cloud)]
     if cloud is None:

@@ -63,9 +63,6 @@ DEFAULT_STRIDE = 30
 BLOCK_VALUES = 256 * DEFAULT_WINDOW
 
 WINDOW_CSV_HEADER = ("start_index", "t_start_ms", "t_end_ms", "mean", "std", "skewness", "kurtosis")
-#: Row templates of ``windows.csv`` (``ingest._rows``), the second for a degenerate window.
-WINDOW_CSV_ROW = "%r,%r,%r,%r,%r,%r,%r\r\n"
-WINDOW_CSV_NULL_ROW = "%r,%r,%r,%r,%r,%.0s,%.0s\r\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,4 +233,4 @@ def write_windows_csv(path, windows: WindowTable) -> None:
     """
     w = windows
     columns = (w.start, w.t_start_ms, w.t_end_ms, w.mean, w.std, w.skewness, w.kurtosis)
-    _write_table(path, WINDOW_CSV_HEADER, WINDOW_CSV_ROW, *columns, null=WINDOW_CSV_NULL_ROW)
+    _write_table(path, WINDOW_CSV_HEADER, *columns)
