@@ -176,7 +176,8 @@ def _fork_map(fn, tasks: list) -> list:
             # a child cut while it writes leaves a truncated pickle, or none
             except (EOFError, pickle.UnpicklingError):
                 code = os.waitstatus_to_exitcode(status)
-                shares[k] = None, (k, ChildProcessError(f"worker process {pid} exited with code {code} and no result"))
+                left = "a result that could not be read" if data else "no result"
+                shares[k] = None, (k, ChildProcessError(f"worker process {pid} exited with code {code} and {left}"))
     finally:
         _busy = False
         for _, pid, pipe in children:

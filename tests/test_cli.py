@@ -506,10 +506,11 @@ class TestForkMap:
 
     def test_a_truncated_result_is_a_worker_error(self, monkeypatch):
         """A child cut while it writes its pipe leaves a truncated pickle,
-        which fails as a child that leaves no result; no child is left."""
+        which fails as a child that leaves a result that could not be read;
+        no child is left."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(pickle, "dumps", lambda obj, dumps=pickle.dumps: dumps(obj)[:-1])
-        with pytest.raises(ChildProcessError, match="exited with code 0 and no result"):
+        with pytest.raises(ChildProcessError, match="exited with code 0 and a result that could not be read"):
             manifest._fork_map(abs, [-1, -2])
         assert_no_child_left()
 
