@@ -824,6 +824,44 @@ class TestChunkedWriter:
         assert_same_channel(parse_rr_csv(tmp_path / "r.csv"), rr)
 
 
+@st.composite
+def table_columns(draw):
+    """Equal-length int64, float64 and text columns, the floats NaN at any
+    row."""
+    n = draw(st.integers(0, 10))
+    kinds = {
+        "int": (st.integers(-(2**63), 2**63 - 1), np.int64),
+        "float": (st.one_of(st.just(math.nan), st.floats()), np.float64),
+        "text": (st.text("ab,\"{}% ", max_size=3), str),
+    }
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=5)):
+        cells, dtype = kinds[kind]
+        columns.append(np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=dtype))
+    return columns
+
+
+class TestRows:
+    """``_rows`` spells each row as ``template % cells`` with a NaN cell as
+    ``missing``, rows joined by ``sep``, however the rows fall in blocks and
+    the blocks in runs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table_columns(), _blocks, st.sampled_from([("", ""), (",\n", "null")]), st.data())
+    def test_rows_equal_a_per_row_reference(self, columns, block, spelling, data):
+        sep, missing = spelling
+        template = "<" + "|".join(["%s"] * len(columns)) + ">\r\n"
+        rows = zip(*(col.tolist() for col in columns))
+        nan = lambda v: isinstance(v, float) and math.isnan(v)
+        want = sep.join(template % tuple(missing if nan(v) else v for v in row) for row in rows)
+        with mock.patch.object(ingest, "CHUNK_ROWS", block):
+            blocks = range(0, len(columns[0]), block)
+            cut = data.draw(st.integers(0, len(blocks)))
+            parts = [part for run in (blocks[:cut], blocks[cut:]) for part in ingest._rows(template, columns, run, sep, missing)]
+        assert len(parts) == len(blocks)
+        assert "".join(parts) == want
+
+
 class TestOutputWriters:
     """``_write_csv`` and ``_write_json`` write what ``csv.writer`` and
     ``json.dump`` write to an open file."""

@@ -76,8 +76,8 @@ def test_only_manifest_decides_how_work_is_split():
 
 def test_only_rows_spells_a_table_row():
     """No f-string in src ends in ``\\r\\n``: the rows of the accel, rr and
-    window tables are spelled by row templates through ``ingest._rows``, the
-    one place that spells a row of a streamed table."""
+    window tables are spelled through ``ingest._rows``, the one place that
+    spells a row of a streamed table."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
@@ -86,6 +86,37 @@ def test_only_rows_spells_a_table_row():
                 last = node.values[-1]
                 if isinstance(last, ast.Constant) and last.value.endswith("\r\n"):
                     found.append(f"{module}: line {node.lineno}")
+    assert found == []
+
+
+#: A printf-style ``%`` conversion, once ``%%`` is dropped.
+PERCENT_CONVERSION = re.compile(r"%(\([^)]*\))?[-#0 +]*(\*|\d+)?(\.(\*|\d+))?[diouxXeEfFgGcrsa]")
+
+
+def test_only_the_table_writers_build_a_row_template():
+    """No src string constant but a docstring holds a ``%`` conversion
+    outside ``ingest._write_table`` and ``momentplane._json_list``, which
+    build each streamed table's row template from its header or keys: a
+    table states its layout once, and no table keeps a template of its
+    own, for a row with a missing value or any other."""
+    writers = {("ingest.py", "_write_table"), ("momentplane.py", "_json_list")}
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, scopes) and node.body and isinstance(node.body[0], ast.Expr)
+        }
+        for node in tree.body:
+            if (module, getattr(node, "name", None)) in writers:
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str) and id(sub) not in docstrings:
+                    if PERCENT_CONVERSION.search(sub.value.replace("%%", "")):
+                        found.append(f"{module}: line {sub.lineno}")
     assert found == []
 
 
