@@ -226,10 +226,10 @@ def export_plane(
     bytes are those of ``manifest._write_json(path, doc)``; points and
     cloud entries stream through ``_json_list``, which builds their
     template from the tuple of their keys, so the text is never held
-    whole. With a cloud, the text is written in two
-    sections of ``manifest._write_text``: this process classifies and
-    writes the points while a forked child calls ``cloud`` and writes the
-    cloud, and an error raised by ``cloud`` leaves no file.
+    whole. With a cloud, the text is written in two sections of
+    ``manifest._write_text``: this process classifies and writes the
+    points while a forked child calls ``cloud`` and writes the cloud, and
+    an error raised by ``cloud`` leaves no file.
     """
     sections = [_points_text(windows, rho, tau), _cloud_text(cloud)]
     if cloud is None:
