@@ -257,7 +257,7 @@ REPORT_KEYS = ("model", "preset", "accuracy", "accuracy_val", "mae_val", "mrd_va
 
 
 def cmd_report(args) -> dict:
-    paths = sorted(glob.glob(os.path.join(args.in_dir, "*.report.json")))
+    paths = sorted(glob.glob(os.path.join(glob.escape(args.in_dir), "*.report.json")))
     if not paths:
         raise FileNotFoundError(f"no *.report.json files in {args.in_dir}")
     entries = []

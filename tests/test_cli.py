@@ -1126,6 +1126,15 @@ class TestReport:
         assert err.startswith("error: ParseError: ") and "lrm_acc.report.json" in err and "lrm_acc.manifest.json" in err
         assert not out.exists()
 
+    def test_directory_name_is_not_a_pattern(self, features_csv, tmp_path):
+        """``--in-dir runs[1]`` reads that directory, not ``runs1``."""
+        models = tmp_path / "runs[1]"
+        argv = ["train", "--features", features_csv, "--model", "lrm", "--preset", "hr", "--out-dir", str(models)]
+        assert main(argv) == 0
+        out = tmp_path / "report.json"
+        assert main(["report", "--in-dir", str(models), "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["n"] == 1
+
     @pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b"\xff\xfe"])
     def test_not_a_report_is_input_error(self, tmp_path, capsys, content):
         (tmp_path / "x.report.json").write_bytes(content)
