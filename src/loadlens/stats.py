@@ -22,6 +22,14 @@ divisions and comparisons are correctly rounded like Python's. Only
 ``m2**1.5`` is taken by Python's float power, value by value, because
 numpy's power differs from it in the last bit for some values.
 
+Accuracy is checked against exact moments, not only against a reference
+implementation: on the 2,218 rr windows (300 beats, stride 1) of the
+``synth`` staircase and rest presets, seeds 0-3, kurtosis lies within 16
+ulp of the exact value k and s = skewness^2 within 8 * eps * k of the
+exact s (tests/test_stats.py, ``TestExactMoments``). The error comes
+from cancellation in the central moments and depends on each window's
+conditioning, so this is a bound for that set, not for any data.
+
 Degeneracy has one signal: a sample whose variance is numerically zero
 relative to its mean gets NaN skewness and kurtosis, which ``degenerate``
 reads. Windows keep such rows; the bootstrap redraws such resamples and

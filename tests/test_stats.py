@@ -2,6 +2,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from loadlens import ingest, stats
+from loadlens import ingest, stats, synth
 from loadlens.errors import ConfigError, MomentOverflow, SeriesTooShort
 from loadlens.ingest import Channel
 from loadlens.stats import (
@@ -299,6 +300,51 @@ class TestKernelBits:
     def test_long_rows_past_the_buffer_size(self):
         x = np.random.default_rng(1).lognormal(0.0, 1.5, 70_001)
         assert bits(moments_row(x)) == bits(reference_moments(x))
+
+
+def exact_shapes(values, window):
+    """The correctly rounded (skewness^2, kurtosis) of each stride-1 window
+    of whole-number values: with the power sums S_r of a window of n
+    values, n^r times its r-th central moment is an integer a_r, and
+    s = a3^2 / a2^3, k = a4 / a2^2. The sums come from int64 prefix sums
+    (exact while len(values) * max(values)^4 fits int64), their products
+    are Python ints, and ``float(Fraction(...))`` rounds once."""
+    xi = values.astype(np.int64)
+    assert (xi == values).all() and len(xi) * int(xi.max()) ** 4 < 2**63
+    sums = [np.concatenate([[0], np.cumsum(xi**r)]).tolist() for r in (1, 2, 3, 4)]
+    n = window
+    for i in range(len(xi) - n + 1):
+        s1, s2, s3, s4 = (c[i + n] - c[i] for c in sums)
+        a2 = n * s2 - s1 * s1
+        a3 = n * n * s3 - 3 * n * s1 * s2 + 2 * s1**3
+        a4 = n**3 * s4 - 4 * n * n * s1 * s3 + 6 * n * s1 * s1 * s2 - 3 * s1**4
+        yield float(Fraction(a3 * a3, a2**3)), float(Fraction(a4, a2 * a2))
+
+
+class TestExactMoments:
+    """The kernel against exact moments, on the 2,218 rr windows (300 beats,
+    stride 1) of the ``staircase`` and ``rest`` presets, seeds 0-3. Bound:
+    kurtosis within 16 ulp of the exact k, and the plane coordinate
+    s = skewness^2 within 8 * eps * k of the exact s. Measured with
+    skewness m3 / m2**1.5: 10 ulp and 6.854 * eps * k. The error of s
+    comes from the cancellation in m3, not from the power. Errors depend
+    on each window's conditioning, so the bound holds for this fixed set,
+    not for any data."""
+
+    def test_windows_within_the_bound(self):
+        eps = np.finfo(float).eps
+        count = worst_k = worst_s = 0
+        for preset in ("staircase", "rest"):
+            for seed in range(4):
+                rr = synth.gen_rr(synth.PROTOCOL_PRESETS[preset], synth.GenConfig(seed=seed))
+                wins = sliding_windows(rr, 300, 1)
+                got = zip(wins.skewness.tolist(), wins.kurtosis.tolist())
+                for (g1, k), (s_exact, k_exact) in zip(got, exact_shapes(rr.values, 300), strict=True):
+                    worst_k = max(worst_k, abs(k - k_exact) / math.ulp(k_exact))
+                    worst_s = max(worst_s, abs(g1 * g1 - s_exact) / (eps * k_exact))
+                    count += 1
+        assert count == 2218
+        assert worst_k <= 16 and worst_s <= 8, (worst_k, worst_s)
 
 
 class TestMomentOverflow:
