@@ -9,7 +9,11 @@ obeys the Pearson feasibility bound k >= s + 1.
 The geometry has one source: the landmarks and lines are the module
 constants below, and the Weibull curve, the only part that must be
 computed, comes from ``weibull_curve()``. Zone classification and the plot
-export both read these.
+export both read these. ``weibull_landmark`` spells m2^1.5 as
+m2 * sqrt(m2), as the ``stats`` kernel does, but the curve still takes
+its shapes by ``math.exp`` and its raw moments by ``math.gamma``: libm's
+last bit changes with glibc's FMA paths, so ``plane.json`` bytes match
+only among CPUs that take the same paths (ROADMAP item 15).
 
 A window maps to the point (s, k) = (skewness^2, kurtosis); degenerate
 windows have none. ``zone_indices`` classifies points given as arrays, and
@@ -78,7 +82,7 @@ def weibull_landmark(c: float) -> tuple[float, float]:
     m2 = mu2 - mu1 * mu1
     m3 = mu3 - 3.0 * mu1 * mu2 + 2.0 * mu1**3
     m4 = mu4 - 4.0 * mu1 * mu3 + 6.0 * mu1 * mu1 * mu2 - 3.0 * mu1**4
-    g1 = m3 / m2**1.5
+    g1 = m3 / (m2 * math.sqrt(m2))
     g2 = m4 / (m2 * m2)
     return g1 * g1, g2
 

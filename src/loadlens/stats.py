@@ -18,9 +18,12 @@ resample, not by an object; many windows are spread over processes
 (``_columns``). Results are bit-identical to reducing each sample as its
 own 1-D array and finishing in Python floats: numpy reduces a row with the
 pairwise summation it applies to a 1-D array, and its sqrt, products,
-divisions and comparisons are correctly rounded like Python's. Only
-``m2**1.5`` is taken by Python's float power, value by value, because
-numpy's power differs from it in the last bit for some values.
+divisions and comparisons are correctly rounded like Python's. Every step
+of the kernel is such a numpy operation, and none calls libm, so window
+bytes do not depend on which of glibc's code paths (with or without FMA)
+the CPU takes. For that reason m2^1.5 is spelled m2 * sqrt(m2), not as a
+float power: that goes through libm's ``pow``, whose last bit changes
+with glibc's FMA paths.
 
 Accuracy is checked against exact moments, not only against a reference
 implementation: on the 2,218 rr windows (300 beats, stride 1) of the
@@ -117,8 +120,9 @@ class WindowTable(MomentColumns):
 
 
 def _block_moments(blk: np.ndarray) -> list[np.ndarray]:
-    """Columns mean, std, skewness, kurtosis of the rows of a 2-D block."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Columns mean, std, skewness, kurtosis of the rows of a 2-D block;
+    skewness is m3 / (m2 * std), with the std the block returns."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mean = blk.mean(axis=1)
         d = blk - mean[:, None]
         d2 = d * d
@@ -126,15 +130,13 @@ def _block_moments(blk: np.ndarray) -> list[np.ndarray]:
         # the third and fourth powers overwrite d and d2: two temporaries per block, not four
         m3 = np.multiply(d2, d, out=d).mean(axis=1)
         m4 = np.multiply(d2, d2, out=d2).mean(axis=1)
-        ok = ~(m2 < DEGENERACY_EPS * (1.0 + mean * mean))
+        std = np.sqrt(m2)
+        degenerate = m2 < DEGENERACY_EPS * (1.0 + mean * mean)
+        skewness = np.where(degenerate, math.nan, m3 / (m2 * std))
+        kurtosis = np.where(degenerate, math.nan, m4 / (m2 * m2))
     if not (np.isfinite(m2).all() and np.isfinite(m3).all() and np.isfinite(m4).all()):
         raise MomentOverflow("central moments overflow float64: values lie more than about 1e77 from their mean")
-    skewness = np.full(len(m2), math.nan)
-    kurtosis = np.full(len(m2), math.nan)
-    m2ok = m2[ok]
-    skewness[ok] = m3[ok] / np.array([v**1.5 for v in m2ok.tolist()])
-    kurtosis[ok] = m4[ok] / (m2ok * m2ok)
-    return [mean, np.sqrt(m2), skewness, kurtosis]
+    return [mean, std, skewness, kurtosis]
 
 
 def _columns(count: int, n: int, block) -> list[np.ndarray]:

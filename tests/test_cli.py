@@ -31,6 +31,8 @@ from tests.conftest import make_rows
 #: Every channel file, ``features.csv`` and ``accel_windows.csv`` were
 #: re-pinned when ``synth`` came to write rr on a whole-ms grid and accel
 #: on a 0.001 m/s^2 grid; ``sessions.csv`` is unchanged.
+#: ``features.csv`` and ``accel_windows.csv`` were re-pinned when skewness
+#: came to be m3 / (m2 * sqrt(m2)); only skewness cells moved, by <= 2 ulp.
 GOLDEN_SHA256 = {
     "data/running000_accel.csv": "047331f92458ea7f8e66abe47834c955f041eef0c02117470f527b4996f16d41",
     "data/running000_rr.csv": "9a723b34c578ccd6f61d9933a8e676aa0e76b1a6b1648f0a5832533d19792170",
@@ -45,8 +47,8 @@ GOLDEN_SHA256 = {
     "data/walking000_rr.csv": "e5101558a54449be9eabccd468888a356742f53dc8ac835e394345358a303ef4",
     "data/walking001_accel.csv": "58345bd0a8e94cc34bc94b31c733d842e56c27a06bf466c9be35fb8fa20abaa6",
     "data/walking001_rr.csv": "f4c75b68dd4aa2c5f3fee2c6b0a4de4f9147476848696dea6dab1fee7431df9e",
-    "features.csv": "d0e638aa8a89aff809c1a862e5587363aa4b1241720ce8b5b69f1fafde0db496",
-    "accel_windows.csv": "333004dcd04763515770311cd85925a14c14f33695a95ee659a0909469058be9",
+    "features.csv": "28a690f50c947f3c0d6330098a2a52c89bea8384ce6856c31e191820fece4b4f",
+    "accel_windows.csv": "8da783cc8d30372890b78a60540ed4214a830668614d26653f721f243412cc86",
 }
 
 #: sha256 of ``json.dumps(portable_manifest(...), sort_keys=True)`` of each
@@ -70,18 +72,21 @@ MANIFESTS = {
 #: re-pinned when ``synth`` came to write rr on a whole-ms grid.
 #: ``plane.json`` was re-pinned, here and below, when the Weibull curve's
 #: shapes came to be taken by ``math.exp``, as on an AVX2-only CPU.
+#: ``plane.json`` and ``windows.csv`` were re-pinned when skewness and the
+#: Weibull landmarks came to take m2^1.5 as m2 * sqrt(m2); mean, std, k held.
 PLANE_GOLDEN_SHA256 = {
     "rr.csv": "d2e4c6521430c80c5593575df139528a720f285f178e611bb19a6d748dc9d792",
-    "plane.json": "77c7bde135f4b47a7734e193dbfb19b7777bc224e5ea4c479d571fcd87416ce6",
-    "windows.csv": "d35d5d5cfbccc6b065d8ac8eb981d07e5c51b7add7bddbe8b43a3f0d1632cf44",
+    "plane.json": "d35e89ca5fe19fada3e837816dfa7b2789ae300af9e0c0274a89502ec5fb5af7",
+    "windows.csv": "a7fb3d35d2493ef5a192ec0f1c7150324f1e2dbe6bb22d1c5fdd741c46251224",
 }
 
 #: The same for a hand-made RR file whose constant stretch yields 31
-#: degenerate windows (null plane points, empty CSV cells).
+#: degenerate windows (null plane points, empty CSV cells). ``plane.json``
+#: and ``windows.csv`` were re-pinned with the table above.
 FLAT_GOLDEN_SHA256 = {
     "rr.csv": "a52b016d33f0fcabd0c00e6059c31f987dd9488e7d028a0bba8ace7475b06612",
-    "plane.json": "7f9f8a1530713a5020abbd4924effc164154b6f69bb48f1dbab6e4e82101990d",
-    "windows.csv": "0bf5044772c40a28e97a1af21e67024dbb8df6049b77270d2a73a9ad54e42169",
+    "plane.json": "27ff11cd373699b0e02fbae918983ab3104f1c2a1ed95925b74e84bc55c3b968",
+    "windows.csv": "2876fcdbf0c376f6b180ac56b129a6c05c483dafef3900c93e6f5d2be2e629fb",
 }
 
 
@@ -289,6 +294,23 @@ def run_plane(root, window: str, bootstrap: str) -> None:
     assert main(["moments", *argv, "--channel", "rr", "--out", os.path.join(root, "windows.csv")]) == 0
 
 
+def run_child(args, **env) -> str:
+    """Standard output of ``python *args`` in a child process that imports
+    this checkout's loadlens, with the variables ``env`` added to this
+    process's environment. The child must exit 0."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__)), **env}
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+#: Turns off glibc's AVX2 and FMA code paths, as on a CPU without FMA.
+NO_FMA_TUNABLE = "glibc.cpu.hwcaps=-AVX2_Usable,-FMA_Usable,-FMA4_Usable,-AVX2,-FMA"
+
+#: Prints v ** 1.5 of fixed values: libm's ``pow``, whose last bit follows glibc's FMA paths.
+POW_PROBE = "print([(1 + i / 1024) ** 1.5 for i in range(4096)])"
+
+
 class TestGoldenPlane:
     def test_staircase_protocol(self, tmp_path):
         assert main(["synth", "rr", "--preset", "staircase", "--seed", "3", "--out", str(tmp_path / "rr.csv")]) == 0
@@ -317,15 +339,24 @@ class TestGoldenPlane:
         assert main(["synth", "rr", "--preset", "staircase", "--seed", "3", "--out", str(tmp_path / "rr.csv")]) == 0
         argv = ["plane", "--input", str(tmp_path / "rr.csv"), "--stride", "1", "--bootstrap", "200", "--seed", "3", "--out"]
         assert main([*argv, str(tmp_path / "default.json")]) == 0
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.path.dirname(os.path.dirname(loadlens.__file__)),
-            "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
-        }
-        cmd = [sys.executable, "-m", "loadlens.cli", *argv, str(tmp_path / "avx2.json")]
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        run_child(["-m", "loadlens.cli", *argv, str(tmp_path / "avx2.json")], NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
         assert sha256(tmp_path / "avx2.json") == sha256(tmp_path / "default.json")
+
+    def test_moments_bytes_do_not_depend_on_glibc_fma(self, tmp_path):
+        """``moments`` of an rr and an accel file in a child process whose
+        glibc takes no AVX2 or FMA path writes the bytes of a default run:
+        no step of the moment kernel calls libm (ROADMAP item 15). ``plane``
+        is left out: its Weibull curve still takes ``math.gamma`` and
+        ``math.exp``."""
+        if run_child(["-c", POW_PROBE], GLIBC_TUNABLES=NO_FMA_TUNABLE) == run_child(["-c", POW_PROBE]):
+            pytest.skip("libm's pow is the same under the tunable: glibc ignores it or this CPU has no FMA path")
+        assert main(["synth", "rr", "--preset", "staircase", "--seed", "0", "--out", str(tmp_path / "rr.csv")]) == 0
+        assert main(["synth", "accel", "--class", "active", "--duration", "60", "--out", str(tmp_path / "accel.csv")]) == 0
+        for channel in ("rr", "accel"):
+            argv = ["moments", "--input", str(tmp_path / f"{channel}.csv"), "--channel", channel, "--stride", "1", "--out"]
+            assert main([*argv, str(tmp_path / f"{channel}_default.csv")]) == 0
+            run_child(["-m", "loadlens.cli", *argv, str(tmp_path / f"{channel}_no_fma.csv")], GLIBC_TUNABLES=NO_FMA_TUNABLE)
+            assert sha256(tmp_path / f"{channel}_no_fma.csv") == sha256(tmp_path / f"{channel}_default.csv"), channel
 
 
 #: sha256 of every output of the learn commands on fabricated features, as
