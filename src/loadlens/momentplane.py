@@ -9,11 +9,9 @@ obeys the Pearson feasibility bound k >= s + 1.
 The geometry has one source: the landmarks and lines are the module
 constants below, and the Weibull curve, the only part that must be
 computed, comes from ``weibull_curve()``. Zone classification and the plot
-export both read these. ``weibull_landmark`` spells m2^1.5 as
-m2 * sqrt(m2), as the ``stats`` kernel does, but the curve still takes
-its shapes by ``math.exp`` and its raw moments by ``math.gamma``: libm's
-last bit changes with glibc's FMA paths, so ``plane.json`` bytes match
-only among CPUs that take the same paths (ROADMAP item 15).
+export both read these. ``weibull_landmark`` takes m2^1.5 as m2 * sqrt(m2),
+as ``stats`` does, but the curve's ``math.gamma`` and ``math.exp`` are
+libm's, so ``plane.json`` bytes still follow glibc's FMA paths.
 
 A window maps to the point (s, k) = (skewness^2, kurtosis); degenerate
 windows have none. ``zone_indices`` classifies points given as arrays, and

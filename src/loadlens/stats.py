@@ -18,20 +18,15 @@ resample, not by an object; many windows are spread over processes
 (``_columns``). Results are bit-identical to reducing each sample as its
 own 1-D array and finishing in Python floats: numpy reduces a row with the
 pairwise summation it applies to a 1-D array, and its sqrt, products,
-divisions and comparisons are correctly rounded like Python's. Every step
-of the kernel is such a numpy operation, and none calls libm, so window
-bytes do not depend on which of glibc's code paths (with or without FMA)
-the CPU takes. For that reason m2^1.5 is spelled m2 * sqrt(m2), not as a
-float power: that goes through libm's ``pow``, whose last bit changes
-with glibc's FMA paths.
+divisions and comparisons are correctly rounded like Python's. No step
+calls libm, whose last bit changes with glibc's FMA paths, so window bytes
+do not depend on them: m2^1.5 is m2 * sqrt(m2), not ``pow``.
 
-Accuracy is checked against exact moments, not only against a reference
-implementation: on the 2,218 rr windows (300 beats, stride 1) of the
-``synth`` staircase and rest presets, seeds 0-3, kurtosis lies within 16
-ulp of the exact value k and s = skewness^2 within 8 * eps * k of the
-exact s (tests/test_stats.py, ``TestExactMoments``). The error comes
-from cancellation in the central moments and depends on each window's
-conditioning, so this is a bound for that set, not for any data.
+On the 2,218 rr windows (300 beats, stride 1) of the ``synth`` staircase
+and rest presets, seeds 0-3, kurtosis lies within 16 ulp of its exact
+value k and s = skewness^2 within 8 * eps * k of its exact value
+(``tests/test_stats.py::TestExactMoments``). The error depends on each
+window's conditioning, so the bound is for that set, not for any data.
 
 Degeneracy has one signal: a sample whose variance is numerically zero
 relative to its mean gets NaN skewness and kurtosis, which ``degenerate``
@@ -120,8 +115,7 @@ class WindowTable(MomentColumns):
 
 
 def _block_moments(blk: np.ndarray) -> list[np.ndarray]:
-    """Columns mean, std, skewness, kurtosis of the rows of a 2-D block;
-    skewness is m3 / (m2 * std), with the std the block returns."""
+    """Columns mean, std, skewness, kurtosis of the rows of a 2-D block."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mean = blk.mean(axis=1)
         d = blk - mean[:, None]

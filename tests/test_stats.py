@@ -327,10 +327,10 @@ class TestExactMoments:
     kurtosis within 16 ulp of the exact k, and the plane coordinate
     s = skewness^2 within 8 * eps * k of the exact s. Measured: 10 ulp
     and 6.854 * eps * k with skewness m3 / m2**1.5, 10 ulp and
-    6.895 * eps * k with m3 / (m2 * sqrt(m2)). The error of s
-    comes from the cancellation in m3, not from the power. Errors depend
-    on each window's conditioning, so the bound holds for this fixed set,
-    not for any data."""
+    6.895 * eps * k with m3 / (m2 * sqrt(m2)). The error of s comes from
+    the cancellation in m3, not from the power. Errors depend on each
+    window's conditioning, so the bound holds for this fixed set, not for
+    any data."""
 
     def test_windows_within_the_bound(self):
         eps = np.finfo(float).eps
